@@ -70,9 +70,6 @@ class ShardedDart:
             ``config`` / ``analytics_factory`` / filters.  Must be
             callable in the worker context (any callable under fork;
             picklable under spawn).
-        dart_factory: backward-compatible alias for
-            ``monitor_factory`` (the parameter's name before shards
-            could run non-Dart monitors).  Passing both is an error.
         analytics_factory: build one shard's analytics module (a shared
             analytics *instance* cannot be handed to N workers).
         leg_filter / target_filter: as for :class:`Dart`.
@@ -101,7 +98,6 @@ class ShardedDart:
         shards: int = 1,
         parallel: str = "process",
         monitor_factory: Optional[MonitorFactory] = None,
-        dart_factory: Optional[MonitorFactory] = None,
         analytics_factory: Optional[Callable[[], object]] = None,
         leg_filter: Optional[LegFilter] = None,
         target_filter: Optional[TargetFilter] = None,
@@ -123,13 +119,6 @@ class ShardedDart:
                 f"transport must be one of {sorted(TRANSPORT_MODES)}, "
                 f"got {transport!r}"
             )
-        if monitor_factory is not None and dart_factory is not None:
-            raise ValueError(
-                "pass monitor_factory or dart_factory, not both "
-                "(dart_factory is the deprecated alias)"
-            )
-        if monitor_factory is None:
-            monitor_factory = dart_factory
         if monitor_factory is None:
             def monitor_factory() -> Dart:
                 analytics = (
@@ -195,7 +184,7 @@ class ShardedDart:
             # No serialization boundary: object batches are strictly
             # cheaper in-process.
             self._dispatcher = BatchDispatcher(
-                shards, self._submit, batch_size=batch_size
+                shards, self._submit_records, batch_size=batch_size
             )
 
     # -- Packet entry points ----------------------------------------------
@@ -306,7 +295,8 @@ class ShardedDart:
         self._dispatcher.dispatch(record)
         return []
 
-    def _submit(self, shard: int, batch: List[PacketRecord]) -> None:
+    def _submit_records(self, shard: int,
+                        batch: List[PacketRecord]) -> None:
         try:
             self._workers[shard].submit(batch)
         except ShardFailure as failure:

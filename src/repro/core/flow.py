@@ -137,6 +137,14 @@ class FlowKey:
             object.__setattr__(self, "_sig", sig)
         return sig
 
+    def prefill_hashes(self, crc: int, sig: int, mix0: int) -> None:
+        """Fill :attr:`key_crc`, :attr:`signature` and :attr:`mix0` with
+        values computed elsewhere (the columnar classifier, vectorially);
+        they must equal what the properties would compute."""
+        object.__setattr__(self, "_crc", crc)
+        object.__setattr__(self, "_sig", sig)
+        object.__setattr__(self, "_mix0", mix0)
+
     _CACHE_SLOTS = ("_bytes", "_crc", "_sig", "_mix0")
 
     def __getstate__(self):

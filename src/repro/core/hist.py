@@ -735,5 +735,6 @@ def exact_quantile(values, p: float) -> float:
     high = math.ceil(rank)
     if low == high:
         return float(data[low])
-    frac = rank - low
-    return data[low] * (1 - frac) + data[high] * frac
+    # ``lo + (hi - lo) * frac`` stays inside [lo, hi] where the two-
+    # product form underflows to 0.0 on denormals (5e-324 * 0.5).
+    return data[low] + (data[high] - data[low]) * (rank - low)

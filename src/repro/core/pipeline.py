@@ -36,7 +36,7 @@ from ..net.inet import prefix_of
 from ..net.packet import PacketRecord
 from .analytics import CollectAllAnalytics
 from .config import DartConfig
-from .flow import FlowKey, ack_target_flow, flow_of, intern_flow
+from .flow import FlowKey, intern_flow
 from .packet_tracker import (
     InsertStatus,
     PtRecord,
@@ -51,15 +51,29 @@ TargetFilter = Callable[[PacketRecord], bool]
 EXTERNAL_LEG = "external"
 INTERNAL_LEG = "internal"
 
-# Flag masks, hoisted for the hot loop: carries-data is
-# "payload > 0 or SYN or FIN" (both flags consume sequence space).
 _SYN = tcp_mod.FLAG_SYN
-_RST = tcp_mod.FLAG_RST
-_ACK = tcp_mod.FLAG_ACK
-_SEQ_SPACE_FLAGS = tcp_mod.FLAG_SYN | tcp_mod.FLAG_FIN
+_FIN = tcp_mod.FLAG_FIN
+
+#: Role bits of a classified packet: everything the kernel needs to
+#: know of its TCP flags, its payload and the operator's target filter.
+ROLE_DATA = 1  # consumes sequence space: payload, SYN or FIN
+ROLE_ACK = 2
+ROLE_SYN = 4
+ROLE_RST = 8
+ROLE_FILTERED = 16  # rejected by ``target_filter``; excludes the rest
+
+#: Role bits by TCP flag byte (a payload adds ``ROLE_DATA`` on top).
+#: Both classifiers — per record and per column — index this one table.
+FLAG_ROLES = tuple(
+    (ROLE_DATA if flags & (_SYN | _FIN) else 0)
+    | (ROLE_ACK if flags & tcp_mod.FLAG_ACK else 0)
+    | (ROLE_SYN if flags & _SYN else 0)
+    | (ROLE_RST if flags & tcp_mod.FLAG_RST else 0)
+    for flags in range(256)
+)
 
 #: Records per chunk when :meth:`Dart.process_trace` drains an iterable
-#: through the batched fast path.
+#: through :meth:`Dart.process_batch`.
 TRACE_CHUNK = 8192
 
 
@@ -134,6 +148,12 @@ class Dart:
         target_filter: operator flow-selection rules (paper §4,
             "specifying target flows"); packets rejected by the filter are
             not processed at all.
+
+    :meth:`process`, :meth:`process_batch` and :meth:`process_columns`
+    only *classify* their input into rows for :meth:`_packet`, the
+    single per-packet kernel and the only code that touches the
+    trackers.  A subclass that must see (or fail on) every packet
+    overrides ``_packet`` alone, whatever the entry point.
     """
 
     def __init__(
@@ -172,148 +192,62 @@ class Dart:
                 handle_wraparound=self.config.handle_wraparound,
             )
 
-    # -- Packet entry point -------------------------------------------------
+    # -- Packet entry points -------------------------------------------------
 
     def process(self, record: PacketRecord) -> List[RttSample]:
         """Process one observed packet; returns samples it produced."""
-        stats = self.stats
-        stats.packets_processed += 1
-        self._now_ns = record.timestamp_ns
-        if self._recirc_queue:
-            self._drain_due_recirculations()
-        if self._shadow_tracker is not None:
-            self._drain_shadow_updates()
-
-        if self._target_filter is not None and not self._target_filter(record):
-            stats.filtered_out += 1
-            return []
-
-        flags = record.flags
-        track_handshake = self.config.track_handshake
-        if flags & _SYN and not track_handshake:
-            # -SYN mode ignores SYN and SYN-ACK entirely (robust to SYN
-            # floods; no RT/PT state until the handshake completes).
-            stats.ignored_syn += 1
-            return []
-
-        if flags & _RST:
-            stats.ignored_rst += 1
-            return []
-
-        samples: List[RttSample] = []
-        if record.payload_len or flags & _SEQ_SPACE_FLAGS:
-            self._process_data(record)
-        if flags & _ACK:
-            # A plain ACK matches a tracked data packet; a SYN-ACK
-            # acknowledges the client's SYN (+SYN mode only — -SYN
-            # returned above).
-            if not flags & _SYN or track_handshake:
-                sample = self._process_ack(record)
-                if sample is not None:
-                    samples.append(sample)
-        return samples
+        sample = self._packet(*self._classify(record))
+        return [] if sample is None else [sample]
 
     def process_batch(self, records: Iterable[Optional[PacketRecord]]
                       ) -> List[RttSample]:
-        """Process a batch of packets through the hoisted fast path.
-
-        Semantically identical to calling :meth:`process` per record
-        (same stats, samples, analytics windows, table state — the
-        equivalence is pinned by tests), but attribute lookups, config
-        flag reads, and the empty recirculation/shadow-queue checks are
-        hoisted out of the inner loop, and packets with no role (no
-        data, no ACK) exit before any tracker is touched.
+        """Process a batch of packets: :meth:`process` per record with
+        the method lookups hoisted out of the loop.
 
         ``None`` entries are skipped entirely: the pcap decoder yields
         ``None`` for non-TCP frames, so a decoded capture block can be
         fed as-is.  Returns the samples produced, in order.
         """
-        if type(self).process is not Dart.process:
-            # A subclass customised per-packet processing (fault
-            # injection, instrumentation); the fast path must not skip
-            # its hook.
-            samples = []
-            for record in records:
-                if record is not None:
-                    samples.extend(self.process(record))
-            return samples
-        stats = self.stats
-        config = self.config
-        track_handshake = config.track_handshake
-        target_filter = self._target_filter
-        shadow = self._shadow_tracker
-        recirc_queue = self._recirc_queue
-        process_data = self._process_data
-        process_ack = self._process_ack
+        packet = self._packet
+        classify = self._classify
         samples: List[RttSample] = []
         append = samples.append
         for record in records:
             if record is None:  # non-TCP frame, already dropped by decode
                 continue
-            stats.packets_processed += 1
-            self._now_ns = record.timestamp_ns
-            if recirc_queue:
-                self._drain_due_recirculations()
-            if shadow is not None:
-                self._drain_shadow_updates()
-            if target_filter is not None and not target_filter(record):
-                stats.filtered_out += 1
-                continue
-            flags = record.flags
-            if flags & _SYN and not track_handshake:
-                stats.ignored_syn += 1
-                continue
-            if flags & _RST:
-                stats.ignored_rst += 1
-                continue
-            if record.payload_len or flags & _SEQ_SPACE_FLAGS:
-                process_data(record)
-            if flags & _ACK:
-                if not flags & _SYN or track_handshake:
-                    sample = process_ack(record)
-                    if sample is not None:
-                        append(sample)
+            sample = packet(*classify(record))
+            if sample is not None:
+                append(sample)
         return samples
 
     def process_trace(self, records) -> "Dart":
         """Process an iterable of packets; returns self for chaining.
 
         Drains the iterable through :meth:`process_batch` in
-        ``TRACE_CHUNK``-sized chunks, so trace-level callers get the
-        batched fast path without materialising generator inputs.
+        ``TRACE_CHUNK``-sized chunks, so trace-level callers need not
+        materialise generator inputs.
         """
         iterator = iter(records)
-        process_batch = self.process_batch
         while True:
             chunk = list(islice(iterator, TRACE_CHUNK))
             if not chunk:
                 return self
-            process_batch(chunk)
+            self.process_batch(chunk)
 
     def process_columns(self, cols) -> List[RttSample]:
         """Process a decoded columnar batch
         (:class:`~repro.net.columnar.PacketColumns`).
 
-        The classification stage — decode, role masks, expected ACKs,
-        flow CRCs and signatures — arrives precomputed as columns; this
-        method runs only the scalar mutation stage (``_data_op`` /
-        ``_ack_op``) per row, pre-filling each interned ``FlowKey``'s
-        lazy hash caches from the vectorised values so the trackers
-        never hash a key on this path.  Semantically identical to
-        ``process_batch(cols.to_records())`` — same stats, samples,
-        analytics windows, and table state, pinned by the equivalence
-        suite — and falls back to exactly that call whenever a subclass
-        hook or a configured filter needs the per-record view.
+        The columnar classifier: roles, expected ACKs and every flow
+        and PT hash are computed batch-wide as numpy columns, so the
+        trackers never hash a key on this path.  ``KIND_RECORD`` rows
+        (IPv6, IP/TCP options) take the record classifier; so does the
+        whole batch under a leg or target filter, which need a
+        :class:`PacketRecord`.  Same stats, samples, analytics windows
+        and table state as ``process_batch(cols.to_records())``.
         """
-        if (type(self).process is not Dart.process
-                or type(self)._process_data is not Dart._process_data
-                or type(self)._process_ack is not Dart._process_ack
-                or self._target_filter is not None
-                or self._leg_filter is not None):
+        if self._target_filter is not None or self._leg_filter is not None:
             return self.process_batch(cols.to_records())
-        n = cols.n
-        if n == 0:
-            return []
         from ..fastpath import classify
         from ..net.columnar import KIND_RECORD, KIND_SKIP
 
@@ -325,6 +259,7 @@ class Dart:
         dport = cols.dst_port.tolist()
         seq_col = cols.seq.tolist()
         ack_col = cols.ack.tolist()
+        role = classify.roles(cols).tolist()
         eack_arr = classify.eack_values(cols)
         eack_col = eack_arr.tolist()
         crc_arr = classify.flow_crcs(cols)
@@ -345,92 +280,27 @@ class Dart:
         match_arr = classify.pt_match_crcs(rsig_arr, cols.ack)
         match_col = match_arr.tolist()
         mmix_col = classify.mix32(match_arr).tolist()
-        # Role bitfield per row: 1=data, 2=ack, 4=syn, 8=rst — the same
-        # four tests ``process`` makes, evaluated batch-wide.
-        flags_arr = cols.flags
-        role = (((cols.payload_len > 0)
-                 | ((flags_arr & _SEQ_SPACE_FLAGS) != 0)) * 1
-                + ((flags_arr & _ACK) != 0) * 2
-                + ((flags_arr & _SYN) != 0) * 4
-                + ((flags_arr & _RST) != 0) * 8).tolist()
 
-        stats = self.stats
-        track_handshake = self.config.track_handshake
-        shadow = self._shadow_tracker
-        recirc_queue = self._recirc_queue
-        fallback_records = cols.records
-        data_op = self._data_op
-        ack_op = self._ack_op
-        process_data = self._process_data
-        process_ack = self._process_ack
-        intern = intern_flow
+        packet = self._packet
         samples: List[RttSample] = []
         append = samples.append
-        set_cache = object.__setattr__
-        for i in range(n):
+        for i in range(cols.n):
             kind = kinds[i]
             if kind == KIND_SKIP:
                 continue
             if kind == KIND_RECORD:
-                # Fallback row (IPv6, IP/TCP options): the per-record
-                # path, inlined from ``process_batch``.
-                record = fallback_records[i]
-                stats.packets_processed += 1
-                self._now_ns = record.timestamp_ns
-                if recirc_queue:
-                    self._drain_due_recirculations()
-                if shadow is not None:
-                    self._drain_shadow_updates()
-                flags = record.flags
-                if flags & _SYN and not track_handshake:
-                    stats.ignored_syn += 1
-                    continue
-                if flags & _RST:
-                    stats.ignored_rst += 1
-                    continue
-                if record.payload_len or flags & _SEQ_SPACE_FLAGS:
-                    process_data(record)
-                if flags & _ACK:
-                    if not flags & _SYN or track_handshake:
-                        sample = process_ack(record)
-                        if sample is not None:
-                            append(sample)
-                continue
-            # Vectorised row: classification already done.
-            stats.packets_processed += 1
-            ts = ts_col[i]
-            self._now_ns = ts
-            if recirc_queue:
-                self._drain_due_recirculations()
-            if shadow is not None:
-                self._drain_shadow_updates()
-            r = role[i]
-            if r & 4 and not track_handshake:
-                stats.ignored_syn += 1
-                continue
-            if r & 8:
-                stats.ignored_rst += 1
-                continue
-            if r & 1:
-                flow = intern(src[i], dst[i], sport[i], dport[i], False)
-                if flow._crc is None:
-                    set_cache(flow, "_crc", crc_col[i])
-                    set_cache(flow, "_sig", sig_col[i])
-                    set_cache(flow, "_mix0", mix_col[i])
-                data_op(flow, seq_col[i], eack_col[i], ts,
-                        bool(r & 4), None, ptcrc_col[i], ptmix_col[i])
-            if r & 2:
-                if not r & 4 or track_handshake:
-                    flow = intern(dst[i], src[i], dport[i], sport[i],
-                                  False)
-                    if flow._crc is None:
-                        set_cache(flow, "_crc", rcrc_col[i])
-                        set_cache(flow, "_sig", rsig_col[i])
-                        set_cache(flow, "_mix0", rmix_col[i])
-                    sample = ack_op(flow, ack_col[i], ts, match_col[i],
-                                    mmix_col[i])
-                    if sample is not None:
-                        append(sample)
+                sample = packet(*self._classify(cols.records[i]))
+            else:
+                sample = packet(
+                    ts_col[i], role[i], src[i], dst[i], sport[i], dport[i],
+                    False, seq_col[i], eack_col[i], ack_col[i], None,
+                    crc_col[i], sig_col[i], mix_col[i],
+                    ptcrc_col[i], ptmix_col[i],
+                    rcrc_col[i], rsig_col[i], rmix_col[i],
+                    match_col[i], mmix_col[i],
+                )
+            if sample is not None:
+                append(sample)
         return samples
 
     def finalize(self, at_ns: Optional[int] = None) -> None:
@@ -446,89 +316,117 @@ class Dart:
             now = self._now_ns if at_ns is None else max(at_ns, self._now_ns)
             flush(now)
 
-    # -- SEQ side ------------------------------------------------------------
-    #
-    # Each side is split into a *classification* stage (which fields
-    # matter, which flow tuple, the expected ACK — pure functions of the
-    # record, vectorizable batch-wide) and a *mutation* stage
-    # (``_data_op``/``_ack_op``: tracker state transitions, inherently
-    # scalar).  ``process_columns`` runs the classification as numpy
-    # column ops and feeds the same mutation stage row by row.
+    # -- Classification and the per-packet kernel ------------------------------
 
-    def _process_data(self, record: PacketRecord) -> None:
-        leg: Optional[str] = None
-        if self._leg_filter is not None:
-            leg = self._leg_filter(record)
-            if leg is None:
-                return
-        flow = flow_of(record)
-        # record.eack, unrolled: computed once here instead of three
-        # property-call chains below.
+    def _classify(self, record: PacketRecord) -> tuple:
+        """The record classifier: a :meth:`_packet` row, hashes absent.
+
+        The target filter decides ``ROLE_FILTERED``; the leg filter
+        labels a data packet or, returning None, strips its data role
+        (the packet is not tracked, its ACK still is).
+        """
         flags = record.flags
         seq = record.seq
-        eack = (seq + record.payload_len + (1 if flags & _SYN else 0)
-                + (1 if flags & tcp_mod.FLAG_FIN else 0)) & 0xFFFFFFFF
-        self._data_op(flow, seq, eack, record.timestamp_ns,
-                      bool(flags & _SYN), leg)
+        payload_len = record.payload_len
+        leg: Optional[str] = None
+        if self._target_filter is not None and not self._target_filter(record):
+            role = ROLE_FILTERED
+        else:
+            role = FLAG_ROLES[flags & 0xFF] | (payload_len > 0)  # ROLE_DATA
+            if role & ROLE_DATA and self._leg_filter is not None:
+                leg = self._leg_filter(record)
+                if leg is None:
+                    role &= ~ROLE_DATA
+        # record.eack, unrolled (SYN and FIN each consume one sequence
+        # number) to spare the property-call chain per packet.
+        eack = (seq + payload_len + (1 if flags & _SYN else 0)
+                + (1 if flags & _FIN else 0)) & 0xFFFFFFFF
+        return (record.timestamp_ns, role, record.src_ip, record.dst_ip,
+                record.src_port, record.dst_port, record.ipv6, seq, eack,
+                record.ack, leg)
 
-    def _data_op(self, flow: FlowKey, seq: int, eack: int,
-                 timestamp_ns: int, handshake: bool,
-                 leg: Optional[str],
-                 pt_crc: Optional[int] = None,
-                 pt_mix: Optional[int] = None) -> None:
-        """Scalar mutation stage of the SEQ side: RT verdict, PT insert.
-
-        ``pt_crc``/``pt_mix`` optionally carry the vectorised PT
-        insertion-key CRC (``crc32(pack2_u32(signature, eack))``) and
-        its stage-0 mix, pre-filling the new record's lazy hash caches.
-        """
-        stats = self.stats
-        stats.seq_packets += 1
-        if self._shadow_tracker is not None:
-            self._enqueue_shadow_update("data", flow, seq, eack)
-        verdict = self.range_tracker.on_data(
-            flow, seq, eack, now_ns=timestamp_ns
-        )
-        verdicts = stats.seq_verdicts
-        verdicts[verdict] = verdicts.get(verdict, 0) + 1
-        if not verdict.trackable:
-            return
-        pt_record = PtRecord(
-            record_id=self._next_record_id,
-            flow=flow,
-            signature=flow.signature,
-            eack=eack,
-            timestamp_ns=timestamp_ns,
-            handshake=handshake,
-            leg=leg,
-        )
-        if pt_crc is not None:
-            pt_record._crc = pt_crc
-            pt_record._mix0 = pt_mix
-        self._next_record_id += 1
-        stats.tracked_inserts += 1
-        self._submit(pt_record)
-
-    # -- ACK side ------------------------------------------------------------
-
-    def _process_ack(self, record: PacketRecord) -> Optional[RttSample]:
-        return self._ack_op(ack_target_flow(record), record.ack,
-                            record.timestamp_ns)
-
-    def _ack_op(self, flow: FlowKey, ack: int, timestamp_ns: int,
+    def _packet(self, ts: int, role: int, src: int, dst: int, sport: int,
+                dport: int, ipv6: bool, seq: int, eack: int, ack: int,
+                leg: Optional[str],
+                flow_crc: Optional[int] = None, flow_sig: int = 0,
+                flow_mix: int = 0, pt_crc: int = 0, pt_mix: int = 0,
+                rflow_crc: int = 0, rflow_sig: int = 0, rflow_mix: int = 0,
                 match_crc: Optional[int] = None,
                 match_mix: Optional[int] = None) -> Optional[RttSample]:
-        """Scalar mutation stage of the ACK side: RT verdict, PT match.
+        """The per-packet kernel: one classified row in, at most one
+        sample out.  Overridden as ``def _packet(self, *row)``.
 
-        ``match_crc``/``match_mix`` optionally carry the vectorised PT
-        lookup-key CRC (``crc32(pack2_u32(flow.signature, ack))``) and
-        its stage-0 mix.
+        The row: arrival time ``ts``; ``role``, an OR of ``ROLE_*``
+        bits; the packet's own 4-tuple and ``ipv6``; ``seq`` and the
+        expected ACK ``eack`` (data role); ``ack`` (ACK role); ``leg``,
+        the leg filter's label.  The trailing ten are the columnar
+        classifier's hashes, all present or all absent: CRC, signature
+        and stage-0 mix of the packet's flow (``flow_*``) and of the
+        reversed flow its ACK targets (``rflow_*``); CRC and mix of the
+        PT insertion key ``(signature, eack)`` (``pt_*``) and of the PT
+        lookup key ``(reversed signature, ack)`` (``match_*``).  They
+        pre-fill lazy caches the trackers would otherwise hash into.
         """
         stats = self.stats
+        stats.packets_processed += 1
+        self._now_ns = ts
+        if self._recirc_queue:
+            self._drain_due_recirculations()
+        shadow = self._shadow_tracker
+        if shadow is not None:
+            self._drain_shadow_updates()
+
+        if role & ROLE_FILTERED:
+            stats.filtered_out += 1
+            return None
+        if role & ROLE_SYN and not self.config.track_handshake:
+            # -SYN mode ignores SYN and SYN-ACK entirely (robust to SYN
+            # floods; no RT/PT state until the handshake completes).
+            stats.ignored_syn += 1
+            return None
+        if role & ROLE_RST:
+            stats.ignored_rst += 1
+            return None
+
+        if role & ROLE_DATA:
+            # SEQ side: RT verdict, then PT insertion.
+            flow = intern_flow(src, dst, sport, dport, ipv6)
+            if flow_crc is not None and flow._crc is None:
+                flow.prefill_hashes(flow_crc, flow_sig, flow_mix)
+            stats.seq_packets += 1
+            if shadow is not None:
+                self._enqueue_shadow_update("data", flow, seq, eack)
+            verdict = self.range_tracker.on_data(flow, seq, eack, now_ns=ts)
+            verdicts = stats.seq_verdicts
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+            if verdict.trackable:
+                pt_record = PtRecord(
+                    record_id=self._next_record_id,
+                    flow=flow,
+                    signature=flow.signature,
+                    eack=eack,
+                    timestamp_ns=ts,
+                    handshake=bool(role & ROLE_SYN),
+                    leg=leg,
+                )
+                if flow_crc is not None:
+                    pt_record._crc = pt_crc
+                    pt_record._mix0 = pt_mix
+                self._next_record_id += 1
+                stats.tracked_inserts += 1
+                self._insertion_loop([(pt_record, None)])
+
+        if not role & ROLE_ACK:
+            return None
+        # ACK side: the flow acknowledged is the packet's tuple reversed
+        # (a SYN-ACK acknowledges the client's SYN, +SYN mode only).
+        flow = intern_flow(dst, src, dport, sport, ipv6)
+        if flow_crc is not None and flow._crc is None:
+            flow.prefill_hashes(rflow_crc, rflow_sig, rflow_mix)
         stats.ack_packets += 1
-        if self._shadow_tracker is not None:
+        if shadow is not None:
             self._enqueue_shadow_update("ack", flow, ack, 0)
-        verdict = self.range_tracker.on_ack(flow, ack, now_ns=timestamp_ns)
+        verdict = self.range_tracker.on_ack(flow, ack, now_ns=ts)
         verdicts = stats.ack_verdicts
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
         if verdict is not AckVerdict.VALID:
@@ -540,8 +438,8 @@ class Dart:
             return None
         sample = RttSample(
             flow=pt_record.flow,
-            rtt_ns=timestamp_ns - pt_record.timestamp_ns,
-            timestamp_ns=timestamp_ns,
+            rtt_ns=ts - pt_record.timestamp_ns,
+            timestamp_ns=ts,
             eack=ack,
             handshake=pt_record.handshake,
             leg=pt_record.leg,
@@ -554,13 +452,10 @@ class Dart:
 
     # -- PT insertion and the recirculation loop -----------------------------
 
-    def _submit(self, pt_record: PtRecord) -> None:
-        """Run insertion passes until every displaced record settles."""
-        self._insertion_loop([(pt_record, None)])
-
     def _insertion_loop(
         self, pending: List[Tuple[PtRecord, Optional[int]]]
     ) -> None:
+        """Run insertion passes until every displaced record settles."""
         while pending:
             candidate, evictor_id = pending.pop()
             outcome = self.packet_tracker.insert(candidate)
@@ -592,11 +487,7 @@ class Dart:
         insertion right away, or None when it self-destructed or was
         queued for delayed re-entry.
         """
-        if (
-            evictor_id is not None
-            and candidate.last_evicted_id is not None
-            and candidate.last_evicted_id == evictor_id
-        ):
+        if evictor_id is not None and candidate.last_evicted_id == evictor_id:
             # Cycle: evicted by the very record it evicted earlier.
             self.stats.cycle_self_destructs += 1
             return None
@@ -651,8 +542,6 @@ class Dart:
 
     def _enqueue_shadow_update(self, kind: str, flow: FlowKey, a: int,
                                b: int) -> None:
-        if self._shadow_tracker is None:
-            return
         due = self.stats.packets_processed + self.config.shadow_rt_lag_packets
         self._shadow_queue.append((due, kind, flow, a, b))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.pipeline import TRACE_CHUNK
 from ..quic.packet import QuicPacketRecord
@@ -190,7 +190,6 @@ class MonitorEngine:
             self._started = time.perf_counter()
         if not chunk:
             return
-        telemetry = self._telemetry
         self._records += len(chunk)
         kinds = {run.record_kind for run in self._runs}
         if len(kinds) == 2:
@@ -216,25 +215,31 @@ class MonitorEngine:
                 break
         for run in self._runs:
             part = quic_chunk if run.record_kind == "quic" else tcp_chunk
-            if not part:
-                continue
-            run.records_seen += len(part)
-            if telemetry is not None:
-                chunk_started = time.perf_counter()
-                samples = run.monitor.process_batch(part)
-                elapsed = time.perf_counter() - chunk_started
-                self._chunk_seconds.observe(elapsed, (run.name,))
-                if elapsed > 0:
-                    # Per-batch throughput: the live pps this monitor
-                    # sustained over its most recent chunk.
-                    self._chunk_pps.set((run.name,), len(part) / elapsed)
-            else:
-                samples = run.monitor.process_batch(part)
-            if samples:
-                run.samples_routed += len(samples)
-                run.router.route_batch(samples)
-        if telemetry is not None:
-            telemetry.maybe_emit()
+            if part:
+                self._feed(run, run.monitor.process_batch, part, len(part))
+        if self._telemetry is not None:
+            self._telemetry.maybe_emit()
+
+    def _feed(self, run: MonitorRun, fn: Callable[[Any], list], arg: Any,
+              count: int) -> None:
+        """Hand one monitor its share of a chunk — ``fn(arg)``, holding
+        ``count`` packets — timing the call when telemetry is on, and
+        route the samples it returns."""
+        run.records_seen += count
+        if self._telemetry is not None:
+            chunk_started = time.perf_counter()
+            samples = fn(arg)
+            elapsed = time.perf_counter() - chunk_started
+            self._chunk_seconds.observe(elapsed, (run.name,))
+            if elapsed > 0:
+                # Per-batch throughput: the live pps this monitor
+                # sustained over its most recent chunk.
+                self._chunk_pps.set((run.name,), count / elapsed)
+        else:
+            samples = fn(arg)
+        if samples:
+            run.samples_routed += len(samples)
+            run.router.route_batch(samples)
 
     def ingest_columns(self, cols: Any) -> None:
         """Feed one decoded columnar batch
@@ -263,34 +268,21 @@ class MonitorEngine:
         if {run.record_kind for run in self._runs} != {"tcp"}:
             self.ingest_chunk(cols.compact_records())
             return
-        telemetry = self._telemetry
         self._records += decoded
         last = cols.last_timestamp_ns()
         if last is not None:
             self._end_ns = last
         for run in self._runs:
-            run.records_seen += decoded
-            monitor = run.monitor
-            process_columns = getattr(monitor, "process_columns", None)
-            if telemetry is not None:
-                chunk_started = time.perf_counter()
-                if process_columns is not None:
-                    samples = process_columns(cols)
-                else:
-                    samples = monitor.process_batch(cols.compact_records())
-                elapsed = time.perf_counter() - chunk_started
-                self._chunk_seconds.observe(elapsed, (run.name,))
-                if elapsed > 0:
-                    self._chunk_pps.set((run.name,), decoded / elapsed)
-            elif process_columns is not None:
-                samples = process_columns(cols)
+            process_columns = getattr(run.monitor, "process_columns", None)
+            if process_columns is not None:
+                self._feed(run, process_columns, cols, decoded)
             else:
-                samples = monitor.process_batch(cols.compact_records())
-            if samples:
-                run.samples_routed += len(samples)
-                run.router.route_batch(samples)
-        if telemetry is not None:
-            telemetry.maybe_emit()
+                # Materialising records is decode work: kept out of
+                # the monitor's timed call, as on the object path.
+                self._feed(run, run.monitor.process_batch,
+                           cols.compact_records(), decoded)
+        if self._telemetry is not None:
+            self._telemetry.maybe_emit()
 
     def ingest_wire_chunk(self, chunk: List[Tuple[int, bool, bytes]],
                           *, fastpath: bool = True) -> None:

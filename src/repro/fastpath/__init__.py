@@ -1,13 +1,14 @@
 """``repro.fastpath`` — the columnar/vectorized batch engine.
 
 Splits per-packet work into a *vectorizable classification stage*
-(decode, flow hashing, role masks — :mod:`repro.net.columnar` and
-:mod:`repro.fastpath.classify`) and the existing *scalar mutation
-stage* (tracker state transitions — ``Dart.process_columns`` in
-:mod:`repro.core.pipeline`), with byte-identical verdicts, stats, and
-sample multisets versus the reference object path.  DESIGN §15 states
-the equivalence argument; numpy is optional and every entry point
-gates on :data:`HAVE_NUMPY`.
+(decode, flow hashing, role bits — :mod:`repro.net.columnar` and
+:mod:`repro.fastpath.classify`) and the *scalar mutation stage* every
+entry point shares (``Dart._packet`` in :mod:`repro.core.pipeline`,
+which ``Dart.process_columns`` calls once per row with the column
+values), with byte-identical verdicts, stats, and sample multisets
+versus the reference object path.  DESIGN §15 states the equivalence
+argument; numpy is optional and every entry point gates on
+:data:`HAVE_NUMPY`.
 """
 
 from ..net.columnar import (

@@ -20,6 +20,7 @@ zeros there) but meaningless; callers mask by row kind.
 from __future__ import annotations
 
 from ..core.hashing import _STAGE_SALTS, MAX_STAGES
+from ..core.pipeline import FLAG_ROLES
 from ..net.columnar import HAVE_NUMPY, PacketColumns
 
 if HAVE_NUMPY:
@@ -168,6 +169,13 @@ def pt_stage_candidates(cols: PacketColumns, stages: int, table_size: int):
     crcs = flow_crcs(cols)
     return np.stack([stage_indices(crcs, s, table_size)
                      for s in range(stages)])
+
+
+def roles(cols: PacketColumns):
+    """``ROLE_*`` bits per row: :data:`~repro.core.pipeline.FLAG_ROLES`
+    by flag byte, plus the data role for a payload (``ROLE_DATA`` is 1,
+    so the boolean ORs in as is)."""
+    return np.array(FLAG_ROLES)[cols.flags & 0xFF] | (cols.payload_len > 0)
 
 
 def eack_values(cols: PacketColumns):

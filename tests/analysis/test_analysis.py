@@ -1,7 +1,7 @@
 """Tests for distributions, metrics, and report rendering."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -69,6 +69,7 @@ class TestDistributions:
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1,
                     max_size=200))
+    @example([5e-324, 5e-324])  # denormals: lo*(1-f) + hi*f underflows to 0
     def test_percentile_bounded(self, values):
         p50 = percentile(values, 50)
         assert min(values) <= p50 <= max(values)

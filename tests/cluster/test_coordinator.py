@@ -159,7 +159,7 @@ class TestFacade:
             return dart
 
         cluster = ShardedDart(shards=2, parallel="serial",
-                              dart_factory=factory)
+                              monitor_factory=factory)
         cluster.process_trace(trace.records[:200])
         cluster.finalize()
         assert len(built) == 2

@@ -29,10 +29,10 @@ class CrashingDart(Dart):
         super().__init__(ideal_config())
         self._crash_after = crash_after
 
-    def process(self, record):
+    def _packet(self, *row):
         if self.stats.packets_processed >= self._crash_after:
             raise RuntimeError("injected crash")
-        return super().process(record)
+        return super()._packet(*row)
 
 
 class ExitingDart(Dart):
@@ -41,7 +41,7 @@ class ExitingDart(Dart):
     def __init__(self) -> None:
         super().__init__(ideal_config())
 
-    def process(self, record):
+    def _packet(self, *row):
         os._exit(3)
 
 
@@ -60,7 +60,7 @@ class TestCrashedWorker:
     def test_crash_surfaces_shard_failure(self, records, parallel):
         cluster = ShardedDart(
             shards=4, parallel=parallel, batch_size=64, join_timeout=10.0,
-            dart_factory=lambda: CrashingDart(crash_after=50),
+            monitor_factory=lambda: CrashingDart(crash_after=50),
         )
         with pytest.raises(ShardFailure) as excinfo:
             cluster.process_trace(records)
@@ -72,7 +72,7 @@ class TestCrashedWorker:
     def test_partial_stats_surfaced(self, records, parallel):
         cluster = ShardedDart(
             shards=2, parallel=parallel, batch_size=64, join_timeout=10.0,
-            dart_factory=lambda: CrashingDart(crash_after=50),
+            monitor_factory=lambda: CrashingDart(crash_after=50),
         )
         with pytest.raises(ShardFailure) as excinfo:
             cluster.process_trace(records)
@@ -89,7 +89,7 @@ class TestCrashedWorker:
         cluster = ShardedDart(
             shards=2, parallel=parallel, batch_size=16, queue_depth=1,
             join_timeout=10.0,
-            dart_factory=lambda: CrashingDart(crash_after=0),
+            monitor_factory=lambda: CrashingDart(crash_after=0),
         )
         start = time.monotonic()
         with pytest.raises(ShardFailure):
@@ -102,7 +102,7 @@ class TestHardCrash:
     def test_killed_process_reports_exitcode(self, records):
         cluster = ShardedDart(
             shards=2, parallel="process", batch_size=32, join_timeout=10.0,
-            dart_factory=ExitingDart,
+            monitor_factory=ExitingDart,
         )
         with pytest.raises(ShardFailure) as excinfo:
             cluster.process_trace(records)
@@ -115,7 +115,7 @@ class TestHungWorker:
     def test_join_timeout_fires(self, records):
         cluster = ShardedDart(
             shards=2, parallel="process", join_timeout=2.0,
-            dart_factory=HangingDart,
+            monitor_factory=HangingDart,
         )
         cluster.process_trace(records[:500])
         start = time.monotonic()
@@ -139,7 +139,7 @@ class TestHungWorker:
             )
 
         cluster = ShardedDart(shards=2, parallel="thread",
-                              join_timeout=1.0, dart_factory=factory)
+                              join_timeout=1.0, monitor_factory=factory)
         cluster.process_trace(records[:2000])
         with pytest.raises(ShardFailure) as excinfo:
             cluster.finalize()

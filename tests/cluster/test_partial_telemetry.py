@@ -43,17 +43,17 @@ class CrashingWindowedDart(Dart):
         )
         self._crash_after = crash_after
 
-    def process(self, record):
+    def _packet(self, *row):
         if self.stats.packets_processed >= self._crash_after:
             raise RuntimeError("injected crash")
-        return super().process(record)
+        return super()._packet(*row)
 
 
 def crash_one_shard(records, *, crash_after=800):
     """Run a 2-shard thread cluster where one shard crashes mid-trace."""
     cluster = ShardedDart(
         shards=2, parallel="thread", batch_size=64, join_timeout=10.0,
-        dart_factory=lambda: CrashingWindowedDart(crash_after=crash_after),
+        monitor_factory=lambda: CrashingWindowedDart(crash_after=crash_after),
     )
     with pytest.raises(ShardFailure) as excinfo:
         cluster.process_trace(records)

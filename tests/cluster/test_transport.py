@@ -275,10 +275,10 @@ class CrashingWindowedDart(Dart):
         )
         self._crash_after = crash_after
 
-    def process(self, record):
+    def _packet(self, *row):
         if self.stats.packets_processed >= self._crash_after:
             raise RuntimeError("injected crash")
-        return super().process(record)
+        return super()._packet(*row)
 
 
 def partial_merge(records, transport):

@@ -1,41 +1,244 @@
-"""Batched vs. per-packet equivalence — the fast path's correctness pin.
+"""Entry-point equivalence: every way into ``Dart`` is ``process``.
 
-``Dart.process_batch`` exists purely for speed: it must produce *exactly*
-the state a per-packet ``process`` loop produces — same stats (including
-verdict-dict key order), same samples, same analytics windows, same
-table occupancy.  These tests hold that line, and pin the
-``DartStats.merge`` property the cluster relies on: per-packet stat
-deltas merged together equal the one-shot run.
+``process``, ``process_batch`` and ``process_columns`` are classifiers
+around the one kernel, ``Dart._packet``, so whichever feeds a trace must
+leave the monitor in the same observable state as a per-packet
+``process`` loop: same stats (verdict-dict key order included), same
+sample sequence, same table occupancy, same analytics windows — for
+every table configuration and under either filter.  One parametrised
+matrix holds that line.  The suite also pins the ``DartStats.merge``
+property the cluster relies on (per-packet stat deltas merged together
+equal the one-shot run) and the degenerate batches.
 """
 
 from dataclasses import fields
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import Dart, DartConfig, DartStats, MinFilterAnalytics
+from repro.core import (
+    Dart,
+    DartConfig,
+    DartStats,
+    FlowKey,
+    MinFilterAnalytics,
+    PtRecord,
+    ack_target_flow,
+    flow_of,
+    make_leg_filter,
+)
+from repro.core.flow import intern_flow
 from repro.core.range_tracker import AckVerdict, SeqVerdict
+from repro.net.columnar import HAVE_NUMPY, KIND_RECORD, records_to_columns
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
 CONFIGS = {
     "ideal": DartConfig(),
     "constrained": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
-                              max_recirculations=1),
+                              pt_stages=2, max_recirculations=2),
     "multistage+syn": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
                                  pt_stages=4, max_recirculations=3,
                                  track_handshake=True),
     "shadow+delay": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
-                               recirculation_delay_packets=4,
-                               shadow_rt=True),
+                               pt_stages=2, max_recirculations=2,
+                               shadow_rt=True,
+                               recirculation_delay_packets=3,
+                               track_handshake=True),
+}
+
+#: Odd on purpose: chunk boundaries must not matter.
+CHUNK = 777
+
+FILTERS = {
+    "nofilter": {},
+    # One leg only, so the filter both labels data packets and (for the
+    # other direction) strips their data role.
+    "leg": {"leg_filter": make_leg_filter(lambda addr: (addr >> 24) == 10,
+                                          legs=("external",))},
+    "target": {"target_filter": lambda record: 80 not in (record.src_port,
+                                                           record.dst_port)},
 }
 
 
-@pytest.fixture(scope="module")
-def records():
+def chunks(records):
+    return (records[i:i + CHUNK] for i in range(0, len(records), CHUNK))
+
+
+def feed_process(dart, records):
+    return [s for record in records for s in dart.process(record)]
+
+
+def feed_batch(dart, records):
+    return [s for chunk in chunks(records) for s in dart.process_batch(chunk)]
+
+
+def feed_columns(dart, records):
+    return [s for chunk in chunks(records)
+            for s in dart.process_columns(records_to_columns(chunk))]
+
+
+def feed_columns_mixed(dart, records):
+    """Columns with a skip row after every seventh packet (what a
+    non-TCP frame decodes to) and every fifth row forced onto the
+    ``KIND_RECORD`` fallback (what IPv6 or TCP options decode to: the
+    record rides along and the row's field columns hold zeros)."""
+    samples = []
+    for chunk in chunks(records):
+        rows = []
+        for i, record in enumerate(chunk):
+            rows.append(record)
+            if i % 7 == 0:
+                rows.append(None)
+        cols = records_to_columns(rows)
+        for i in range(0, len(rows), 5):
+            if rows[i] is not None:
+                cols.kinds[i] = KIND_RECORD
+                cols.records[i] = rows[i]
+                for column in (cols.src_ip, cols.dst_ip, cols.src_port,
+                               cols.dst_port, cols.seq, cols.ack,
+                               cols.flags, cols.payload_len):
+                    column[i] = 0
+        samples.extend(dart.process_columns(cols))
+    return samples
+
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="the columnar entry point requires numpy"
+)
+ENTRY_POINTS = {
+    "process": feed_process,
+    "process_batch": feed_batch,
+    "process_columns": feed_columns,
+    "process_columns_mixed": feed_columns_mixed,
+}
+
+
+@lru_cache(maxsize=None)
+def trace():
     return generate_campus_trace(
         CampusTraceConfig(connections=60, seed=5)
     ).records
+
+
+@lru_cache(maxsize=None)
+def observed(config, entry, filt):
+    """Everything observable about one finalized run, shared by the
+    assertions below (``process`` runs once per config and filter).
+
+    Each run starts with no interned flows, so the columnar classifier
+    pre-fills hash caches exactly as a fresh process would instead of
+    finding them warmed by an earlier run over the same trace.
+    """
+    intern_flow.cache_clear()
+    dart = Dart(CONFIGS[config],
+                analytics=MinFilterAnalytics(window_samples=4),
+                **FILTERS[filt])
+    samples = ENTRY_POINTS[entry](dart, trace())
+    dart.finalize(trace()[-1].timestamp_ns)
+    return dart, samples
+
+
+def case_id(config, entry, filt):
+    """The default case (``process_batch``, no filter) carries the bare
+    config name; the other cases name what differs."""
+    parts = [config]
+    if entry != "process_batch":
+        parts.append(entry)
+    if filt != "nofilter":
+        parts.append(filt)
+    return "-".join(parts)
+
+
+CASES = [
+    pytest.param(config, entry, filt, id=case_id(config, entry, filt),
+                 marks=needs_numpy if "columns" in entry else ())
+    for config in CONFIGS
+    for entry in ENTRY_POINTS if entry != "process"
+    for filt in FILTERS
+]
+
+
+@pytest.mark.parametrize("config,entry,filt", CASES)
+class TestBatchEquivalence:
+    """Each entry point against the per-packet ``process`` loop."""
+
+    def test_stats_samples_and_occupancy_identical(self, config, entry, filt):
+        reference, reference_samples = observed(config, "process", filt)
+        candidate, samples = observed(config, entry, filt)
+        assert candidate.stats == reference.stats
+        assert samples == reference_samples
+        assert candidate.occupancy() == reference.occupancy()
+        # The filters and configs must actually bite.
+        assert reference.stats.samples > 0
+        assert bool(reference.stats.filtered_out) == (filt == "target")
+
+    def test_verdict_dict_key_order_identical(self, config, entry, filt):
+        # Dict equality ignores order; verdict rendering must not.
+        reference, _ = observed(config, "process", filt)
+        candidate, _ = observed(config, entry, filt)
+        assert (list(candidate.stats.seq_verdicts)
+                == list(reference.stats.seq_verdicts))
+        assert (list(candidate.stats.ack_verdicts)
+                == list(reference.stats.ack_verdicts))
+
+    def test_window_histories_identical(self, config, entry, filt):
+        reference, _ = observed(config, "process", filt)
+        candidate, _ = observed(config, entry, filt)
+        assert reference.analytics.history
+        assert candidate.analytics.history == reference.analytics.history
+
+
+class CountingDart(Dart):
+    """The instrumentation hook: counts rows reaching the kernel."""
+
+    seen = 0
+
+    def _packet(self, *row):
+        self.seen += 1
+        return super()._packet(*row)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(entry, marks=needs_numpy if "columns" in entry else ())
+    for entry in ENTRY_POINTS
+])
+def test_packet_override_sees_every_packet_once(entry):
+    """``_packet`` is the one override point: a subclass hook runs once
+    per packet — never for a skip row — whichever entry point feeds it,
+    and does not change what the monitor computes."""
+    records = trace()
+    reference = Dart(CONFIGS["constrained"])
+    reference_samples = feed_process(reference, records)
+    hooked = CountingDart(CONFIGS["constrained"])
+    assert ENTRY_POINTS[entry](hooked, records) == reference_samples
+    assert hooked.seen == len(records)
+    assert hooked.stats == reference.stats
+
+
+@needs_numpy
+def test_columnar_hashes_are_what_the_trackers_would_compute():
+    """Each hash column reaches the ``_packet`` parameter it is meant
+    for: after a cold columnar run, every flow and every PT record
+    answers with the hashes a fresh object computes for itself."""
+    intern_flow.cache_clear()
+    dart = Dart(CONFIGS["multistage+syn"])
+    feed_columns(dart, trace())
+    for record in trace():
+        for flow in (flow_of(record), ack_target_flow(record)):
+            fresh = FlowKey(flow.src_ip, flow.dst_ip, flow.src_port,
+                            flow.dst_port, flow.ipv6)
+            assert fresh is not flow
+            assert ((flow.key_crc, flow.signature, flow.mix0)
+                    == (fresh.key_crc, fresh.signature, fresh.mix0))
+    tracked = dart.packet_tracker.records()
+    assert tracked
+    for record in tracked:
+        fresh = PtRecord(record.record_id, record.flow, record.signature,
+                         record.eack, record.timestamp_ns)
+        assert ((record.key_crc(), record.mix0())
+                == (fresh.key_crc(), fresh.mix0()))
 
 
 def copy_stats(stats: DartStats) -> DartStats:
@@ -61,58 +264,11 @@ def stats_delta(before: DartStats, after: DartStats) -> DartStats:
     return delta
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
-class TestBatchEquivalence:
-    def run_pair(self, records, name, analytics=False):
-        kwargs = {}
-        serial = Dart(CONFIGS[name],
-                      analytics=MinFilterAnalytics(window_samples=4)
-                      if analytics else None, **kwargs)
-        batched = Dart(CONFIGS[name],
-                       analytics=MinFilterAnalytics(window_samples=4)
-                       if analytics else None, **kwargs)
-        serial_samples = []
-        for record in records:
-            serial_samples.extend(serial.process(record))
-        # Odd chunk size on purpose: chunk boundaries must not matter.
-        batch_samples = []
-        for start in range(0, len(records), 777):
-            batch_samples.extend(
-                batched.process_batch(records[start:start + 777])
-            )
-        return serial, batched, serial_samples, batch_samples
-
-    def test_stats_samples_and_occupancy_identical(self, records, name):
-        serial, batched, serial_samples, batch_samples = self.run_pair(
-            records, name
-        )
-        assert serial.stats == batched.stats
-        assert serial_samples == batch_samples
-        assert serial.samples == batched.samples
-        assert serial.occupancy() == batched.occupancy()
-
-    def test_verdict_dict_key_order_identical(self, records, name):
-        serial, batched, _, _ = self.run_pair(records, name)
-        assert list(serial.stats.seq_verdicts) == list(
-            batched.stats.seq_verdicts
-        )
-        assert list(serial.stats.ack_verdicts) == list(
-            batched.stats.ack_verdicts
-        )
-
-    def test_window_histories_identical(self, records, name):
-        serial, batched, _, _ = self.run_pair(records, name, analytics=True)
-        end_ns = records[-1].timestamp_ns
-        serial.finalize(end_ns)
-        batched.finalize(end_ns)
-        assert serial.analytics.history == batched.analytics.history
-
-
 class TestMergeMatchesBatchedRun:
     """Merging N single-packet stat deltas == one N-packet batched run."""
 
-    def test_merged_deltas_equal_batch_stats(self, records):
-        block = records[:1500]
+    def test_merged_deltas_equal_batch_stats(self):
+        block = trace()[:1500]
         config = CONFIGS["constrained"]
         serial = Dart(config)
         merged = DartStats()
@@ -150,29 +306,40 @@ class TestMergeMatchesBatchedRun:
         assert list(merged.seq_verdicts) == list(whole.seq_verdicts)
 
 
+def feed_as_columns(dart, batch):
+    return dart.process_columns(records_to_columns(batch))
+
+
+#: The batch entry points, fed one whole batch at a time.
+BATCH_FEEDS = [Dart.process_batch] + ([feed_as_columns] if HAVE_NUMPY else [])
+
+
 class TestDegenerateBatches:
     def test_empty_batch_is_a_noop(self):
-        dart = Dart()
-        assert dart.process_batch([]) == []
-        assert dart.stats == DartStats()
-        assert dart.occupancy() == (0, 0)
+        for feed in BATCH_FEEDS:
+            dart = Dart()
+            assert feed(dart, []) == []
+            assert dart.stats == DartStats()
+            assert dart.occupancy() == (0, 0)
 
     def test_all_none_batch_is_a_noop(self):
         """Non-TCP frames decode to None; a block of them does nothing."""
-        dart = Dart()
-        assert dart.process_batch([None, None, None]) == []
-        assert dart.stats == DartStats()
+        for feed in BATCH_FEEDS:
+            dart = Dart()
+            assert feed(dart, [None, None, None]) == []
+            assert dart.stats == DartStats()
 
-    def test_mixed_none_batch_equals_filtered_batch(self, records):
-        block = records[:300]
+    def test_mixed_none_batch_equals_filtered_batch(self):
+        block = trace()[:300]
         mixed = []
         for i, record in enumerate(block):
             mixed.append(record)
             if i % 7 == 0:
                 mixed.append(None)
-        plain = Dart()
-        plain.process_batch(block)
-        tolerant = Dart()
-        tolerant.process_batch(mixed)
-        assert plain.stats == tolerant.stats
-        assert plain.samples == tolerant.samples
+        for feed in BATCH_FEEDS:
+            plain = Dart()
+            feed(plain, block)
+            tolerant = Dart()
+            feed(tolerant, mixed)
+            assert plain.stats == tolerant.stats
+            assert plain.samples == tolerant.samples
