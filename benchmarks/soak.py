@@ -87,16 +87,16 @@ def build_records(connections: int):
     return trace, quic_trace, merged
 
 
-def build_engine(trace, emitter, options: MonitorOptions,
-                 fastpath: bool = False) -> MonitorEngine:
+def build_engine(trace, emitter, options: MonitorOptions) -> MonitorEngine:
     """All five registered monitors on one engine; Dart sharded.
 
-    With ``fastpath`` the sharded Dart's process workers decode their
-    byte batches columnar (``columns_from_framed``) instead of object
-    by object.  The main mixed pass itself stays record-driven — it
-    interleaves QUIC datagrams, which the columnar engine does not
-    decode — so the fastpath axis exercises the worker-side decode
-    here and the full columnar ingest in the streaming leg.
+    The sharded Dart's process workers decode their byte batches
+    columnar (``columns_from_framed``) when numpy is installed and
+    object by object when it is not — nothing here selects.  The main
+    mixed pass itself stays record-driven (it interleaves QUIC
+    datagrams, which the columnar engine does not decode), so a numpy
+    night exercises the worker-side decode here and the full columnar
+    ingest in the streaming leg.
     """
     engine = MonitorEngine(telemetry=emitter)
     for name in available():
@@ -106,7 +106,6 @@ def build_engine(trace, emitter, options: MonitorOptions,
                 shards=SHARDS,
                 parallel="process",
                 monitor_factory=monitor_factory(name, options),
-                fastpath=fastpath,
             )
         else:
             monitor = create(name, options)
@@ -175,8 +174,7 @@ def check_hist_merge(engine, records, options: MonitorOptions,
                         "the serial reference")
 
 
-def check_streaming_kill_resume(tcp_records, failures: List[str],
-                                fastpath: bool = False) -> None:
+def check_streaming_kill_resume(tcp_records, failures: List[str]) -> None:
     """The continuous-operation leg: stream, stop mid-run, resume.
 
     A soak isn't only about one long pass — a daemon that runs for
@@ -200,12 +198,12 @@ def check_streaming_kill_resume(tcp_records, failures: List[str],
         engine, monitor = fresh_engine()
         ref_csv = ResumableSink("csv", tmp / "ref.csv")
         engine.add_monitor(monitor, name="dart", sinks=[ref_csv])
-        StreamRunner(engine, CaptureFileSource(capture, fastpath=fastpath),
+        StreamRunner(engine, CaptureFileSource(capture),
                      sinks=[ref_csv], chunk_size=1024).run()
 
         # Segment 1: stop after a handful of chunks, checkpoint.
         stop = GracefulShutdown()
-        source = CaptureFileSource(capture, fastpath=fastpath)
+        source = CaptureFileSource(capture)
         inner_chunks = source.chunks
 
         def stopping_chunks(max_records):
@@ -237,7 +235,6 @@ def check_streaming_kill_resume(tcp_records, failures: List[str],
             capture,
             capture_format=loaded.header["source"]["format"],
             resume_offset=loaded.header["source"]["offset"],
-            fastpath=fastpath,
         )
         runner = StreamRunner(engine, source, sinks=[resumed_csv],
                               chunk_size=1024, checkpoint_path=str(ckpt))
@@ -268,13 +265,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "soak_telemetry.prom)")
     parser.add_argument("--telemetry-interval", type=float, default=2.0,
                         help="seconds between emissions (default 2.0)")
-    parser.add_argument("--fastpath", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="columnar axis: sharded workers decode byte "
-                             "batches columnar and the streaming leg "
-                             "ingests columns — same samples required; "
-                             "falls back to the object path when numpy "
-                             "is unavailable (default: off)")
     parser.add_argument("--hist", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="distribution axis: attach the histogram + "
@@ -283,15 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "distribution to equal a serial reference "
                              "bin for bin (default: off)")
     args = parser.parse_args(argv)
-
-    fastpath = args.fastpath
-    if fastpath:
-        from repro.net.columnar import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            print("soak: --fastpath disabled (numpy is not installed); "
-                  "using the object path", file=sys.stderr)
-            fastpath = False
 
     print(f"generating traces ({args.connections} connections, seed {SEED})"
           "...", file=sys.stderr)
@@ -306,7 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         is_client=lambda addr: trace.is_internal(addr),
         analytics_factory=HIST_FACTORY if args.hist else None,
     )
-    engine = build_engine(trace, emitter, options, fastpath)
+    engine = build_engine(trace, emitter, options)
 
     failures: List[str] = []
     started = time.perf_counter()
@@ -327,7 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # spinbit in the soaked engine, so Dart never saw them.
         check_hist_merge(engine, trace.records, options, failures)
     print("streaming kill/resume leg...", file=sys.stderr)
-    check_streaming_kill_resume(trace.records, failures, fastpath)
+    check_streaming_kill_resume(trace.records, failures)
 
     print(f"soak: {report.records} records in {elapsed:.1f}s "
           f"({report.records_per_second:,.0f} rec/s)", file=sys.stderr)

@@ -13,11 +13,22 @@ against real subprocesses:
 4. a **fresh process** resuming from the checkpoint (``--resume``)
    that drains the rest of the capture and finalizes.
 
+5. a **quiet ``--follow`` leg**, in process: a tail that finds only a
+   handful of frames per poll (a quiet link, where numpy's per-call
+   overhead is not amortised) runs through the columnar decoder and
+   the per-frame one, must produce the same samples, and reports each
+   decoder's ingest cost per packet.
+
+With numpy installed the daemon of steps 2-4 decodes its tail columnar
+(the engine picks the decoder), so the kill/resume crosses processes on
+that path; without it the same steps cover the per-frame decoder and
+step 5 measures only that one.
+
 Pass criteria (exit 0): both processes exit cleanly, the checkpoint is
-non-finalized after the kill and finalized after the resume, and the
+non-finalized after the kill and finalized after the resume, the
 sample CSV and window JSONL from the interrupted pair are
 **byte-identical** to the reference — zero samples lost or duplicated
-across the process boundary.
+across the process boundary — and the quiet tail's decoders agree.
 """
 
 from __future__ import annotations
@@ -35,13 +46,22 @@ from typing import List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.engine import MonitorEngine, MonitorOptions, create  # noqa: E402
+from repro.net.columnar import HAVE_NUMPY  # noqa: E402
 from repro.net.pcap import append_packets, write_packets  # noqa: E402
-from repro.stream import CheckpointError, read_header  # noqa: E402
+from repro.stream import (  # noqa: E402
+    CheckpointError,
+    TailCaptureSource,
+    read_header,
+)
 from repro.traces import CampusTraceConfig, generate_campus_trace  # noqa: E402
 
 DEFAULT_CONNECTIONS = int(os.environ.get("REPRO_BENCH_CONNECTIONS", "1500"))
 SEED = 23
 DEADLINE_S = 120.0
+#: The quiet leg: frames the tail finds per poll, and packets followed.
+QUIET_FRAMES_PER_POLL = 4
+QUIET_PACKETS = 4000
 
 
 def cli_env() -> dict:
@@ -72,6 +92,53 @@ def checkpoint_caught_up(ckpt: Path, capture: Path):
             return False
         return header["source"]["offset"] == capture.stat().st_size
     return check
+
+
+def follow_quiet_tail(records, path: Path, fastpath: bool):
+    """Follow a capture that grows a few frames per poll; returns the
+    samples and the ingest (decode + monitor) cost in ns per packet."""
+    write_packets(path, [])
+    pending = iter(range(0, len(records), QUIET_FRAMES_PER_POLL))
+
+    def grow(seconds: float) -> None:
+        start = next(pending, None)
+        if start is not None:
+            append_packets(path, records[start:start + QUIET_FRAMES_PER_POLL])
+
+    monitor = create("dart", MonitorOptions())
+    engine = MonitorEngine()
+    engine.add_monitor(monitor, name="dart")
+    source = TailCaptureSource(path, poll_interval_s=0.01,
+                               idle_timeout_s=0.02, sleep=grow)
+    ingest_ns = 0
+    try:
+        for chunk in source.chunks(8192):
+            started = time.perf_counter_ns()
+            engine.ingest_wire_chunk(chunk, fastpath=fastpath)
+            ingest_ns += time.perf_counter_ns() - started
+    finally:
+        source.close()
+    engine.finish()
+    return list(monitor.samples), ingest_ns / max(engine.records, 1)
+
+
+def quiet_follow_leg(records, workdir: Path, failures: List[str]) -> None:
+    records = records[:QUIET_PACKETS]
+    object_samples, object_ns = follow_quiet_tail(
+        records, workdir / "quiet-object.pcap", fastpath=False)
+    line = (f"stream-smoke: quiet tail ({QUIET_FRAMES_PER_POLL} frames/poll, "
+            f"{len(records)} packets): per-frame decode "
+            f"{object_ns:,.0f} ns/pkt")
+    if HAVE_NUMPY:
+        samples, columnar_ns = follow_quiet_tail(
+            records, workdir / "quiet-columnar.pcap", fastpath=True)
+        line += f", columnar decode {columnar_ns:,.0f} ns/pkt"
+        if samples != object_samples:
+            failures.append("quiet tail: columnar and per-frame decoders "
+                            "disagree on the samples")
+    else:
+        line += " (numpy not installed: columnar decoder not measured)"
+    print(line, file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -182,6 +249,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if out_win.read_bytes() != ref_win.read_bytes():
             failures.append("window JSONL differs from the uninterrupted "
                             "reference")
+
+    # 5. A quiet --follow: a handful of frames per poll, both decoders.
+    quiet_follow_leg(records, workdir, failures)
 
     rows = max(0, len(ref_csv.read_text().splitlines()) - 1)
     print(f"stream-smoke: {len(records)} records, {rows} samples, "

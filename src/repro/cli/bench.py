@@ -73,12 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="shm",
                         help="process-mode byte transport: shared-memory "
                              "ring or mp.Queue fallback (default: shm)")
-    parser.add_argument("--fastpath", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="evaluate each sweep point through the "
-                             "columnar engine — same metrics, higher "
-                             "throughput; falls back to the object path "
-                             "when numpy is unavailable (default: off)")
     add_distribution_arguments(parser)
     add_telemetry_arguments(parser)
     return parser
@@ -122,15 +116,6 @@ def main(argv: Optional[list] = None) -> int:
     print(f"trace: {trace.packets} packets; baseline samples: "
           f"{len(reference)}", file=sys.stderr)
 
-    fastpath = args.fastpath
-    if fastpath:
-        from ..net.columnar import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            print("dart-bench: --fastpath disabled (numpy is not "
-                  "installed); using the object path", file=sys.stderr)
-            fastpath = False
-
     from ..core.analytics import CollectAllAnalytics
 
     # evaluate_dart reads per-sample RTTs, so the distribution stage
@@ -146,8 +131,7 @@ def main(argv: Optional[list] = None) -> int:
             return ShardedDart(config, shards=args.shards,
                                parallel=args.parallel,
                                analytics_factory=dist_factory,
-                               transport=args.transport, leg_filter=leg(),
-                               fastpath=fastpath)
+                               transport=args.transport, leg_filter=leg())
         analytics = dist_factory() if dist_factory is not None else None
         return Dart(config, analytics=analytics, leg_filter=leg())
 
@@ -174,26 +158,12 @@ def main(argv: Optional[list] = None) -> int:
                 monitor = create(name, options)
                 engine.add_monitor(monitor, name=name)
                 reference_monitors.append((name, monitor))
-            if fastpath:
-                from itertools import islice
-
-                from ..net.columnar import records_to_columns
-                from ..traces.replay import REPLAY_CHUNK
-
-                iterator = iter(stop.wrap(trace.records))
-                while True:
-                    chunk = list(islice(iterator, REPLAY_CHUNK))
-                    if not chunk:
-                        break
-                    engine.ingest_columns(records_to_columns(chunk))
-                engine.finish()
-            else:
-                engine.run(stop.wrap(trace.records))
+            engine.run(stop.wrap(trace.records))
         else:
             for _, dart in points:
                 if stop.triggered:
                     break
-                replay(trace.records, dart, fastpath=fastpath)
+                replay(trace.records, dart)
             if extra:
                 # All reference monitors share one engine pass.
                 engine = MonitorEngine()

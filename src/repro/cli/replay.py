@@ -77,12 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="shm",
                         help="process-mode byte transport: shared-memory "
                              "ring or mp.Queue fallback (default: shm)")
-    parser.add_argument("--fastpath", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="decode the capture columnar (numpy) — same "
-                             "samples and stats, higher throughput; falls "
-                             "back to the object path when unavailable "
-                             "(default: off)")
     parser.add_argument("--dump", action="store_true",
                         help="print one line per RTT sample")
     parser.add_argument("--csv", metavar="PATH",
@@ -161,7 +155,6 @@ def build_monitor(name: str, args, options: MonitorOptions):
             parallel=args.parallel,
             transport=args.transport,
             monitor_factory=monitor_factory(name, options),
-            fastpath=args.fastpath,
         )
     return create(name, options)
 
@@ -205,27 +198,19 @@ def main(argv: Optional[list] = None) -> int:
             record_kind=kind,
         )
 
-    fastpath = args.fastpath
-    if fastpath:
-        from ..net.columnar import HAVE_NUMPY
-
-        reason = None
-        if not HAVE_NUMPY:
-            reason = "numpy is not installed"
-        elif kind == "quic":
-            reason = "spinbit decodes QUIC datagrams"
-        if reason is not None:
-            print(f"dart-replay: --fastpath disabled ({reason}); "
-                  "using the object path", file=sys.stderr)
-            fastpath = False
-
     from ..stream import GracefulShutdown
 
     with GracefulShutdown() as stop:
         # A SIGTERM/SIGINT stops ingest at the next record; the engine
         # then finalizes and flushes sinks normally, so an interrupted
         # replay still exits 0 with complete partial results.
-        if fastpath:
+        if kind == "quic":
+            from ..quic import read_quic_capture
+
+            report = engine.run(stop.wrap(read_quic_capture(args.pcap)))
+        else:
+            # Raw frames in: the engine picks the decoder (columnar
+            # when numpy is importable, per-frame objects otherwise).
             from itertools import islice
 
             from ..core.pipeline import TRACE_CHUNK
@@ -236,18 +221,8 @@ def main(argv: Optional[list] = None) -> int:
                 chunk = list(islice(frames, TRACE_CHUNK))
                 if not chunk:
                     break
-                engine.ingest_wire_chunk(chunk, fastpath=True)
+                engine.ingest_wire_chunk(chunk)
             report = engine.finish()
-        else:
-            if kind == "quic":
-                from ..quic import read_quic_capture
-
-                records = read_quic_capture(args.pcap)
-            else:
-                from ..net.pcapng import read_any_capture
-
-                records = read_any_capture(args.pcap)
-            report = engine.run(stop.wrap(records))
     if stop.triggered:
         print("dart-replay: interrupted — finalized and flushed after "
               f"{report.records} records", file=sys.stderr)

@@ -145,13 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drain retained samples/windows every N "
                              "records (default 65536; bounds memory)")
     parser.add_argument("--chunk-size", type=int, default=8192, metavar="N",
-                        help="ingest chunk size (default 8192)")
-    parser.add_argument("--fastpath", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="decode capture chunks columnar (numpy) — "
-                             "same samples and checkpoints, higher "
-                             "throughput; falls back to the object path "
-                             "when unavailable (default: off)")
+                        help="capture frames per ingest chunk "
+                             "(default 8192)")
     parser.add_argument("--max-records", type=int, default=None, metavar="N",
                         help="stop (and finalize) after N records")
     parser.add_argument("--poll-interval", type=float, default=0.5,
@@ -219,34 +214,8 @@ def build_leg_filter(args) -> Optional[PrefixLegFilter]:
     return None
 
 
-def effective_fastpath(args) -> bool:
-    """Resolve ``--fastpath`` against what this run can actually use.
-
-    The columnar path needs numpy and a one-shot file pass (tailing
-    and pacing are per-record by nature); anything else degrades to
-    the object path with a note, never an error — the two paths are
-    sample-identical.
-    """
-    if not args.fastpath:
-        return False
-    from ..net.columnar import HAVE_NUMPY
-
-    reason = None
-    if not HAVE_NUMPY:
-        reason = "numpy is not installed"
-    elif args.follow:
-        reason = "--follow tails the capture per record"
-    elif args.pace is not None:
-        reason = "--pace replays per record"
-    if reason is not None:
-        print(f"dart-stream: --fastpath disabled ({reason}); "
-              "using the object path", file=sys.stderr)
-        return False
-    return True
-
-
 def build_source(args, resume_offset: Optional[int],
-                 capture_format: Optional[str], fastpath: bool = False):
+                 capture_format: Optional[str]):
     if args.follow:
         return TailCaptureSource(
             args.pcap,
@@ -266,7 +235,6 @@ def build_source(args, resume_offset: Optional[int],
         args.pcap,
         capture_format=capture_format,
         resume_offset=resume_offset,
-        fastpath=fastpath,
     )
 
 
@@ -363,8 +331,7 @@ def main(argv: Optional[list] = None) -> int:
         engine_sinks.append(AnalyticsTap(analytics))
     engine.add_monitor(monitor, name=args.monitor, sinks=engine_sinks)
 
-    source = build_source(args, resume_offset, capture_format,
-                          effective_fastpath(args))
+    source = build_source(args, resume_offset, capture_format)
 
     with GracefulShutdown() as stop:
         runner = StreamRunner(

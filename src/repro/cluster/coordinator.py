@@ -83,12 +83,13 @@ class ShardedDart:
             blocks (backpressure).
         join_timeout: seconds to wait for a worker at ``finalize``
             before declaring it hung.
-        fastpath: decode byte batches columnar in process-mode workers
-            (``process_columns`` instead of per-record parse) — same
-            verdicts, stats, and samples, pinned by the cluster
-            equivalence suite.  A no-op when numpy is unavailable in
-            the worker, for monitors without ``process_columns``, and
-            in serial/thread modes (no byte boundary to vectorise).
+        fastpath: process-mode workers decode byte batches columnar
+            (``process_columns`` instead of per-record parse) whenever
+            numpy is importable in the worker and the monitor has
+            ``process_columns`` — same verdicts, stats, and samples.
+            ``False`` forces the per-record parse: the reference leg
+            of the cluster equivalence suite.  Serial/thread modes
+            have no byte boundary to vectorise and ignore it.
     """
 
     def __init__(
@@ -105,7 +106,7 @@ class ShardedDart:
         batch_size: int = DEFAULT_BATCH_SIZE,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         join_timeout: float = DEFAULT_JOIN_TIMEOUT,
-        fastpath: bool = False,
+        fastpath: bool = True,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be positive")

@@ -52,9 +52,6 @@ from .transport import DEFAULT_TRANSPORT, make_transport
 #: (or Dart) and stays dependency-light in subprocesses.
 MonitorFactory = Callable[[], Any]
 
-#: Backward-compatible alias from when workers only ran Dart.
-DartFactory = MonitorFactory
-
 #: Batches a worker queue holds before the dispatcher blocks.
 DEFAULT_QUEUE_DEPTH = 8
 
@@ -382,7 +379,7 @@ def _worker_main(
     monitor_factory: MonitorFactory,
     transport,
     result_queue,
-    fastpath: bool = False,
+    fastpath: bool = True,
 ) -> None:
     """Subprocess entry point: consume byte batches until the sentinel.
 
@@ -394,11 +391,11 @@ def _worker_main(
     as ``None`` entries, which ``process_batch`` skips, matching the
     serial reader's behaviour for mixed captures.
 
-    With ``fastpath`` (and numpy importable in the worker) framed
-    batches decode columnar and feed the monitor's ``process_columns``
-    — same verdicts, stats, and samples, pinned by the cluster
-    equivalence suite.  Monitors without ``process_columns`` silently
-    keep the object path.
+    With numpy importable in the worker and a monitor that has
+    ``process_columns``, framed batches decode columnar — same
+    verdicts, stats, and samples, pinned by the cluster equivalence
+    suite, whose reference leg passes ``fastpath=False`` to force the
+    object decoder.
     """
     monitor: Optional[Any] = None
     try:
@@ -475,7 +472,7 @@ class ProcessWorker:
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         transport: str = DEFAULT_TRANSPORT,
         mp_context=None,
-        fastpath: bool = False,
+        fastpath: bool = True,
         **_: object,
     ) -> None:
         self.shard_id = shard_id

@@ -173,6 +173,16 @@ class MonitorEngine:
         self._records = records
         self._end_ns = end_ns
 
+    def _begin_ingest(self) -> None:
+        """What every ingest entry point checks first; starts the
+        report's wall clock on the first call."""
+        if not self._runs:
+            raise RuntimeError("no monitors attached (call add_monitor first)")
+        if self._finished:
+            raise RuntimeError("engine already finished")
+        if self._started is None:
+            self._started = time.perf_counter()
+
     def ingest_chunk(self, chunk: List[Any]) -> None:
         """Feed one chunk of records to every attached monitor.
 
@@ -182,12 +192,7 @@ class MonitorEngine:
         Samples are routed as they are emitted, exactly as in
         :meth:`run`.
         """
-        if not self._runs:
-            raise RuntimeError("no monitors attached (call add_monitor first)")
-        if self._finished:
-            raise RuntimeError("engine already finished")
-        if self._started is None:
-            self._started = time.perf_counter()
+        self._begin_ingest()
         if not chunk:
             return
         self._records += len(chunk)
@@ -256,12 +261,7 @@ class MonitorEngine:
         QUIC monitor attached falls back to :meth:`ingest_chunk` on
         the materialised records.
         """
-        if not self._runs:
-            raise RuntimeError("no monitors attached (call add_monitor first)")
-        if self._finished:
-            raise RuntimeError("engine already finished")
-        if self._started is None:
-            self._started = time.perf_counter()
+        self._begin_ingest()
         decoded = cols.decoded_count()
         if decoded == 0:
             return
@@ -289,11 +289,16 @@ class MonitorEngine:
         """Decode one chunk of raw capture frames and feed it.
 
         ``chunk`` holds ``(timestamp_ns, linktype_ethernet, frame)``
-        tuples as produced by the capture readers.  With ``fastpath``
-        (and numpy present) the frames decode columnar; otherwise each
-        frame goes through ``from_wire_bytes`` and the object path.
-        Non-TCP frames are dropped either way, as the capture readers
-        do, so report counters match across the two modes.
+        tuples as produced by :class:`~repro.net.pcapng.FrameReader` —
+        what ``dart-replay`` reads and every streaming source yields.
+        The decoder is chosen from what the engine can observe: with
+        numpy importable the frames decode columnar
+        (:meth:`ingest_columns`, which hands columns to monitors that
+        take them and records to the rest); without it each frame goes
+        through ``from_wire_bytes`` and :meth:`ingest_chunk`.  Non-TCP
+        frames are dropped either way, so report counters match.
+        ``fastpath=False`` forces the object decoder — the reference
+        leg the differential tests compare the columnar one against.
         """
         from ..net import columnar
         from ..net.packet import from_wire_bytes
@@ -345,10 +350,7 @@ class MonitorEngine:
 
     def run(self, records: Iterable[Any]) -> EngineReport:
         """Feed every record to every attached monitor, then finalize."""
-        if not self._runs:
-            raise RuntimeError("no monitors attached (call add_monitor first)")
-        if self._started is None:
-            self._started = time.perf_counter()
+        self._begin_ingest()
         iterator = iter(records)
         chunk_size = self._chunk_size
         while True:

@@ -7,8 +7,12 @@ entry point shares (``Dart._packet`` in :mod:`repro.core.pipeline`,
 which ``Dart.process_columns`` calls once per row with the column
 values), with byte-identical verdicts, stats, and sample multisets
 versus the reference object path.  DESIGN §15 states the equivalence
-argument; numpy is optional and every entry point gates on
-:data:`HAVE_NUMPY`.
+argument.  numpy is optional and nothing selects this path by flag:
+:meth:`MonitorEngine.ingest_wire_chunk
+<repro.engine.MonitorEngine.ingest_wire_chunk>` (which ``dart-replay``
+and every ``repro.stream`` source feed raw frames) and the cluster's
+process workers each take it when :data:`HAVE_NUMPY` is true and the
+monitor has ``process_columns``, and the object path otherwise.
 """
 
 from ..net.columnar import (

@@ -22,6 +22,10 @@ MAGIC_NANO = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW = 101
 
+#: libpcap's MAXIMUM_SNAPLEN: no record of a valid capture is longer,
+#: whatever its header claims (a header snaplen of 0 means "this").
+MAX_SNAPLEN = 262144
+
 _GLOBAL_HEADER = struct.Struct("IHHiIII")
 _RECORD_HEADER = struct.Struct("IIII")
 
@@ -111,6 +115,10 @@ class PcapReader:
                                    resume_offset=0)
         self.header = _parse_global_header(header_bytes)
         self._rec = struct.Struct(self.header.byte_order + "IIII")
+        self._frac_ns = 1 if self.header.nanosecond else NS_PER_US
+        # A garbage length must fail loudly here, not turn into a huge
+        # read and a TruncatedCapture that a tail would wait on forever.
+        self._max_len = min(self.header.snaplen or MAX_SNAPLEN, MAX_SNAPLEN)
         self._offset = self.GLOBAL_HEADER_BYTES
 
     @property
@@ -151,17 +159,18 @@ class PcapReader:
             raise PcapFormatError(
                 f"pcap record incl_len {incl_len} exceeds orig_len {orig_len}"
             )
+        if incl_len > self._max_len:
+            raise PcapFormatError(
+                f"pcap record incl_len {incl_len} exceeds the capture's "
+                f"snaplen {self._max_len}"
+            )
         data = self._stream.read(incl_len)
         if len(data) < incl_len:
             self._rewind(start)
             raise TruncatedCapture("partial pcap record body",
                                    resume_offset=start)
         self._offset = start + 16 + incl_len
-        if self.header.nanosecond:
-            timestamp_ns = ts_sec * 1_000_000_000 + ts_frac
-        else:
-            timestamp_ns = ts_sec * 1_000_000_000 + ts_frac * NS_PER_US
-        return timestamp_ns, data
+        return ts_sec * 1_000_000_000 + ts_frac * self._frac_ns, data
 
 
 class PcapWriter:
@@ -196,24 +205,15 @@ def read_frames(path: PathLike) -> Iterator[Tuple[int, bytes]]:
 
 
 def read_packets(path: PathLike) -> Iterator[PacketRecord]:
-    """Yield TCP :class:`PacketRecord` objects from a pcap file.
+    """Yield TCP :class:`PacketRecord` objects from a capture file.
 
     Non-TCP frames are silently skipped, matching the behaviour of the
     hardware prototype (Dart only inspects TCP traffic).
     """
-    with open(path, "rb") as stream:
-        reader = PcapReader(stream)
-        ethernet = reader.header.linktype == LINKTYPE_ETHERNET
-        if not ethernet and reader.header.linktype != LINKTYPE_RAW:
-            raise PcapFormatError(
-                f"unsupported linktype {reader.header.linktype}"
-            )
-        for timestamp_ns, frame in reader:
-            record = from_wire_bytes(
-                frame, timestamp_ns, linktype_ethernet=ethernet
-            )
-            if record is not None:
-                yield record
+    # The frame reader sits above both capture formats.
+    from .pcapng import read_decoded
+
+    return read_decoded(path, from_wire_bytes)
 
 
 def write_packets(

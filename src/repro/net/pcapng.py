@@ -13,21 +13,40 @@ accepts it alongside classic pcap.  Supported blocks:
 
 Only reading is implemented; captures are *written* as classic pcap
 (:mod:`repro.net.pcap`), which every tool reads.
+
+This module is also where the two formats meet: :class:`FrameReader`
+is the one incremental reader every capture path shares — the offline
+readers below, the QUIC reader and all three streaming sources — so
+format sniffing, resume offsets, the truncated-capture retry contract
+and the linktype policy each live in exactly one place.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    BinaryIO,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from .packet import PacketRecord, from_wire_bytes
+from .packet import PacketRecord
 from .pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW,
+    MAGIC_MICRO,
+    MAGIC_NANO,
     PathLike,
     PcapFormatError,
+    PcapReader,
     TruncatedCapture,
+    read_packets,
 )
 
 BLOCK_SHB = 0x0A0D0D0A
@@ -39,6 +58,14 @@ BYTE_ORDER_MAGIC = 0x1A2B3C4D
 
 OPT_ENDOFOPT = 0
 OPT_IF_TSRESOL = 9
+
+#: Largest block the reader will buffer (Wireshark's limit): a garbage
+#: length must fail loudly, not turn into a gigabyte read and a
+#: TruncatedCapture that a tail would wait on forever.
+MAX_BLOCK_BYTES = 16 << 20
+
+#: One raw capture frame: ``(timestamp_ns, is_ethernet, frame_bytes)``.
+Frame = Tuple[int, bool, bytes]
 
 
 @dataclass
@@ -157,7 +184,7 @@ class PcapngReader:
         # total_length covers: type(4) + length(4) + body + trailer(4).
         (total_length,) = struct.unpack(self._order + "I", header[4:8])
         body_length = total_length - consumed - 4
-        if body_length < 0:
+        if body_length < 0 or total_length > MAX_BLOCK_BYTES:
             raise PcapFormatError(f"bad pcapng block length {total_length}")
         body = self._stream.read(body_length)
         if len(body) < body_length:
@@ -241,35 +268,30 @@ class PcapngReader:
         return 0, interface.linktype, frame
 
 
-def read_pcapng_packets(path: PathLike) -> Iterator[PacketRecord]:
-    """Yield TCP :class:`PacketRecord` objects from a pcapng file."""
-    with open(path, "rb") as stream:
-        reader = PcapngReader(stream)
-        for timestamp_ns, linktype, frame in reader:
-            if linktype == LINKTYPE_ETHERNET:
-                ethernet = True
-            elif linktype == LINKTYPE_RAW:
-                ethernet = False
-            else:
-                continue
-            record = from_wire_bytes(frame, timestamp_ns,
-                                     linktype_ethernet=ethernet)
-            if record is not None:
-                yield record
+def _is_ethernet(linktype: int) -> Optional[bool]:
+    """The linktype policy: ``True`` for Ethernet, ``False`` for raw
+    IP, ``None`` for a link layer the decoders do not speak."""
+    if linktype == LINKTYPE_ETHERNET:
+        return True
+    if linktype == LINKTYPE_RAW:
+        return False
+    return None
 
 
-def sniff_format(path: PathLike) -> str:
-    """Return ``"pcap"``, ``"pcapng"``, or raise for anything else."""
-    with open(path, "rb") as stream:
-        magic = stream.read(4)
+def _sniff(stream: BinaryIO) -> str:
+    """Name the capture format from the handle's first four bytes,
+    leaving the handle at the start of the file."""
+    magic = stream.read(4)
+    stream.seek(0)
     if len(magic) < 4:
-        raise PcapFormatError("file too short to be a capture")
+        # Possibly an in-flight capture whose first write has not
+        # landed; a tailing caller waits and retries from 0.
+        raise TruncatedCapture("file too short to be a capture",
+                               resume_offset=0)
     (value_le,) = struct.unpack("<I", magic)
     (value_be,) = struct.unpack(">I", magic)
     if value_le == BLOCK_SHB:
         return "pcapng"
-    from .pcap import MAGIC_MICRO, MAGIC_NANO
-
     if value_le in (MAGIC_MICRO, MAGIC_NANO) or value_be in (
         MAGIC_MICRO, MAGIC_NANO
     ):
@@ -277,42 +299,90 @@ def sniff_format(path: PathLike) -> str:
     raise PcapFormatError(f"unrecognized capture magic {magic!r}")
 
 
+class FrameReader:
+    """Raw ``(timestamp_ns, is_ethernet, frame)`` tuples from an open
+    pcap or pcapng handle — the one reader every capture path shares.
+
+    The format is sniffed from the handle itself (never by reopening
+    the path, which could name a different file by then) unless
+    ``capture_format`` pins it.  Linktype policy: a pcap on an
+    unsupported linktype raises :class:`PcapFormatError`; a pcapng
+    frame on an unsupported interface is skipped.
+
+    Incremental like the per-format readers it drives:
+    :attr:`resume_offset` is the byte offset of the first record not
+    yet consumed, :meth:`skip_to` positions a fresh reader at a recorded
+    one, and iteration that meets a capture ending mid-record raises
+    :class:`TruncatedCapture` with the handle rewound — iterate the
+    reader again once the file has grown and it picks up at that record.
+    """
+
+    def __init__(self, stream: BinaryIO,
+                 capture_format: Optional[str] = None) -> None:
+        self.format = capture_format or _sniff(stream)
+        self._ethernet: Optional[bool] = None  # pcap: fixed per file
+        self._reader: Union[PcapReader, PcapngReader]
+        if self.format == "pcapng":
+            self._reader = PcapngReader(stream)
+            return
+        self._reader = PcapReader(stream)
+        self._ethernet = _is_ethernet(self._reader.header.linktype)
+        if self._ethernet is None:
+            raise PcapFormatError(
+                f"unsupported linktype {self._reader.header.linktype}"
+            )
+
+    @property
+    def resume_offset(self) -> int:
+        """Byte offset of the first record not yet fully consumed."""
+        return self._reader.resume_offset
+
+    def skip_to(self, offset: int) -> None:
+        """Position the reader at a previously recorded resume offset."""
+        self._reader.skip_to(offset)
+
+    def __iter__(self) -> Iterator[Frame]:
+        """Frames from the current position to the end of the stream."""
+        ethernet = self._ethernet
+        if ethernet is not None:
+            for timestamp_ns, frame in self._reader:
+                yield timestamp_ns, ethernet, frame
+            return
+        for timestamp_ns, linktype, frame in self._reader:
+            ethernet = _is_ethernet(linktype)
+            if ethernet is not None:
+                yield timestamp_ns, ethernet, frame
+
+
+def sniff_format(path: PathLike) -> str:
+    """Return ``"pcap"``, ``"pcapng"``, or raise for anything else."""
+    with open(path, "rb") as stream:
+        return _sniff(stream)
+
+
+def read_any_frames(path: PathLike) -> Iterator[Frame]:
+    """Yield raw ``(timestamp_ns, is_ethernet, frame)`` from either
+    capture format — undecoded, for ``ingest_wire_chunk`` and the
+    cluster's ``process_wire``."""
+    with open(path, "rb") as stream:
+        yield from FrameReader(stream)
+
+
+def read_decoded(path: PathLike, decode: Callable[..., Any]) -> Iterator[Any]:
+    """Yield ``decode(frame, timestamp_ns, linktype_ethernet=...)`` for
+    every frame of either capture format, dropping the frames the
+    decoder answers ``None`` for."""
+    with open(path, "rb") as stream:
+        for timestamp_ns, ethernet, frame in FrameReader(stream):
+            record = decode(frame, timestamp_ns, linktype_ethernet=ethernet)
+            if record is not None:
+                yield record
+
+
 def read_any_capture(path: PathLike) -> Iterator[PacketRecord]:
     """Read TCP packets from either a pcap or a pcapng file."""
-    from .pcap import read_packets
-
-    if sniff_format(path) == "pcapng":
-        return read_pcapng_packets(path)
     return read_packets(path)
 
 
-def read_any_frames(
-    path: PathLike,
-) -> Iterator[Tuple[int, bool, bytes]]:
-    """Yield raw ``(timestamp_ns, is_ethernet, frame)`` from either
-    capture format — the undecoded twin of :func:`read_any_capture`,
-    feeding the columnar fast path.
-
-    Linktype handling matches the record readers exactly: a pcap on an
-    unsupported linktype raises, a pcapng frame on an unsupported
-    linktype is skipped.
-    """
-    if sniff_format(path) == "pcapng":
-        with open(path, "rb") as stream:
-            for timestamp_ns, linktype, frame in PcapngReader(stream):
-                if linktype == LINKTYPE_ETHERNET:
-                    yield timestamp_ns, True, frame
-                elif linktype == LINKTYPE_RAW:
-                    yield timestamp_ns, False, frame
-        return
-    from .pcap import PcapReader
-
-    with open(path, "rb") as stream:
-        reader = PcapReader(stream)
-        ethernet = reader.header.linktype == LINKTYPE_ETHERNET
-        if not ethernet and reader.header.linktype != LINKTYPE_RAW:
-            raise PcapFormatError(
-                f"unsupported linktype {reader.header.linktype}"
-            )
-        for timestamp_ns, frame in reader:
-            yield timestamp_ns, ethernet, frame
+#: pcapng gets no decoder of its own: the frame reader speaks both.
+read_pcapng_packets = read_any_capture

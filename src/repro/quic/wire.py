@@ -20,15 +20,8 @@ from typing import Iterator, Optional, Union
 
 from ..net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from ..net.ipv4 import PROTO_UDP, IPv4Packet
-from ..net.pcap import (
-    LINKTYPE_ETHERNET,
-    LINKTYPE_RAW,
-    PathLike,
-    PcapFormatError,
-    PcapReader,
-    PcapWriter,
-)
-from ..net.pcapng import PcapngReader, sniff_format
+from ..net.pcap import PathLike, PcapWriter
+from ..net.pcapng import read_decoded
 from .packet import QuicPacketRecord
 
 _UDP_HEADER = struct.Struct("!HHHH")
@@ -119,34 +112,7 @@ def read_quic_capture(path: PathLike) -> Iterator[QuicPacketRecord]:
     Non-UDP/non-IPv4 frames are skipped, so a mixed TCP+QUIC capture
     decodes to just its QUIC datagrams.
     """
-    if sniff_format(path) == "pcapng":
-        with open(path, "rb") as stream:
-            for timestamp_ns, linktype, frame in PcapngReader(stream):
-                if linktype == LINKTYPE_ETHERNET:
-                    ethernet = True
-                elif linktype == LINKTYPE_RAW:
-                    ethernet = False
-                else:
-                    continue
-                record = quic_from_wire_bytes(
-                    frame, timestamp_ns, linktype_ethernet=ethernet
-                )
-                if record is not None:
-                    yield record
-        return
-    with open(path, "rb") as stream:
-        reader = PcapReader(stream)
-        ethernet = reader.header.linktype == LINKTYPE_ETHERNET
-        if not ethernet and reader.header.linktype != LINKTYPE_RAW:
-            raise PcapFormatError(
-                f"unsupported linktype {reader.header.linktype}"
-            )
-        for timestamp_ns, frame in reader:
-            record = quic_from_wire_bytes(
-                frame, timestamp_ns, linktype_ethernet=ethernet
-            )
-            if record is not None:
-                yield record
+    return read_decoded(path, quic_from_wire_bytes)
 
 
 def write_quic_capture(
@@ -165,7 +131,7 @@ def write_quic_capture(
 
 
 def _write_stream(stream, records) -> int:
-    writer = PcapWriter(stream, linktype=LINKTYPE_ETHERNET)
+    writer = PcapWriter(stream)  # Ethernet, the writer's default
     count = 0
     for record in records:
         writer.write(record.timestamp_ns, quic_to_wire_bytes(record))

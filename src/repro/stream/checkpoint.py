@@ -35,7 +35,7 @@ import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, BinaryIO, Dict, Union
 
 PathLike = Union[str, Path]
 
@@ -111,22 +111,28 @@ def read_header(path: PathLike) -> Dict[str, Any]:
     in the payload is executed.
     """
     with open(path, "rb") as stream:
-        magic = stream.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointCorrupt(
-                f"{path}: not a checkpoint file (bad magic {magic!r})"
-            )
-        len_bytes = stream.read(_HEADER_LEN.size)
-        if len(len_bytes) < _HEADER_LEN.size:
-            raise CheckpointCorrupt(f"{path}: truncated header length")
-        (header_len,) = _HEADER_LEN.unpack(len_bytes)
-        if header_len > _MAX_HEADER_BYTES:
-            raise CheckpointCorrupt(
-                f"{path}: implausible header length {header_len}"
-            )
-        header_bytes = stream.read(header_len)
-        if len(header_bytes) < header_len:
-            raise CheckpointCorrupt(f"{path}: truncated header")
+        return _read_header(stream, path)
+
+
+def _read_header(stream: BinaryIO, path: PathLike) -> Dict[str, Any]:
+    """The validated header of an open checkpoint, leaving ``stream``
+    at the first payload byte."""
+    magic = stream.read(len(MAGIC))
+    if magic != MAGIC:
+        raise CheckpointCorrupt(
+            f"{path}: not a checkpoint file (bad magic {magic!r})"
+        )
+    len_bytes = stream.read(_HEADER_LEN.size)
+    if len(len_bytes) < _HEADER_LEN.size:
+        raise CheckpointCorrupt(f"{path}: truncated header length")
+    (header_len,) = _HEADER_LEN.unpack(len_bytes)
+    if header_len > _MAX_HEADER_BYTES:
+        raise CheckpointCorrupt(
+            f"{path}: implausible header length {header_len}"
+        )
+    header_bytes = stream.read(header_len)
+    if len(header_bytes) < header_len:
+        raise CheckpointCorrupt(f"{path}: truncated header")
     try:
         header = json.loads(header_bytes)
     except ValueError as exc:
@@ -149,12 +155,10 @@ def read_checkpoint(path: PathLike) -> Checkpoint:
     disagrees with the header (torn write, bit rot), and
     :class:`CheckpointSchemaMismatch` across incompatible versions.
     """
-    header = read_header(path)
+    # One handle for header and payload: a live daemon's os.replace
+    # between two opens would pair an old header with a new payload.
     with open(path, "rb") as stream:
-        (header_len,) = _HEADER_LEN.unpack(
-            stream.read(len(MAGIC) + _HEADER_LEN.size)[len(MAGIC):]
-        )
-        stream.seek(len(MAGIC) + _HEADER_LEN.size + header_len)
+        header = _read_header(stream, path)
         blob = stream.read()
     expected_len = header.get("payload_len")
     if expected_len != len(blob):

@@ -1,7 +1,9 @@
 """StreamRunner: the continuous-operation loop.
 
-Ties the pieces together: pull chunks from a :class:`PacketSource`,
-push them through a :class:`~repro.engine.MonitorEngine`, and on a
+Ties the pieces together: pull chunks of raw frames from a
+:class:`PacketSource`, push them through a
+:class:`~repro.engine.MonitorEngine` (``ingest_wire_chunk``, which
+picks the decoder), and on a
 cadence (a) *rotate* — drain retained samples and closed analytics
 windows so memory stays bounded by the rotation interval instead of
 the run length — and (b) *checkpoint* — snapshot everything needed to
@@ -180,19 +182,15 @@ class StreamRunner:
             # a pulled chunk (e.g. on shutdown) would lose them from the
             # checkpoint.  The shutdown check runs after, never between
             # pull and ingest.
-            if isinstance(chunk, list):
-                n = len(chunk)
-                ingest = self._engine.ingest_chunk
-            else:
-                # Columnar batch from a fastpath source: same records,
-                # counters, and checkpoint boundaries — see
-                # CaptureFileSource(fastpath=True).
-                n = chunk.decoded_count()
-                ingest = self._engine.ingest_columns
-            if n:
+            before = self._engine.records
+            if chunk:
                 chunk_started = self._clock()
-                ingest(chunk)
+                self._engine.ingest_wire_chunk(
+                    chunk, fastpath=self._source.fastpath
+                )
                 elapsed = self._clock() - chunk_started
+            n = self._engine.records - before  # frames that decoded to TCP
+            if n:
                 if elapsed > 0:
                     self._live_pps = n / elapsed
                 self._since_rotation += n

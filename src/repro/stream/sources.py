@@ -1,9 +1,14 @@
-"""Packet sources: where a streaming run's records come from.
+"""Packet sources: where a streaming run's frames come from.
 
-A :class:`PacketSource` produces decoded TCP
-:class:`~repro.net.packet.PacketRecord` chunks and knows how to
+A :class:`PacketSource` produces chunks of *raw capture frames* —
+``(timestamp_ns, is_ethernet, frame)`` tuples, exactly what
+:class:`~repro.net.pcapng.FrameReader` yields — and knows how to
 describe its own position (``resume_state``) so a checkpoint can record
-exactly which packet comes next.  Three implementations:
+exactly which frame comes next.  Decoding is not a source's business:
+the runner hands every chunk to
+:meth:`~repro.engine.MonitorEngine.ingest_wire_chunk`, which picks the
+decoder, so a tailed or paced capture gets the same columnar decode as
+a one-shot file.  Three implementations, all over the one frame reader:
 
 * :class:`CaptureFileSource` — one pass over a finished pcap/pcapng
   file (what ``dart-replay`` does, expressed as a source);
@@ -17,6 +22,12 @@ exactly which packet comes next.  Three implementations:
   turns any archived trace into a live feed for rehearsing continuous
   operation.
 
+Chunk sizes count *frames*, TCP or not, so on a mixed capture a chunk
+may decode to fewer records than it holds frames (and checkpoint
+offsets differ from those of builds whose chunks counted decoded
+records — any such checkpoint still resumes, since every recorded
+offset is a frame boundary).
+
 Sources yield *possibly empty* chunks: an empty chunk means "nothing
 right now" and gives the runner a chance to checkpoint, emit telemetry,
 and notice shutdown signals while idle.
@@ -26,18 +37,12 @@ from __future__ import annotations
 
 import os
 import time
+from itertools import islice
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
-from ..net.packet import PacketRecord, from_wire_bytes
-from ..net.pcap import (
-    LINKTYPE_ETHERNET,
-    LINKTYPE_RAW,
-    PcapFormatError,
-    PcapReader,
-    TruncatedCapture,
-)
-from ..net.pcapng import PcapngReader, sniff_format
+from ..net.pcap import TruncatedCapture
+from ..net.pcapng import Frame, FrameReader
 
 PathLike = Union[str, Path]
 
@@ -45,8 +50,13 @@ PathLike = Union[str, Path]
 class PacketSource:
     """Shared surface of the packet sources (see module docstring)."""
 
-    def chunks(self, max_records: int) -> Iterator[List[PacketRecord]]:
-        """Yield chunks of at most ``max_records`` decoded TCP records.
+    #: Forwarded by the runner to ``ingest_wire_chunk(fastpath=...)``;
+    #: ``False`` forces the object decoder (the reference leg the
+    #: differential tests compare against).
+    fastpath = True
+
+    def chunks(self, max_records: int) -> Iterator[List[Frame]]:
+        """Yield chunks of at most ``max_records`` raw capture frames.
 
         Chunks may be empty (idle poll).  The generator returning means
         the source is exhausted for good.
@@ -70,17 +80,14 @@ class CaptureFileSource(PacketSource):
 
     ``resume_offset`` starts the pass at a checkpointed byte offset
     instead of the beginning; ``capture_format`` pins the format when
-    the caller already knows it (otherwise it is sniffed).
+    the caller already knows it (otherwise it is sniffed).  A capture
+    ending mid-record is the fatal parse error
+    :class:`~repro.net.pcap.TruncatedCapture` subclasses — only the
+    tail source waits for more bytes.
 
-    ``fastpath`` makes :meth:`chunks` yield decoded *columnar* batches
-    (:class:`~repro.net.columnar.PacketColumns`) instead of record
-    lists.  Chunk boundaries — and therefore ``resume_state`` offsets
-    and checkpoint bytes — are identical to the object path: frames
-    are pulled in sub-batches of exactly the records still missing
-    from the chunk, which can never overshoot (a batch of *k* frames
-    decodes to at most *k* records), so the reader always stops on the
-    same frame the per-record pull would have stopped on.  A no-op
-    when numpy is unavailable.
+    ``fastpath`` is only carried for the runner (see
+    :attr:`PacketSource.fastpath`); the chunks are the same frames
+    either way.
     """
 
     def __init__(
@@ -89,148 +96,33 @@ class CaptureFileSource(PacketSource):
         *,
         capture_format: Optional[str] = None,
         resume_offset: Optional[int] = None,
-        fastpath: bool = False,
+        fastpath: bool = True,
     ) -> None:
         self.path = str(path)
-        self._format = capture_format
-        self._stream = None
-        self._reader: Optional[Union[PcapReader, PcapngReader]] = None
-        self._ethernet = True  # pcap: fixed per file; pcapng: per record
-        self._fastpath = False
-        if fastpath:
-            from ..net.columnar import HAVE_NUMPY
-
-            self._fastpath = HAVE_NUMPY
-        self._open(resume_offset)
-
-    # -- opening -----------------------------------------------------------
-
-    def _open(self, resume_offset: Optional[int]) -> None:
-        if self._format is None:
-            self._format = sniff_format(self.path)
+        self.fastpath = fastpath
         self._stream = open(self.path, "rb")
         try:
-            self._make_reader()
+            self._reader = FrameReader(self._stream, capture_format)
             if resume_offset is not None:
                 self._reader.skip_to(resume_offset)
         except BaseException:
             self._stream.close()
-            self._stream = None
             raise
 
-    def _make_reader(self) -> None:
-        if self._format == "pcapng":
-            self._reader = PcapngReader(self._stream)
-            return
-        reader = PcapReader(self._stream)
-        if reader.header.linktype == LINKTYPE_ETHERNET:
-            self._ethernet = True
-        elif reader.header.linktype == LINKTYPE_RAW:
-            self._ethernet = False
-        else:
-            raise PcapFormatError(
-                f"unsupported linktype {reader.header.linktype}"
-            )
-        self._reader = reader
-
-    # -- record pull -------------------------------------------------------
-
-    def _pull_raw(self) -> Optional[Tuple[int, bool, bytes]]:
-        """Next raw frame as ``(timestamp_ns, is_ethernet, frame)``.
-
-        Returns ``None`` at a clean end of stream; skips pcapng frames
-        on link layers the decoder does not speak.  Propagates
-        :class:`~repro.net.pcap.TruncatedCapture` — the one-shot source
-        treats it as the fatal parse error it subclasses, the tail
-        subclass catches it and waits.
-        """
-        while True:
-            try:
-                item = next(self._reader)
-            except StopIteration:
-                return None
-            if self._format == "pcapng":
-                timestamp_ns, linktype, frame = item
-                if linktype == LINKTYPE_ETHERNET:
-                    return timestamp_ns, True, frame
-                if linktype == LINKTYPE_RAW:
-                    return timestamp_ns, False, frame
-                continue  # unsupported link layer: skip, as read_pcapng does
-            timestamp_ns, frame = item
-            return timestamp_ns, self._ethernet, frame
-
-    def _next_record(self) -> Optional[Tuple[PacketRecord, int]]:
-        """Next decoded TCP record and the byte offset it began at."""
-        while True:
-            start = self._reader.resume_offset
-            raw = self._pull_raw()
-            if raw is None:
-                return None
-            timestamp_ns, ethernet, frame = raw
-            record = from_wire_bytes(frame, timestamp_ns,
-                                     linktype_ethernet=ethernet)
-            if record is not None:
-                return record, start
-
-    # -- PacketSource ------------------------------------------------------
-
-    def chunks(self, max_records: int) -> Iterator[List[PacketRecord]]:
+    def chunks(self, max_records: int) -> Iterator[List[Frame]]:
         if max_records <= 0:
             raise ValueError("max_records must be positive")
-        if self._fastpath:
-            yield from self._fast_chunks(max_records)
-            return
+        frames = iter(self._reader)
         while True:
-            chunk: List[PacketRecord] = []
-            while len(chunk) < max_records:
-                pulled = self._next_record()
-                if pulled is None:
-                    if chunk:
-                        yield chunk
-                    return
-                chunk.append(pulled[0])
-            yield chunk
-
-    def _fast_chunks(self, max_records: int):
-        """Columnar twin of :meth:`chunks` (see class docstring).
-
-        The chunk completes exactly when a sub-pull's every frame
-        decodes — so the last frame read is always a decoded record,
-        and the reader offset matches the object path's at every chunk
-        boundary.
-        """
-        from ..net.columnar import PacketColumns, decode_wire_columns
-
-        while True:
-            parts: List[PacketColumns] = []
-            decoded = 0
-            eof = False
-            while decoded < max_records:
-                frames: List[Tuple[int, bool, bytes]] = []
-                needed = max_records - decoded
-                while len(frames) < needed:
-                    raw = self._pull_raw()
-                    if raw is None:
-                        eof = True
-                        break
-                    frames.append(raw)
-                if frames:
-                    cols = decode_wire_columns(frames)
-                    got = cols.decoded_count()
-                    if got:
-                        parts.append(cols)
-                        decoded += got
-                if eof:
-                    break
-            if parts:
-                yield PacketColumns.concat(parts)
-            if eof:
+            chunk = list(islice(frames, max_records))
+            if not chunk:
                 return
+            yield chunk
 
     def resume_state(self) -> Dict[str, Any]:
         return {
             "path": self.path,
-            "format": self._format,
+            "format": self._reader.format,
             "offset": self._reader.resume_offset,
         }
 
@@ -280,12 +172,9 @@ class TailCaptureSource(PacketSource):
         self._poll_interval = poll_interval_s
         self._idle_timeout = idle_timeout_s
         self._pinned_format = capture_format
-        self._format = capture_format
         self._sleep = sleep
         self._stream = None
-        self._reader: Optional[Union[PcapReader, PcapngReader]] = None
-        self._ethernet = True
-        self._committed = 0  # offset after the last fully delivered record
+        self._reader: Optional[FrameReader] = None
         if resume_offset is not None:
             self._try_resume(resume_offset)
 
@@ -302,13 +191,9 @@ class TailCaptureSource(PacketSource):
             return
         if size < offset:
             return
-        try:
-            self._ensure_reader()
-        except (TruncatedCapture, OSError):
-            return
+        self._ensure_reader()
         if self._reader is not None:
             self._reader.skip_to(offset)
-            self._committed = offset
 
     # -- (re)opening -------------------------------------------------------
 
@@ -321,39 +206,21 @@ class TailCaptureSource(PacketSource):
                 self._stream = open(self.path, "rb")
             except OSError:
                 return  # file not there yet; keep polling
-        if self._format is None:
-            try:
-                self._format = sniff_format(self.path)
-            except PcapFormatError:
-                return  # fewer than 4 bytes so far
         try:
-            self._make_reader()
+            self._reader = FrameReader(self._stream, self._pinned_format)
         except TruncatedCapture:
-            # Header still being written; readers rewound to 0 already.
-            self._reader = None
+            pass  # header still being written; the handle is back at 0
 
-    def _make_reader(self) -> None:
-        if self._format == "pcapng":
-            self._reader = PcapngReader(self._stream)
-            return
-        reader = PcapReader(self._stream)
-        if reader.header.linktype == LINKTYPE_ETHERNET:
-            self._ethernet = True
-        elif reader.header.linktype == LINKTYPE_RAW:
-            self._ethernet = False
-        else:
-            raise PcapFormatError(
-                f"unsupported linktype {reader.header.linktype}"
-            )
-        self._reader = reader
+    @property
+    def _committed(self) -> int:
+        """Offset after the last fully read record."""
+        return self._reader.resume_offset if self._reader is not None else 0
 
     def _reopen(self) -> None:
         if self._stream is not None:
             self._stream.close()
         self._stream = None
         self._reader = None
-        self._format = self._pinned_format
-        self._committed = 0
 
     def _check_rotation(self) -> None:
         """Reopen when the path points at a new file.
@@ -372,43 +239,23 @@ class TailCaptureSource(PacketSource):
         if on_disk.st_ino != opened.st_ino or on_disk.st_size < self._committed:
             self._reopen()
 
-    # -- record pull -------------------------------------------------------
+    # -- frame pull --------------------------------------------------------
 
-    def _collect(self, max_records: int) -> List[PacketRecord]:
-        """Every decodable record available right now, up to the cap."""
-        chunk: List[PacketRecord] = []
+    def _collect(self, max_records: int) -> List[Frame]:
+        """Every complete frame available right now, up to the cap."""
+        chunk: List[Frame] = []
         self._ensure_reader()
-        if self._reader is None:
-            return chunk
-        while len(chunk) < max_records:
+        if self._reader is not None:
             try:
-                item = next(self._reader)
-            except StopIteration:
-                break  # caught up with a record boundary
+                for frame in islice(self._reader, max_records):
+                    chunk.append(frame)
             except TruncatedCapture:
-                break  # caught up mid-record; reader rewound for retry
-            if self._format == "pcapng":
-                timestamp_ns, linktype, frame = item
-                if linktype == LINKTYPE_ETHERNET:
-                    ethernet = True
-                elif linktype == LINKTYPE_RAW:
-                    ethernet = False
-                else:
-                    self._committed = self._reader.resume_offset
-                    continue
-            else:
-                timestamp_ns, frame = item
-                ethernet = self._ethernet
-            self._committed = self._reader.resume_offset
-            record = from_wire_bytes(frame, timestamp_ns,
-                                     linktype_ethernet=ethernet)
-            if record is not None:
-                chunk.append(record)
+                pass  # caught up mid-record; reader rewound for the retry
         return chunk
 
     # -- PacketSource ------------------------------------------------------
 
-    def chunks(self, max_records: int) -> Iterator[List[PacketRecord]]:
+    def chunks(self, max_records: int) -> Iterator[List[Frame]]:
         if max_records <= 0:
             raise ValueError("max_records must be positive")
         idle = 0.0
@@ -430,7 +277,8 @@ class TailCaptureSource(PacketSource):
     def resume_state(self) -> Dict[str, Any]:
         return {
             "path": self.path,
-            "format": self._format,
+            "format": (self._reader.format if self._reader is not None
+                       else self._pinned_format),
             "offset": self._committed,
         }
 
@@ -450,12 +298,12 @@ class TailCaptureSource(PacketSource):
 class PacedReplaySource(CaptureFileSource):
     """Replays a finished capture at the trace's own pace.
 
-    The first record is released immediately and becomes the epoch;
-    every later record is released when ``(its timestamp - epoch) /
+    The first frame is released immediately and becomes the epoch;
+    every later frame is released when ``(its timestamp - epoch) /
     speed`` of wall-clock time has elapsed.  ``speed=10`` replays ten
     times faster than the capture; ``speed`` must be positive.
 
-    A record pulled from the file but not yet due stays *pending*:
+    A frame pulled from the file but not yet due stays *pending*:
     ``resume_state`` reports the offset **before** it, so a checkpoint
     taken between chunks never skips the packet the pacer was holding.
 
@@ -481,46 +329,44 @@ class PacedReplaySource(CaptureFileSource):
         self._pace_sleep = sleep
         self._epoch_wall: Optional[float] = None
         self._epoch_ts = 0
-        self._pending: Optional[PacketRecord] = None
+        self._pending: Optional[Frame] = None
         self._pending_start = 0
 
-    def _due(self, record: PacketRecord) -> float:
+    def _due(self, timestamp_ns: int) -> float:
         if self._epoch_wall is None:
             self._epoch_wall = self._clock()
-            self._epoch_ts = record.timestamp_ns
-        elapsed_ns = record.timestamp_ns - self._epoch_ts
+            self._epoch_ts = timestamp_ns
+        elapsed_ns = timestamp_ns - self._epoch_ts
         return self._epoch_wall + max(0, elapsed_ns) / 1e9 / self._speed
 
-    def chunks(self, max_records: int) -> Iterator[List[PacketRecord]]:
+    def chunks(self, max_records: int) -> Iterator[List[Frame]]:
         if max_records <= 0:
             raise ValueError("max_records must be positive")
+        frames = iter(self._reader)
         while True:
-            chunk: List[PacketRecord] = []
+            chunk: List[Frame] = []
             while len(chunk) < max_records:
                 if self._pending is None:
-                    pulled = self._next_record()
-                    if pulled is None:
+                    self._pending_start = self._reader.resume_offset
+                    self._pending = next(frames, None)
+                    if self._pending is None:
                         if chunk:
                             yield chunk
                         return
-                    self._pending, self._pending_start = pulled
-                record = self._pending
-                due = self._due(record)
+                due = self._due(self._pending[0])
                 now = self._clock()
                 if now < due:
                     if chunk:
-                        # Ship what is ripe; the held record stays
+                        # Ship what is ripe; the held frame stays
                         # pending (and excluded from resume_state).
                         break
                     self._pace_sleep(due - now)
-                chunk.append(record)
+                chunk.append(self._pending)
                 self._pending = None
             yield chunk
 
     def resume_state(self) -> Dict[str, Any]:
-        offset = (
-            self._pending_start
-            if self._pending is not None
-            else self._reader.resume_offset
-        )
-        return {"path": self.path, "format": self._format, "offset": offset}
+        state = super().resume_state()
+        if self._pending is not None:
+            state["offset"] = self._pending_start
+        return state

@@ -35,30 +35,20 @@ class ReplayReport:
         return self.packets / self.wall_seconds
 
 
-def replay(records: Iterable[PacketRecord], *monitors,
-           fastpath: bool = False) -> ReplayReport:
+def replay(records: Iterable[PacketRecord], *monitors) -> ReplayReport:
     """Feed every record to every monitor, in timestamp order.
 
     Monitors exposing ``process_batch`` (Dart, ShardedDart) are fed in
-    chunks through the batched fast path; anything else gets the
+    chunks through the batched entry point; anything else gets the
     classic per-record ``process`` loop.  Per-monitor packet order is
     identical either way, and monitors are independent, so mixing
     batched and unbatched monitors in one replay is fine.
 
-    With ``fastpath=True`` each chunk is additionally lifted into
-    :class:`~repro.net.columnar.PacketColumns` once and handed to
-    monitors exposing ``process_columns`` — same samples and stats,
-    vectorised classification.  Monitors without ``process_columns``
-    (and every monitor when numpy is missing) keep the object path.
+    The records are already decoded, so there is no decoder to pick:
+    the columnar path earns its keep by vectorising the *decode* of raw
+    frames (``MonitorEngine.ingest_wire_chunk``), and lifting parsed
+    records into columns first measures slower than ``process_batch``.
     """
-    columns_fns = [None] * len(monitors)
-    if fastpath:
-        from ..net.columnar import HAVE_NUMPY, records_to_columns
-
-        if HAVE_NUMPY:
-            columns_fns = [getattr(monitor, "process_columns", None)
-                           for monitor in monitors]
-        fastpath = any(fn is not None for fn in columns_fns)
     batch_fns = [getattr(monitor, "process_batch", None)
                  for monitor in monitors]
     count = 0
@@ -68,12 +58,8 @@ def replay(records: Iterable[PacketRecord], *monitors,
         chunk = list(islice(iterator, REPLAY_CHUNK))
         if not chunk:
             break
-        cols = records_to_columns(chunk) if fastpath else None
-        for monitor, batch_fn, columns_fn in zip(monitors, batch_fns,
-                                                 columns_fns):
-            if cols is not None and columns_fn is not None:
-                columns_fn(cols)
-            elif batch_fn is not None:
+        for monitor, batch_fn in zip(monitors, batch_fns):
+            if batch_fn is not None:
                 batch_fn(chunk)
             else:
                 process = monitor.process

@@ -97,6 +97,26 @@ class TestRecordParsing:
         with pytest.raises(PcapFormatError):
             next(reader)
 
+    @pytest.mark.parametrize("snaplen,incl_len", [
+        (65535, 65536),        # the header's own snaplen
+        (0, 262145),           # header says "unlimited": pcap's maximum
+        (1 << 31, 262145),     # a garbage snaplen does not lift the bound
+    ])
+    def test_record_longer_than_snaplen_is_a_format_error(self, snaplen,
+                                                          incl_len):
+        stream = io.BytesIO()
+        writer = PcapWriter(stream, snaplen=snaplen)
+        writer.write(1, b"good")
+        stream.write(struct.pack("<IIII", 0, 0, incl_len, incl_len))
+        stream.write(b"\x00" * 100)
+        stream.seek(0)
+        reader = PcapReader(stream)
+        assert next(reader) == (1, b"good")
+        # Not TruncatedCapture: a tail would wait on that forever.
+        with pytest.raises(PcapFormatError, match="snaplen") as info:
+            next(reader)
+        assert type(info.value) is PcapFormatError
+
     def test_timestamps_preserved(self):
         stream = io.BytesIO()
         writer = PcapWriter(stream)

@@ -6,9 +6,17 @@ import pytest
 
 from repro.net import tcp as tcpf
 from repro.net.packet import PacketRecord, to_wire_bytes
-from repro.net.pcap import LINKTYPE_ETHERNET, PcapFormatError, write_packets
+from repro.net.pcap import (
+    LINKTYPE_ETHERNET,
+    LINKTYPE_RAW,
+    PcapFormatError,
+    PcapWriter,
+    write_packets,
+)
 from repro.net.pcapng import (
+    MAX_BLOCK_BYTES,
     read_any_capture,
+    read_any_frames,
     read_pcapng_packets,
     sniff_format,
 )
@@ -186,3 +194,68 @@ class TestFormatSniffing:
          .epb(record.timestamp_ns, to_wire_bytes(record)).write(ng_path))
         assert list(read_any_capture(pcap_path)) == [record]
         assert list(read_any_capture(ng_path)) == [record]
+
+
+class TestLinktypePolicy:
+    """One policy for every reader: Ethernet and raw IP decode, a
+    pcapng frame on any other interface is skipped, a pcap file on any
+    other linktype is refused."""
+
+    def test_mixed_pcapng_pins_all_three_readers(self, tmp_path):
+        from repro.quic import QuicPacketRecord
+        from repro.quic.wire import quic_to_wire_bytes, read_quic_capture
+
+        tcp = [make_record(t_us=1_000_000 + i) for i in range(3)]
+        quic = QuicPacketRecord(
+            timestamp_ns=1_000_001_500, src_ip=0x0A000001,
+            dst_ip=0x10000001, src_port=50000, dst_port=443,
+            spin_bit=True, long_header=False, payload_len=32,
+        )
+        eth = [to_wire_bytes(r) for r in tcp]
+        quic_frame = quic_to_wire_bytes(quic)
+        path = tmp_path / "mixed.pcapng"
+        (PcapngBuilder().shb()
+         .idb(tsresol=9)                         # 0: Ethernet
+         .idb(linktype=LINKTYPE_RAW, tsresol=9)  # 1: raw IP
+         .idb(linktype=127, tsresol=9)           # 2: radiotap, unsupported
+         .epb(tcp[0].timestamp_ns, eth[0])
+         .epb(tcp[1].timestamp_ns, eth[1][14:], interface=1)
+         .epb(quic.timestamp_ns, quic_frame)
+         .epb(quic.timestamp_ns, quic_frame[14:], interface=1)
+         .epb(tcp[2].timestamp_ns, eth[2], interface=2)
+         .epb(quic.timestamp_ns, quic_frame, interface=2)
+         .write(path))
+        assert list(read_any_frames(path)) == [
+            (tcp[0].timestamp_ns, True, eth[0]),
+            (tcp[1].timestamp_ns, False, eth[1][14:]),
+            (quic.timestamp_ns, True, quic_frame),
+            (quic.timestamp_ns, False, quic_frame[14:]),
+        ]
+        assert list(read_any_capture(path)) == tcp[:2]
+        assert list(read_quic_capture(path)) == [quic, quic]
+
+    def test_pcap_on_an_unsupported_linktype_is_refused(self, tmp_path):
+        from repro.quic.wire import read_quic_capture
+
+        path = tmp_path / "odd.pcap"
+        with open(path, "wb") as stream:
+            PcapWriter(stream, linktype=127).write(0, b"\x00" * 64)
+        for reader in (read_any_frames, read_any_capture, read_quic_capture):
+            with pytest.raises(PcapFormatError, match="unsupported linktype"):
+                list(reader(path))
+
+
+class TestBlockLengthBound:
+    def test_garbage_block_length_is_a_format_error(self, tmp_path):
+        record = make_record()
+        builder = (PcapngBuilder().shb().idb()
+                   .epb(0, to_wire_bytes(record)))
+        path = tmp_path / "t.pcapng"
+        path.write_bytes(b"".join(builder.blocks) + struct.pack(
+            "<II", 0x00000006, MAX_BLOCK_BYTES + 4) + b"\x00" * 64)
+        frames = read_any_frames(path)
+        assert next(frames)[2] == to_wire_bytes(record)
+        # Not TruncatedCapture: a tail would wait on that forever.
+        with pytest.raises(PcapFormatError, match="block length") as info:
+            next(frames)
+        assert type(info.value) is PcapFormatError

@@ -1,6 +1,7 @@
 """Checkpoint file format: round-trip, corruption, version fencing."""
 
 import json
+import os
 import struct
 
 import pytest
@@ -12,6 +13,7 @@ from repro.stream import (
     read_header,
     write_checkpoint,
 )
+from repro.stream import checkpoint as checkpoint_module
 from repro.stream.checkpoint import MAGIC
 
 
@@ -49,6 +51,33 @@ class TestRoundTrip:
         write_checkpoint(checkpoint, {"v": 2}, {"finalized": True})
         assert read_checkpoint(checkpoint).payload == {"v": 2}
         assert not (tmp_path / "state.ckpt.tmp").exists()
+
+    def test_replace_mid_read_cannot_mix_two_checkpoints(
+        self, checkpoint, tmp_path, monkeypatch
+    ):
+        # A live daemon's os.replace can land between any two reads of
+        # a racing --inspect/--resume.  One handle reads one file: the
+        # loader must see the old checkpoint whole (or the new one
+        # whole), never the old header with the new payload.
+        newer = tmp_path / "newer.ckpt"
+        write_checkpoint(newer, {"monitors": {"dart": list(range(99))}},
+                         {"finalized": True})
+        opens = []
+
+        def open_then_replace(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            if not opens:
+                os.replace(newer, checkpoint)
+            opens.append(file)
+            return handle
+
+        monkeypatch.setattr(checkpoint_module, "open", open_then_replace,
+                            raising=False)
+        loaded = read_checkpoint(checkpoint)
+        assert loaded.payload == {"monitors": {"dart": [1, 2, 3]},
+                                  "analytics": None}
+        assert not loaded.finalized
+        assert read_checkpoint(checkpoint).finalized  # the new one, whole
 
 
 class TestRejection:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli.stream import main
+from repro.net.columnar import HAVE_NUMPY
 from repro.net.pcap import read_packets
 from repro.stream import read_header
 
@@ -36,6 +37,59 @@ class TestOneShot:
         assert lines
         first = json.loads(lines[0])
         assert {"key", "min_rtt_ns", "samples"} <= set(first)
+
+
+class TestDecoderSelection:
+    """No flag picks the decoder: numpy importable means columnar, for
+    a tailed or paced capture exactly as for a one-shot file."""
+
+    @pytest.mark.parametrize("numpy_visible", [
+        pytest.param(True, marks=pytest.mark.skipif(
+            not HAVE_NUMPY, reason="needs numpy")),
+        False,
+    ])
+    @pytest.mark.parametrize("mode", [
+        [],
+        ["--follow", "--poll-interval", "0.01", "--idle-timeout", "0.03"],
+        ["--pace", "1e9"],
+    ], ids=["one-shot", "follow", "pace"])
+    def test_same_csv_as_replay_through_the_observed_decoder(
+        self, campus_pcap, tmp_path, capsys, monkeypatch, mode,
+        numpy_visible
+    ):
+        from repro.cli.replay import main as replay_main
+        from repro.core import Dart
+        from repro.net import columnar
+
+        monkeypatch.setattr(columnar, "HAVE_NUMPY", numpy_visible)
+        columnar_batches = []
+        process_columns = Dart.process_columns
+
+        def spy(self, cols):
+            columnar_batches.append(cols.n)
+            return process_columns(self, cols)
+
+        monkeypatch.setattr(Dart, "process_columns", spy)
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        assert replay_main([str(campus_pcap), "--csv", str(ref)]) == 0
+        replayed = len(columnar_batches)
+        assert main([str(campus_pcap), *mode, "--csv", str(out)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+        assert bool(replayed) == numpy_visible
+        assert (len(columnar_batches) > replayed) == numpy_visible
+
+    @pytest.mark.parametrize("flag", ["--fastpath", "--no-fastpath"])
+    @pytest.mark.parametrize("cli", ["replay", "stream", "bench", "agent"])
+    def test_the_decoder_is_not_an_option(self, campus_pcap, cli, flag,
+                                          capsys):
+        import importlib
+
+        cli_main = importlib.import_module(f"repro.cli.{cli}").main
+        capture = [] if cli == "bench" else [str(campus_pcap)]
+        with pytest.raises(SystemExit) as info:
+            cli_main([*capture, flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestInspect:

@@ -1,94 +1,207 @@
-"""Streaming fastpath: columnar chunks keep the resume contract.
+"""Streaming decode paths: one frame chunker, interchangeable decoders.
 
-``CaptureFileSource(fastpath=True)`` yields decoded columnar batches,
-but everything the daemon's durability story rests on — chunk
-boundaries, the reader's resume offsets, checkpoint state, and the
-emitted CSVs — must be indistinguishable from the object path.  That
-is what makes a checkpoint written by a fastpath daemon resumable by
-an object-path daemon and vice versa.
+Every :class:`~repro.stream.PacketSource` yields raw frame chunks and
+the engine picks the decoder, so everything the daemon's durability
+story rests on — chunk boundaries, resume offsets, checkpoint state,
+and the emitted CSVs — must be indistinguishable whether the frames
+decode columnar, per-frame (``fastpath=False``), or without numpy.
+That is what makes a checkpoint written under one decoder resumable
+under another.
 """
 
-import itertools
+import io
 
 import pytest
 
+from repro.core import Dart
 from repro.engine import MonitorEngine, MonitorOptions, create
+from repro.net import columnar
 from repro.net.columnar import HAVE_NUMPY
-from repro.net.pcap import PcapWriter, write_packets
 from repro.net.packet import to_wire_bytes
+from repro.net.pcap import PcapWriter, write_packets
+from repro.net.pcapng import FrameReader
 from repro.quic import QuicScenarioConfig, generate_quic_trace
 from repro.quic.wire import quic_to_wire_bytes
 from repro.stream import (
     CaptureFileSource,
     GracefulShutdown,
+    PacedReplaySource,
     ResumableSink,
     StreamRunner,
+    TailCaptureSource,
     read_checkpoint,
     read_header,
 )
+from tests.net.test_pcapng import PcapngBuilder
+from tests.stream.test_sources import FakeClock
 
-pytestmark = pytest.mark.skipif(
+needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="the columnar fast path requires numpy"
 )
 
 CHUNK = 97  # deliberately not a divisor of any trace length
+LUMP = 1013  # tail growth step in bytes: never a record boundary
 
 
-@pytest.fixture()
-def mixed_pcap(campus_records, tmp_path):
-    """A capture with QUIC datagrams interleaved between TCP segments —
-    the skip frames that make chunk-boundary bookkeeping interesting."""
+@pytest.fixture(scope="module")
+def mixed(campus_records):
+    """TCP records and the time-ordered ``(timestamp_ns, frame)`` list
+    of a capture that interleaves them with QUIC datagrams — the
+    frames that fill a chunk slot without decoding to a record."""
+    tcp = campus_records[:1500]
     quic = generate_quic_trace(QuicScenarioConfig(duration_ns=10**9))
-    frames = [(r.timestamp_ns, to_wire_bytes(r)) for r in campus_records]
-    frames += [(r.timestamp_ns, quic_to_wire_bytes(r))
+    frames = [(r.timestamp_ns, to_wire_bytes(r)) for r in tcp]
+    frames += [(r.timestamp_ns + tcp[0].timestamp_ns, quic_to_wire_bytes(r))
                for r in quic.records]
     frames.sort(key=lambda item: item[0])
-    path = tmp_path / "mixed.pcap"
-    with open(path, "wb") as stream:
-        writer = PcapWriter(stream, nanosecond=True)
+    return tcp, frames
+
+
+def capture_bytes(frames, capture_format):
+    """The frames as one capture; the pcapng flavour repeats every
+    50th frame on an interface whose link layer no decoder speaks,
+    which the frame reader must skip."""
+    if capture_format == "pcap":
+        stream = io.BytesIO()
+        writer = PcapWriter(stream)
         for timestamp_ns, frame in frames:
             writer.write(timestamp_ns, frame)
-    return path
+        return stream.getvalue()
+    builder = PcapngBuilder().shb().idb(tsresol=9).idb(linktype=127,
+                                                       tsresol=9)
+    for i, (timestamp_ns, frame) in enumerate(frames):
+        builder.epb(timestamp_ns, frame)
+        if i % 50 == 0:
+            builder.epb(timestamp_ns, frame, interface=1)
+    return b"".join(builder.blocks)
 
 
-def test_fast_chunks_match_object_chunks_and_offsets(mixed_pcap):
-    obj = CaptureFileSource(mixed_pcap)
-    fast = CaptureFileSource(mixed_pcap, fastpath=True)
-    assert fast._fastpath  # numpy present: the flag must stick
-    pairs = itertools.zip_longest(obj.chunks(CHUNK), fast.chunks(CHUNK))
-    for i, (obj_chunk, cols) in enumerate(pairs):
-        assert obj_chunk is not None and cols is not None, (
-            f"chunk count diverged at chunk {i}"
-        )
-        decoded = [r for r in cols.to_records() if r is not None]
-        assert decoded == obj_chunk
-        # The durability invariant: after every chunk both readers sit
-        # on the same byte, so their checkpoints are interchangeable.
-        assert fast.resume_state() == obj.resume_state()
-    obj.close()
-    fast.close()
+def last_record_start(blob):
+    """Byte offset at which the capture's final record begins."""
+    reader = FrameReader(io.BytesIO(blob))
+    frames = iter(reader)
+    start = None
+    while True:
+        offset = reader.resume_offset
+        if next(frames, None) is None:
+            return start
+        start = offset
 
 
-def test_resume_offset_restart_matches_object_path(mixed_pcap):
-    """Stopping after chunk k and reopening at the recorded offset
-    yields exactly the remaining chunks, columnar or not."""
-    obj = CaptureFileSource(mixed_pcap)
-    chunks = list(obj.chunks(CHUNK))
-    replay = CaptureFileSource(mixed_pcap, fastpath=True)
-    fast_iter = replay.chunks(CHUNK)
-    next(fast_iter)
-    next(fast_iter)
-    offset = replay.resume_state()["offset"]
-    replay.close()
+def make_source(kind, capture_format, frames, workdir):
+    """A source of ``kind`` that delivers exactly ``frames``."""
+    path = workdir / f"capture.{capture_format}"
+    if kind != "tail":
+        path.write_bytes(capture_bytes(frames, capture_format))
+        if kind == "file":
+            return CaptureFileSource(path)
+        clock = FakeClock()
+        return PacedReplaySource(path, clock=clock, sleep=clock.sleep)
+    # A growing file that is cut mid-record at every poll and ends
+    # inside one last record that never completes.
+    blob = capture_bytes(frames + [frames[-1]], capture_format)
+    blob = blob[:last_record_start(blob) + 11]
+    path.write_bytes(blob[:len(blob) // 3])
 
-    resumed = CaptureFileSource(mixed_pcap, resume_offset=offset,
-                                fastpath=True)
-    rest = [
-        [r for r in cols.to_records() if r is not None]
-        for cols in resumed.chunks(CHUNK)
-    ]
-    assert rest == chunks[2:]
+    def grow(seconds):
+        have = path.stat().st_size
+        with open(path, "ab") as stream:
+            stream.write(blob[have:have + LUMP])
+
+    # Five idle polls end the tail; a frame spans at most two lumps.
+    return TailCaptureSource(path, poll_interval_s=0.01,
+                             idle_timeout_s=0.05, sleep=grow)
+
+
+def drive(source, consume):
+    """Feed every chunk to ``consume``; the source's position after
+    each one (minus the per-run path)."""
+    states = []
+    try:
+        for chunk in source.chunks(CHUNK):
+            consume(chunk)
+            state = source.resume_state()
+            del state["path"]
+            states.append(state)
+    finally:
+        source.close()
+    return states
+
+
+@pytest.mark.parametrize("decoder", [
+    pytest.param("columnar", marks=needs_numpy), "object", "no-numpy",
+])
+@pytest.mark.parametrize("capture_format", ["pcap", "pcapng"])
+@pytest.mark.parametrize("kind", ["file", "tail", "paced"])
+def test_every_source_feeds_every_decoder_identically(
+    mixed, tmp_path, monkeypatch, kind, capture_format, decoder
+):
+    tcp, frames = mixed
+    reference = Dart()
+    for record in tcp:
+        reference.process(record)
+
+    if decoder == "no-numpy":
+        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+    dart = Dart()
+    entered = {"process_columns": 0, "process_batch": 0}
+    for name in entered:
+        def spy(arg, name=name, inner=getattr(dart, name)):
+            entered[name] += 1
+            return inner(arg)
+        setattr(dart, name, spy)
+    engine = MonitorEngine()
+    engine.add_monitor(dart, name="dart")
+
+    (tmp_path / "run").mkdir()
+    states = drive(
+        make_source(kind, capture_format, frames, tmp_path / "run"),
+        lambda chunk: engine.ingest_wire_chunk(
+            chunk, fastpath=decoder != "object"),
+    )
+
+    assert engine.records == len(tcp)
+    assert dart.stats == reference.stats
+    assert list(dart.samples) == list(reference.samples)
+    # Positions are the source's alone: a pass that decodes nothing
+    # stops on the same bytes after every chunk.
+    (tmp_path / "dry").mkdir()
+    delivered = []
+    assert states == drive(
+        make_source(kind, capture_format, frames, tmp_path / "dry"),
+        delivered.extend,
+    )
+    assert [(ts, frame) for ts, _, frame in delivered] == frames
+    assert states[-1]["format"] == capture_format
+    # The decoder is chosen by what the engine observes, for a tailed
+    # or paced capture exactly as for a one-shot file.
+    used, unused = (("process_columns", "process_batch")
+                    if decoder == "columnar"
+                    else ("process_batch", "process_columns"))
+    assert entered[used] > 0 and entered[unused] == 0
+
+
+@pytest.mark.parametrize("capture_format", ["pcap", "pcapng"])
+def test_any_recorded_offset_resumes_with_the_remaining_frames(
+    mixed, tmp_path, capture_format
+):
+    _, frames = mixed
+    path = tmp_path / f"capture.{capture_format}"
+    path.write_bytes(capture_bytes(frames, capture_format))
+    source = CaptureFileSource(path)
+    seen = 0
+    for chunk in source.chunks(CHUNK):
+        seen += len(chunk)
+        state = source.resume_state()
+        if seen >= 3 * CHUNK:
+            break
+    source.close()
+    resumed = CaptureFileSource(state["path"],
+                                capture_format=state["format"],
+                                resume_offset=state["offset"])
+    rest = [frame for chunk in resumed.chunks(CHUNK) for frame in chunk]
     resumed.close()
+    assert [(ts, frame) for ts, _, frame in rest] == frames[seen:]
 
 
 def _stream_once(capture, tmp_path, tag, *, fastpath, shutdown_after=None):
@@ -133,6 +246,7 @@ def _resume(capture, tmp_path, tag, *, fastpath):
     return runner.run()
 
 
+@needs_numpy
 def test_uninterrupted_stream_csv_and_checkpoint_identical(
     campus_records, tmp_path
 ):
@@ -158,6 +272,7 @@ def test_uninterrupted_stream_csv_and_checkpoint_identical(
     assert (got_header["payload_sha256"] == ref_header["payload_sha256"])
 
 
+@needs_numpy
 @pytest.mark.parametrize("first,second", [(True, True), (True, False),
                                           (False, True)])
 def test_kill_resume_across_paths_is_byte_identical(

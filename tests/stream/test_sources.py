@@ -1,8 +1,16 @@
 """PacketSource behaviour: one-shot, tailing, and paced replay."""
 
+import struct
+
 import pytest
 
-from repro.net.pcap import append_packets, read_packets, write_packets
+from repro.net.packet import from_wire_bytes
+from repro.net.pcap import (
+    PcapFormatError,
+    append_packets,
+    read_packets,
+    write_packets,
+)
 from repro.stream import (
     CaptureFileSource,
     PacedReplaySource,
@@ -10,10 +18,17 @@ from repro.stream import (
 )
 
 
+def decode(chunk):
+    """The TCP records of one frame chunk (sources yield raw frames)."""
+    records = (from_wire_bytes(frame, ts, linktype_ethernet=ethernet)
+               for ts, ethernet, frame in chunk)
+    return [record for record in records if record is not None]
+
+
 def drain(source, chunk_size=256):
     out = []
     for chunk in source.chunks(chunk_size):
-        out.extend(chunk)
+        out.extend(decode(chunk))
     return out
 
 
@@ -40,7 +55,7 @@ class TestCaptureFileSource:
         full = list(read_packets(campus_pcap))
         source = CaptureFileSource(campus_pcap)
         chunks = source.chunks(64)
-        first = next(chunks)
+        first = decode(next(chunks))
         state = source.resume_state()
         source.close()
         assert state["path"] == str(campus_pcap)
@@ -90,7 +105,7 @@ class TestTailCaptureSource:
         grown = False
         try:
             for chunk in source.chunks(512):
-                got.extend(chunk)
+                got.extend(decode(chunk))
                 if not grown and len(got) >= half - 600:
                     append_packets(path, campus_records[half:])
                     grown = True
@@ -125,7 +140,7 @@ class TestTailCaptureSource:
         expected = len(list(read_packets(ref)))
         try:
             for chunk in source.chunks(64):
-                got.extend(chunk)
+                got.extend(decode(chunk))
                 if len(got) == expected and written >= len(blob):
                     break
         finally:
@@ -176,6 +191,26 @@ class TestTailCaptureSource:
         source.close()
         assert got == campus_records[:100]
 
+    def test_garbage_record_length_fails_within_one_poll(
+        self, campus_records, tmp_path
+    ):
+        # A good record, then a record header claiming 1 GiB: the tail
+        # must not read that as "file still growing" and wait forever.
+        path = tmp_path / "live.pcap"
+        write_packets(path, campus_records[:1])
+        with open(path, "ab") as stream:
+            stream.write(struct.pack("<IIII", 0, 0, 1 << 30, 1 << 30))
+            stream.write(b"\x00" * 100)
+        sleeper = NoSleep(limit=0)
+        source = TailCaptureSource(path, poll_interval_s=0.01,
+                                   idle_timeout_s=None, sleep=sleeper)
+        try:
+            with pytest.raises(PcapFormatError, match="snaplen"):
+                drain(source)
+        finally:
+            source.close()
+        assert sleeper.calls == 0
+
 
 class FakeClock:
     def __init__(self):
@@ -219,7 +254,7 @@ class TestPacedReplaySource:
         source = PacedReplaySource(campus_pcap, speed=1.0, clock=clock,
                                    sleep=lambda s: None)  # never advances
         chunks = source.chunks(8)
-        first = next(chunks)
+        first = decode(next(chunks))
         state = source.resume_state()
         source.close()
         resumed = CaptureFileSource(state["path"],
