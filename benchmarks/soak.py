@@ -54,7 +54,7 @@ from repro.stream import (  # noqa: E402
     GracefulShutdown,
     ResumableSink,
     StreamRunner,
-    read_checkpoint,
+    resume_run,
 )
 from repro.quic import QuicScenarioConfig, generate_quic_trace  # noqa: E402
 from repro.traces import CampusTraceConfig, generate_campus_trace  # noqa: E402
@@ -226,19 +226,13 @@ def check_streaming_kill_resume(tcp_records, failures: List[str]) -> None:
             return
 
         # Segment 2: fresh engine, restored monitor, resumed sink.
-        loaded = read_checkpoint(ckpt)
+        resumed = resume_run(ckpt, "dart")
         engine = MonitorEngine()
-        resumed_csv = ResumableSink.resume(loaded.header["sinks"][0])
-        engine.add_monitor(loaded.payload["monitors"]["dart"],
-                           name="dart", sinks=[resumed_csv])
-        source = CaptureFileSource(
-            capture,
-            capture_format=loaded.header["source"]["format"],
-            resume_offset=loaded.header["source"]["offset"],
-        )
-        runner = StreamRunner(engine, source, sinks=[resumed_csv],
+        engine.add_monitor(resumed.monitor, name="dart", sinks=resumed.sinks)
+        source = CaptureFileSource(capture, **resumed.source_kwargs)
+        runner = StreamRunner(engine, source, sinks=resumed.sinks,
                               chunk_size=1024, checkpoint_path=str(ckpt))
-        runner.restore(loaded.header)
+        runner.restore(resumed.header)
         final = runner.run()
         if not final.finalized:
             failures.append("streaming leg: resumed run did not finalize")

@@ -1,10 +1,11 @@
 """``dart-agent``: one fleet vantage point.
 
-A thin wrapper over the ``dart-stream`` machinery: same sources, same
-checkpoints, same resume semantics — plus a :class:`FleetExporter`
-hook that pushes periodic cumulative deltas (stats, flow counts,
-closed analytics windows, telemetry) to a ``dart-collector``.
-Examples::
+``dart-stream`` plus a hook: the same run (:func:`repro.cli.stream.run`
+— same flags, sources, checkpoints, resume semantics) with a
+:class:`~repro.fleet.FleetExporter` attached that pushes periodic
+cumulative deltas (stats, flow counts, closed analytics windows,
+telemetry) to a ``dart-collector``.  This module only adds the fleet
+flags.  Examples::
 
     # Monitor one tap, report to the collector every second:
     dart-agent tap-east.pcap --collector 10.0.0.5:9500 \\
@@ -24,28 +25,9 @@ Examples::
 from __future__ import annotations
 
 import sys
-from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
-from ..core import DartConfig
-from ..engine import MonitorEngine, MonitorOptions, create
-from ..fleet import CollectorClient, FleetExporter, FlowCountTap, WindowTee
-from ..obs import emitter_from_args
-from ..stream import (
-    AnalyticsTap,
-    CheckpointError,
-    GracefulShutdown,
-    ResumableSink,
-    StreamRunner,
-    read_checkpoint,
-)
-from .stream import (
-    _fresh_sinks,
-    build_analytics,
-    build_leg_filter,
-    build_parser as build_stream_parser,
-    build_source,
-)
+from .stream import build_parser as build_stream_parser, run
 
 
 def build_parser():
@@ -79,134 +61,10 @@ def build_parser():
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.inspect:
-        from .stream import main as stream_main
-
-        return stream_main(["--inspect", args.inspect])
-    if not args.pcap:
-        raise SystemExit("dart-agent: a capture file is required")
-    if not args.collector:
+    # Not argparse-required: --inspect needs neither capture nor collector.
+    if args.pcap and not args.inspect and not args.collector:
         raise SystemExit("dart-agent: --collector is required")
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint")
-
-    agent_id = args.agent_id or Path(args.pcap).stem
-    telemetry = emitter_from_args(args)
-    resume_offset: Optional[int] = None
-    capture_format: Optional[str] = None
-    hook_state = None
-
-    if args.resume:
-        try:
-            checkpoint = read_checkpoint(args.checkpoint)
-        except CheckpointError as exc:
-            raise SystemExit(f"dart-agent: cannot resume: {exc}")
-        if checkpoint.finalized:
-            raise SystemExit(
-                "dart-agent: cannot resume: the run behind "
-                f"{args.checkpoint} already finalized"
-            )
-        monitors = checkpoint.payload["monitors"]
-        if args.monitor not in monitors:
-            known = ", ".join(sorted(monitors))
-            raise SystemExit(
-                f"dart-agent: checkpoint holds {known!r}, not "
-                f"{args.monitor!r} — resume with the monitor the run "
-                "started with"
-            )
-        monitor = monitors[args.monitor]
-        analytics = checkpoint.payload.get("analytics")
-        hook_state = checkpoint.payload.get("hooks", {}).get("fleet")
-        sinks = [
-            ResumableSink.resume(state)
-            for state in checkpoint.header["sinks"]
-        ]
-        source_state = checkpoint.header["source"]
-        resume_offset = source_state["offset"]
-        capture_format = source_state.get("format")
-    else:
-        analytics = build_analytics(args)
-        options = MonitorOptions(
-            config=DartConfig(
-                rt_slots=args.rt_slots,
-                pt_slots=args.pt_slots,
-                pt_stages=args.stages,
-                max_recirculations=args.recirc,
-                track_handshake=args.handshake,
-            ),
-            leg_filter=build_leg_filter(args),
-            track_handshake=args.handshake,
-            analytics=analytics if args.monitor == "dart" else None,
-        )
-        monitor = create(args.monitor, options)
-        sinks = _fresh_sinks(args)
-
-    client = CollectorClient(args.collector)
-    flow_tap = FlowCountTap()
-    engine = MonitorEngine(chunk_size=args.chunk_size, telemetry=telemetry)
-    local_window_sink = next((s for s in sinks if s.kind == "windows"), None)
-    sample_sinks = [s for s in sinks if s.kind != "windows"]
-    engine_sinks: List = list(sample_sinks) + [flow_tap]
-    if analytics is not None and args.monitor != "dart":
-        engine_sinks.append(AnalyticsTap(analytics))
-    engine.add_monitor(monitor, name=args.monitor, sinks=engine_sinks)
-
-    exporter = FleetExporter(
-        client,
-        agent_id,
-        engine=engine,
-        monitor_name=args.monitor,
-        flow_tap=flow_tap,
-        analytics=analytics,
-        telemetry=telemetry,
-        push_interval_s=args.push_interval,
-        heartbeat_interval_s=args.heartbeat_interval,
-    )
-    exporter.restore(hook_state)
-
-    window_sink = local_window_sink
-    if analytics is not None:
-        window_sink = WindowTee(
-            sinks=[local_window_sink] if local_window_sink else [],
-            taps=[exporter],
-        )
-
-    source = build_source(args, resume_offset, capture_format)
-
-    with GracefulShutdown() as stop:
-        runner = StreamRunner(
-            engine,
-            source,
-            shutdown=stop,
-            sinks=sinks,
-            analytics=analytics,
-            window_sink=window_sink,
-            checkpoint_path=args.checkpoint,
-            checkpoint_interval_s=args.checkpoint_interval,
-            rotation_records=args.rotation_records,
-            chunk_size=args.chunk_size,
-            max_records=args.max_records,
-            telemetry=telemetry,
-            hooks=[exporter],
-        )
-        if args.resume:
-            runner.restore(checkpoint.header)
-        report = runner.run()
-
-    ending = "stopped by signal" if report.stopped else "source exhausted"
-    print(f"dart-agent[{agent_id}]: {ending} after {report.records} "
-          f"records ({report.wall_seconds:.1f}s)")
-    print(f"  deltas sent: {exporter.deltas_sent}  "
-          f"deferred: {exporter.deltas_deferred}  "
-          f"heartbeats: {exporter.heartbeats_sent}  "
-          f"reconnects: {client.reconnects}")
-    print(f"  rotations: {report.rotations}  "
-          f"checkpoints: {report.checkpoints}  "
-          f"windows shipped: {report.windows_shipped}")
-    if report.stopped and args.checkpoint:
-        print(f"  resume with: dart-agent {args.pcap} --collector "
-              f"{args.collector} --checkpoint {args.checkpoint} --resume")
-    return 0
+    return run(args, "dart-agent", collector=args.collector)
 
 
 if __name__ == "__main__":

@@ -20,14 +20,8 @@ from typing import Optional
 
 from ..analysis import evaluate_dart, render_table
 from ..baselines import tcptrace_const
-from ..core import Dart, DartConfig, make_leg_filter
-from ..engine import (
-    MonitorEngine,
-    MonitorOptions,
-    available,
-    create,
-    get_spec,
-)
+from ..core import DartConfig, make_leg_filter
+from ..engine import MonitorEngine, MonitorOptions, create
 from ..obs import add_telemetry_arguments, emitter_from_args
 from ..traces import CampusTraceConfig, generate_campus_trace, replay
 from .distargs import (
@@ -36,12 +30,9 @@ from .distargs import (
     distribution_rows,
     monitor_distribution,
 )
+from .shared import add_shard_arguments, build_monitor, tcp_monitors
 
 LARGE_RT = 1 << 18
-
-
-def _tcp_monitors() -> list:
-    return [n for n in available() if get_spec(n).record_kind == "tcp"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="pt-size")
     parser.add_argument(
         "--monitor", action="append", dest="monitors", metavar="NAME",
-        choices=_tcp_monitors(),
+        choices=tcp_monitors(),
         help="also evaluate these monitors on the same trace as reference "
              "rows (repeatable; they run side-by-side in one engine pass)",
     )
@@ -62,17 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--pt-slots", type=int, default=1 << 10,
                         help="fixed PT size for stages/recirc sweeps")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="run each sweep point as N flow-sharded "
-                             "parallel Dart instances (default 1 = serial)")
-    parser.add_argument("--parallel", choices=["process", "thread", "serial"],
-                        default="process",
-                        help="execution mode for --shards > 1 "
-                             "(default: process)")
-    parser.add_argument("--transport", choices=["shm", "queue"],
-                        default="shm",
-                        help="process-mode byte transport: shared-memory "
-                             "ring or mp.Queue fallback (default: shm)")
+    add_shard_arguments(parser)
     add_distribution_arguments(parser)
     add_telemetry_arguments(parser)
     return parser
@@ -124,22 +105,17 @@ def main(argv: Optional[list] = None) -> int:
         args, inner_factory=CollectAllAnalytics
     )
 
-    def build_monitor(config):
-        if args.shards > 1:
-            from ..cluster import ShardedDart
-
-            return ShardedDart(config, shards=args.shards,
-                               parallel=args.parallel,
-                               analytics_factory=dist_factory,
-                               transport=args.transport, leg_filter=leg())
-        analytics = dist_factory() if dist_factory is not None else None
-        return Dart(config, analytics=analytics, leg_filter=leg())
-
     extra = list(dict.fromkeys(args.monitors or ()))
     emitter = emitter_from_args(args)
-    points = [(label, build_monitor(config))
-              for label, config in sweep_points(args)]
-    reference_monitors = []
+    points = [
+        (label, build_monitor("dart", args, MonitorOptions(
+            config=config, leg_filter=leg(), analytics_factory=dist_factory
+        )))
+        for label, config in sweep_points(args)
+    ]
+    # The reference monitors are built once, whichever shape runs them.
+    options = MonitorOptions(leg_filter=leg())
+    reference_monitors = [(name, create(name, options)) for name in extra]
     from ..stream import GracefulShutdown
 
     with GracefulShutdown() as stop:
@@ -151,46 +127,27 @@ def main(argv: Optional[list] = None) -> int:
             # emitter sees the whole run (per-monitor chunk timings
             # included).
             engine = MonitorEngine(telemetry=emitter)
-            options = MonitorOptions(leg_filter=leg())
             for label, dart in points:
                 engine.add_monitor(dart, name=f"sweep-{label}")
-            for name in extra:
-                monitor = create(name, options)
-                engine.add_monitor(monitor, name=name)
-                reference_monitors.append((name, monitor))
-            engine.run(stop.wrap(trace.records))
         else:
             for _, dart in points:
                 if stop.triggered:
                     break
                 replay(trace.records, dart)
-            if extra:
-                # All reference monitors share one engine pass.
-                engine = MonitorEngine()
-                options = MonitorOptions(leg_filter=leg())
-                for name in extra:
-                    monitor = create(name, options)
-                    engine.add_monitor(monitor, name=name)
-                    reference_monitors.append((name, monitor))
-                engine.run(stop.wrap(trace.records))
+            # All reference monitors share one engine pass.
+            engine = MonitorEngine()
+        for name, monitor in reference_monitors:
+            engine.add_monitor(monitor, name=name)
+        if engine.runs:
+            engine.run(stop.wrap(trace.records))
     if stop.triggered:
         print("dart-bench: interrupted — reporting what completed",
               file=sys.stderr)
 
     rows = []
-    for label, dart in points:
-        perf = evaluate_dart(
-            reference,
-            [s.rtt_ns for s in dart.samples],
-            recirculations=dart.stats.recirculations,
-            packets_processed=dart.stats.packets_processed,
-        )
-        rows.append([
-            label, perf.error_p50, perf.error_p95, perf.error_p99,
-            perf.error_worst_5_95, perf.fraction_collected,
-            perf.recirculations_per_packet,
-        ])
-    for name, monitor in reference_monitors:
+    for label, monitor in points + [
+        (f"[{name}]", monitor) for name, monitor in reference_monitors
+    ]:
         stats = monitor.stats
         perf = evaluate_dart(
             reference,
@@ -199,9 +156,9 @@ def main(argv: Optional[list] = None) -> int:
             packets_processed=stats.packets_processed,
         )
         rows.append([
-            f"[{name}]", perf.error_p50, perf.error_p95,
-            perf.error_p99, perf.error_worst_5_95,
-            perf.fraction_collected, perf.recirculations_per_packet,
+            label, perf.error_p50, perf.error_p95, perf.error_p99,
+            perf.error_worst_5_95, perf.fraction_collected,
+            perf.recirculations_per_packet,
         ])
     print(render_table(
         [args.sweep, "err p50 (%)", "err p95 (%)", "err p99 (%)",

@@ -18,29 +18,25 @@ import argparse
 import sys
 from typing import Optional
 
-from ..core import DartConfig, dst_prefix_key, make_leg_filter
+from ..core import dst_prefix_key
 from ..detection import (
     BufferbloatConfig,
     BufferbloatDetector,
     DetectorConfig,
     InterceptionDetector,
 )
-from ..engine import (
-    MonitorEngine,
-    MonitorOptions,
-    available,
-    create,
-    get_spec,
-)
-from ..net.inet import format_prefix, ipv4_to_int, prefix_of
-from ..net.pcapng import read_any_capture
+from ..engine import MonitorEngine, MonitorOptions, create
+from ..net.inet import format_prefix
+from ..net.pcapng import read_any_frames
 from ..obs import add_telemetry_arguments, emitter_from_args
+from .shared import (
+    INTERNAL_HELP,
+    build_leg_filter,
+    internal_prefix,
+    tcp_monitors,
+)
 
 SEC = 1_000_000_000
-
-
-def _tcp_monitors() -> list:
-    return [n for n in available() if get_spec(n).record_kind == "tcp"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,11 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect interception/bufferbloat events in a capture.",
     )
     parser.add_argument("pcap", help="capture file (pcap or pcapng)")
-    parser.add_argument("--monitor", choices=_tcp_monitors(), default="dart",
+    parser.add_argument("--monitor", choices=tcp_monitors(), default="dart",
                         help="RTT monitor feeding the detectors "
                              "(default: dart)")
+    # Required here, and the detectors watch the external leg only, so
+    # this script carries --internal without the leg group's --leg.
     parser.add_argument("--internal", metavar="PREFIX", required=True,
-                        help="internal network as a.b.c.d/len")
+                        type=internal_prefix, help=INTERNAL_HELP)
     parser.add_argument("--prefix-len", type=int, default=24,
                         help="aggregation prefix for detection (default 24)")
     parser.add_argument("--window", type=int, default=8,
@@ -119,25 +117,14 @@ class DetectionSink:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    network_text, _, length_text = args.internal.partition("/")
-    network = ipv4_to_int(network_text)
-    length = int(length_text) if length_text else 32
-    network = prefix_of(network, length)
-
-    options = MonitorOptions(
-        config=DartConfig(),
-        leg_filter=make_leg_filter(
-            lambda addr: addr < (1 << 32)
-            and prefix_of(addr, length) == network,
-            legs=("external",),
-        ),
-    )
-    monitor = create(args.monitor, options)
+    monitor = create(args.monitor, MonitorOptions(
+        leg_filter=build_leg_filter(args.internal, "external")
+    ))
     sink = DetectionSink(prefix_len=args.prefix_len, window=args.window,
                          rise_factor=args.rise_factor)
     engine = MonitorEngine(telemetry=emitter_from_args(args))
     engine.add_monitor(monitor, name=args.monitor, sinks=[sink])
-    engine.run(read_any_capture(args.pcap))
+    engine.run_frames(read_any_frames(args.pcap))
 
     print(f"\n{monitor.stats.packets_processed} packets, "
           f"{monitor.stats.samples} samples, "

@@ -3,7 +3,8 @@
 ``dart-replay``, ``dart-bench``, and ``dart-stream`` all expose the same
 distribution-analytics knobs; this module owns the argparse group, the
 flag-to-:class:`~repro.core.hist.HistogramSpec` translation, and the
-summary-table rows so the three front-ends cannot drift apart.
+summary-table rows so the three front-ends cannot drift apart
+(:mod:`repro.cli.shared` holds the other shared groups the same way).
 """
 
 from __future__ import annotations
@@ -122,16 +123,14 @@ def build_distribution(
     args: argparse.Namespace,
     inner=None,
 ) -> Optional[DistributionAnalytics]:
-    """One configured instance (serial paths: ``dart-stream``)."""
-    factory = distribution_factory_from_args(args)
-    if factory is None:
-        return inner
-    built = factory()
-    if inner is not None:
-        # Re-attach the caller's existing analytics (e.g. the stream
-        # daemon's MinFilter) as the delegated inner stage.
-        built._inner = inner
-    return built
+    """One configured instance (serial paths: ``dart-stream``), with
+    the caller's existing analytics (e.g. the daemon's MinFilter) as
+    its delegated inner stage; ``inner`` itself when no flag asks for
+    a distribution."""
+    factory = distribution_factory_from_args(
+        args, inner_factory=lambda: inner
+    )
+    return inner if factory is None else factory()
 
 
 def monitor_distribution(monitor) -> Optional[DistributionAnalytics]:

@@ -22,15 +22,22 @@ import sys
 from typing import Optional
 
 from ..analysis import percentile, render_table
-from ..core import DartConfig, make_leg_filter
-from ..engine import MonitorEngine, MonitorOptions, available, create, get_spec
-from ..net.inet import ipv4_to_int, prefix_of
+from ..engine import MonitorEngine, available, get_spec
 from ..obs import add_telemetry_arguments, emitter_from_args
 from .distargs import (
     add_distribution_arguments,
     distribution_factory_from_args,
     distribution_rows,
     monitor_distribution,
+)
+from .shared import (
+    add_export_arguments,
+    add_leg_arguments,
+    add_shard_arguments,
+    add_table_arguments,
+    build_monitor,
+    export_sinks,
+    monitor_options,
 )
 
 
@@ -47,116 +54,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="monitor(s) to run in one trace pass (repeatable; default: "
              f"dart; choices: {', '.join(available())})",
     )
-    parser.add_argument(
-        "--internal", metavar="PREFIX",
-        help="internal network as a.b.c.d/len; enables leg separation "
-             "(TCP monitors) and orients the spin-bit observer (spinbit)",
-    )
-    parser.add_argument(
-        "--leg", choices=["external", "internal", "both"], default="both",
-        help="which leg(s) to measure (requires --internal)",
-    )
-    parser.add_argument("--rt-slots", type=int, default=None,
-                        help="Range Tracker slots (default: unlimited)")
-    parser.add_argument("--pt-slots", type=int, default=None,
-                        help="Packet Tracker slots (default: unlimited)")
-    parser.add_argument("--stages", type=int, default=1,
-                        help="PT stage count (default 1)")
-    parser.add_argument("--recirc", type=int, default=1,
-                        help="max recirculations per record (default 1)")
-    parser.add_argument("--handshake", action="store_true",
-                        help="track SYN/SYN-ACK packets (+SYN mode)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="flow-shard each TCP monitor across N parallel "
-                             "instances (default 1 = serial)")
-    parser.add_argument("--parallel", choices=["process", "thread", "serial"],
-                        default="process",
-                        help="execution mode for --shards > 1 "
-                             "(default: process)")
-    parser.add_argument("--transport", choices=["shm", "queue"],
-                        default="shm",
-                        help="process-mode byte transport: shared-memory "
-                             "ring or mp.Queue fallback (default: shm)")
+    add_leg_arguments(parser)
+    add_table_arguments(parser)
+    add_shard_arguments(parser)
     parser.add_argument("--dump", action="store_true",
                         help="print one line per RTT sample")
-    parser.add_argument("--csv", metavar="PATH",
-                        help="also stream samples to a CSV file")
-    parser.add_argument("--jsonl", metavar="PATH",
-                        help="also stream samples to a JSONL file")
-    parser.add_argument("--reports", metavar="PATH",
-                        help="also stream binary report records (the "
-                             "switch-to-collector format)")
+    add_export_arguments(parser)
     parser.add_argument("--flows", type=int, metavar="N", default=0,
                         help="print per-flow summaries for the N busiest "
                              "flows")
     add_distribution_arguments(parser)
     add_telemetry_arguments(parser)
     return parser
-
-
-def parse_prefix(text: str):
-    network_text, _, length_text = text.partition("/")
-    network = ipv4_to_int(network_text)
-    length = int(length_text) if length_text else 32
-    return prefix_of(network, length), length
-
-
-def build_leg_filter(args):
-    if args.internal:
-        network, length = parse_prefix(args.internal)
-        legs = (("external", "internal") if args.leg == "both"
-                else (args.leg,))
-        return make_leg_filter(
-            lambda addr: prefix_of(addr, length) == network, legs=legs
-        )
-    if args.leg != "both":
-        raise SystemExit("--leg requires --internal to orient the path")
-    return None
-
-
-def build_options(args) -> MonitorOptions:
-    """One options bundle configuring every selected monitor."""
-    is_client = None
-    if args.internal:
-        network, length = parse_prefix(args.internal)
-
-        def is_client(addr: int) -> bool:
-            return prefix_of(addr, length) == network
-
-    from ..core.analytics import CollectAllAnalytics
-
-    return MonitorOptions(
-        config=DartConfig(
-            rt_slots=args.rt_slots,
-            pt_slots=args.pt_slots,
-            pt_stages=args.stages,
-            max_recirculations=args.recirc,
-            track_handshake=args.handshake,
-        ),
-        leg_filter=build_leg_filter(args),
-        track_handshake=args.handshake,
-        is_client=is_client,
-        # The distribution stage wraps a CollectAll inner so the replay
-        # summary's per-sample reads (`monitor.samples`) keep working.
-        analytics_factory=distribution_factory_from_args(
-            args, inner_factory=CollectAllAnalytics
-        ),
-    )
-
-
-def build_monitor(name: str, args, options: MonitorOptions):
-    """One serial monitor, or a flow-sharded cluster of them."""
-    if args.shards > 1:
-        from ..cluster import ShardedMonitor
-        from ..engine import monitor_factory
-
-        return ShardedMonitor(
-            shards=args.shards,
-            parallel=args.parallel,
-            transport=args.transport,
-            monitor_factory=monitor_factory(name, options),
-        )
-    return create(name, options)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -173,17 +82,20 @@ def main(argv: Optional[list] = None) -> int:
     kind = kinds.pop()
     if kind == "quic" and args.shards > 1:
         raise SystemExit("--shards applies to TCP monitors only")
-    options = build_options(args)
 
-    from ..export import CsvSink, FlowSummarySink, JsonlSink, ReportFileSink
+    from ..core.analytics import CollectAllAnalytics
+    from ..export import FlowSummarySink
+    from ..stream import SINK_KINDS, GracefulShutdown
 
-    extra_sinks = []
-    if args.csv:
-        extra_sinks.append(CsvSink(args.csv))
-    if args.jsonl:
-        extra_sinks.append(JsonlSink(args.jsonl))
-    if args.reports:
-        extra_sinks.append(ReportFileSink(args.reports))
+    # The distribution stage wraps a CollectAll inner so the summary's
+    # per-sample reads (`monitor.samples`) keep working.
+    options = monitor_options(
+        args,
+        analytics_factory=distribution_factory_from_args(
+            args, inner_factory=CollectAllAnalytics
+        ),
+    )
+    extra_sinks = export_sinks(args, lambda kind, path: SINK_KINDS[kind](path))
     summaries = FlowSummarySink() if args.flows else None
     if summaries is not None:
         extra_sinks.append(summaries)
@@ -198,8 +110,6 @@ def main(argv: Optional[list] = None) -> int:
             record_kind=kind,
         )
 
-    from ..stream import GracefulShutdown
-
     with GracefulShutdown() as stop:
         # A SIGTERM/SIGINT stops ingest at the next record; the engine
         # then finalizes and flushes sinks normally, so an interrupted
@@ -209,20 +119,9 @@ def main(argv: Optional[list] = None) -> int:
 
             report = engine.run(stop.wrap(read_quic_capture(args.pcap)))
         else:
-            # Raw frames in: the engine picks the decoder (columnar
-            # when numpy is importable, per-frame objects otherwise).
-            from itertools import islice
-
-            from ..core.pipeline import TRACE_CHUNK
             from ..net.pcapng import read_any_frames
 
-            frames = iter(stop.wrap(read_any_frames(args.pcap)))
-            while True:
-                chunk = list(islice(frames, TRACE_CHUNK))
-                if not chunk:
-                    break
-                engine.ingest_wire_chunk(chunk)
-            report = engine.finish()
+            report = engine.run_frames(stop.wrap(read_any_frames(args.pcap)))
     if stop.triggered:
         print("dart-replay: interrupted — finalized and flushed after "
               f"{report.records} records", file=sys.stderr)

@@ -29,22 +29,13 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
-from ..core import DartConfig
 from ..core.analytics import DstPrefixKey, MinFilterAnalytics
-from ..core.pipeline import PrefixLegFilter
-from ..engine import (
-    MonitorEngine,
-    MonitorOptions,
-    available,
-    create,
-    get_spec,
-)
-from ..net.inet import ipv4_to_int, prefix_of
+from ..engine import MonitorEngine, create
 from ..net.packet import NS_PER_MS
 from ..obs import add_telemetry_arguments, emitter_from_args
-from .distargs import add_distribution_arguments, build_distribution
 from ..stream import (
     AnalyticsTap,
     CaptureFileSource,
@@ -54,13 +45,45 @@ from ..stream import (
     ResumableSink,
     StreamRunner,
     TailCaptureSource,
-    read_checkpoint,
     read_header,
+    resume_run,
+)
+from .distargs import add_distribution_arguments, build_distribution
+from .shared import (
+    add_export_arguments,
+    add_leg_arguments,
+    add_table_arguments,
+    export_sinks,
+    monitor_options,
+    tcp_monitors,
 )
 
 
-def _tcp_monitors() -> List[str]:
-    return [n for n in available() if get_spec(n).record_kind == "tcp"]
+def add_configuration_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags that configure a *fresh* run: what to measure, the
+    analytics over it, the files it writes.  A checkpoint holds what
+    they built, so ``--resume`` ignores them (and :func:`run` says so).
+    """
+    add_leg_arguments(parser)
+    add_table_arguments(parser)
+    window = parser.add_mutually_exclusive_group()
+    window.add_argument("--window-samples", type=int, metavar="N",
+                        help="min-filter analytics: close a window every "
+                             "N samples per key")
+    window.add_argument("--window-ms", type=float, metavar="MS",
+                        help="min-filter analytics: close a window every "
+                             "MS milliseconds per key")
+    parser.add_argument("--window-prefix", type=int, metavar="LEN",
+                        help="aggregate windows per destination /LEN "
+                             "prefix instead of per flow")
+    parser.add_argument("--retain-windows", type=int, default=64, metavar="N",
+                        help="per-key closed-window index depth "
+                             "(default 64; bounds daemon memory)")
+    add_export_arguments(parser)
+    parser.add_argument("--windows", metavar="PATH",
+                        help="stream closed analytics windows as JSONL "
+                             "(requires --window-samples/--window-ms)")
+    add_distribution_arguments(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a checkpoint's header as JSON and exit",
     )
     parser.add_argument(
-        "--monitor", default="dart", choices=_tcp_monitors(),
+        "--monitor", default="dart", choices=tcp_monitors(),
         help="monitor to run (default: dart)",
     )
     mode = parser.add_mutually_exclusive_group()
@@ -90,46 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay honoring trace timestamps in wall-clock time, "
              "optionally scaled (e.g. --pace 10 = 10x real time)",
     )
-    parser.add_argument(
-        "--internal", metavar="PREFIX",
-        help="internal network as a.b.c.d/len; enables leg separation",
-    )
-    parser.add_argument(
-        "--leg", choices=["external", "internal", "both"], default="both",
-        help="which leg(s) to measure (requires --internal)",
-    )
-    parser.add_argument("--rt-slots", type=int, default=None,
-                        help="Range Tracker slots (default: unlimited)")
-    parser.add_argument("--pt-slots", type=int, default=None,
-                        help="Packet Tracker slots (default: unlimited)")
-    parser.add_argument("--stages", type=int, default=1,
-                        help="PT stage count (default 1)")
-    parser.add_argument("--recirc", type=int, default=1,
-                        help="max recirculations per record (default 1)")
-    parser.add_argument("--handshake", action="store_true",
-                        help="track SYN/SYN-ACK packets (+SYN mode)")
-    window = parser.add_mutually_exclusive_group()
-    window.add_argument("--window-samples", type=int, metavar="N",
-                        help="min-filter analytics: close a window every "
-                             "N samples per key")
-    window.add_argument("--window-ms", type=float, metavar="MS",
-                        help="min-filter analytics: close a window every "
-                             "MS milliseconds per key")
-    parser.add_argument("--window-prefix", type=int, metavar="LEN",
-                        help="aggregate windows per destination /LEN "
-                             "prefix instead of per flow")
-    parser.add_argument("--retain-windows", type=int, default=64, metavar="N",
-                        help="per-key closed-window index depth "
-                             "(default 64; bounds daemon memory)")
-    parser.add_argument("--csv", metavar="PATH",
-                        help="stream samples to a CSV file")
-    parser.add_argument("--jsonl", metavar="PATH",
-                        help="stream samples to a JSONL file")
-    parser.add_argument("--reports", metavar="PATH",
-                        help="stream binary report records")
-    parser.add_argument("--windows", metavar="PATH",
-                        help="stream closed analytics windows as JSONL "
-                             "(requires --window-samples/--window-ms)")
+    add_configuration_arguments(parser)
     parser.add_argument("--checkpoint", metavar="PATH",
                         help="write state snapshots here (on an interval "
                              "and on SIGTERM/SIGINT)")
@@ -158,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="--follow: give up (and finalize) after this "
                              "long with no new records (default: wait "
                              "forever)")
-    add_distribution_arguments(parser)
     add_telemetry_arguments(parser)
     return parser
 
@@ -198,66 +181,52 @@ def build_analytics(args):
     return build_distribution(args, inner=min_filter)
 
 
-def build_leg_filter(args) -> Optional[PrefixLegFilter]:
-    if args.internal:
-        network_text, _, length_text = args.internal.partition("/")
-        length = int(length_text) if length_text else 32
-        network = prefix_of(ipv4_to_int(network_text), length)
-        legs = (
-            ("external", "internal") if args.leg == "both" else (args.leg,)
-        )
-        # PrefixLegFilter (not make_leg_filter's closure) so the monitor
-        # pickles into checkpoints.
-        return PrefixLegFilter(network=network, prefix_len=length, legs=legs)
-    if args.leg != "both":
-        raise SystemExit("--leg requires --internal to orient the path")
-    return None
-
-
-def build_source(args, resume_offset: Optional[int],
-                 capture_format: Optional[str]):
+def build_source(args, resumed=None):
+    """The packet source the mode flags ask for, continuing where
+    ``resumed`` (a :class:`~repro.stream.runner.ResumedRun`) stopped."""
+    at = resumed.source_kwargs if resumed is not None else {}
     if args.follow:
         return TailCaptureSource(
             args.pcap,
             poll_interval_s=args.poll_interval,
             idle_timeout_s=args.idle_timeout,
-            capture_format=capture_format,
-            resume_offset=resume_offset,
+            **at,
         )
     if args.pace is not None:
-        return PacedReplaySource(
-            args.pcap,
-            speed=args.pace,
-            capture_format=capture_format,
-            resume_offset=resume_offset,
-        )
-    return CaptureFileSource(
-        args.pcap,
-        capture_format=capture_format,
-        resume_offset=resume_offset,
-    )
+        return PacedReplaySource(args.pcap, speed=args.pace, **at)
+    return CaptureFileSource(args.pcap, **at)
 
 
-def _fresh_sinks(args) -> List[ResumableSink]:
-    sinks = []
-    if args.csv:
-        sinks.append(ResumableSink("csv", args.csv))
-    if args.jsonl:
-        sinks.append(ResumableSink("jsonl", args.jsonl))
-    if args.reports:
-        sinks.append(ResumableSink("reports", args.reports))
-    if args.windows:
-        sinks.append(ResumableSink("windows", args.windows))
-    return sinks
+def note_ignored_on_resume(args: argparse.Namespace, prog: str) -> None:
+    """Name, on stderr, the configuration flags given a non-default
+    value alongside ``--resume``: the checkpoint's configuration wins."""
+    probe = argparse.ArgumentParser(add_help=False)
+    add_configuration_arguments(probe)
+    ignored = [
+        "--" + dest.replace("_", "-")
+        for dest, default in vars(probe.parse_args([])).items()
+        if getattr(args, dest) != default
+    ]
+    if ignored:
+        print(f"{prog}: --resume continues with the checkpoint's monitor, "
+              "analytics and output files; ignored: " + " ".join(ignored),
+              file=sys.stderr)
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace, prog: str,
+        collector: Optional[str] = None) -> int:
+    """The daemon behind ``dart-stream`` and ``dart-agent``.
+
+    ``collector`` (``dart-agent --collector``) attaches the fleet to the
+    same run: a :class:`~repro.fleet.FleetExporter` hook, a
+    :class:`~repro.fleet.FlowCountTap` on the sample stream and a
+    :class:`~repro.fleet.WindowTee` on the closed windows.
+    """
     if args.inspect:
         try:
             header = read_header(args.inspect)
         except CheckpointError as exc:
-            raise SystemExit(f"dart-stream: {exc}")
+            raise SystemExit(f"{prog}: {exc}")
         try:
             print(json.dumps(header, indent=2, sort_keys=True))
             sys.stdout.flush()
@@ -267,62 +236,60 @@ def main(argv: Optional[list] = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     if not args.pcap:
-        raise SystemExit("dart-stream: a capture file is required")
+        raise SystemExit(f"{prog}: a capture file is required")
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint")
 
     telemetry = emitter_from_args(args)
-    resume_offset: Optional[int] = None
-    capture_format: Optional[str] = None
-
+    resumed = None
     if args.resume:
         try:
-            checkpoint = read_checkpoint(args.checkpoint)
+            resumed = resume_run(args.checkpoint, args.monitor)
         except CheckpointError as exc:
-            raise SystemExit(f"dart-stream: cannot resume: {exc}")
-        if checkpoint.finalized:
-            raise SystemExit(
-                "dart-stream: cannot resume: the run behind "
-                f"{args.checkpoint} already finalized"
-            )
-        monitors = checkpoint.payload["monitors"]
-        if args.monitor not in monitors:
-            known = ", ".join(sorted(monitors))
-            raise SystemExit(
-                f"dart-stream: checkpoint holds {known!r}, not "
-                f"{args.monitor!r} — resume with the monitor the run "
-                "started with"
-            )
-        monitor = monitors[args.monitor]
-        analytics = checkpoint.payload.get("analytics")
-        sinks = [
-            ResumableSink.resume(state)
-            for state in checkpoint.header["sinks"]
-        ]
-        source_state = checkpoint.header["source"]
-        resume_offset = source_state["offset"]
-        capture_format = source_state.get("format")
+            raise SystemExit(f"{prog}: cannot resume: {exc}")
+        note_ignored_on_resume(args, prog)
+        monitor, analytics, sinks = (
+            resumed.monitor, resumed.analytics, resumed.sinks
+        )
     else:
         analytics = build_analytics(args)
-        options = MonitorOptions(
-            config=DartConfig(
-                rt_slots=args.rt_slots,
-                pt_slots=args.pt_slots,
-                pt_stages=args.stages,
-                max_recirculations=args.recirc,
-                track_handshake=args.handshake,
-            ),
-            leg_filter=build_leg_filter(args),
-            track_handshake=args.handshake,
-            analytics=analytics if args.monitor == "dart" else None,
-        )
-        monitor = create(args.monitor, options)
-        sinks = _fresh_sinks(args)
+        monitor = create(args.monitor, monitor_options(
+            args, analytics=analytics if args.monitor == "dart" else None
+        ))
+        sinks = export_sinks(args, ResumableSink)
+        if args.windows:
+            sinks.append(ResumableSink("windows", args.windows))
 
     window_sink = next((s for s in sinks if s.kind == "windows"), None)
-    sample_sinks = [s for s in sinks if s.kind != "windows"]
-    engine = MonitorEngine(chunk_size=args.chunk_size, telemetry=telemetry)
-    engine_sinks: List = list(sample_sinks)
+    engine = MonitorEngine(telemetry=telemetry)
+    engine_sinks: List = [s for s in sinks if s.kind != "windows"]
+    label, exporter = prog, None
+    if collector:
+        from .. import fleet
+
+        agent_id = args.agent_id or Path(args.pcap).stem
+        label = f"{prog}[{agent_id}]"
+        client = fleet.CollectorClient(collector)
+        flow_tap = fleet.FlowCountTap()
+        engine_sinks.append(flow_tap)
+        exporter = fleet.FleetExporter(
+            client,
+            agent_id,
+            engine=engine,
+            monitor_name=args.monitor,
+            flow_tap=flow_tap,
+            analytics=analytics,
+            telemetry=telemetry,
+            push_interval_s=args.push_interval,
+            heartbeat_interval_s=args.heartbeat_interval,
+        )
+        if resumed is not None:
+            exporter.restore(resumed.hook_states.get(exporter.name))
+        if analytics is not None:
+            window_sink = fleet.WindowTee(
+                sinks=[window_sink] if window_sink else [],
+                taps=[exporter],
+            )
     if analytics is not None and args.monitor != "dart":
         # Non-dart monitors don't embed analytics; feed it the routed
         # sample stream instead (on resume the restored analytics is
@@ -331,8 +298,7 @@ def main(argv: Optional[list] = None) -> int:
         engine_sinks.append(AnalyticsTap(analytics))
     engine.add_monitor(monitor, name=args.monitor, sinks=engine_sinks)
 
-    source = build_source(args, resume_offset, capture_format)
-
+    source = build_source(args, resumed)
     with GracefulShutdown() as stop:
         runner = StreamRunner(
             engine,
@@ -347,16 +313,22 @@ def main(argv: Optional[list] = None) -> int:
             chunk_size=args.chunk_size,
             max_records=args.max_records,
             telemetry=telemetry,
+            hooks=[exporter] if exporter is not None else [],
         )
-        if args.resume:
-            runner.restore(checkpoint.header)
+        if resumed is not None:
+            runner.restore(resumed.header)
         report = runner.run()
 
     ending = "stopped by signal" if report.stopped else "source exhausted"
-    print(f"dart-stream: {ending} after {report.records} records "
+    print(f"{label}: {ending} after {report.records} records "
           f"({report.wall_seconds:.1f}s)")
     snapshot = getattr(analytics, "distribution_snapshot", None)
-    if callable(snapshot):
+    if exporter is not None:
+        print(f"  deltas sent: {exporter.deltas_sent}  "
+              f"deferred: {exporter.deltas_deferred}  "
+              f"heartbeats: {exporter.heartbeats_sent}  "
+              f"reconnects: {client.reconnects}")
+    elif callable(snapshot):
         distribution = snapshot()
         if distribution.count:
             quantiles = "  ".join(
@@ -368,12 +340,18 @@ def main(argv: Optional[list] = None) -> int:
     print(f"  rotations: {report.rotations}  "
           f"checkpoints: {report.checkpoints}  "
           f"windows shipped: {report.windows_shipped}")
-    for path, count in report.sink_counts.items():
-        print(f"  {path}: {count} rows")
+    if exporter is None:
+        for path, count in report.sink_counts.items():
+            print(f"  {path}: {count} rows")
     if report.stopped and args.checkpoint:
-        print(f"  resume with: dart-stream {args.pcap} --checkpoint "
-              f"{args.checkpoint} --resume")
+        to_collector = f"--collector {collector} " if collector else ""
+        print(f"  resume with: {prog} {args.pcap} {to_collector}"
+              f"--checkpoint {args.checkpoint} --resume")
     return 0
+
+
+def main(argv: Optional[list] = None) -> int:
+    return run(build_parser().parse_args(argv), "dart-stream")
 
 
 if __name__ == "__main__":

@@ -348,16 +348,26 @@ class MonitorEngine:
         self._report = report
         return report
 
+    def _chunks(self, items: Iterable[Any]) -> Iterable[List[Any]]:
+        """``items`` in lists of at most ``chunk_size``."""
+        iterator = iter(items)
+        while chunk := list(islice(iterator, self._chunk_size)):
+            yield chunk
+
     def run(self, records: Iterable[Any]) -> EngineReport:
         """Feed every record to every attached monitor, then finalize."""
         self._begin_ingest()
-        iterator = iter(records)
-        chunk_size = self._chunk_size
-        while True:
-            chunk = list(islice(iterator, chunk_size))
-            if not chunk:
-                break
+        for chunk in self._chunks(records):
             self.ingest_chunk(chunk)
+        return self.finish()
+
+    def run_frames(self, frames: Iterable[Any]) -> EngineReport:
+        """:meth:`run` for raw capture frames: every ``(timestamp_ns,
+        linktype_ethernet, frame)`` goes through
+        :meth:`ingest_wire_chunk`, which picks the decoder."""
+        self._begin_ingest()
+        for chunk in self._chunks(frames):
+            self.ingest_wire_chunk(chunk)
         return self.finish()
 
     # -- streaming hand-off ----------------------------------------------------

@@ -21,9 +21,9 @@ from .checkpoint import (
     read_header,
     write_checkpoint,
 )
-from .runner import StreamHook, StreamReport, StreamRunner
+from .runner import StreamHook, StreamReport, StreamRunner, resume_run
 from .signals import GracefulShutdown
-from .sinks import AnalyticsTap, ResumableSink
+from .sinks import SINK_KINDS, AnalyticsTap, ResumableSink
 from .sources import (
     CaptureFileSource,
     PacedReplaySource,
@@ -43,11 +43,13 @@ __all__ = [
     "AnalyticsTap",
     "ResumableSink",
     "SCHEMA",
+    "SINK_KINDS",
     "StreamHook",
     "StreamReport",
     "StreamRunner",
     "TailCaptureSource",
     "read_checkpoint",
     "read_header",
+    "resume_run",
     "write_checkpoint",
 ]

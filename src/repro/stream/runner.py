@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .checkpoint import write_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .signals import GracefulShutdown
 from .sinks import ResumableSink
 from .sources import PacketSource
@@ -255,6 +255,7 @@ class StreamRunner:
     # -- checkpointing -----------------------------------------------------
 
     def _checkpoint(self, *, finalized: bool) -> None:
+        """Snapshot the run; :func:`resume_run` reads this layout back."""
         if self._checkpoint_path is None:
             return
         started = self._clock()
@@ -360,3 +361,51 @@ class StreamRunner:
             "dart_stream_source_lag_bytes",
             "Capture bytes on disk not yet read by the source",
         ).set((), self._source.lag_bytes())
+
+
+@dataclass(slots=True)
+class ResumedRun:
+    """What :func:`resume_run` restores: the monitor and analytics, each
+    hook's ``checkpoint_payload()`` by ``StreamHook.name``, every output
+    file truncated to its checkpointed offset and reopened for append,
+    the ``capture_format=``/``resume_offset=`` keywords that make any
+    :class:`PacketSource` continue where the run stopped, and the header
+    for :meth:`StreamRunner.restore`."""
+
+    monitor: Any
+    analytics: Any
+    hook_states: Dict[str, Any]
+    sinks: List[ResumableSink]
+    source_kwargs: Dict[str, Any]
+    header: Dict[str, Any]
+
+
+def resume_run(path: str, monitor_name: str) -> ResumedRun:
+    """Unpack what :meth:`StreamRunner._checkpoint` wrote at ``path`` —
+    the only reader of that layout.
+
+    Raises :class:`CheckpointError` when the file fails validation, the
+    run behind it already finalized, or it does not hold
+    ``monitor_name`` — all before any output file is touched.
+    """
+    checkpoint = read_checkpoint(path)
+    if checkpoint.finalized:
+        raise CheckpointError(f"the run behind {path} already finalized")
+    monitors = checkpoint.payload["monitors"]
+    if monitor_name not in monitors:
+        known = ", ".join(sorted(monitors))
+        raise CheckpointError(
+            f"checkpoint holds {known!r}, not {monitor_name!r} — resume "
+            "with the monitor the run started with"
+        )
+    source = checkpoint.header["source"]
+    return ResumedRun(
+        monitor=monitors[monitor_name],
+        analytics=checkpoint.payload.get("analytics"),
+        hook_states=checkpoint.payload.get("hooks", {}),
+        sinks=[ResumableSink.resume(state)
+               for state in checkpoint.header["sinks"]],
+        source_kwargs={"capture_format": source.get("format"),
+                       "resume_offset": source["offset"]},
+        header=checkpoint.header,
+    )

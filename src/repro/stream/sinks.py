@@ -25,7 +25,9 @@ from .checkpoint import CheckpointCorrupt
 
 PathLike = Union[str, Path]
 
-_FACTORIES = {
+#: Export file kind (a checkpoint's ``sinks[].kind``, a CLI export
+#: flag's name) -> the sink class that writes it.
+SINK_KINDS = {
     "csv": CsvSink,
     "jsonl": JsonlSink,
     "reports": ReportFileSink,
@@ -45,9 +47,9 @@ class ResumableSink:
     def __init__(self, kind: str, path: PathLike, *,
                  append: bool = False) -> None:
         try:
-            factory = _FACTORIES[kind]
+            factory = SINK_KINDS[kind]
         except KeyError:
-            known = ", ".join(sorted(_FACTORIES))
+            known = ", ".join(sorted(SINK_KINDS))
             raise ValueError(
                 f"unknown sink kind {kind!r} (known: {known})"
             ) from None

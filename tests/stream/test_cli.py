@@ -149,3 +149,82 @@ class TestValidation:
                            match="resume with the monitor"):
             main([str(campus_pcap), "--checkpoint", str(ckpt),
                   "--resume"])
+
+
+class StopAfterFirstChunk:
+    """Stands in for GracefulShutdown: the run stops (un-finalized, with
+    a resumable checkpoint) at its first chunk boundary."""
+
+    triggered = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestResumeIgnoresConfiguration:
+    """On --resume the monitor, analytics and output files come from the
+    checkpoint; configuration flags given alongside are named once on
+    stderr instead of being silently dropped."""
+
+    @pytest.mark.parametrize("cli", ["stream", "agent"])
+    def test_ignored_flags_are_named(self, cli, campus_pcap, tmp_path,
+                                     capsys, monkeypatch):
+        import importlib
+
+        from repro.cli import stream as stream_cli
+
+        cli_main = importlib.import_module(f"repro.cli.{cli}").main
+        fleet = ([] if cli == "stream" else
+                 ["--collector", f"unix:{tmp_path}/nobody-listens.sock"])
+        ref, old, new = (tmp_path / name
+                         for name in ("ref.csv", "old.csv", "new.csv"))
+        ckpt = tmp_path / "state.ckpt"
+        assert cli_main([str(campus_pcap), *fleet, "--csv", str(ref)]) == 0
+
+        with monkeypatch.context() as patched:
+            patched.setattr(stream_cli, "GracefulShutdown",
+                            StopAfterFirstChunk)
+            assert cli_main([str(campus_pcap), *fleet, "--csv", str(old),
+                             "--chunk-size", "256",
+                             "--checkpoint", str(ckpt)]) == 0
+        assert "stopped by signal" in capsys.readouterr().out
+        assert 0 < old.stat().st_size < ref.stat().st_size
+
+        assert cli_main([str(campus_pcap), *fleet, "--checkpoint", str(ckpt),
+                         "--resume", "--csv", str(new), "--pt-slots", "64",
+                         "--internal", "10.0.0.0/8", "--window-samples", "4",
+                         "--hist-bins", "8", "--chunk-size", "256"]) == 0
+        captured = capsys.readouterr()
+        notes = [line for line in captured.err.splitlines()
+                 if "ignored" in line]
+        assert len(notes) == 1
+        assert notes[0].startswith(f"dart-{cli}: --resume ")
+        assert notes[0].endswith(
+            "ignored: --internal --pt-slots --window-samples --csv "
+            "--hist-bins")
+        # ... and they really were: the old file got the rest of the
+        # run, under the old (unlimited) tables.
+        assert not new.exists()
+        assert old.read_bytes() == ref.read_bytes()
+
+    def test_no_note_without_configuration_flags(self, campus_pcap,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        from repro.cli import stream as stream_cli
+
+        ckpt = tmp_path / "state.ckpt"
+        with monkeypatch.context() as patched:
+            patched.setattr(stream_cli, "GracefulShutdown",
+                            StopAfterFirstChunk)
+            assert main([str(campus_pcap), "--csv", str(tmp_path / "o.csv"),
+                         "--chunk-size", "256",
+                         "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main([str(campus_pcap), "--checkpoint", str(ckpt), "--resume",
+                     "--follow", "--idle-timeout", "0.05",
+                     "--poll-interval", "0.01", "--max-records", "100000",
+                     "--checkpoint-interval", "5"]) == 0
+        assert capsys.readouterr().err == ""

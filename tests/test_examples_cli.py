@@ -218,6 +218,51 @@ class TestDetectCli:
         assert "confirmed" not in out.replace("CONFIRMED", "")
 
 
+    @pytest.mark.parametrize("numpy_visible", [True, False])
+    def test_decoder_follows_numpy_and_never_changes_the_events(
+            self, attack_pcap, capsys, monkeypatch, numpy_visible):
+        """dart-detect hands raw frames to the engine like every other
+        capture reader, so it decodes columnar exactly when numpy is
+        importable — and prints what the per-frame object path prints."""
+        from repro.cli.detect import DetectionSink, main
+        from repro.core import Dart
+        from repro.core.pipeline import PrefixLegFilter
+        from repro.engine import MonitorEngine, MonitorOptions, create
+        from repro.net import columnar
+        from repro.net.inet import ipv4_to_int
+        from repro.net.pcapng import read_any_capture
+
+        if numpy_visible and not columnar.HAVE_NUMPY:
+            pytest.skip("needs numpy")
+        # The reference: decoded records through engine.run.
+        monitor = create("dart", MonitorOptions(leg_filter=PrefixLegFilter(
+            network=ipv4_to_int("10.0.0.0"), prefix_len=8,
+            legs=("external",))))
+        sink = DetectionSink(prefix_len=24, window=8, rise_factor=2.0)
+        engine = MonitorEngine()
+        engine.add_monitor(monitor, name="dart", sinks=[sink])
+        engine.run(read_any_capture(attack_pcap))
+        reference = capsys.readouterr().out
+        assert "interception:confirmed" in reference
+
+        monkeypatch.setattr(columnar, "HAVE_NUMPY", numpy_visible)
+        columnar_batches = []
+        process_columns = Dart.process_columns
+
+        def spy(self, cols):
+            columnar_batches.append(cols.n)
+            return process_columns(self, cols)
+
+        monkeypatch.setattr(Dart, "process_columns", spy)
+        code = main([str(attack_pcap), "--internal", "10.0.0.0/8"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out == reference + (
+            "interception CONFIRMED on: "
+            f"{', '.join(sink.confirmed_prefixes())}\n")
+        assert bool(columnar_batches) == numpy_visible
+
+
 class TestBenchCli:
     def test_stage_sweep_runs(self, capsys):
         from repro.cli.bench import main
