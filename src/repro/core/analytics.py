@@ -268,7 +268,11 @@ class MinFilterAnalytics:
         waste bandwidth (paper §3.3, "preemptively discard useless
         samples").
         """
-        key = self._key_fn(_probe_sample(flow, now_ns))
+        key_fn = self._key_fn
+        if key_fn is flow_key:
+            key = flow  # the default key of a sample *is* its flow
+        else:
+            key = key_fn(_probe_sample(flow, now_ns))
         current = self.current_min(key)
         if current is None:
             return True

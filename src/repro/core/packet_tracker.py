@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .flow import FlowKey
 from .hashing import _mix32, pack2_u32, stage_index_from_crc
@@ -95,10 +95,6 @@ class PtRecord:
             mix = self._mix0 = _mix32(self.key_crc())
         return mix
 
-    def matches(self, signature: int, eack: int) -> bool:
-        """Constrained-mode match: 4-byte signature plus expected ACK."""
-        return self.signature == signature and self.eack == eack
-
     _CACHE_SLOTS = ("_key", "_crc", "_mix0")
 
     def __getstate__(self):
@@ -127,10 +123,16 @@ class InsertStatus(enum.Enum):
     UNPLACED = "unplaced"          # no slot available this pass
 
 
-@dataclass(slots=True)
-class InsertOutcome:
+class InsertOutcome(NamedTuple):
     status: InsertStatus
     evicted: Optional[PtRecord] = None
+
+
+# Only an eviction carries a record; every other pass returns one of these.
+_PLACED = InsertOutcome(InsertStatus.PLACED)
+_DUPLICATE = InsertOutcome(InsertStatus.DUPLICATE)
+_CYCLE = InsertOutcome(InsertStatus.CYCLE)
+_UNPLACED = InsertOutcome(InsertStatus.UNPLACED)
 
 
 @dataclass(slots=True)
@@ -169,10 +171,10 @@ class AssociativePacketTable:
             # past range tracking; the older record is kept (paper: older
             # records are preferred).
             self.stats.duplicates += 1
-            return InsertOutcome(InsertStatus.DUPLICATE)
+            return _DUPLICATE
         self._records[key] = record
         self.stats.placed_empty += 1
-        return InsertOutcome(InsertStatus.PLACED)
+        return _PLACED
 
     def match_ack(self, flow: FlowKey, ack: int, *,
                   key_crc: Optional[int] = None,
@@ -230,46 +232,48 @@ class StagedPacketTable:
     def stage_slots(self) -> int:
         return self._stage_slots
 
-    def _force_stage(self, record: PtRecord) -> Optional[int]:
-        """Stage at which this pass holds eviction rights (None = none)."""
-        if record.recirc_count == 0:
+    def insert(self, record: PtRecord) -> InsertOutcome:
+        """One insertion pass; never recirculates by itself."""
+        stats = self.stats
+        stats.insert_passes += 1
+        # The stage at which this pass holds eviction rights (None = none).
+        if record.recirc_count:
+            force_stage = (record.recirc_count - 1) % self._stage_count
+        else:
             # A fresh record in a single-stage table knows its only slot is
             # its last chance, so it evicts immediately (paper §3.2).  In a
             # multi-stage table it must first look for empty slots.
-            return 0 if self._stage_count == 1 else None
-        return (record.recirc_count - 1) % self._stage_count
-
-    def insert(self, record: PtRecord) -> InsertOutcome:
-        """One insertion pass; never recirculates by itself."""
-        self.stats.insert_passes += 1
-        force_stage = self._force_stage(record)
-        for stage in range(self._stage_count):
-            if stage == 0:
-                index = record.mix0() % self._stage_slots
+            force_stage = 0 if self._stage_count == 1 else None
+        signature = record.signature
+        eack = record.eack
+        size = self._stage_slots
+        for stage, slots in enumerate(self._stages):
+            if stage:
+                index = stage_index_from_crc(record.key_crc(), stage, size)
             else:
-                index = stage_index_from_crc(record.key_crc(), stage,
-                                             self._stage_slots)
-            occupant = self._stages[stage][index]
+                mix = record._mix0  # set by the classifier or a past pass
+                index = (record.mix0() if mix is None else mix) % size
+            occupant = slots[index]
             if occupant is None:
-                self._stages[stage][index] = record
+                slots[index] = record
                 self._occupied += 1
-                self.stats.placed_empty += 1
-                return InsertOutcome(InsertStatus.PLACED)
-            if occupant.matches(record.signature, record.eack):
-                self.stats.duplicates += 1
-                return InsertOutcome(InsertStatus.DUPLICATE)
+                stats.placed_empty += 1
+                return _PLACED
+            if occupant.signature == signature and occupant.eack == eack:
+                stats.duplicates += 1
+                return _DUPLICATE
             if stage == force_stage:
                 if record.last_evicted_id == occupant.record_id:
                     # About to evict the record we already evicted once:
                     # an eviction loop.  Self-destruct instead (paper §3.2).
-                    self.stats.cycle_self_destructs += 1
-                    return InsertOutcome(InsertStatus.CYCLE)
-                self._stages[stage][index] = record
+                    stats.cycle_self_destructs += 1
+                    return _CYCLE
+                slots[index] = record
                 record.last_evicted_id = occupant.record_id
-                self.stats.placed_evicting += 1
-                return InsertOutcome(InsertStatus.PLACED_EVICTING, evicted=occupant)
-        self.stats.unplaced += 1
-        return InsertOutcome(InsertStatus.UNPLACED)
+                stats.placed_evicting += 1
+                return InsertOutcome(InsertStatus.PLACED_EVICTING, occupant)
+        stats.unplaced += 1
+        return _UNPLACED
 
     def match_ack(self, flow: FlowKey, ack: int, *,
                   key_crc: Optional[int] = None,
@@ -289,15 +293,14 @@ class StagedPacketTable:
             key_crc = zlib.crc32(pack2_u32(signature, ack))
         if key_mix0 is None:
             key_mix0 = _mix32(key_crc)
-        for stage in range(self._stage_count):
-            if stage == 0:
-                index = key_mix0 % self._stage_slots
-            else:
-                index = stage_index_from_crc(key_crc, stage,
-                                             self._stage_slots)
-            occupant = self._stages[stage][index]
-            if occupant is not None and occupant.matches(signature, ack):
-                self._stages[stage][index] = None
+        size = self._stage_slots
+        for stage, slots in enumerate(self._stages):
+            index = (stage_index_from_crc(key_crc, stage, size) if stage
+                     else key_mix0 % size)
+            occupant = slots[index]
+            if (occupant is not None and occupant.signature == signature
+                    and occupant.eack == ack):
+                slots[index] = None
                 self._occupied -= 1
                 self.stats.matches += 1
                 return occupant

@@ -396,25 +396,20 @@ class Dart:
             stats.seq_packets += 1
             if shadow is not None:
                 self._enqueue_shadow_update("data", flow, seq, eack)
-            verdict = self.range_tracker.on_data(flow, seq, eack, now_ns=ts)
+            verdict = self.range_tracker.on_data(flow, seq, eack, ts)
             verdicts = stats.seq_verdicts
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
             if verdict.trackable:
                 pt_record = PtRecord(
-                    record_id=self._next_record_id,
-                    flow=flow,
-                    signature=flow.signature,
-                    eack=eack,
-                    timestamp_ns=ts,
-                    handshake=bool(role & ROLE_SYN),
-                    leg=leg,
-                )
+                    self._next_record_id, flow,
+                    flow.signature if flow_crc is None else flow_sig,
+                    eack, ts, bool(role & ROLE_SYN), leg)
                 if flow_crc is not None:
                     pt_record._crc = pt_crc
                     pt_record._mix0 = pt_mix
                 self._next_record_id += 1
                 stats.tracked_inserts += 1
-                self._insertion_loop([(pt_record, None)])
+                self._insertion_loop(pt_record)
 
         if not role & ROLE_ACK:
             return None
@@ -426,7 +421,7 @@ class Dart:
         stats.ack_packets += 1
         if shadow is not None:
             self._enqueue_shadow_update("ack", flow, ack, 0)
-        verdict = self.range_tracker.on_ack(flow, ack, now_ns=ts)
+        verdict = self.range_tracker.on_ack(flow, ack, ts)
         verdicts = stats.ack_verdicts
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
         if verdict is not AckVerdict.VALID:
@@ -436,14 +431,8 @@ class Dart:
                                                   key_mix0=match_mix)
         if pt_record is None:
             return None
-        sample = RttSample(
-            flow=pt_record.flow,
-            rtt_ns=ts - pt_record.timestamp_ns,
-            timestamp_ns=ts,
-            eack=ack,
-            handshake=pt_record.handshake,
-            leg=pt_record.leg,
-        )
+        sample = RttSample(pt_record.flow, ts - pt_record.timestamp_ns, ts,
+                           ack, pt_record.handshake, pt_record.leg)
         stats.samples += 1
         if sample.handshake:
             stats.handshake_samples += 1
@@ -452,40 +441,40 @@ class Dart:
 
     # -- PT insertion and the recirculation loop -----------------------------
 
-    def _insertion_loop(
-        self, pending: List[Tuple[PtRecord, Optional[int]]]
-    ) -> None:
-        """Run insertion passes until every displaced record settles."""
-        while pending:
-            candidate, evictor_id = pending.pop()
+    def _insertion_loop(self, candidate: Optional[PtRecord]) -> None:
+        """Run insertion passes until the record in flight settles.
+
+        A pass displaces at most one record (the occupant it evicts, or
+        the candidate itself when unplaced), so there is never a second
+        one waiting: the loop follows a chain, not a work list.
+        """
+        while candidate is not None:
             outcome = self.packet_tracker.insert(candidate)
-            if outcome.status is InsertStatus.PLACED:
-                continue
-            if outcome.status is InsertStatus.DUPLICATE:
-                continue
-            if outcome.status is InsertStatus.CYCLE:
+            status = outcome.status
+            if (status is InsertStatus.PLACED
+                    or status is InsertStatus.DUPLICATE):
+                return
+            if status is InsertStatus.CYCLE:
                 self.stats.cycle_self_destructs += 1
-                continue
-            if outcome.status is InsertStatus.PLACED_EVICTING:
+                return
+            if status is InsertStatus.PLACED_EVICTING:
                 self.stats.evictions += 1
-                follow = self._consider_recirculation(
+                candidate = self._consider_recirculation(
                     outcome.evicted, evictor_id=candidate.record_id
                 )
             else:  # UNPLACED: the candidate itself needs another pass
-                follow = self._consider_recirculation(
-                    candidate, evictor_id=evictor_id
+                candidate = self._consider_recirculation(
+                    candidate, evictor_id=None
                 )
-            if follow is not None:
-                pending.append(follow)
 
     def _consider_recirculation(
         self, candidate: PtRecord, *, evictor_id: Optional[int]
-    ) -> Optional[Tuple[PtRecord, Optional[int]]]:
+    ) -> Optional[PtRecord]:
         """Apply the §3.2 safeguards; returns work for an immediate pass.
 
-        Returns ``(record, evictor_id)`` when the record should re-enter
-        insertion right away, or None when it self-destructed or was
-        queued for delayed re-entry.
+        Returns the record when it should re-enter insertion right away,
+        or None when it self-destructed or was queued for delayed
+        re-entry.
         """
         if evictor_id is not None and candidate.last_evicted_id == evictor_id:
             # Cycle: evicted by the very record it evicted earlier.
@@ -529,16 +518,14 @@ class Dart:
             return None
         return self._revalidate(candidate)
 
-    def _revalidate(
-        self, candidate: PtRecord
-    ) -> Optional[Tuple[PtRecord, Optional[int]]]:
+    def _revalidate(self, candidate: PtRecord) -> Optional[PtRecord]:
         """RT second-chance check for a recirculated record."""
         if not self.range_tracker.revalidate(
             candidate.flow, candidate.eack, now_ns=self._now_ns
         ):
             self.stats.stale_self_destructs += 1
             return None
-        return (candidate, None)
+        return candidate
 
     def _enqueue_shadow_update(self, kind: str, flow: FlowKey, a: int,
                                b: int) -> None:
@@ -561,9 +548,7 @@ class Dart:
             and self._recirc_queue[0][0] <= self.stats.packets_processed
         ):
             _, candidate = self._recirc_queue.popleft()
-            follow = self._revalidate(candidate)
-            if follow is not None:
-                self._insertion_loop([follow])
+            self._insertion_loop(self._revalidate(candidate))
 
     # -- Introspection ---------------------------------------------------------
 

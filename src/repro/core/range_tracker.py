@@ -31,11 +31,16 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .flow import FlowKey
-from .seqspace import seq_between, seq_gt, seq_le, seq_lt, seq_sub
+from .seqspace import SEQ_MASK, SEQ_SPACE, seq_gt, seq_le, seq_lt, seq_sub
+
+_HALF = SEQ_SPACE >> 1
 
 
 class SeqVerdict(enum.Enum):
-    """Outcome of processing a data (SEQ) packet against the RT."""
+    """Outcome of processing a data (SEQ) packet against the RT.
+
+    ``trackable`` is True when the packet should be inserted into the PT.
+    """
 
     TRACK = "track"                    # in-order new data: track in PT
     TRACK_AFTER_HOLE = "track-hole"    # new data ahead of a hole: track
@@ -46,14 +51,13 @@ class SeqVerdict(enum.Enum):
     TABLE_FULL = "table-full"          # no RT slot available: skip
     IGNORED_SYN = "ignored-syn"        # SYN/SYN-ACK in -SYN mode: skip
 
-    @property
-    def trackable(self) -> bool:
-        """True when the packet should be inserted into the PT."""
-        return self in (
-            SeqVerdict.TRACK,
-            SeqVerdict.TRACK_AFTER_HOLE,
-            SeqVerdict.NEW_FLOW,
-        )
+    def __init__(self, label: str) -> None:
+        self.trackable = label in ("track", "track-hole", "new-flow")
+
+    # Verdicts key the per-packet count dicts.  Enum.__hash__ is a Python
+    # frame per lookup; members are singletons, so identity hashes them
+    # just as well, in C.
+    __hash__ = object.__hash__
 
 
 class AckVerdict(enum.Enum):
@@ -64,6 +68,8 @@ class AckVerdict(enum.Enum):
     OLD = "old"              # ack < left: already-ambiguous bytes, ignore
     OPTIMISTIC = "optimistic"  # ack > right: early ACK, ignore
     NO_FLOW = "no-flow"      # flow not tracked
+
+    __hash__ = object.__hash__  # see SeqVerdict
 
 
 @dataclass(slots=True)
@@ -178,8 +184,16 @@ class HashedRangeTable:
         return flow.mix0 % self._size
 
     def lookup(self, flow: FlowKey) -> Optional[RangeEntry]:
-        entry = self._slots[self._index(flow)]
-        if entry is not None and entry.signature == flow.signature:
+        # The flow's cached stage-0 mix and signature, read off their
+        # slots: each property is a Python frame, on every RT access.
+        # They are empty only until the flow's first lookup.
+        mix = flow._mix0
+        signature = flow._sig
+        if mix is None or signature is None:
+            mix = flow.mix0
+            signature = flow.signature
+        entry = self._slots[mix % self._size]
+        if entry is not None and entry.signature == signature:
             return entry
         return None
 
@@ -256,13 +270,14 @@ class RangeTracker:
     def _live_entry(self, flow: FlowKey, now_ns: int) -> Optional[RangeEntry]:
         """Lookup with timeout semantics: expired entries vanish.
 
-        The purge also fires when the expired occupant belongs to a
-        *different* flow sharing the slot, so a dead entry cannot pin a
-        slot against newcomers forever (paper §7).
+        Only for a tracker with a timeout configured; without one the
+        methods below go straight to the table.  The purge also fires
+        when the expired occupant belongs to a *different* flow sharing
+        the slot, so a dead entry cannot pin a slot against newcomers
+        forever (paper §7).
         """
-        if self._timeout_ns is not None:
-            if self._table.purge_expired(flow, now_ns, self._timeout_ns):
-                self.stats.timeout_expiries += 1
+        if self._table.purge_expired(flow, now_ns, self._timeout_ns):
+            self.stats.timeout_expiries += 1
         return self._table.lookup(flow)
 
     # -- SEQ path ---------------------------------------------------------
@@ -276,7 +291,8 @@ class RangeTracker:
         matters when an RT timeout is configured.
         """
         self.stats.data_packets += 1
-        entry = self._live_entry(flow, now_ns)
+        entry = (self._table.lookup(flow) if self._timeout_ns is None
+                 else self._live_entry(flow, now_ns))
 
         if entry is None:
             entry = RangeEntry(signature=flow.signature, left=seq,
@@ -291,6 +307,14 @@ class RangeTracker:
             return SeqVerdict.NEW_FLOW
 
         entry.touched_ns = now_ns
+
+        if seq == entry.right and 0 < eack - seq <= _HALF:
+            # In-order new data, the common case, decided first with
+            # plain integers: eack > seq means the segment's end did not
+            # wrap, and a step of at most half the space past ``right``
+            # is never "before or at" it, so neither rule below can fire.
+            entry.right = eack
+            return SeqVerdict.TRACK
 
         if self._handle_wraparound and seq_sub(eack, seq) != eack - seq:
             # The segment crosses the 2**32 boundary (its end wrapped).
@@ -342,27 +366,32 @@ class RangeTracker:
         so a single call is safe.)
         """
         self.stats.acks += 1
-        entry = self._live_entry(flow, now_ns)
+        entry = (self._table.lookup(flow) if self._timeout_ns is None
+                 else self._live_entry(flow, now_ns))
         if entry is None:
             return AckVerdict.NO_FLOW
         entry.touched_ns = now_ns
+        left = entry.left
+        right = entry.right
 
-        if ack == entry.left:
+        if ack == left:
             # Duplicate ACK: explicit marker of loss or reordering.  ACKs
             # have been held up at the receiver, inflating future RTTs ->
             # collapse the whole range.  (A duplicate ACK against an
             # already-collapsed range is a no-op and not counted.)
-            if not entry.collapsed:
-                entry.left = entry.right
+            if left != right:
+                entry.left = right
                 entry.collapses += 1
                 self.stats.duplicate_ack_collapses += 1
             return AckVerdict.DUPLICATE
 
-        if seq_between(entry.left, ack, entry.right):
+        # seq_between(left, ack, right), inline: ack != left is settled,
+        # and a collapsed range spans 0, which no other ack is within.
+        if (ack - left) & SEQ_MASK <= (right - left) & SEQ_MASK:
             entry.left = ack
             return AckVerdict.VALID
 
-        if seq_lt(ack, entry.left):
+        if seq_lt(ack, left):
             self.stats.old_acks_ignored += 1
             return AckVerdict.OLD
 
@@ -377,10 +406,13 @@ class RangeTracker:
         A record is still worth keeping only if its flow is still tracked
         and its expected ACK lies inside the current measurement range.
         """
-        entry = self._live_entry(flow, now_ns)
+        entry = (self._table.lookup(flow) if self._timeout_ns is None
+                 else self._live_entry(flow, now_ns))
         if entry is None:
             return False
-        return seq_between(entry.left, eack, entry.right)
+        left = entry.left  # seq_between(left, eack, right), inline
+        return (eack != left and
+                (eack - left) & SEQ_MASK <= (entry.right - left) & SEQ_MASK)
 
     # -- Introspection ------------------------------------------------------
 

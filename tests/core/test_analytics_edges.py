@@ -7,7 +7,11 @@ index always agrees with the history (even under out-of-order close
 times), and the recirculation probe is a pure function of its inputs.
 """
 
+import pytest
+
+from repro.core import Dart, DartConfig
 from repro.core.analytics import (
+    DstPrefixKey,
     MinFilterAnalytics,
     PrefixMinAnalytics,
     WindowMinimum,
@@ -16,6 +20,7 @@ from repro.core.analytics import (
 )
 from repro.core.flow import FlowKey
 from repro.core.samples import RttSample
+from repro.traces import CampusTraceConfig, generate_campus_trace
 
 MS = 1_000_000
 
@@ -138,3 +143,36 @@ class TestWorthRecirculatingDeterminism:
         # A small best-case sample is still useful; a huge one is not.
         assert analytics.worth_recirculating(FLOW_A, 9 * MS, 12 * MS)
         assert not analytics.worth_recirculating(FLOW_A, 0, 12 * MS)
+
+
+class AlwaysProbing(MinFilterAnalytics):
+    """``worth_recirculating`` as first written: every key function,
+    the default included, is asked through a throw-away sample."""
+
+    def worth_recirculating(self, flow, timestamp_ns, now_ns):
+        current = self.current_min(self._key_fn(_probe_sample(flow, now_ns)))
+        return current is None or now_ns - timestamp_ns < current
+
+
+class TestPurgeWithoutAProbe:
+    """The default key of a sample is its flow, so the purge skips the
+    probe for it — and must decide exactly as the probe would."""
+
+    PRESSURE = DartConfig(rt_slots=1 << 6, pt_slots=1 << 4, pt_stages=2,
+                          max_recirculations=4, analytics_purge=True)
+
+    @pytest.mark.parametrize("key_fn", [None, DstPrefixKey(24)],
+                             ids=["flow-key", "dst-prefix-24"])
+    def test_same_purges_windows_and_samples(self, key_fn):
+        records = generate_campus_trace(
+            CampusTraceConfig(connections=150, seed=9)).records
+        runs = []
+        for analytics_type in (MinFilterAnalytics, AlwaysProbing):
+            dart = Dart(self.PRESSURE, analytics=analytics_type(
+                window_samples=8, key_fn=key_fn))
+            samples = dart.process_batch(records)
+            dart.finalize()
+            runs.append((dart.stats, dart.analytics.history, samples))
+        assert runs[0] == runs[1]
+        assert runs[0][0].analytics_purges > 0
+        assert runs[0][1]

@@ -1,11 +1,17 @@
 """Tests for the Packet Tracker tables (paper §3.2 mechanics)."""
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.flow import FlowKey
+from repro.core.hashing import _mix32, pack_u32, stage_index
 from repro.core.packet_tracker import (
     AssociativePacketTable,
     InsertStatus,
+    PacketTrackerStats,
     PtRecord,
     StagedPacketTable,
     make_packet_table,
@@ -216,3 +222,130 @@ class TestMultiStageContention:
         table.insert(record(1, eack=100))
         table.insert(record(2, eack=200))
         assert table.discard_flow(flow()) == 2
+
+
+# -- The flattened stage walk against the algorithm it replaced ---------------
+
+
+class ReferenceStagedTable:
+    """``StagedPacketTable`` as first written: a helper frame per step
+    and an index per stage, kept here as the model the flattened
+    ``insert``/``match_ack`` must agree with.  Returns
+    ``(status, evicted)`` and keeps its own ``PacketTrackerStats``."""
+
+    def __init__(self, total_slots, stages):
+        self.stage_count = stages
+        self.stage_slots = total_slots // stages
+        self.stages = [[None] * self.stage_slots for _ in range(stages)]
+        self.stats = PacketTrackerStats()
+
+    def _index(self, key, stage):
+        return stage_index(key, stage, self.stage_slots)
+
+    def _force_stage(self, r):
+        if r.recirc_count == 0:
+            return 0 if self.stage_count == 1 else None
+        return (r.recirc_count - 1) % self.stage_count
+
+    def insert(self, r):
+        self.stats.insert_passes += 1
+        force_stage = self._force_stage(r)
+        for stage in range(self.stage_count):
+            index = self._index(pack_u32(r.signature, r.eack), stage)
+            occupant = self.stages[stage][index]
+            if occupant is None:
+                self.stages[stage][index] = r
+                self.stats.placed_empty += 1
+                return InsertStatus.PLACED, None
+            if (occupant.signature, occupant.eack) == (r.signature, r.eack):
+                self.stats.duplicates += 1
+                return InsertStatus.DUPLICATE, None
+            if stage == force_stage:
+                if r.last_evicted_id == occupant.record_id:
+                    self.stats.cycle_self_destructs += 1
+                    return InsertStatus.CYCLE, None
+                self.stages[stage][index] = r
+                r.last_evicted_id = occupant.record_id
+                self.stats.placed_evicting += 1
+                return InsertStatus.PLACED_EVICTING, occupant
+        self.stats.unplaced += 1
+        return InsertStatus.UNPLACED, None
+
+    def match_ack(self, signature, ack):
+        for stage in range(self.stage_count):
+            index = self._index(pack_u32(signature, ack), stage)
+            occupant = self.stages[stage][index]
+            if occupant is not None and (
+                    occupant.signature, occupant.eack) == (signature, ack):
+                self.stages[stage][index] = None
+                self.stats.matches += 1
+                return occupant
+        self.stats.lookup_misses += 1
+        return None
+
+
+def layout(stages):
+    return [[slot and slot.record_id for slot in stage] for stage in stages]
+
+
+class TestStageWalkAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stages=st.integers(1, 4),
+        slots_per_stage=st.integers(1, 3),
+        events=st.lists(st.tuples(
+            st.sampled_from(["insert", "insert", "match", "recirculate"]),
+            st.integers(0, 5),     # flow
+            st.integers(0, 5),     # signature donor: another flow collides
+            st.integers(1, 4),     # eack / ack
+            st.integers(0, 5),     # recirc_count of a fresh insert
+            st.booleans(),         # hashes precomputed (columnar) or lazy
+        ), max_size=80),
+    )
+    def test_same_outcomes_layout_and_stats(self, stages, slots_per_stage,
+                                            events):
+        table = StagedPacketTable(stages * slots_per_stage, stages)
+        model = ReferenceStagedTable(stages * slots_per_stage, stages)
+        displaced = None  # the last evicted or unplaced pair, to recirculate
+        next_id = 0
+        for kind, f, donor, eack, recircs, prefilled in events:
+            if kind == "match":
+                key = pack_u32(flow(f).signature, eack)
+                hashes = ({"key_crc": zlib.crc32(key),
+                           "key_mix0": _mix32(zlib.crc32(key))}
+                          if prefilled else {})
+                got = table.match_ack(flow(f), eack, **hashes)
+                want = model.match_ack(flow(f).signature, eack)
+                assert (got and got.record_id) == (want and want.record_id)
+            else:
+                if kind == "recirculate":
+                    if displaced is None:
+                        continue
+                    mine, theirs = displaced
+                    mine.recirc_count += 1
+                    theirs.recirc_count += 1
+                else:
+                    # A record of flow f carrying flow donor's signature:
+                    # what a 4-byte signature collision looks like.
+                    mine, theirs = (
+                        PtRecord(next_id, flow(f), flow(donor).signature,
+                                 eack, 0) for _ in range(2))
+                    mine.recirc_count = theirs.recirc_count = recircs
+                    if prefilled:
+                        mine._crc = zlib.crc32(mine.key_bytes())
+                        mine._mix0 = _mix32(mine._crc)
+                    next_id += 1
+                outcome = table.insert(mine)
+                status, evicted = model.insert(theirs)
+                assert outcome.status is status
+                assert (outcome.evicted and outcome.evicted.record_id) == (
+                    evicted and evicted.record_id)
+                assert mine.last_evicted_id == theirs.last_evicted_id
+                if status is InsertStatus.PLACED_EVICTING:
+                    displaced = (outcome.evicted, evicted)
+                elif status is InsertStatus.UNPLACED:
+                    displaced = (mine, theirs)
+            assert layout(table._stages) == layout(model.stages)
+            assert table.stats == model.stats
+            assert table.occupancy() == sum(
+                slot is not None for stage in model.stages for slot in stage)

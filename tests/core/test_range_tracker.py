@@ -1,9 +1,10 @@
 """Tests for the Range Tracker (paper §3.1 semantics)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import seqspace
 from repro.core.flow import FlowKey
 from repro.core.range_tracker import (
     AckVerdict,
@@ -11,6 +12,7 @@ from repro.core.range_tracker import (
     HashedRangeTable,
     RangeEntry,
     RangeTracker,
+    RangeTrackerStats,
     SeqVerdict,
 )
 from repro.core.seqspace import SEQ_MASK
@@ -277,3 +279,166 @@ class TestInvariants:
                 continue
             assert tracker.on_ack(FLOW, ack) is AckVerdict.VALID
             last = ack
+
+
+# -- The inlined arithmetic against the spelled-out rules ---------------------
+
+HALF = 1 << 31
+
+
+class ReferenceRangeTracker:
+    """The §3.1 rules in their documented order, every comparison a
+    ``seqspace`` helper: the model ``RangeTracker``'s inline mod-2**32
+    arithmetic (and its in-order test that runs first) must agree with.
+    Storage is a backend table of its own."""
+
+    def __init__(self, table, *, handle_wraparound, timeout_ns):
+        self.table = table
+        self.handle_wraparound = handle_wraparound
+        self.timeout_ns = timeout_ns
+        self.stats = RangeTrackerStats()
+
+    def _live_entry(self, flow, now_ns):
+        if self.timeout_ns is not None and self.table.purge_expired(
+                flow, now_ns, self.timeout_ns):
+            self.stats.timeout_expiries += 1
+        return self.table.lookup(flow)
+
+    def on_data(self, flow, seq, eack, now_ns):
+        stats = self.stats
+        stats.data_packets += 1
+        entry = self._live_entry(flow, now_ns)
+        if entry is None:
+            inserted, overwrote = self.table.insert(flow, RangeEntry(
+                signature=flow.signature, left=seq, right=eack,
+                touched_ns=now_ns))
+            if not inserted:
+                stats.table_full += 1
+                return SeqVerdict.TABLE_FULL
+            stats.new_flows += 1
+            stats.flow_overwrites += overwrote
+            return SeqVerdict.NEW_FLOW
+        entry.touched_ns = now_ns
+        if (self.handle_wraparound
+                and seqspace.seq_sub(eack, seq) != eack - seq):
+            entry.left, entry.right = 0, eack
+            stats.wraparounds += 1
+            return SeqVerdict.WRAPAROUND
+        if seqspace.seq_le(eack, entry.right):
+            entry.left = entry.right
+            entry.collapses += 1
+            stats.retransmission_collapses += 1
+            return SeqVerdict.RETRANSMISSION
+        if seq == entry.right:
+            entry.right = eack
+            return SeqVerdict.TRACK
+        if seqspace.seq_gt(seq, entry.right):
+            entry.left, entry.right = seq, eack
+            stats.holes += 1
+            return SeqVerdict.TRACK_AFTER_HOLE
+        entry.left = entry.right = eack
+        entry.collapses += 1
+        stats.overlap_collapses += 1
+        return SeqVerdict.OVERLAP
+
+    def on_ack(self, flow, ack, now_ns):
+        stats = self.stats
+        stats.acks += 1
+        entry = self._live_entry(flow, now_ns)
+        if entry is None:
+            return AckVerdict.NO_FLOW
+        entry.touched_ns = now_ns
+        if ack == entry.left:
+            if not entry.collapsed:
+                entry.left = entry.right
+                entry.collapses += 1
+                stats.duplicate_ack_collapses += 1
+            return AckVerdict.DUPLICATE
+        if seqspace.seq_between(entry.left, ack, entry.right):
+            entry.left = ack
+            return AckVerdict.VALID
+        if seqspace.seq_lt(ack, entry.left):
+            stats.old_acks_ignored += 1
+            return AckVerdict.OLD
+        stats.optimistic_acks_ignored += 1
+        return AckVerdict.OPTIMISTIC
+
+    def revalidate(self, flow, eack, now_ns):
+        entry = self._live_entry(flow, now_ns)
+        return entry is not None and seqspace.seq_between(
+            entry.left, eack, entry.right)
+
+
+#: Sequence numbers where the arithmetic can go wrong: either side of 0,
+#: of the half-space point and of the wrap, or relative to the flow's
+#: live edges (resolved when the event runs).
+anchors = st.sampled_from(["zero", "half", "top", "left", "left",
+                           "right", "right", "right"])
+offsets = st.one_of(st.just(0), st.integers(-2, 2), st.integers(-3000, 3000))
+#: 0 < len <= 2**31 is a legal forward step; beyond it the end is "before"
+#: the start in circular order.
+lengths = st.one_of(
+    st.integers(1, 3000),
+    st.integers(HALF - 1, HALF + 1),
+    st.integers((1 << 32) - 3000, (1 << 32) - 1),
+)
+events = st.lists(
+    st.tuples(st.sampled_from(["data", "data", "ack", "ack", "revalidate"]),
+              st.sampled_from([0, 0, 0, 1, 2]), anchors, offsets, lengths,
+              st.integers(0, 40)),
+    max_size=60,
+)
+
+
+class TestInlineArithmeticAgainstTheRules:
+    @settings(max_examples=400, deadline=None)
+    @given(events=events, hashed=st.booleans(), wraparound=st.booleans(),
+           timeout_ns=st.sampled_from([None, 60]))
+    # The edges of the in-order test: a step of exactly half the space
+    # still extends the range, one byte more is a retransmission, and a
+    # segment whose end wraps is in order only with the reset off.
+    @example(events=[("data", 0, "zero", 10, 10, 0),
+                     ("data", 0, "right", 0, HALF + 1, 0),
+                     ("data", 0, "right", 0, HALF, 0)],
+             hashed=False, wraparound=True, timeout_ns=None)
+    @example(events=[("data", 0, "top", -10, 5, 0),
+                     ("data", 0, "right", 0, 100, 0),
+                     ("ack", 0, "right", 0, 1, 0),
+                     ("ack", 0, "left", 0, 1, 0)],
+             hashed=True, wraparound=False, timeout_ns=None)
+    def test_same_verdicts_ranges_and_stats(self, events, hashed, wraparound,
+                                            timeout_ns):
+        # Fresh keys: their hash caches start empty, as on a first packet.
+        flows = [FlowKey(src_ip=0x0A000001 + i, dst_ip=0x10000002,
+                         src_port=40000, dst_port=443) for i in range(3)]
+        # Two slots for three flows: shared slots, full table, overwrites.
+        tracker = RangeTracker(2 if hashed else None,
+                               handle_wraparound=wraparound,
+                               timeout_ns=timeout_ns)
+        model = ReferenceRangeTracker(
+            HashedRangeTable(2) if hashed else AssociativeRangeTable(),
+            handle_wraparound=wraparound, timeout_ns=timeout_ns)
+        now_ns = 0
+        for kind, which, anchor, offset, length, dt in events:
+            flow = flows[which]
+            now_ns += dt
+            entry = model.table.lookup(flow)
+            base = {"zero": 0, "half": HALF, "top": SEQ_MASK,
+                    "left": entry.left if entry else 0,
+                    "right": entry.right if entry else 0}[anchor]
+            value = (base + offset) & SEQ_MASK
+            if kind == "data":
+                eack = (value + length) & SEQ_MASK
+                got = tracker.on_data(flow, value, eack, now_ns)
+                want = model.on_data(flow, value, eack, now_ns)
+            elif kind == "ack":
+                got = tracker.on_ack(flow, value, now_ns)
+                want = model.on_ack(flow, value, now_ns)
+            else:
+                got = tracker.revalidate(flow, value, now_ns)
+                want = model.revalidate(flow, value, now_ns)
+            assert got is want, (kind, value, length)
+            for each in flows:
+                assert tracker.lookup(each) == model.table.lookup(each)
+            assert tracker.stats == model.stats
+            assert tracker.occupancy() == model.table.occupancy()
