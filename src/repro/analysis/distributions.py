@@ -3,14 +3,15 @@
 Used by the benchmark harness to regenerate the paper's distribution
 figures (Fig 6, Fig 9b/9c) and by the metrics module for percentile
 errors.  Percentiles use linear interpolation (numpy's default), which
-is what matters for comparing two distributions at the same p.
+is what matters for comparing two distributions at the same p.  Plain
+Python throughout: ``import repro`` reaches this module, and numpy is
+optional.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -30,11 +31,10 @@ def percentile(values: Sequence[float], p: float) -> float:
 
 def cdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
     """Empirical CDF as (sorted values, cumulative fractions]."""
-    if len(values) == 0:
-        return [], []
-    xs = np.sort(np.asarray(values, dtype=float))
-    ys = np.arange(1, len(xs) + 1) / len(xs)
-    return xs.tolist(), ys.tolist()
+    xs = sorted(float(v) for v in values)
+    n = len(xs)
+    return xs, [i / n for i in range(1, n + 1)]
+
 
 def ccdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
     """Complementary CDF, P[X > x], as (sorted values, tail fractions)."""
@@ -42,47 +42,44 @@ def ccdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
     return xs, [1.0 - y for y in ys]
 
 
-def fraction_below(values: Sequence[float], threshold: float) -> float:
-    """P[X < threshold] of the empirical sample."""
+def _fraction(values: Sequence[float], predicate) -> float:
     if len(values) == 0:
         raise ValueError("fraction of empty sample")
-    arr = np.asarray(values, dtype=float)
-    return float(np.count_nonzero(arr < threshold) / arr.size)
+    return sum(1 for v in values if predicate(v)) / len(values)
+
+
+def fraction_below(values: Sequence[float], threshold: float) -> float:
+    """P[X < threshold] of the empirical sample."""
+    return _fraction(values, lambda v: v < threshold)
 
 
 def fraction_above(values: Sequence[float], threshold: float) -> float:
     """P[X > threshold] of the empirical sample."""
-    if len(values) == 0:
-        raise ValueError("fraction of empty sample")
-    arr = np.asarray(values, dtype=float)
-    return float(np.count_nonzero(arr > threshold) / arr.size)
+    return _fraction(values, lambda v: v > threshold)
 
 
 def fraction_between(
     values: Sequence[float], low: float, high: float
 ) -> float:
     """P[low <= X <= high] of the empirical sample."""
-    if len(values) == 0:
-        raise ValueError("fraction of empty sample")
-    arr = np.asarray(values, dtype=float)
-    return float(np.count_nonzero((arr >= low) & (arr <= high)) / arr.size)
+    return _fraction(values, lambda v: low <= v <= high)
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:
     """Standard summary row used across the benches."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    data = sorted(float(v) for v in values)
+    if not data:
         return {"count": 0}
     return {
-        "count": int(arr.size),
-        "min": float(arr.min()),
-        "p25": percentile(arr, 25),
-        "p50": percentile(arr, 50),
-        "p90": percentile(arr, 90),
-        "p95": percentile(arr, 95),
-        "p99": percentile(arr, 99),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
+        "count": len(data),
+        "min": data[0],
+        "p25": percentile(data, 25),
+        "p50": percentile(data, 50),
+        "p90": percentile(data, 90),
+        "p95": percentile(data, 95),
+        "p99": percentile(data, 99),
+        "max": data[-1],
+        "mean": math.fsum(data) / len(data),
     }
 
 

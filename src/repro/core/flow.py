@@ -120,7 +120,7 @@ class FlowKey:
         (stage 0's salt is zero), so tables whose index function is the
         stage-0 hash — the Range Tracker, every single-stage layout —
         reduce their per-lookup work to one modulo by caching the mix
-        here.  The columnar fast path pre-fills it vectorially.
+        here.
         """
         mix = self._mix0
         if mix is None:
@@ -137,23 +137,15 @@ class FlowKey:
             object.__setattr__(self, "_sig", sig)
         return sig
 
-    def prefill_hashes(self, crc: int, sig: int, mix0: int) -> None:
-        """Fill :attr:`key_crc`, :attr:`signature` and :attr:`mix0` with
-        values computed elsewhere (the columnar classifier, vectorially);
-        they must equal what the properties would compute."""
-        object.__setattr__(self, "_crc", crc)
-        object.__setattr__(self, "_sig", sig)
-        object.__setattr__(self, "_mix0", mix0)
-
     _CACHE_SLOTS = ("_bytes", "_crc", "_sig", "_mix0")
 
     def __getstate__(self):
-        # Which caches are filled depends on the decode path (the
-        # columnar fast path pre-fills CRC and mix vectorially; the
-        # object path fills on first use) — but serialized flows must
-        # not carry that history: stream checkpoints are pinned
-        # byte-identical across paths.  The caches are pure functions
-        # of the 4-tuple and recompute lazily after unpickling.
+        # Which caches are filled depends on what this object has been
+        # asked so far — and a resumed process starts with empty ones —
+        # but serialized flows must not carry that history: stream
+        # checkpoints are pinned byte-identical across a kill/resume.
+        # The caches are pure functions of the 4-tuple and recompute
+        # lazily after unpickling.
         state = {s: getattr(self, s) for s in self.__slots__}
         for slot in self._CACHE_SLOTS:
             state[slot] = None

@@ -88,8 +88,7 @@ class PtRecord:
     def mix0(self) -> int:
         """Stage-0 avalanche mix of :meth:`key_crc` (stage 0's salt is
         zero, so this *is* the stage-0 index before the modulo — see
-        ``FlowKey.mix0``).  Cached across recirculation passes; the
-        columnar fast path pre-fills it vectorially."""
+        ``FlowKey.mix0``).  Cached across recirculation passes."""
         mix = self._mix0
         if mix is None:
             mix = self._mix0 = _mix32(self.key_crc())
@@ -98,11 +97,11 @@ class PtRecord:
     _CACHE_SLOTS = ("_key", "_crc", "_mix0")
 
     def __getstate__(self):
-        # Whether a cache is filled depends on which decode path ran
-        # (the columnar fast path pre-fills vectorially, the object
-        # path fills lazily).  Serialized state must not: checkpoints
-        # are required to be byte-identical across paths, so the
-        # caches — pure derived values — are dropped and recomputed.
+        # Whether a cache is filled depends on how many insertion
+        # passes the record has made in this process (a resumed one
+        # starts with none).  Serialized state must not: checkpoints
+        # are required to be byte-identical across a kill/resume, so
+        # the caches — pure derived values — are dropped and recomputed.
         state = {s: getattr(self, s) for s in self.__slots__}
         for slot in self._CACHE_SLOTS:
             state[slot] = None
@@ -176,14 +175,8 @@ class AssociativePacketTable:
         self.stats.placed_empty += 1
         return _PLACED
 
-    def match_ack(self, flow: FlowKey, ack: int, *,
-                  key_crc: Optional[int] = None,
-                  key_mix0: Optional[int] = None) -> Optional[PtRecord]:
-        """Find-and-delete the record acknowledged by ``ack``.
-
-        ``key_crc`` and ``key_mix0`` are accepted (and ignored) for
-        interface parity with the staged backend.
-        """
+    def match_ack(self, flow: FlowKey, ack: int) -> Optional[PtRecord]:
+        """Find-and-delete the record acknowledged by ``ack``."""
         record = self._records.pop((flow, ack), None)
         if record is None:
             self.stats.lookup_misses += 1
@@ -251,7 +244,7 @@ class StagedPacketTable:
             if stage:
                 index = stage_index_from_crc(record.key_crc(), stage, size)
             else:
-                mix = record._mix0  # set by the classifier or a past pass
+                mix = record._mix0  # set by a past pass
                 index = (record.mix0() if mix is None else mix) % size
             occupant = slots[index]
             if occupant is None:
@@ -275,28 +268,19 @@ class StagedPacketTable:
         stats.unplaced += 1
         return _UNPLACED
 
-    def match_ack(self, flow: FlowKey, ack: int, *,
-                  key_crc: Optional[int] = None,
-                  key_mix0: Optional[int] = None) -> Optional[PtRecord]:
+    def match_ack(self, flow: FlowKey, ack: int) -> Optional[PtRecord]:
         """Find-and-delete the record acknowledged by ``ack``.
 
         Matching uses the constrained 4-byte signature, so a signature
         collision between distinct flows can (rarely) yield a mismatched
         sample — faithfully reproducing the hardware (paper §4).
-        ``key_crc``, when given, must equal
-        ``crc32(pack2_u32(flow.signature, ack))``, and ``key_mix0`` its
-        stage-0 mix — the columnar fast path passes the vectorised
-        values so no key is hashed here.
         """
         signature = flow.signature
-        if key_crc is None:
-            key_crc = zlib.crc32(pack2_u32(signature, ack))
-        if key_mix0 is None:
-            key_mix0 = _mix32(key_crc)
+        key_crc = zlib.crc32(pack2_u32(signature, ack))
         size = self._stage_slots
         for stage, slots in enumerate(self._stages):
             index = (stage_index_from_crc(key_crc, stage, size) if stage
-                     else key_mix0 % size)
+                     else _mix32(key_crc) % size)
             occupant = slots[index]
             if (occupant is not None and occupant.signature == signature
                     and occupant.eack == ack):

@@ -238,11 +238,12 @@ class Dart:
         """Process a decoded columnar batch
         (:class:`~repro.net.columnar.PacketColumns`).
 
-        The columnar classifier: roles, expected ACKs and every flow
-        and PT hash are computed batch-wide as numpy columns, so the
-        trackers never hash a key on this path.  ``KIND_RECORD`` rows
-        (IPv6, IP/TCP options) take the record classifier; so does the
-        whole batch under a leg or target filter, which need a
+        The columnar classifier: roles and expected ACKs are computed
+        batch-wide as numpy columns and each ``KIND_VEC`` row goes to
+        the kernel straight from the column values, no
+        :class:`PacketRecord` in between.  ``KIND_RECORD`` rows (IPv6,
+        IP/TCP options) take the record classifier; so does the whole
+        batch under a leg or target filter, which need a
         :class:`PacketRecord`.  Same stats, samples, analytics windows
         and table state as ``process_batch(cols.to_records())``.
         """
@@ -260,26 +261,7 @@ class Dart:
         seq_col = cols.seq.tolist()
         ack_col = cols.ack.tolist()
         role = classify.roles(cols).tolist()
-        eack_arr = classify.eack_values(cols)
-        eack_col = eack_arr.tolist()
-        crc_arr = classify.flow_crcs(cols)
-        crc_col = crc_arr.tolist()
-        sig_arr = classify.signatures(cols)
-        sig_col = sig_arr.tolist()
-        mix_col = classify.mix32(crc_arr).tolist()
-        rcrc_arr = classify.flow_crcs(cols, reverse=True)
-        rcrc_col = rcrc_arr.tolist()
-        rsig_arr = classify.signatures(cols, reverse=True)
-        rsig_col = rsig_arr.tolist()
-        rmix_col = classify.mix32(rcrc_arr).tolist()
-        # PT keys, both sides: the insertion key of a data packet and
-        # the lookup key of an ACK, each with its stage-0 mix.
-        ptcrc_arr = classify.pt_match_crcs(sig_arr, eack_arr)
-        ptcrc_col = ptcrc_arr.tolist()
-        ptmix_col = classify.mix32(ptcrc_arr).tolist()
-        match_arr = classify.pt_match_crcs(rsig_arr, cols.ack)
-        match_col = match_arr.tolist()
-        mmix_col = classify.mix32(match_arr).tolist()
+        eack_col = classify.eack_values(cols).tolist()
 
         packet = self._packet
         samples: List[RttSample] = []
@@ -293,12 +275,7 @@ class Dart:
             else:
                 sample = packet(
                     ts_col[i], role[i], src[i], dst[i], sport[i], dport[i],
-                    False, seq_col[i], eack_col[i], ack_col[i], None,
-                    crc_col[i], sig_col[i], mix_col[i],
-                    ptcrc_col[i], ptmix_col[i],
-                    rcrc_col[i], rsig_col[i], rmix_col[i],
-                    match_col[i], mmix_col[i],
-                )
+                    False, seq_col[i], eack_col[i], ack_col[i], None)
             if sample is not None:
                 append(sample)
         return samples
@@ -319,7 +296,7 @@ class Dart:
     # -- Classification and the per-packet kernel ------------------------------
 
     def _classify(self, record: PacketRecord) -> tuple:
-        """The record classifier: a :meth:`_packet` row, hashes absent.
+        """The record classifier: one :meth:`_packet` row.
 
         The target filter decides ``ROLE_FILTERED``; the leg filter
         labels a data packet or, returning None, strips its data role
@@ -347,25 +324,17 @@ class Dart:
 
     def _packet(self, ts: int, role: int, src: int, dst: int, sport: int,
                 dport: int, ipv6: bool, seq: int, eack: int, ack: int,
-                leg: Optional[str],
-                flow_crc: Optional[int] = None, flow_sig: int = 0,
-                flow_mix: int = 0, pt_crc: int = 0, pt_mix: int = 0,
-                rflow_crc: int = 0, rflow_sig: int = 0, rflow_mix: int = 0,
-                match_crc: Optional[int] = None,
-                match_mix: Optional[int] = None) -> Optional[RttSample]:
+                leg: Optional[str]) -> Optional[RttSample]:
         """The per-packet kernel: one classified row in, at most one
         sample out.  Overridden as ``def _packet(self, *row)``.
 
-        The row: arrival time ``ts``; ``role``, an OR of ``ROLE_*``
-        bits; the packet's own 4-tuple and ``ipv6``; ``seq`` and the
-        expected ACK ``eack`` (data role); ``ack`` (ACK role); ``leg``,
-        the leg filter's label.  The trailing ten are the columnar
-        classifier's hashes, all present or all absent: CRC, signature
-        and stage-0 mix of the packet's flow (``flow_*``) and of the
-        reversed flow its ACK targets (``rflow_*``); CRC and mix of the
-        PT insertion key ``(signature, eack)`` (``pt_*``) and of the PT
-        lookup key ``(reversed signature, ack)`` (``match_*``).  They
-        pre-fill lazy caches the trackers would otherwise hash into.
+        The row is the packet and nothing else: arrival time ``ts``;
+        ``role``, an OR of ``ROLE_*`` bits; the packet's own 4-tuple
+        and ``ipv6``; ``seq`` and the expected ACK ``eack`` (data
+        role); ``ack`` (ACK role); ``leg``, the leg filter's label.
+        No hash crosses this boundary: each table's key hashes where
+        the table is (``FlowKey``/``PtRecord`` cache theirs on first
+        use), whatever the entry point.
         """
         stats = self.stats
         stats.packets_processed += 1
@@ -391,8 +360,6 @@ class Dart:
         if role & ROLE_DATA:
             # SEQ side: RT verdict, then PT insertion.
             flow = intern_flow(src, dst, sport, dport, ipv6)
-            if flow_crc is not None and flow._crc is None:
-                flow.prefill_hashes(flow_crc, flow_sig, flow_mix)
             stats.seq_packets += 1
             if shadow is not None:
                 self._enqueue_shadow_update("data", flow, seq, eack)
@@ -401,12 +368,8 @@ class Dart:
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
             if verdict.trackable:
                 pt_record = PtRecord(
-                    self._next_record_id, flow,
-                    flow.signature if flow_crc is None else flow_sig,
-                    eack, ts, bool(role & ROLE_SYN), leg)
-                if flow_crc is not None:
-                    pt_record._crc = pt_crc
-                    pt_record._mix0 = pt_mix
+                    self._next_record_id, flow, flow.signature, eack, ts,
+                    bool(role & ROLE_SYN), leg)
                 self._next_record_id += 1
                 stats.tracked_inserts += 1
                 self._insertion_loop(pt_record)
@@ -416,8 +379,6 @@ class Dart:
         # ACK side: the flow acknowledged is the packet's tuple reversed
         # (a SYN-ACK acknowledges the client's SYN, +SYN mode only).
         flow = intern_flow(dst, src, dport, sport, ipv6)
-        if flow_crc is not None and flow._crc is None:
-            flow.prefill_hashes(rflow_crc, rflow_sig, rflow_mix)
         stats.ack_packets += 1
         if shadow is not None:
             self._enqueue_shadow_update("ack", flow, ack, 0)
@@ -426,9 +387,7 @@ class Dart:
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
         if verdict is not AckVerdict.VALID:
             return None
-        pt_record = self.packet_tracker.match_ack(flow, ack,
-                                                  key_crc=match_crc,
-                                                  key_mix0=match_mix)
+        pt_record = self.packet_tracker.match_ack(flow, ack)
         if pt_record is None:
             return None
         sample = RttSample(pt_record.flow, ts - pt_record.timestamp_ns, ts,

@@ -1,13 +1,14 @@
 """``repro.fastpath`` — the columnar/vectorized batch engine.
 
 Splits per-packet work into a *vectorizable classification stage*
-(decode, flow hashing, role bits — :mod:`repro.net.columnar` and
+(decode, role bits, expected ACKs — :mod:`repro.net.columnar` and
 :mod:`repro.fastpath.classify`) and the *scalar mutation stage* every
 entry point shares (``Dart._packet`` in :mod:`repro.core.pipeline`,
 which ``Dart.process_columns`` calls once per row with the column
-values), with byte-identical verdicts, stats, and sample multisets
-versus the reference object path.  DESIGN §15 states the equivalence
-argument.  numpy is optional and nothing selects this path by flag:
+values and which does all the hashing, as on every other path), with
+byte-identical verdicts, stats, and sample multisets versus the
+reference object path.  DESIGN §15 states the equivalence argument.
+numpy is optional and nothing selects this path by flag:
 :meth:`MonitorEngine.ingest_wire_chunk
 <repro.engine.MonitorEngine.ingest_wire_chunk>` (which ``dart-replay``
 and every ``repro.stream`` source feed raw frames) and the cluster's

@@ -1,17 +1,19 @@
-"""Vectorised classification: flow hashes and stage indices as columns.
+"""Vectorised classification: role bits and expected ACKs as columns.
 
-The scalar hot path spends most of its non-decode time hashing flow
-keys (:mod:`repro.core.hashing`): an unsalted CRC32 for table indices,
-a salted CRC32 signature, the murmur3 finalizer per stage probe, and a
-canonical-key CRC for sharding.  Every one of those is fixed-layout
-byte arithmetic over the 12-byte IPv4 key — exactly what vectorises.
+:meth:`Dart.process_columns <repro.core.pipeline.Dart.process_columns>`
+calls :func:`roles` and :func:`eack_values` once per decoded
+:class:`~repro.net.columnar.PacketColumns` batch and feeds the kernel
+one row per packet from them.  That is all of the classifier: no hash
+is computed here for the kernel.  Each table's key is hashed where the
+table is, once per ``FlowKey``/``PtRecord``, on every entry point —
+hash columns built per batch cost what they saved (DESIGN §15).
 
-This module computes the same values over whole
-:class:`~repro.net.columnar.PacketColumns` batches.  Each function is
-pinned bit-for-bit against its scalar twin by hypothesis properties
-(``tests/net/test_columnar.py``); the pipeline's columnar loop then
-*pre-fills* the lazy ``FlowKey`` caches with these columns, so the
-scalar mutation stage never computes a hash per packet.
+:func:`flow_crcs`, :func:`signatures`, :func:`mix32` and
+:func:`pt_match_crcs` — vector twins of :mod:`repro.core.hashing`,
+pinned bit-for-bit by ``tests/net/test_columnar.py`` — have no caller
+under ``src/``.  They stay as definitions because ``benchmarks/e2e``
+patches them by name in every traced pass; ROADMAP lists them as
+pending a ``benchmark`` PR.
 
 Values at non-``KIND_VEC`` rows are well-defined (the columns hold
 zeros there) but meaningless; callers mask by row kind.
@@ -19,7 +21,6 @@ zeros there) but meaningless; callers mask by row kind.
 
 from __future__ import annotations
 
-from ..core.hashing import _STAGE_SALTS, MAX_STAGES
 from ..core.pipeline import FLAG_ROLES
 from ..net.columnar import HAVE_NUMPY, PacketColumns
 
@@ -27,6 +28,24 @@ if HAVE_NUMPY:
     import numpy as np
 else:  # pragma: no cover - exercised only in numpy-free environments
     np = None  # type: ignore[assignment]
+
+
+def roles(cols: PacketColumns):
+    """``ROLE_*`` bits per row: :data:`~repro.core.pipeline.FLAG_ROLES`
+    by flag byte, plus the data role for a payload (``ROLE_DATA`` is 1,
+    so the boolean ORs in as is)."""
+    return np.array(FLAG_ROLES)[cols.flags & 0xFF] | (cols.payload_len > 0)
+
+
+def eack_values(cols: PacketColumns):
+    """Expected-ACK column: ``(seq + payload + SYN + FIN) mod 2^32``
+    (``PacketRecord.eack``)."""
+    syn_fin = (cols.flags & 0x02 != 0).astype(np.int64) \
+        + (cols.flags & 0x01 != 0).astype(np.int64)
+    return (cols.seq + cols.payload_len + syn_fin) & 0xFFFFFFFF
+
+
+# -- Hash columns: no caller under src/ (see the module docstring) -----------
 
 #: Salt of :func:`repro.core.hashing.signature32`.
 SIGNATURE_SALT = 0x5A17ECAF
@@ -115,24 +134,6 @@ def pt_match_crcs(signature_col, acks):
     ])
 
 
-def canonical_key_crcs(cols: PacketColumns, salt: int = 0):
-    """CRC32 of the *canonical* (direction-independent) key per row —
-    the hash :func:`repro.cluster.sharding.shard_of_flow` uses."""
-    swap = ((cols.src_ip > cols.dst_ip)
-            | ((cols.src_ip == cols.dst_ip)
-               & (cols.src_port > cols.dst_port)))
-    src = np.where(swap, cols.dst_ip, cols.src_ip)
-    dst = np.where(swap, cols.src_ip, cols.dst_ip)
-    sport = np.where(swap, cols.dst_port, cols.src_port)
-    dport = np.where(swap, cols.src_port, cols.dst_port)
-    return crc32_columns(_key_byte_columns(src, dst, sport, dport), salt)
-
-
-def shard_indices(cols: PacketColumns, shards: int, salt: int):
-    """Shard index per row: salted canonical-key CRC modulo ``shards``."""
-    return canonical_key_crcs(cols, salt) % np.uint32(shards)
-
-
 def mix32(x):
     """Vectorised murmur3 32-bit finalizer (``hashing._mix32``).
 
@@ -146,41 +147,3 @@ def mix32(x):
     x = (x * np.uint64(0xC2B2AE35)) & np.uint64(0xFFFFFFFF)
     x ^= x >> np.uint64(16)
     return x.astype(np.uint32)
-
-
-def stage_indices(key_crcs, stage: int, table_size: int):
-    """Vector twin of :func:`repro.core.hashing.stage_index_from_crc`."""
-    if not 0 <= stage < MAX_STAGES:
-        raise ValueError(f"stage {stage} out of range (max {MAX_STAGES})")
-    if table_size <= 0:
-        raise ValueError("table size must be positive")
-    salted = key_crcs.astype(np.uint32) ^ np.uint32(_STAGE_SALTS[stage])
-    return mix32(salted) % np.uint32(table_size)
-
-
-def rt_stage_indices(cols: PacketColumns, table_size: int):
-    """Range Tracker slot candidates (stage 0) for every row."""
-    return stage_indices(flow_crcs(cols), 0, table_size)
-
-
-def pt_stage_candidates(cols: PacketColumns, stages: int, table_size: int):
-    """Packet Tracker slot candidates, one row of indices per stage
-    (shape ``(stages, n)``) — the insertion loop's probe sequence."""
-    crcs = flow_crcs(cols)
-    return np.stack([stage_indices(crcs, s, table_size)
-                     for s in range(stages)])
-
-
-def roles(cols: PacketColumns):
-    """``ROLE_*`` bits per row: :data:`~repro.core.pipeline.FLAG_ROLES`
-    by flag byte, plus the data role for a payload (``ROLE_DATA`` is 1,
-    so the boolean ORs in as is)."""
-    return np.array(FLAG_ROLES)[cols.flags & 0xFF] | (cols.payload_len > 0)
-
-
-def eack_values(cols: PacketColumns):
-    """Expected-ACK column: ``(seq + payload + SYN + FIN) mod 2^32``
-    (``PacketRecord.eack``)."""
-    syn_fin = (cols.flags & 0x02 != 0).astype(np.int64) \
-        + (cols.flags & 0x01 != 0).astype(np.int64)
-    return (cols.seq + cols.payload_len + syn_fin) & 0xFFFFFFFF

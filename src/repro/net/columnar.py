@@ -1,8 +1,8 @@
 """Columnar batch decoding: raw capture frames → numpy field columns.
 
-The serial engine's per-packet cost is dominated by object decode (one
-``EthernetFrame``/``IPv4Packet``/``TcpSegment`` graph per packet) and
-per-key hashing.  This module lifts the decode into *one pass over a
+The wire-driven engine's per-packet cost is dominated by object decode
+(one ``EthernetFrame``/``IPv4Packet``/``TcpSegment`` graph per packet).
+This module lifts the decode into *one pass over a
 contiguous byte buffer*: a batch of raw frames is concatenated, and the
 header fields RTT matching needs (timestamp, addresses, ports, seq/ack,
 flags, payload length) are gathered into numpy columns with vectorised
@@ -161,40 +161,6 @@ class PacketColumns:
     def compact_records(self) -> List[PacketRecord]:
         """:meth:`to_records` with the skip rows squeezed out."""
         return [r for r in self.to_records() if r is not None]
-
-    @classmethod
-    def concat(cls, parts: Sequence["PacketColumns"]) -> "PacketColumns":
-        """Concatenate batches row-wise (order preserved).
-
-        Used by streaming sources that accumulate several sub-pulls
-        into one runner chunk; fallback-record indices are re-based
-        onto the combined row space.
-        """
-        _require_numpy()
-        if not parts:
-            return cls.allocate(0)
-        if len(parts) == 1:
-            return parts[0]
-        records: Dict[int, PacketRecord] = {}
-        base = 0
-        for part in parts:
-            for i, record in part.records.items():
-                records[base + i] = record
-            base += part.n
-        return cls(
-            base,
-            np.concatenate([p.kinds for p in parts]),
-            np.concatenate([p.timestamps for p in parts]),
-            np.concatenate([p.src_ip for p in parts]),
-            np.concatenate([p.dst_ip for p in parts]),
-            np.concatenate([p.src_port for p in parts]),
-            np.concatenate([p.dst_port for p in parts]),
-            np.concatenate([p.seq for p in parts]),
-            np.concatenate([p.ack for p in parts]),
-            np.concatenate([p.flags for p in parts]),
-            np.concatenate([p.payload_len for p in parts]),
-            records,
-        )
 
 
 def _scan_v4_tcp(buf, starts, lens, eth):

@@ -1,6 +1,5 @@
 """Tests for the quantile sketch, including the relative-error bound."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +14,12 @@ from repro.core.samples import RttSample
 
 MS = 1_000_000
 FLOW = FlowKey(src_ip=1, dst_ip=2, src_port=3, dst_port=4)
+
+
+@pytest.fixture
+def np():
+    """numpy, for the tests that draw from it or check against it."""
+    return pytest.importorskip("numpy")
 
 
 class TestQuantileSketch:
@@ -47,7 +52,7 @@ class TestQuantileSketch:
         assert sketch.quantile(50) == 0.0
         assert sketch.count == 11
 
-    def test_relative_error_uniform(self):
+    def test_relative_error_uniform(self, np):
         rng = np.random.default_rng(1)
         values = rng.uniform(1.0, 1000.0, size=20_000)
         sketch = QuantileSketch(alpha=0.01)
@@ -58,7 +63,7 @@ class TestQuantileSketch:
             est = sketch.quantile(p)
             assert abs(est - true) <= 0.02 * true + 1e-9
 
-    def test_relative_error_lognormal(self):
+    def test_relative_error_lognormal(self, np):
         rng = np.random.default_rng(2)
         values = np.exp(rng.normal(3.0, 1.5, size=20_000))
         sketch = QuantileSketch(alpha=0.02)
@@ -69,7 +74,7 @@ class TestQuantileSketch:
             est = sketch.quantile(p)
             assert abs(est - true) <= 0.05 * true
 
-    def test_bounded_memory(self):
+    def test_bounded_memory(self, np):
         sketch = QuantileSketch(alpha=0.01, max_buckets=64)
         rng = np.random.default_rng(3)
         for v in rng.uniform(0.001, 1e9, size=50_000):
@@ -78,7 +83,7 @@ class TestQuantileSketch:
         # High quantiles stay accurate despite low-bucket collapsing.
         assert sketch.quantile(99) > sketch.quantile(50)
 
-    def test_merge_equals_union(self):
+    def test_merge_equals_union(self, np):
         rng = np.random.default_rng(4)
         a_vals = rng.uniform(1, 100, size=5000)
         b_vals = rng.uniform(50, 500, size=5000)

@@ -22,11 +22,7 @@ from repro.core import (
     Dart,
     DartConfig,
     DartStats,
-    FlowKey,
     MinFilterAnalytics,
-    PtRecord,
-    ack_target_flow,
-    flow_of,
     make_leg_filter,
 )
 from repro.core.flow import intern_flow
@@ -127,9 +123,9 @@ def observed(config, entry, filt):
     """Everything observable about one finalized run, shared by the
     assertions below (``process`` runs once per config and filter).
 
-    Each run starts with no interned flows, so the columnar classifier
-    pre-fills hash caches exactly as a fresh process would instead of
-    finding them warmed by an earlier run over the same trace.
+    Each run starts with no interned flows, so every lazy hash cache
+    fills exactly as it would in a fresh process instead of being found
+    warmed by an earlier run over the same trace.
     """
     intern_flow.cache_clear()
     dart = Dart(CONFIGS[config],
@@ -215,30 +211,6 @@ def test_packet_override_sees_every_packet_once(entry):
     assert ENTRY_POINTS[entry](hooked, records) == reference_samples
     assert hooked.seen == len(records)
     assert hooked.stats == reference.stats
-
-
-@needs_numpy
-def test_columnar_hashes_are_what_the_trackers_would_compute():
-    """Each hash column reaches the ``_packet`` parameter it is meant
-    for: after a cold columnar run, every flow and every PT record
-    answers with the hashes a fresh object computes for itself."""
-    intern_flow.cache_clear()
-    dart = Dart(CONFIGS["multistage+syn"])
-    feed_columns(dart, trace())
-    for record in trace():
-        for flow in (flow_of(record), ack_target_flow(record)):
-            fresh = FlowKey(flow.src_ip, flow.dst_ip, flow.src_port,
-                            flow.dst_port, flow.ipv6)
-            assert fresh is not flow
-            assert ((flow.key_crc, flow.signature, flow.mix0)
-                    == (fresh.key_crc, fresh.signature, fresh.mix0))
-    tracked = dart.packet_tracker.records()
-    assert tracked
-    for record in tracked:
-        fresh = PtRecord(record.record_id, record.flow, record.signature,
-                         record.eack, record.timestamp_ns)
-        assert ((record.key_crc(), record.mix0())
-                == (fresh.key_crc(), fresh.mix0()))
 
 
 def copy_stats(stats: DartStats) -> DartStats:

@@ -299,7 +299,7 @@ class TestStageWalkAgainstReference:
             st.integers(0, 5),     # signature donor: another flow collides
             st.integers(1, 4),     # eack / ack
             st.integers(0, 5),     # recirc_count of a fresh insert
-            st.booleans(),         # hashes precomputed (columnar) or lazy
+            st.booleans(),         # key cache filled by an earlier pass, or not
         ), max_size=80),
     )
     def test_same_outcomes_layout_and_stats(self, stages, slots_per_stage,
@@ -310,11 +310,7 @@ class TestStageWalkAgainstReference:
         next_id = 0
         for kind, f, donor, eack, recircs, prefilled in events:
             if kind == "match":
-                key = pack_u32(flow(f).signature, eack)
-                hashes = ({"key_crc": zlib.crc32(key),
-                           "key_mix0": _mix32(zlib.crc32(key))}
-                          if prefilled else {})
-                got = table.match_ack(flow(f), eack, **hashes)
+                got = table.match_ack(flow(f), eack)
                 want = model.match_ack(flow(f).signature, eack)
                 assert (got and got.record_id) == (want and want.record_id)
             else:

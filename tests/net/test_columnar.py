@@ -20,14 +20,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster.sharding import SHARD_SALT, shard_of
 from repro.core.flow import flow_of
-from repro.core.hashing import (
-    _mix32,
-    pack2_u32,
-    signature32,
-    stage_index_from_crc,
-)
+from repro.core.hashing import _mix32, pack2_u32, signature32
 from repro.net.columnar import (
     HAVE_NUMPY,
     KIND_SKIP,
@@ -225,33 +219,6 @@ class TestClassifyScalarTwins:
         mixed = classify.mix32(crcs).tolist()
         for crc, mix in zip(crcs.tolist(), mixed):
             assert mix == _mix32(crc)
-        for size in (1 << 4, 1 << 10):
-            for stage in range(4):
-                vec = classify.stage_indices(crcs, stage, size).tolist()
-                assert vec == [
-                    stage_index_from_crc(c, stage, size)
-                    for c in crcs.tolist()
-                ]
-        rt = classify.rt_stage_indices(cols, 1 << 8).tolist()
-        pt = classify.pt_stage_candidates(cols, 3, 1 << 6)
-        for i, record in enumerate(records):
-            crc = flow_of(record).key_crc
-            assert rt[i] == stage_index_from_crc(crc, 0, 1 << 8)
-            for stage in range(3):
-                assert pt[stage, i] == stage_index_from_crc(
-                    crc, stage, 1 << 6
-                )
-
-    @given(st.lists(tcp_records(ipv6=False), min_size=1, max_size=16),
-           st.integers(min_value=2, max_value=16))
-    def test_canonical_and_shard_indices(self, records, shards):
-        cols = records_to_columns(records)
-        canon = classify.canonical_key_crcs(cols, SHARD_SALT).tolist()
-        indices = classify.shard_indices(cols, shards, SHARD_SALT).tolist()
-        for i, record in enumerate(records):
-            key = flow_of(record).canonical().key_bytes()
-            assert canon[i] == zlib.crc32(key, SHARD_SALT) & 0xFFFFFFFF
-            assert indices[i] == shard_of(record, shards)
 
     @given(st.lists(tcp_records(ipv6=False), min_size=1, max_size=16))
     def test_pt_match_crcs_and_eack(self, records):
@@ -263,13 +230,3 @@ class TestClassifyScalarTwins:
             sig = flow_of(record).signature
             assert match[i] == zlib.crc32(pack2_u32(sig, record.ack))
             assert eacks[i] == record.eack
-
-    def test_stage_validation_matches_scalar(self):
-        cols = records_to_columns([PacketRecord(0, 1, 2, 3, 4, 5, 6, 0, 0)])
-        crcs = classify.flow_crcs(cols)
-        with pytest.raises(ValueError):
-            classify.stage_indices(crcs, -1, 8)
-        with pytest.raises(ValueError):
-            classify.stage_indices(crcs, 16, 8)
-        with pytest.raises(ValueError):
-            classify.stage_indices(crcs, 0, 0)
