@@ -175,9 +175,10 @@ class ShardedDart:
             for shard in range(shards)
         ]
         if parallel == "process":
-            # Byte path: records are framed as they are routed and the
-            # workers parse — the coordinator never pickles an object
-            # graph and never decodes a shipped wire frame.
+            # Byte path: packets are framed as they are routed — the
+            # coordinator never pickles an object graph, and of a raw
+            # frame it reads at most the 40 fixed IPv4/TCP header bytes
+            # (the full decode of anything else runs in the worker).
             self._dispatcher = ByteBatchDispatcher(
                 shards, self._submit_bytes, batch_size=batch_size
             )
@@ -247,12 +248,17 @@ class ShardedDart:
         *,
         linktype_ethernet: bool = True,
     ) -> List[RttSample]:
-        """Ingest one raw captured frame — the zero-copy entry point.
+        """Ingest one raw captured frame.
 
-        In process mode the frame is sharded by the pre-parse header
-        scan and shipped *unparsed*; the owning worker runs the full
-        decode.  Frames the scanner cannot shard (non-IP, non-TCP,
-        truncated before the L4 ports) are dropped and counted in
+        In process mode an option-free IPv4/TCP frame has its 40 fixed
+        header bytes parsed once, here, and only those fields — a
+        37-byte record, not the frame — travel to the owning worker,
+        as a switch parser hands its pipeline a header vector.  Any
+        other frame (IP or TCP options, IPv6, malformed) is sharded by
+        the pre-parse header scan and shipped *unparsed*; the owning
+        worker runs the full decode.
+        Frames the scanner cannot shard (non-IP, non-TCP, truncated
+        before the L4 ports) are dropped and counted in
         :attr:`wire_skipped` — in every mode, so shard count never
         changes which frames are skipped.  Frames that scan but are
         malformed deeper in raise wherever the decode runs: inline
@@ -264,7 +270,7 @@ class ShardedDart:
         if self._dispatcher is not None and isinstance(
             self._dispatcher, ByteBatchDispatcher
         ):
-            # Process mode: one header scan routes the frame, unparsed.
+            # Process mode: one header parse (or scan) routes the frame.
             if not self._dispatcher.dispatch_wire(
                 data, timestamp_ns,
                 linktype_ethernet=linktype_ethernet, protocols=TCP_ONLY,

@@ -19,14 +19,17 @@ load and collision pressure.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.flow import FlowKey, flow_of
 from ..core.hashing import crc32_hash
+from ..net.ethernet import HEADER_LEN as _ETH_LEN
 from ..net.framing import BatchEncoder
+from ..net.ipv4 import PROTO_TCP
 from ..net.packet import PacketRecord
-from ..net.scan import SCAN_PROTOCOLS, scan_shard_key
+from ..net.scan import SCAN_PROTOCOLS, canonical_key_bytes, scan_shard_key
 
 #: Salt for the shard hash; distinct from every table-stage salt and the
 #: signature salt in :mod:`repro.core.hashing`.
@@ -37,7 +40,7 @@ SHARD_SALT = 0x5AD0CAFE
 #: small enough to keep workers busy on modest traces.
 DEFAULT_BATCH_SIZE = 2048
 
-#: Byte ceiling per emitted byte batch: record frames are ~36 bytes so
+#: Byte ceiling per emitted byte batch: record frames are 37 bytes so
 #: a count-full batch stays well under this, but raw wire frames can be
 #: MTU-sized — the ceiling keeps any single batch far below the shm
 #: ring's capacity regardless of frame mix.
@@ -94,6 +97,51 @@ def shard_of_wire(
     if key is None:
         return None
     return shard_of_key_bytes(key, shards)
+
+
+#: The 40 fixed header bytes of an option-free IPv4/TCP packet:
+#: version/IHL byte, total length, protocol, src, dst, sport, dport,
+#: seq, ack, data-offset/flags.
+_V4_TCP = struct.Struct("!BxH5xB2xIIHHIIH")
+
+
+def plain_v4_tcp(
+    data: bytes, *, linktype_ethernet: bool = True
+) -> Optional[Tuple[int, ...]]:
+    """``(src, dst, sport, dport, seq, ack, flags, payload_len)`` of an
+    option-free IPv4/TCP frame, else ``None``.
+
+    Takes exactly the frames :func:`repro.net.columnar._scan_v4_tcp`
+    marks ``KIND_VEC`` — IHL 5, data offset 5, a total length that
+    covers both headers and fits the captured bytes — for which the
+    fixed offsets *are* the decode :func:`~repro.net.packet.from_wire_bytes`
+    would run.  Everything else (options, IPv6, non-TCP, short,
+    malformed) is left to ``scan_shard_key`` and the full decoder.
+    """
+    ip_at = 0
+    if linktype_ethernet:
+        if data[12:14] != b"\x08\x00":  # ETHERTYPE_IPV4
+            return None
+        ip_at = _ETH_LEN
+    ip_len = len(data) - ip_at
+    if ip_len < 40:
+        return None
+    (version_ihl, total_len, protocol, src, dst, sport, dport, seq, ack,
+     offset_flags) = _V4_TCP.unpack_from(data, ip_at)
+    if (version_ihl != 0x45 or protocol != PROTO_TCP
+            or offset_flags >> 12 != 5 or not 40 <= total_len <= ip_len):
+        return None
+    return (src, dst, sport, dport, seq, ack, offset_flags & 0x01FF,
+            total_len - 40)
+
+
+@lru_cache(maxsize=1 << 20)
+def _shard_of_v4(src: int, dst: int, sport: int, dport: int,
+                 shards: int) -> int:
+    """:func:`shard_of_flow` for a bare IPv4 4-tuple (bounded cache)."""
+    return shard_of_key_bytes(
+        canonical_key_bytes(src, dst, sport, dport), shards
+    )
 
 
 def split_trace(
@@ -167,10 +215,14 @@ class ByteBatchDispatcher:
 
     * :meth:`dispatch` — a parsed :class:`~repro.net.packet.PacketRecord`;
       sharded via the (cached) flow hash, framed as a packed record.
-    * :meth:`dispatch_wire` — a raw captured frame; sharded via the
-      zero-copy header scan, framed *unparsed* so the worker does the
-      decode.  Returns ``False`` for frames the scanner rejects, which
-      the caller counts rather than ships.
+    * :meth:`dispatch_wire` — a raw captured frame.  An option-free
+      IPv4/TCP frame (:func:`plain_v4_tcp`) has its header read once,
+      here, and ships as the packed record :meth:`dispatch` emits — 37
+      bytes whatever the payload; any other frame is sharded via the
+      header scan and framed *unparsed*, in the same per-shard encoder
+      (arrival order holds), so the worker does the decode.  Returns
+      ``False`` for frames the scanner rejects, which the caller counts
+      rather than ships.
     """
 
     def __init__(
@@ -218,18 +270,26 @@ class ByteBatchDispatcher:
         linktype_ethernet: bool = True,
         protocols: FrozenSet[int] = SCAN_PROTOCOLS,
     ) -> bool:
-        """Route one raw frame unparsed; ``False`` if not shardable."""
-        key = scan_shard_key(
-            data, linktype_ethernet=linktype_ethernet, protocols=protocols
-        )
-        if key is None:
-            return False
-        shard = shard_of_key_bytes(key, self.shards)
-        self.dispatched[shard] += 1
-        encoder = self._encoders[shard]
-        encoder.add_wire(
-            data, timestamp_ns, linktype_ethernet=linktype_ethernet
-        )
+        """Route one raw frame; ``False`` if not shardable."""
+        fields = plain_v4_tcp(data, linktype_ethernet=linktype_ethernet)
+        if fields is not None and PROTO_TCP in protocols:
+            shard = _shard_of_v4(*fields[:4], self.shards)
+            self.dispatched[shard] += 1
+            encoder = self._encoders[shard]
+            encoder.add_v4(timestamp_ns, *fields)
+        else:
+            key = scan_shard_key(
+                data, linktype_ethernet=linktype_ethernet,
+                protocols=protocols,
+            )
+            if key is None:
+                return False
+            shard = shard_of_key_bytes(key, self.shards)
+            self.dispatched[shard] += 1
+            encoder = self._encoders[shard]
+            encoder.add_wire(
+                data, timestamp_ns, linktype_ethernet=linktype_ethernet
+            )
         self._maybe_emit(shard, encoder)
         return True
 

@@ -23,10 +23,12 @@ Both speak the same three-message protocol the worker loop consumes:
 
 Backpressure and fault rules (shared by both):
 
-* a full channel blocks the *producer*, in ``poll_s`` steps, calling
-  ``stall_check()`` between steps — the coordinator passes a callback
-  that raises :class:`~repro.cluster.worker.ShardFailure` when the
-  worker died, so a dead shard can never wedge the dispatch loop;
+* a full channel blocks the *producer* until the consumer makes room
+  (never for a fixed nap: the whole ring is ~20 ms of a worker's time),
+  waking at least every ``POLL_S`` to call ``stall_check()`` — the
+  coordinator passes a callback that raises
+  :class:`~repro.cluster.worker.ShardFailure` when the worker died, so
+  a dead shard can never wedge the dispatch loop;
 * the consumer blocks natively (queue get / semaphore acquire) — no
   busy-wait in workers;
 * ``destroy()`` is idempotent and safe to call with the peer gone; the
@@ -161,8 +163,10 @@ class ShmRingTransport:
     monotonic u64 byte counters) followed by ``capacity`` data bytes.
     The producer alone advances ``head``, the consumer alone advances
     ``tail``; both updates happen under one cross-process lock (two
-    lock ops per *batch*, thousands of packets — noise), and a
-    semaphore counts ready messages so the consumer blocks natively.
+    lock ops per *batch*, thousands of packets — noise), a semaphore
+    counts ready messages so the consumer blocks natively, and a second
+    one, posted whenever ``tail`` moves, wakes a producer waiting for
+    space.
 
     Messages are framed ``u32 length | u8 kind | payload`` and never
     split across the ring edge: when a message does not fit in the
@@ -191,6 +195,7 @@ class ShmRingTransport:
         struct.pack_into("<QQ", self._shm.buf, 0, 0, 0)
         self._lock = ctx.Lock()
         self._items = ctx.Semaphore(0)
+        self._space = ctx.Semaphore(0)
 
     # -- pickling: the consumer half re-attaches by name -------------------
 
@@ -201,6 +206,7 @@ class ShmRingTransport:
             "shm_name": self._shm_name,
             "lock": self._lock,
             "items": self._items,
+            "space": self._space,
         }
 
     def __setstate__(self, state):
@@ -211,6 +217,7 @@ class ShmRingTransport:
         self._shm_name = state["shm_name"]
         self._lock = state["lock"]
         self._items = state["items"]
+        self._space = state["space"]
         self._owner = False
         self._shm = shared_memory.SharedMemory(name=self._shm_name)
         # Attaching registers the segment with this process's resource
@@ -236,6 +243,11 @@ class ShmRingTransport:
         with self._lock:
             tail, = struct.unpack_from("<Q", self._shm.buf, 8)
             struct.pack_into("<Q", self._shm.buf, 8, tail + by)
+        # "Space freed", holding at most one token (take a stale one
+        # back before posting) so a producer never wakes more than once
+        # for consumer progress it has already seen.
+        self._space.acquire(block=False)
+        self._space.release()
 
     # -- producer (coordinator) side ----------------------------------------
 
@@ -279,7 +291,7 @@ class ShmRingTransport:
             stall_check()
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError("ring full")
-            time.sleep(POLL_S)
+            self._space.acquire(timeout=POLL_S)
         buf = self._shm.buf
         if edge < need:
             # Not enough room before the edge: mark the dead tail (a
@@ -296,9 +308,10 @@ class ShmRingTransport:
 
     # -- consumer (worker) side ---------------------------------------------
 
-    def recv(self) -> Message:
-        self._items.acquire()
-        head, tail = self._read_counters()
+    def _at_tail(self) -> Tuple[int, int, int, int]:
+        """The message at ``tail``: ``(kind, payload offset, payload
+        length, ring bytes consuming it releases)``."""
+        _, tail = self._read_counters()
         offset = tail % self.capacity
         edge = self.capacity - offset
         buf = self._shm.buf
@@ -311,9 +324,14 @@ class ShmRingTransport:
             skipped = edge
             offset = 0
         length, kind = _MSG_HEAD.unpack_from(buf, self._HEADER + offset)
-        data_at = self._HEADER + offset + _MSG_HEAD.size
-        payload = bytes(buf[data_at:data_at + length])
-        self._advance_tail(skipped + _MSG_HEAD.size + length)
+        return (kind, self._HEADER + offset + _MSG_HEAD.size, length,
+                skipped + _MSG_HEAD.size + length)
+
+    def recv(self) -> Message:
+        self._items.acquire()
+        kind, data_at, length, consumed = self._at_tail()
+        payload = bytes(self._shm.buf[data_at:data_at + length])
+        self._advance_tail(consumed)
         if kind == _K_BATCH:
             return ("batch", payload)
         return pickle.loads(payload)
@@ -321,20 +339,7 @@ class ShmRingTransport:
     def drain(self) -> None:
         """Fast-forward the consumer past everything queued (abort)."""
         while self._items.acquire(block=False):
-            head, tail = self._read_counters()
-            offset = tail % self.capacity
-            edge = self.capacity - offset
-            buf = self._shm.buf
-            skipped = 0
-            if edge < _MSG_HEAD.size or (
-                edge >= 4
-                and struct.unpack_from("<I", buf, self._HEADER + offset)[0]
-                == _WRAP
-            ):
-                skipped = edge
-                offset = 0
-            length, _ = _MSG_HEAD.unpack_from(buf, self._HEADER + offset)
-            self._advance_tail(skipped + _MSG_HEAD.size + length)
+            self._advance_tail(self._at_tail()[3])
 
     def depth(self) -> int:
         """Unconsumed bytes in the ring (a load signal, not messages)."""

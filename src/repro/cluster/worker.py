@@ -18,8 +18,10 @@ shard.  Three interchangeable implementations share the
   *byte* batches through a shard transport (shared-memory ring by
   default, bounded queue as fallback — see
   :mod:`repro.cluster.transport`); the mode that actually buys
-  multi-core speedup.  Parsing happens worker-side, so the coordinator
-  never materialises packet objects for shipped frames.
+  multi-core speedup.  The coordinator never materialises packet
+  objects: an option-free IPv4/TCP frame arrives as the packed fields
+  of its header, read once at dispatch, and every other frame arrives
+  whole and is parsed worker-side.
 
 Fault handling: every blocking operation on a worker is guarded by a
 liveness check or a deadline, so a crashed or hung worker surfaces as a
@@ -385,11 +387,12 @@ def _worker_main(
 
     Batches arrive as framed bytes (:mod:`repro.net.framing`) over the
     shard's transport; *this* is where they become
-    :class:`~repro.net.packet.PacketRecord` objects — parsing runs in
-    the worker, in parallel across shards, while the coordinator only
-    ever touches bytes.  Wire frames that decode to non-TCP come back
-    as ``None`` entries, which ``process_batch`` skips, matching the
-    serial reader's behaviour for mixed captures.
+    :class:`~repro.net.packet.PacketRecord` objects or columns — in the
+    worker, in parallel across shards, while the coordinator only ever
+    touches bytes.  Packed records need no parsing; whole wire frames
+    get the full decode here, and those that decode to non-TCP come
+    back as ``None`` entries, which ``process_batch`` skips, matching
+    the serial reader's behaviour for mixed captures.
 
     With numpy importable in the worker and a monitor that has
     ``process_columns``, framed batches decode columnar — same
@@ -453,8 +456,10 @@ class ProcessWorker:
     Batches cross the process boundary as contiguous framed bytes over
     a shard transport (:mod:`repro.cluster.transport`): the shared-
     memory ring by default, a bounded queue as the portable fallback.
-    Either way the coordinator ships bytes and the *worker* parses, so
-    dispatch cost no longer grows with per-packet object overhead.
+    Either way the coordinator ships bytes — packed header fields, or
+    the whole frame when the header alone does not settle the decode —
+    so dispatch cost no longer grows with per-packet object overhead
+    or, for plain traffic, with payload size.
 
     With the (Linux-default) fork start method the monitor factory may
     be any callable, closures included; under spawn it must be

@@ -36,10 +36,10 @@ the module itself always imports.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6
+from .framing import _PREFIX, _V4, _V4_BODY, _V6, _V6_BODY, _WIRE_HEAD
 from .framing import REC_V4, REC_V6, REC_WIRE, FrameError
 from .ipv4 import PROTO_TCP
 from .packet import PacketRecord, from_wire_bytes
@@ -63,14 +63,14 @@ KIND_RECORD = 2
 _ETH_HEADER = 14
 _TCP_FLAGS_MASK = 0x01FF
 
-# Frame-walk structs shared with repro.net.framing (same layout; kept
-# private there, so re-declared from the documented wire format).
-_PREFIX = struct.Struct("!HB")
-_V4 = struct.Struct("!HBQIIHHIIBI")
-_V6 = struct.Struct("!HBQQQQQHHIIBI")
-_WIRE_HEAD = struct.Struct("!HBQB")
-_V4_BODY = _V4.size - _PREFIX.size
-_V6_BODY = _V6.size - _PREFIX.size
+#: ``framing._V4`` as a packed big-endian structured dtype, its fields
+#: named (and ordered) after the :class:`PacketColumns` they fill.
+_V4_ROWS = np.dtype([
+    ("length", ">u2"), ("kind", "u1"), ("timestamps", ">u8"),
+    ("src_ip", ">u4"), ("dst_ip", ">u4"), ("src_port", ">u2"),
+    ("dst_port", ">u2"), ("seq", ">u4"), ("ack", ">u4"), ("flags", ">u2"),
+    ("payload_len", ">u4"),
+]) if HAVE_NUMPY else None
 
 #: Raw wire item: ``(timestamp_ns, linktype_is_ethernet, frame_bytes)``.
 WireItem = Tuple[int, bool, bytes]
@@ -288,10 +288,24 @@ def columns_from_framed(payload) -> PacketColumns:
     fields and embedded ``REC_WIRE`` frames with the same vectorised
     gathers as :func:`decode_wire_columns`.  Raises :class:`FrameError`
     for exactly the malformed batches ``decode_batch`` rejects.
+
+    A batch of nothing but ``REC_V4`` frames — what the cluster ships
+    for option-free IPv4/TCP traffic — skips the walk: when every
+    ``_V4.size`` stride starts with the ``REC_V4`` prefix, the walk
+    would visit exactly those offsets (each frame's length sends it to
+    the next stride), so the columns are the strided fields themselves.
     """
     _require_numpy()
     view = memoryview(payload)
     end = len(view)
+    if end and end % _V4.size == 0:
+        rows = np.frombuffer(view, dtype=_V4_ROWS)
+        if ((rows["length"] == _V4_BODY + 1) & (rows["kind"] == REC_V4)).all():
+            n = rows.shape[0]
+            return PacketColumns(
+                n, np.full(n, KIND_VEC, dtype=np.uint8),
+                *(rows[name].astype(np.int64) for name in _V4_ROWS.names[2:]),
+                {})
     buf = np.frombuffer(view, dtype=np.uint8)
     v4_pos: List[int] = []
     v4_off: List[int] = []
@@ -349,25 +363,10 @@ def columns_from_framed(payload) -> PacketColumns:
     if v4_pos:
         p = np.array(v4_pos, dtype=np.int64)
         o = np.array(v4_off, dtype=np.int64)
-        m = buf[o[:, None] + np.arange(_V4.size)].astype(np.int64)
+        rows = buf[o[:, None] + np.arange(_V4.size)].view(_V4_ROWS).ravel()
         kinds[p] = KIND_VEC
-        cols.timestamps[p] = (
-            (m[:, 3] << 56) | (m[:, 4] << 48) | (m[:, 5] << 40)
-            | (m[:, 6] << 32) | (m[:, 7] << 24) | (m[:, 8] << 16)
-            | (m[:, 9] << 8) | m[:, 10])
-        cols.src_ip[p] = ((m[:, 11] << 24) | (m[:, 12] << 16)
-                          | (m[:, 13] << 8) | m[:, 14])
-        cols.dst_ip[p] = ((m[:, 15] << 24) | (m[:, 16] << 16)
-                          | (m[:, 17] << 8) | m[:, 18])
-        cols.src_port[p] = (m[:, 19] << 8) | m[:, 20]
-        cols.dst_port[p] = (m[:, 21] << 8) | m[:, 22]
-        cols.seq[p] = ((m[:, 23] << 24) | (m[:, 24] << 16)
-                       | (m[:, 25] << 8) | m[:, 26])
-        cols.ack[p] = ((m[:, 27] << 24) | (m[:, 28] << 16)
-                       | (m[:, 29] << 8) | m[:, 30])
-        cols.flags[p] = m[:, 31]
-        cols.payload_len[p] = ((m[:, 32] << 24) | (m[:, 33] << 16)
-                               | (m[:, 34] << 8) | m[:, 35])
+        for name in _V4_ROWS.names[2:]:
+            getattr(cols, name)[p] = rows[name]
     if wire_pos:
         p = np.array(wire_pos, dtype=np.int64)
         (kw, src, dst, sport, dport, seq, ack, flags,

@@ -12,13 +12,17 @@ Every record is one *frame*::
 
 with three body types:
 
-* ``REC_V4`` — a parsed IPv4 :class:`~repro.net.packet.PacketRecord`,
-  fixed 33-byte body (timestamp, addresses, ports, seq/ack, flags,
-  payload length);
-* ``REC_V6`` — the IPv6 twin with full 16-byte addresses (57 bytes);
+* ``REC_V4`` — the nine fields of an IPv4
+  :class:`~repro.net.packet.PacketRecord`, fixed 34-byte body (u64
+  timestamp, u32 addresses, u16 ports, u32 seq/ack, u16 flags — TCP
+  keeps nine flag bits — u32 payload length), a 37-byte frame: what a
+  parsed record ships as, and what ``ShardedDart.process_wire`` ships
+  for an option-free IPv4/TCP frame after reading its header once;
+* ``REC_V6`` — the IPv6 twin with full 16-byte addresses (61 bytes);
 * ``REC_WIRE`` — an *unparsed* captured frame: u64 timestamp, u8
-  linktype flag, then the raw frame bytes.  This is the zero-copy path:
-  the coordinator never decodes the packet, the worker does.
+  linktype flag, then the raw frame bytes.  Every frame the header
+  parse does not settle (IP or TCP options, IPv6, malformed) travels
+  whole and the owning worker runs the full decode.
 
 The framing is self-delimiting and append-only, so batches concatenate
 freely and a decoder needs no out-of-band record count.  ``u16`` length
@@ -42,10 +46,10 @@ REC_V6 = 2
 #: the complete frame.
 _PREFIX = struct.Struct("!HB")
 #: ts, src, dst, sport, dport, seq, ack, flags, payload_len
-_V4 = struct.Struct("!HBQIIHHIIBI")
+_V4 = struct.Struct("!HBQIIHHIIHI")
 #: ts, src_hi, src_lo, dst_hi, dst_lo, sport, dport, seq, ack, flags,
 #: payload_len
-_V6 = struct.Struct("!HBQQQQQHHIIBI")
+_V6 = struct.Struct("!HBQQQQQHHIIHI")
 _WIRE_HEAD = struct.Struct("!HBQB")
 
 _V4_BODY = _V4.size - _PREFIX.size
@@ -65,9 +69,10 @@ class BatchEncoder:
     """Accumulates record frames into one contiguous byte buffer.
 
     One encoder per shard: the dispatcher appends with
-    :meth:`add_record` / :meth:`add_wire` and hands the buffer to the
-    transport with :meth:`take` once it is batch-sized.  ``size`` and
-    ``count`` are cheap properties the dispatcher polls per append.
+    :meth:`add_record` / :meth:`add_v4` / :meth:`add_wire` and hands
+    the buffer to the transport with :meth:`take` once it is
+    batch-sized.  ``size`` and ``count`` are cheap properties the
+    dispatcher polls per append.
     """
 
     __slots__ = ("_buffer", "count")
@@ -90,18 +95,27 @@ class BatchEncoder:
                 record.src_port, record.dst_port, record.seq, record.ack,
                 record.flags, record.payload_len,
             )
+            self.count += 1
         else:
-            self._buffer += _V4.pack(
-                _V4_BODY + 1, REC_V4, record.timestamp_ns & _U64_MASK,
-                record.src_ip, record.dst_ip, record.src_port,
-                record.dst_port, record.seq, record.ack, record.flags,
-                record.payload_len,
+            self.add_v4(
+                record.timestamp_ns, record.src_ip, record.dst_ip,
+                record.src_port, record.dst_port, record.seq, record.ack,
+                record.flags, record.payload_len,
             )
+
+    def add_v4(self, timestamp_ns: int, src_ip: int, dst_ip: int,
+               src_port: int, dst_port: int, seq: int, ack: int,
+               flags: int, payload_len: int) -> None:
+        """Append one IPv4 packet's fields as a ``REC_V4`` frame."""
+        self._buffer += _V4.pack(
+            _V4_BODY + 1, REC_V4, timestamp_ns & _U64_MASK, src_ip, dst_ip,
+            src_port, dst_port, seq, ack, flags, payload_len,
+        )
         self.count += 1
 
     def add_wire(self, data: bytes, timestamp_ns: int, *,
                  linktype_ethernet: bool = True) -> None:
-        """Append one raw captured frame, unparsed (the zero-copy path)."""
+        """Append one raw captured frame, unparsed."""
         if len(data) > MAX_WIRE_BYTES:
             raise FrameError(
                 f"wire frame of {len(data)} bytes exceeds the framing "

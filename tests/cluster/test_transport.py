@@ -13,7 +13,10 @@ Three layers of guarantees:
 """
 
 import multiprocessing
+import threading
+import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.cluster import (
     make_transport,
     merge_results,
 )
+from repro.cluster import transport as transport_mod
 from repro.cluster.transport import TransportClosed
 from repro.core import Dart, MinFilterAnalytics, ideal_config
 from repro.net import tcp as tcpf
@@ -36,7 +40,10 @@ from repro.net.framing import (
     encode_records,
 )
 from repro.net.packet import PacketRecord, to_wire_bytes
+from repro.quic.packet import QuicPacketRecord
+from repro.quic.wire import quic_to_wire_bytes
 from repro.traces import CampusTraceConfig, generate_campus_trace
+from tests.cluster.test_wire_fastpath import option_frame
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +180,84 @@ class TestShmRing:
         finally:
             ring.destroy()
 
+    @staticmethod
+    def fill(ring):
+        """Seven 65-byte messages: the eighth does not fit the 512-byte
+        ring until one is consumed."""
+        for i in range(7):
+            ring.send_batch(bytes([i]) * 60)
+
+    @pytest.mark.parametrize("make_room", ["recv", "drain"])
+    def test_blocked_send_wakes_when_the_consumer_makes_room(
+            self, monkeypatch, make_room):
+        # With a 30 s poll step only the consumer's progress can wake
+        # the producer inside the join timeout below: a producer that
+        # naps on a full ring sits out the whole step.
+        monkeypatch.setattr(transport_mod, "POLL_S", 30.0)
+        ring = small_ring()
+        try:
+            self.fill(ring)
+            checks = []
+            sender = threading.Thread(
+                target=ring.send_batch,
+                args=(b"\xff" * 60, lambda: checks.append(1)), daemon=True)
+            sender.start()
+            while not checks:  # the producer has found the ring full
+                time.sleep(0.001)
+            time.sleep(0.02)
+            assert sender.is_alive()
+            if make_room == "recv":
+                assert ring.recv() == ("batch", b"\x00" * 60)
+            else:
+                ring.drain()
+            sender.join(5.0)
+            assert not sender.is_alive()
+            if make_room == "recv":
+                for i in range(1, 7):
+                    assert ring.recv() == ("batch", bytes([i]) * 60)
+            assert ring.recv() == ("batch", b"\xff" * 60)
+            assert ring.depth() == 0
+        finally:
+            ring.destroy()
+
+    def test_no_wait_outlasts_the_poll_step(self):
+        """Blocked on a consumer that never comes, the producer checks
+        for a dead peer before every wait and never asks to wait longer
+        than ``POLL_S`` — so ``stall_check`` runs at least that often."""
+        class Dead(Exception):
+            pass
+
+        class RecordingSemaphore:
+            def __init__(self, inner):
+                self.inner = inner
+                self.timeouts = []
+
+            def acquire(self, block=True, timeout=None):
+                self.timeouts.append(timeout if block else 0)
+                return self.inner.acquire(block, 0.001 if block else None)
+
+            def release(self):
+                self.inner.release()
+
+        ring = small_ring()
+        try:
+            self.fill(ring)
+            space = ring._space = RecordingSemaphore(ring._space)
+            checks = []
+
+            def stall_check():
+                checks.append(len(space.timeouts))
+                if len(checks) == 4:
+                    raise Dead
+
+            with pytest.raises(Dead):
+                ring.send_batch(b"y" * 60, stall_check)
+            # One stall check ahead of each wait, each wait bounded.
+            assert checks == [0, 1, 2, 3]
+            assert space.timeouts == [transport_mod.POLL_S] * 3
+        finally:
+            ring.destroy()
+
     def test_drain_fast_forwards(self):
         ring = small_ring()
         try:
@@ -216,6 +301,36 @@ class TestShmRing:
 
 # -- End-to-end equivalence ------------------------------------------------
 
+def mixed_capture(records):
+    """``(frame, timestamp_ns)`` pairs: each connection rides as plain
+    IPv4/TCP, with a TCP timestamp option, or over IPv6, and an ARP
+    frame, a 2-byte runt and a UDP datagram recur in between."""
+    arp = b"\xff" * 12 + b"\x08\x06" + b"\x00" * 28
+    udp = quic_to_wire_bytes(QuicPacketRecord(
+        timestamp_ns=0, src_ip=0x0A000001, dst_ip=0x0A000002,
+        src_port=5000, dst_port=443, spin_bit=False, long_header=False,
+        payload_len=30))
+    capture = []
+    for i, record in enumerate(records):
+        endpoints = sorted([(record.src_ip, record.src_port),
+                            (record.dst_ip, record.dst_port)])
+        shape = hash(tuple(endpoints)) % 3
+        if shape == 0:
+            frame = to_wire_bytes(record)
+        elif shape == 1:
+            frame = option_frame(record, tcp_options=tcpf.TcpOptions(
+                timestamp=(i, 0)))
+        else:
+            frame = to_wire_bytes(replace(
+                record, src_ip=(1 << 100) | record.src_ip,
+                dst_ip=(1 << 100) | record.dst_ip, ipv6=True))
+        capture.append((frame, record.timestamp_ns))
+        if i % 50 == 0:
+            capture.extend((junk, record.timestamp_ns)
+                           for junk in (arp, b"\x00\x01", udp))
+    return capture
+
+
 def run_serial(records):
     dart = Dart(ideal_config())
     dart.process_trace(records)
@@ -248,6 +363,39 @@ class TestTransportEquivalence:
         assert cluster.wire_skipped == 0
         assert cluster.stats == serial.stats
         assert Counter(cluster.samples) == Counter(serial.samples)
+
+    @pytest.mark.parametrize("decoder",
+                             ["columnar", "object", "numpy_hidden"])
+    def test_mixed_capture_matches_serial(self, records, transport,
+                                          decoder, monkeypatch):
+        """Plain frames (header parsed at dispatch, shipped as records)
+        and everything else (shipped whole) interleave in one capture:
+        same skips, same per-shard routing, same answers as serial."""
+        if decoder == "numpy_hidden":
+            from repro.net import columnar
+
+            monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        capture = mixed_capture(records)
+        serial = ShardedDart(ideal_config(), shards=3, parallel="serial")
+        cluster = ShardedDart(
+            ideal_config(), shards=3, parallel="process",
+            transport=transport, batch_size=64, join_timeout=15.0,
+            fastpath=decoder != "object",
+        )
+        for monitor in (serial, cluster):
+            for frame, timestamp_ns in capture:
+                monitor.process_wire(frame, timestamp_ns)
+            monitor.finalize()
+        assert cluster.wire_skipped == serial.wire_skipped > 0
+        assert (cluster._dispatcher.dispatched
+                == serial._dispatcher.dispatched)
+        assert ([r.packets for r in cluster.shard_results]
+                == [r.packets for r in serial.shard_results])
+        assert cluster.stats == serial.stats
+        assert cluster.stats.packets_processed == len(records)
+        assert Counter(cluster.samples) == Counter(serial.samples)
+        assert cluster.samples
+        assert cluster.window_history == serial.window_history
 
     def test_unshardable_frames_skipped_and_counted(self, records, transport):
         cluster = ShardedDart(

@@ -7,7 +7,10 @@ itself once failed without numpy for that reason.  Here one subprocess
 refuses the import at ``sys.meta_path`` (which is what an interpreter
 without the package does), imports every ``repro`` module, and replays
 a capture; the CSV it writes must be the bytes a numpy-visible run
-writes.
+writes.  A second subprocess runs a two-shard process-mode cluster over
+the same capture through ``process_wire``: the packed-record route
+(header parsed at dispatch, ``decode_batch`` in the worker) needs numpy
+on neither side of the process boundary.
 """
 
 import os
@@ -27,7 +30,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TABLES = ["--rt-slots", "1024", "--pt-slots", "256", "--stages", "2",
           "--recirc", "2"]
 
-NUMPY_LESS = """
+BLOCK_NUMPY = """
 import importlib, pkgutil, sys
 
 class NoNumpy:
@@ -37,7 +40,9 @@ class NoNumpy:
                                       "the test)", name=name)
 
 sys.meta_path.insert(0, NoNumpy())
+"""
 
+NUMPY_LESS = BLOCK_NUMPY + """
 import repro
 for module in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(module.name)
@@ -46,6 +51,44 @@ from repro.net import columnar
 assert columnar.HAVE_NUMPY is False
 from repro.cli import replay
 sys.exit(replay.main(sys.argv[1:]))
+"""
+
+CLUSTER_RUN = """
+import sys
+from collections import Counter
+
+from repro.cluster import ShardedDart
+from repro.core import Dart, ideal_config
+from repro.net.framing import REC_V4, BatchEncoder
+from repro.net.packet import from_wire_bytes
+from repro.net.pcapng import read_any_frames
+
+frames = list(read_any_frames(sys.argv[1]))
+serial = Dart(ideal_config())
+serial.process_batch(
+    [from_wire_bytes(frame, ts, linktype_ethernet=eth)
+     for ts, eth, frame in frames])
+serial.finalize()
+
+kinds = Counter()
+take = BatchEncoder.take
+def counting_take(self):
+    batch = take(self)
+    kinds[batch[2]] += 1
+    return batch
+BatchEncoder.take = counting_take
+
+cluster = ShardedDart(ideal_config(), shards=2, parallel="process",
+                      batch_size=256, join_timeout=30.0)
+for ts, eth, frame in frames:
+    cluster.process_wire(frame, ts, linktype_ethernet=eth)
+cluster.finalize()
+assert "numpy" not in sys.modules
+assert set(kinds) == {REC_V4}, kinds
+assert cluster.wire_skipped == 0
+assert cluster.stats == serial.stats, (cluster.stats, serial.stats)
+assert Counter(cluster.samples) == Counter(serial.samples)
+print(cluster.stats.packets_processed, len(cluster.samples))
 """
 
 
@@ -79,3 +122,20 @@ def test_csv_equals_the_numpy_visible_run(blocked_run, tmp_path):
     visible_csv = tmp_path / "visible.csv"
     assert replay.main([str(pcap), "--csv", str(visible_csv), *TABLES]) == 0
     assert blocked_csv.read_bytes() == visible_csv.read_bytes()
+
+
+@pytest.mark.parametrize("prelude", [BLOCK_NUMPY, ""],
+                         ids=["numpy_refused", "numpy_installed"])
+def test_process_cluster_over_process_wire_needs_no_numpy(blocked_run,
+                                                          prelude):
+    """Refused or merely installed, the coordinator never imports numpy
+    (it would cost ~12 MiB of resident memory) and the answers equal the
+    serial monitor's; installed, the workers decode columnar."""
+    pcap, _, _ = blocked_run
+    result = subprocess.run(
+        [sys.executable, "-c", prelude + CLUSTER_RUN, str(pcap)],
+        capture_output=True, text=True, timeout=240,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+    packets, samples = map(int, result.stdout.split())
+    assert packets > 0 and samples > 0
