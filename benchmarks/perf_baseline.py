@@ -73,11 +73,7 @@ from typing import List, Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.perfgate import SCHEMA  # noqa: E402
-from repro.cluster import (  # noqa: E402
-    DEFAULT_TRANSPORT,
-    TRANSPORT_MODES,
-    ShardedDart,
-)
+from repro.cluster import ShardedDart  # noqa: E402
 from repro.core import Dart, DartConfig  # noqa: E402
 from repro.core.analytics import (  # noqa: E402
     DstPrefixKey,
@@ -387,7 +383,7 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def measure_cluster_scaling(records, repeats: int, transport: str) -> dict:
+def measure_cluster_scaling(records, repeats: int) -> dict:
     """Serial vs 4/8-shard byte-transport throughput with speedups.
 
     The within-report section perfgate's core-aware scaling floor
@@ -407,7 +403,9 @@ def measure_cluster_scaling(records, repeats: int, transport: str) -> dict:
         serial_samples = dart.stats.samples
     section = {
         "serial_pps": round(serial_pps, 1),
-        "transport": transport,
+        # The one transport there is; the key stays because perfgate
+        # reads it and BENCH_pipeline.json carries it.
+        "transport": "shm",
         "usable_cores": _usable_cores(),
         "batch_size": CLUSTER_BATCH,
     }
@@ -415,7 +413,6 @@ def measure_cluster_scaling(records, repeats: int, transport: str) -> dict:
         best_pps = 0.0
         for _ in range(repeats):
             cluster = ShardedDart(CONFIG, shards=shards, parallel="process",
-                                  transport=transport,
                                   batch_size=CLUSTER_BATCH)
             start = time.perf_counter()
             cluster.process_trace(records)
@@ -515,8 +512,7 @@ def measure_fleet_merge(records, repeats: int) -> dict:
 
 
 def run(repeats: int, parallel: str, skip_cluster: bool, *,
-        section: str = "all", quick: bool = False,
-        transport: str = DEFAULT_TRANSPORT) -> dict:
+        section: str = "all", quick: bool = False) -> dict:
     connections = QUICK_CONNECTIONS if quick else CONNECTIONS
     trace = generate_campus_trace(
         CampusTraceConfig(connections=connections, seed=SEED)
@@ -550,9 +546,8 @@ def run(repeats: int, parallel: str, skip_cluster: bool, *,
     }
 
     if section == "cluster_scaling":
-        scaling = measure_cluster_scaling(trace.records, repeats, transport)
-        print(f"cluster_scaling ({transport}, "
-              f"{scaling['usable_cores']} cores): "
+        scaling = measure_cluster_scaling(trace.records, repeats)
+        print(f"cluster_scaling ({scaling['usable_cores']} cores): "
               f"serial {scaling['serial_pps']:,.0f} pps, "
               f"4-shard {scaling['shard_4_speedup']:.2f}x, "
               f"8-shard {scaling['shard_8_speedup']:.2f}x", file=sys.stderr)
@@ -617,12 +612,9 @@ def run(repeats: int, parallel: str, skip_cluster: bool, *,
         pps = results[f"cluster_{SHARDS}shard"]["packets_per_second"]
         print(f"cluster ({SHARDS} shards, {parallel}): {pps:,.0f} pps",
               file=sys.stderr)
-        scaling = measure_cluster_scaling(
-            trace.records, cluster_reps, transport
-        )
+        scaling = measure_cluster_scaling(trace.records, cluster_reps)
         results["cluster_scaling"] = scaling
-        print(f"cluster_scaling ({transport}, "
-              f"{scaling['usable_cores']} cores): "
+        print(f"cluster_scaling ({scaling['usable_cores']} cores): "
               f"serial {scaling['serial_pps']:,.0f} pps, "
               f"4-shard {scaling['shard_4_speedup']:.2f}x, "
               f"8-shard {scaling['shard_8_speedup']:.2f}x", file=sys.stderr)
@@ -649,7 +641,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="serial timing repetitions; best is kept "
                              "(default 3)")
     parser.add_argument("--parallel", default="process",
-                        choices=["process", "thread", "serial"],
+                        choices=["process", "serial"],
                         help="cluster worker mode (default process)")
     parser.add_argument("--skip-cluster", action="store_true",
                         help="measure only the serial pipeline")
@@ -663,16 +655,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="shrink the workload for time-boxed CI jobs "
                              "(stamped into the report; a quick report "
                              "cannot replace the committed baseline)")
-    parser.add_argument("--transport", default=DEFAULT_TRANSPORT,
-                        choices=list(TRANSPORT_MODES),
-                        help="process-mode byte transport for the scaling "
-                             f"sweep (default {DEFAULT_TRANSPORT})")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be positive")
     report = run(args.repeats, args.parallel, args.skip_cluster,
-                 section=args.section, quick=args.quick,
-                 transport=args.transport)
+                 section=args.section, quick=args.quick)
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}", file=sys.stderr)
     return 0

@@ -6,8 +6,8 @@ choices and help on every script that carries it: leg
 (``--internal --leg`` -> :func:`build_leg_filter`), tables
 (``--rt-slots --pt-slots --stages --recirc --handshake`` ->
 :func:`monitor_options`), export (``--csv --jsonl --reports`` ->
-:func:`export_sinks`) and shards (``--shards --parallel --transport``
--> :func:`build_monitor`).  :mod:`repro.cli.distargs` holds the
+:func:`export_sinks`) and shards (``--shards --parallel`` ->
+:func:`build_monitor`).  :mod:`repro.cli.distargs` holds the
 ``--hist-*`` group the same way.
 """
 
@@ -87,14 +87,10 @@ def add_shard_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=1, metavar="N",
                         help="flow-shard each monitor across N parallel "
                              "instances (default 1 = serial)")
-    parser.add_argument("--parallel", choices=["process", "thread", "serial"],
+    parser.add_argument("--parallel", choices=["process", "serial"],
                         default="process",
                         help="execution mode for --shards > 1 "
                              "(default: process)")
-    parser.add_argument("--transport", choices=["shm", "queue"],
-                        default="shm",
-                        help="process-mode byte transport: shared-memory "
-                             "ring or mp.Queue fallback (default: shm)")
 
 
 def build_leg_filter(internal: Optional[Tuple[int, int]],
@@ -144,7 +140,6 @@ def build_monitor(name: str, args: argparse.Namespace,
         return ShardedMonitor(
             shards=args.shards,
             parallel=args.parallel,
-            transport=args.transport,
             monitor_factory=monitor_factory(name, options),
         )
     return create(name, options)

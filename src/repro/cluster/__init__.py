@@ -12,7 +12,7 @@ Public surface:
 * :class:`ShardedDart` (alias :class:`ShardedMonitor`) — the
   coordinator façade with the serial monitor's ``process_trace`` /
   ``finalize`` / ``stats`` / ``samples`` surface and a
-  ``parallel="process" | "thread" | "serial"`` execution knob.  Via
+  ``parallel="process" | "serial"`` execution knob.  Via
   ``monitor_factory`` it shards any registered
   :class:`repro.engine.RttMonitor`, not just Dart.
 * :class:`ShardFailure` / :class:`ShardResult` — the failure and result
@@ -21,9 +21,9 @@ Public surface:
   :func:`split_trace` / :class:`BatchDispatcher` /
   :class:`ByteBatchDispatcher` — the sharding primitives (object and
   byte-batch flavours).
-* :class:`ShmRingTransport` / :class:`QueueTransport` — how process-
-  mode byte batches cross the process boundary (``transport="shm"``
-  is the default, ``"queue"`` the portable fallback).
+* :class:`ShmRingTransport` — how process-mode byte batches cross the
+  process boundary (a shared-memory ring per shard; there is no other
+  transport, so process mode needs POSIX shared memory).
 * ``merge_*`` — pure aggregation of stats, sample streams, collectors,
   and analytics window histories.
 """
@@ -39,7 +39,6 @@ from .merge import (
     merge_window_histories,
 )
 from .sharding import (
-    DEFAULT_BATCH_BYTES,
     DEFAULT_BATCH_SIZE,
     SHARD_SALT,
     BatchDispatcher,
@@ -50,23 +49,15 @@ from .sharding import (
     shard_of_wire,
     split_trace,
 )
-from .transport import (
-    DEFAULT_TRANSPORT,
-    TRANSPORT_MODES,
-    QueueTransport,
-    ShmRingTransport,
-    make_transport,
-)
+from .transport import DEFAULT_BATCH_BYTES, ShmRingTransport
 from .worker import (
     DEFAULT_JOIN_TIMEOUT,
-    DEFAULT_QUEUE_DEPTH,
     ClusterPartialResultWarning,
     InlineWorker,
     MonitorFactory,
     ProcessWorker,
     ShardFailure,
     ShardResult,
-    ThreadWorker,
     harvest,
 )
 
@@ -77,24 +68,18 @@ __all__ = [
     "DEFAULT_BATCH_BYTES",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_JOIN_TIMEOUT",
-    "DEFAULT_QUEUE_DEPTH",
-    "DEFAULT_TRANSPORT",
     "InlineWorker",
     "MonitorFactory",
     "PARALLEL_MODES",
     "ProcessWorker",
-    "QueueTransport",
     "SHARD_SALT",
     "ShardFailure",
     "ShardResult",
     "ShardedDart",
     "ShardedMonitor",
     "ShmRingTransport",
-    "TRANSPORT_MODES",
-    "ThreadWorker",
     "absorb_window_history",
     "harvest",
-    "make_transport",
     "merge_collectors",
     "merge_results",
     "merge_sample_lists",

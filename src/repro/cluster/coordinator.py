@@ -20,7 +20,7 @@ Failure model: any worker crash or hang surfaces as a
 :class:`~repro.cluster.worker.ShardFailure` carrying the failed shard's
 id and whatever partial results were recovered.  On failure the
 coordinator aborts the remaining workers before raising — it never
-deadlocks waiting on a dead queue, and never silently returns a partial
+deadlocks waiting on a dead worker, and never silently returns a partial
 merge as if it were complete.
 """
 
@@ -40,10 +40,8 @@ from .sharding import (
     BatchDispatcher,
     ByteBatchDispatcher,
 )
-from .transport import DEFAULT_TRANSPORT, TRANSPORT_MODES
 from .worker import (
     DEFAULT_JOIN_TIMEOUT,
-    DEFAULT_QUEUE_DEPTH,
     MonitorFactory,
     ShardFailure,
     ShardResult,
@@ -62,9 +60,10 @@ class ShardedDart:
             count, exactly like adding hardware pipelines).
         shards: number of parallel Dart instances.  ``1`` short-circuits
             to a plain serial :class:`Dart`.
-        parallel: ``"process"`` (multi-core, the default), ``"thread"``
-            (GIL-bound; overlaps I/O only), or ``"serial"`` (inline, for
-            debugging and ground-truth comparisons).
+        parallel: ``"process"`` (multi-core, the default; needs POSIX
+            shared memory — a host without it raises ``OSError`` here)
+            or ``"serial"`` (inline, for debugging and ground-truth
+            comparisons).
         monitor_factory: build one shard's monitor — any
             :class:`repro.engine.RttMonitor` factory; overrides
             ``config`` / ``analytics_factory`` / filters.  Must be
@@ -73,14 +72,7 @@ class ShardedDart:
         analytics_factory: build one shard's analytics module (a shared
             analytics *instance* cannot be handed to N workers).
         leg_filter / target_filter: as for :class:`Dart`.
-        transport: how process-mode byte batches cross the process
-            boundary — ``"shm"`` (shared-memory ring, the default) or
-            ``"queue"`` (bounded ``multiprocessing.Queue``, the
-            portable fallback).  Ignored by the other parallel modes,
-            which have no serialization boundary to optimise.
         batch_size: records per dispatched batch.
-        queue_depth: batches buffered per worker before the dispatcher
-            blocks (backpressure).
         join_timeout: seconds to wait for a worker at ``finalize``
             before declaring it hung.
         fastpath: process-mode workers decode byte batches columnar
@@ -88,8 +80,8 @@ class ShardedDart:
             numpy is importable in the worker and the monitor has
             ``process_columns`` — same verdicts, stats, and samples.
             ``False`` forces the per-record parse: the reference leg
-            of the cluster equivalence suite.  Serial/thread modes
-            have no byte boundary to vectorise and ignore it.
+            of the cluster equivalence suite.  Serial mode has no
+            byte boundary to vectorise and ignores it.
     """
 
     def __init__(
@@ -102,9 +94,7 @@ class ShardedDart:
         analytics_factory: Optional[Callable[[], object]] = None,
         leg_filter: Optional[LegFilter] = None,
         target_filter: Optional[TargetFilter] = None,
-        transport: str = DEFAULT_TRANSPORT,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
         join_timeout: float = DEFAULT_JOIN_TIMEOUT,
         fastpath: bool = True,
     ) -> None:
@@ -114,11 +104,6 @@ class ShardedDart:
             raise ValueError(
                 f"parallel must be one of {sorted(WORKER_MODES)}, "
                 f"got {parallel!r}"
-            )
-        if transport not in TRANSPORT_MODES:
-            raise ValueError(
-                f"transport must be one of {sorted(TRANSPORT_MODES)}, "
-                f"got {transport!r}"
             )
         if monitor_factory is None:
             def monitor_factory() -> Dart:
@@ -136,11 +121,6 @@ class ShardedDart:
         self.parallel = parallel if shards > 1 else "serial"
         #: Whether process-mode workers were asked to decode columnar.
         self.fastpath = fastpath
-        #: The transport process-mode batches ride on; ``None`` when no
-        #: process boundary exists (serial/thread modes, one shard).
-        self.transport = (
-            transport if shards > 1 and parallel == "process" else None
-        )
         #: Multi-shard runs surface samples only after :meth:`finalize`
         #: (workers retain them until harvest); the engine reads this to
         #: route retained samples post-finalize instead of per batch.
@@ -166,14 +146,16 @@ class ShardedDart:
             self.dart = monitor_factory()
             return
         worker_cls = WORKER_MODES[parallel]
-        self._workers = [
-            worker_cls(
-                shard, monitor_factory,
-                queue_depth=queue_depth, transport=transport,
-                fastpath=fastpath,
-            )
-            for shard in range(shards)
-        ]
+        try:
+            for shard in range(shards):
+                self._workers.append(
+                    worker_cls(shard, monitor_factory, fastpath=fastpath)
+                )
+        except BaseException:
+            # A ring that cannot be allocated or a process that cannot
+            # start must not leave the earlier shards running.
+            self._abort_workers()
+            raise
         if parallel == "process":
             # Byte path: packets are framed as they are routed — the
             # coordinator never pickles an object graph, and of a raw
@@ -262,7 +244,7 @@ class ShardedDart:
         :attr:`wire_skipped` — in every mode, so shard count never
         changes which frames are skipped.  Frames that scan but are
         malformed deeper in raise wherever the decode runs: inline
-        here for serial/thread modes, as a :class:`ShardFailure` from
+        here in serial mode, as a :class:`ShardFailure` from
         the owning shard in process mode.
         """
         if self._results is not None:
@@ -280,10 +262,10 @@ class ShardedDart:
             if self._end_ns is None or timestamp_ns > self._end_ns:
                 self._end_ns = timestamp_ns
             return []
-        # No byte transport below this point (serial or thread mode):
-        # apply the same scanner gate — shard count and parallel mode
-        # must never change *which* frames are skipped — then decode
-        # inline.
+        # No byte transport below this point (serial mode, or one
+        # shard): apply the same scanner gate — shard count and parallel
+        # mode must never change *which* frames are skipped — then
+        # decode inline.
         if scan_shard_key(
             data, linktype_ethernet=linktype_ethernet, protocols=TCP_ONLY
         ) is None:
@@ -449,9 +431,9 @@ class ShardedDart:
             collect_monitor(registry, self.dart, name)
             return
         shard_labels = ("monitor", "shard")
-        queue_depth = registry.gauge(
+        ring_depth = registry.gauge(
             "dart_cluster_queue_depth",
-            "Batches waiting in this shard's inbox (-1: unknown)",
+            "Unconsumed bytes in this shard's ring (-1: ring gone)",
             shard_labels,
         )
         alive = registry.gauge(
@@ -461,7 +443,7 @@ class ShardedDart:
         for worker in self._workers:
             depth, live = worker.telemetry_probe()
             labels = (name, str(worker.shard_id))
-            queue_depth.set(labels, depth)
+            ring_depth.set(labels, depth)
             alive.set(labels, 1 if live else 0)
         dispatched = registry.counter(
             "dart_cluster_dispatched_total",

@@ -30,21 +30,16 @@ from ..net.framing import BatchEncoder
 from ..net.ipv4 import PROTO_TCP
 from ..net.packet import PacketRecord
 from ..net.scan import SCAN_PROTOCOLS, canonical_key_bytes, scan_shard_key
+from .transport import DEFAULT_BATCH_BYTES
 
 #: Salt for the shard hash; distinct from every table-stage salt and the
 #: signature salt in :mod:`repro.core.hashing`.
 SHARD_SALT = 0x5AD0CAFE
 
 #: Records buffered per shard before a batch is handed to its worker.
-#: Large enough to amortise queue/pickling overhead in process mode,
-#: small enough to keep workers busy on modest traces.
+#: Large enough to amortise the per-batch ring operations in process
+#: mode, small enough to keep workers busy on modest traces.
 DEFAULT_BATCH_SIZE = 2048
-
-#: Byte ceiling per emitted byte batch: record frames are 37 bytes so
-#: a count-full batch stays well under this, but raw wire frames can be
-#: MTU-sized — the ceiling keeps any single batch far below the shm
-#: ring's capacity regardless of frame mix.
-DEFAULT_BATCH_BYTES = 256 * 1024
 
 
 @lru_cache(maxsize=1 << 20)
@@ -159,8 +154,9 @@ class BatchDispatcher:
 
     ``emit(shard_id, batch)`` is called whenever a shard's buffer
     reaches ``batch_size``; :meth:`flush` drains the remainders at end
-    of trace.  Batching is what makes process-mode sharding profitable:
-    one queue operation (and one pickle) covers thousands of packets.
+    of trace.  This is the object path of ``parallel="serial"``, the
+    reference process mode is compared against; process mode itself
+    runs :class:`ByteBatchDispatcher`.
     """
 
     def __init__(
@@ -203,13 +199,15 @@ class ByteBatchDispatcher:
     """Buffers framed *bytes* per shard and emits contiguous batches.
 
     The process-mode twin of :class:`BatchDispatcher`: instead of
-    per-shard record lists (which each cost a pickled object graph at
-    the queue), every shard owns a :class:`~repro.net.framing.BatchEncoder`
-    and records are packed into its buffer the moment they are routed.
+    per-shard record lists (which would each cost a pickled object
+    graph at the process boundary), every shard owns a
+    :class:`~repro.net.framing.BatchEncoder` and records are packed into its buffer the moment they are routed.
     ``emit(shard_id, payload)`` receives a finished ``bytes`` batch when
     a shard's buffer reaches ``batch_size`` records *or* ``batch_bytes``
-    bytes — the byte ceiling matters on the raw-frame path, where one
-    record can be MTU-sized.
+    bytes — packed records are 37 bytes, so a count-full batch stays
+    well under the ceiling, but a raw wire frame can be MTU-sized, and
+    the ceiling (:data:`~repro.cluster.transport.DEFAULT_BATCH_BYTES`,
+    an eighth of the ring) is what keeps any one batch inside the ring.
 
     Two routing entry points:
 

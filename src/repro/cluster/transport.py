@@ -1,36 +1,31 @@
-"""Shard transports: byte batches from coordinator to worker processes.
+"""The shard transport: byte batches from coordinator to worker process.
 
 The original cluster shipped every packet as a pickled Python object
 through a ``multiprocessing.Queue`` — and lost to the serial monitor
 (``BENCH_pipeline.json`` v4: 4-shard process mode at ~70k pps vs ~131k
 serial), because per-object pickling on the coordinator ate more CPU
-than sharding saved.  This module replaces that seam with transports
-that move *contiguous byte batches* (see :mod:`repro.net.framing`):
+than sharding saved.  :class:`ShmRingTransport` replaces that seam: a
+single-producer / single-consumer ring buffer in
+``multiprocessing.shared_memory`` that moves *contiguous byte batches*
+(see :mod:`repro.net.framing`).  The producer memcpys a batch into the
+ring and bumps a counter; the payload crosses the process boundary
+with **zero** pickling and zero kernel copies (both sides map the same
+pages).  It is the only way across: a host that cannot allocate POSIX
+shared memory gets the ``OSError`` when the ring is built.
 
-* :class:`ShmRingTransport` — the default.  A single-producer /
-  single-consumer ring buffer in ``multiprocessing.shared_memory``:
-  the producer memcpys a batch into the ring and bumps a counter; the
-  payload crosses the process boundary with **zero** pickling and zero
-  kernel copies (both sides map the same pages).
-* :class:`QueueTransport` — the fallback (platforms without usable
-  shared memory, or ``transport="queue"``).  The same byte batches
-  over a bounded ``multiprocessing.Queue``; pickling a ``bytes`` blob
-  is a memcpy, so this is still far cheaper than object batches, just
-  with the queue's copy-through-a-pipe cost on top.
-
-Both speak the same three-message protocol the worker loop consumes:
+The worker loop consumes a three-message protocol:
 ``("batch", payload)``, ``("finish", end_ns)``, ``("stop", None)``.
 
-Backpressure and fault rules (shared by both):
+Backpressure and fault rules:
 
-* a full channel blocks the *producer* until the consumer makes room
+* a full ring blocks the *producer* until the consumer makes room
   (never for a fixed nap: the whole ring is ~20 ms of a worker's time),
   waking at least every ``POLL_S`` to call ``stall_check()`` — the
   coordinator passes a callback that raises
   :class:`~repro.cluster.worker.ShardFailure` when the worker died, so
   a dead shard can never wedge the dispatch loop;
-* the consumer blocks natively (queue get / semaphore acquire) — no
-  busy-wait in workers;
+* the consumer blocks natively (semaphore acquire) — no busy-wait in
+  workers;
 * ``destroy()`` is idempotent and safe to call with the peer gone; the
   *coordinator* owns shared-memory unlinking (workers only close their
   mapping).
@@ -38,7 +33,6 @@ Backpressure and fault rules (shared by both):
 
 from __future__ import annotations
 
-import pickle
 import struct
 import time
 from typing import Callable, Optional, Tuple
@@ -46,26 +40,28 @@ from typing import Callable, Optional, Tuple
 #: Seconds between stall checks while a producer waits for space.
 POLL_S = 0.05
 
-#: Target bytes per shipped batch.  Big enough that the per-batch fixed
-#: costs (one semaphore op, one counter update or queue put) amortise
-#: over thousands of packets; small enough that workers start promptly.
+#: Byte ceiling per shipped batch (what :class:`~repro.cluster.sharding.
+#: ByteBatchDispatcher` cuts at).  Big enough that the per-batch fixed
+#: costs (one semaphore op, one counter update) amortise over thousands
+#: of packets; small enough that workers start promptly.  Declared
+#: here, once, because "no batch exceeds the ring" rests on it.
 DEFAULT_BATCH_BYTES = 256 * 1024
 
-#: Ring capacity as a multiple of the batch target: room for several
-#: in-flight batches before the producer blocks (the byte-level
-#: equivalent of the queue transport's ``queue_depth``).
+#: Ring capacity as a multiple of the batch ceiling: room for several
+#: in-flight batches before the producer blocks.
 RING_BATCHES = 8
-
-TRANSPORT_MODES = ("shm", "queue")
-DEFAULT_TRANSPORT = "shm"
 
 Message = Tuple[str, object]
 
 #: Ring message kinds.
 _K_BATCH = 0
-_K_CONTROL = 1
+_K_FINISH = 1
+_K_STOP = 2
 
 _MSG_HEAD = struct.Struct("<IB")  # payload length, kind
+#: ``finish`` payload: whether an end-of-trace timestamp is present,
+#: and the timestamp (ns, signed 64-bit).
+_FINISH = struct.Struct("<?q")
 #: Length sentinel: "no message fits before the ring edge — wrap".
 _WRAP = 0xFFFFFFFF
 
@@ -78,86 +74,8 @@ def _default_stall_check() -> None:
     """No-op stall check for callers without liveness to consult."""
 
 
-class QueueTransport:
-    """Byte batches over a bounded ``multiprocessing.Queue``.
-
-    The fallback transport: portable everywhere multiprocessing works,
-    with the queue's pipe copy as its only overhead — the payload is a
-    single ``bytes`` object, so pickling it is O(len) memcpy, not an
-    object-graph walk.
-    """
-
-    name = "queue"
-
-    def __init__(self, ctx, *, queue_depth: int,
-                 batch_bytes: int = DEFAULT_BATCH_BYTES) -> None:
-        self.batch_bytes = batch_bytes
-        self._queue = ctx.Queue(maxsize=queue_depth)
-
-    # -- producer (coordinator) side --------------------------------------
-
-    def send_batch(self, payload: bytes,
-                   stall_check: Callable[[], None] = _default_stall_check,
-                   ) -> None:
-        self._send(("batch", payload), stall_check)
-
-    def send_finish(self, end_ns: Optional[int],
-                    stall_check: Callable[[], None] = _default_stall_check,
-                    ) -> None:
-        self._send(("finish", end_ns), stall_check)
-
-    def send_stop(self) -> None:
-        """Best-effort abort wake-up; never blocks."""
-        try:
-            self._queue.put_nowait(("stop", None))
-        except Exception:
-            pass
-
-    def _send(self, message: Message,
-              stall_check: Callable[[], None]) -> None:
-        import queue as queue_mod
-
-        while True:
-            try:
-                self._queue.put(message, timeout=POLL_S)
-                return
-            except queue_mod.Full:
-                stall_check()
-
-    # -- consumer (worker) side --------------------------------------------
-
-    def recv(self) -> Message:
-        return self._queue.get()
-
-    def drain(self) -> None:
-        """Discard queued batches (abort path, thread-safe best effort)."""
-        import queue as queue_mod
-
-        try:
-            while True:
-                self._queue.get_nowait()
-        except (queue_mod.Empty, OSError, ValueError):
-            pass
-
-    def depth(self) -> int:
-        """Messages currently queued (-1 where unsupported)."""
-        try:
-            return self._queue.qsize()
-        except NotImplementedError:
-            return -1
-
-    def close_consumer(self) -> None:
-        pass
-
-    def destroy(self) -> None:
-        try:
-            self._queue.close()
-        except Exception:
-            pass
-
-
 class ShmRingTransport:
-    """SPSC byte ring in POSIX shared memory — the default transport.
+    """SPSC byte ring in POSIX shared memory.
 
     Layout of the segment: a 16-byte header (``head`` and ``tail``
     monotonic u64 byte counters) followed by ``capacity`` data bytes.
@@ -172,21 +90,18 @@ class ShmRingTransport:
     split across the ring edge: when a message does not fit in the
     space before the edge, the producer writes a 4-byte wrap sentinel
     (or, with less than 4 contiguous bytes left, relies on the shared
-    "dead tail" rule) and restarts at offset zero.  Ring capacity is
-    sized to ``RING_BATCHES`` batch targets, so backpressure engages
-    only when the worker is genuinely behind.
+    "dead tail" rule) and restarts at offset zero.  ``capacity``
+    defaults to ``RING_BATCHES`` batch ceilings, so backpressure
+    engages only when the worker is genuinely behind.
     """
-
-    name = "shm"
 
     _HEADER = 16
 
-    def __init__(self, ctx, *, queue_depth: int,
-                 batch_bytes: int = DEFAULT_BATCH_BYTES) -> None:
+    def __init__(self, ctx, *,
+                 capacity: int = RING_BATCHES * DEFAULT_BATCH_BYTES) -> None:
         from multiprocessing import shared_memory
 
-        self.batch_bytes = batch_bytes
-        self.capacity = max(queue_depth, RING_BATCHES) * batch_bytes
+        self.capacity = capacity
         self._shm = shared_memory.SharedMemory(
             create=True, size=self._HEADER + self.capacity
         )
@@ -201,7 +116,6 @@ class ShmRingTransport:
 
     def __getstate__(self):
         return {
-            "batch_bytes": self.batch_bytes,
             "capacity": self.capacity,
             "shm_name": self._shm_name,
             "lock": self._lock,
@@ -212,7 +126,6 @@ class ShmRingTransport:
     def __setstate__(self, state):
         from multiprocessing import resource_tracker, shared_memory
 
-        self.batch_bytes = state["batch_bytes"]
         self.capacity = state["capacity"]
         self._shm_name = state["shm_name"]
         self._lock = state["lock"]
@@ -259,12 +172,12 @@ class ShmRingTransport:
     def send_finish(self, end_ns: Optional[int],
                     stall_check: Callable[[], None] = _default_stall_check,
                     ) -> None:
-        self._send(_K_CONTROL, pickle.dumps(("finish", end_ns)), stall_check)
+        payload = _FINISH.pack(end_ns is not None, end_ns or 0)
+        self._send(_K_FINISH, payload, stall_check)
 
     def send_stop(self) -> None:
         try:
-            self._send(_K_CONTROL, pickle.dumps(("stop", None)),
-                       _default_stall_check, timeout=1.0)
+            self._send(_K_STOP, b"", _default_stall_check, timeout=1.0)
         except (TransportClosed, TimeoutError):
             pass
 
@@ -275,7 +188,7 @@ class ShmRingTransport:
         if need > self.capacity - 4:
             raise ValueError(
                 f"message of {len(payload)} bytes exceeds the ring "
-                f"capacity ({self.capacity}); raise batch_bytes"
+                f"capacity ({self.capacity})"
             )
         if self._shm is None:
             raise TransportClosed("ring is destroyed")
@@ -334,7 +247,10 @@ class ShmRingTransport:
         self._advance_tail(consumed)
         if kind == _K_BATCH:
             return ("batch", payload)
-        return pickle.loads(payload)
+        if kind == _K_FINISH:
+            present, end_ns = _FINISH.unpack(payload)
+            return ("finish", end_ns if present else None)
+        return ("stop", None)
 
     def drain(self) -> None:
         """Fast-forward the consumer past everything queued (abort)."""
@@ -371,23 +287,3 @@ class ShmRingTransport:
                 shm.unlink()
             except Exception:
                 pass
-
-
-def make_transport(name: str, ctx, *, queue_depth: int,
-                   batch_bytes: int = DEFAULT_BATCH_BYTES):
-    """Build a shard transport by name (``"shm"`` or ``"queue"``)."""
-    if name == "shm":
-        try:
-            return ShmRingTransport(ctx, queue_depth=queue_depth,
-                                    batch_bytes=batch_bytes)
-        except (ImportError, OSError):
-            # No usable POSIX shared memory (exotic platforms, tiny
-            # /dev/shm): degrade to the portable queue transport.
-            return QueueTransport(ctx, queue_depth=queue_depth,
-                                  batch_bytes=batch_bytes)
-    if name == "queue":
-        return QueueTransport(ctx, queue_depth=queue_depth,
-                              batch_bytes=batch_bytes)
-    raise ValueError(
-        f"transport must be one of {TRANSPORT_MODES}, got {name!r}"
-    )

@@ -1,23 +1,19 @@
-"""Per-shard workers: one monitor instance each, three execution modes.
+"""Per-shard workers: one monitor instance each, two execution modes.
 
 A worker owns exactly one RTT monitor (historically always a
 :class:`~repro.core.pipeline.Dart`; now any
 :class:`repro.engine.RttMonitor` — tcptrace, the strawman, Dapper —
 built from a zero-argument factory) and consumes packet batches for its
-shard.  Three interchangeable implementations share the
-``submit(batch)`` / ``finish()`` / ``abort()`` surface:
+shard.  Two implementations share the ``finish()`` / ``abort()`` /
+``telemetry_probe()`` surface:
 
 * :class:`InlineWorker` — runs the monitor synchronously in the caller
   (the ``parallel="serial"`` mode; useful for debugging and as the
-  ground truth the parallel modes are tested against).
-* :class:`ThreadWorker` — a daemon thread fed through a bounded
-  :class:`queue.Queue` (backpressure: the dispatcher blocks when a
-  shard falls behind).  Threads share the GIL, so this mode overlaps
-  I/O, not CPU — it exists for sink-heavy pipelines and for tests.
+  ground truth process mode is tested against).  Fed record lists
+  through ``submit(batch)``.
 * :class:`ProcessWorker` — a ``multiprocessing`` subprocess fed framed
-  *byte* batches through a shard transport (shared-memory ring by
-  default, bounded queue as fallback — see
-  :mod:`repro.cluster.transport`); the mode that actually buys
+  *byte* batches through ``submit_bytes(payload)`` over the shared-
+  memory ring (:mod:`repro.cluster.transport`); the mode that buys
   multi-core speedup.  The coordinator never materialises packet
   objects: an option-free IPv4/TCP frame arrives as the packed fields
   of its header, read once at dispatch, and every other frame arrives
@@ -34,7 +30,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -43,9 +38,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.analytics import WindowMinimum
 from ..core.samples import RttSample
 from ..net.framing import decode_batch as decode_frames
-from ..net.framing import encode_records
 from ..net.packet import PacketRecord
-from .transport import DEFAULT_TRANSPORT, make_transport
+from .transport import ShmRingTransport
 
 #: Builds one shard's monitor.  Any object satisfying the
 #: :class:`repro.engine.RttMonitor` protocol works; the callable must be
@@ -53,9 +47,6 @@ from .transport import DEFAULT_TRANSPORT, make_transport
 #: under spawn).  Typed loosely so this module never imports the engine
 #: (or Dart) and stays dependency-light in subprocesses.
 MonitorFactory = Callable[[], Any]
-
-#: Batches a worker queue holds before the dispatcher blocks.
-DEFAULT_QUEUE_DEPTH = 8
 
 #: Seconds a coordinator waits for a worker to finish before declaring
 #: it hung.
@@ -260,120 +251,6 @@ class InlineWorker:
         pass
 
 
-#: Abort sentinel: exit the batch loop without finishing.
-_STOP = None
-
-#: End-of-trace sentinel carrying the global last packet timestamp.
-_FINISH = "__finish__"
-
-
-class ThreadWorker:
-    """A shard worker on a daemon thread with a bounded inbox."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        monitor_factory: MonitorFactory,
-        *,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        **_: object,
-    ) -> None:
-        self.shard_id = shard_id
-        self._batches: "queue.Queue" = queue.Queue(maxsize=queue_depth)
-        self._result: Optional[ShardResult] = None
-        self._partial: Optional[ShardResult] = None
-        self._error: Optional[str] = None
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(monitor_factory,),
-            name=f"dart-shard-{shard_id}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _run(self, monitor_factory: MonitorFactory) -> None:
-        monitor: Optional[Any] = None
-        try:
-            monitor = monitor_factory()
-            end_ns: Optional[int] = None
-            finish = False
-            while True:
-                batch = self._batches.get()
-                if batch is _STOP:
-                    break
-                if isinstance(batch, tuple) and batch[0] is _FINISH:
-                    finish, end_ns = True, batch[1]
-                    break
-                monitor.process_batch(batch)
-            if finish:
-                self._result = harvest(self.shard_id, monitor, end_ns=end_ns)
-        except BaseException as exc:  # surfaced to the coordinator
-            self._error = f"{exc!r}\n{traceback.format_exc()}"
-            if monitor is not None:
-                try:
-                    self._partial = harvest(
-                        self.shard_id, monitor, partial=True
-                    )
-                except Exception:
-                    pass
-
-    def _checked_put(self, item: object) -> None:
-        while True:
-            try:
-                self._batches.put(item, timeout=_POLL_S)
-                return
-            except queue.Full:
-                if self._error is not None or not self._thread.is_alive():
-                    raise self._failure()
-
-    def _failure(self) -> ShardFailure:
-        partial = {self.shard_id: self._partial} if self._partial else None
-        return ShardFailure(
-            self.shard_id,
-            self._error or "worker thread died without reporting an error",
-            partial=partial,
-        )
-
-    def submit(self, batch: List[PacketRecord]) -> None:
-        if self._error is not None:
-            raise self._failure()
-        self._checked_put(batch)
-
-    def telemetry_probe(self) -> Tuple[int, bool]:
-        """(inbox depth in batches, worker thread liveness)."""
-        return self._batches.qsize(), self._thread.is_alive()
-
-    def finish(
-        self,
-        timeout: float = DEFAULT_JOIN_TIMEOUT,
-        end_ns: Optional[int] = None,
-    ) -> ShardResult:
-        self._checked_put((_FINISH, end_ns))
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise ShardFailure(
-                self.shard_id,
-                f"worker thread missed the {timeout:.1f}s join timeout",
-            )
-        if self._error is not None:
-            raise self._failure()
-        assert self._result is not None
-        return self._result
-
-    def abort(self) -> None:
-        # Threads cannot be killed; drain the inbox and leave the
-        # sentinel so the daemon thread exits on its own.
-        try:
-            while True:
-                self._batches.get_nowait()
-        except queue.Empty:
-            pass
-        try:
-            self._batches.put_nowait(_STOP)
-        except queue.Full:
-            pass
-
-
 # -- Process mode ----------------------------------------------------------
 
 def _worker_main(
@@ -454,12 +331,12 @@ class ProcessWorker:
     """A shard worker in a subprocess — the multi-core mode.
 
     Batches cross the process boundary as contiguous framed bytes over
-    a shard transport (:mod:`repro.cluster.transport`): the shared-
-    memory ring by default, a bounded queue as the portable fallback.
-    Either way the coordinator ships bytes — packed header fields, or
-    the whole frame when the header alone does not settle the decode —
-    so dispatch cost no longer grows with per-packet object overhead
-    or, for plain traffic, with payload size.
+    the shard's shared-memory ring (:mod:`repro.cluster.transport`).
+    The coordinator ships bytes — packed header fields, or the whole
+    frame when the header alone does not settle the decode — so
+    dispatch cost no longer grows with per-packet object overhead or,
+    for plain traffic, with payload size.  A host that cannot allocate
+    POSIX shared memory raises the ``OSError`` here, at construction.
 
     With the (Linux-default) fork start method the monitor factory may
     be any callable, closures included; under spawn it must be
@@ -474,17 +351,11 @@ class ProcessWorker:
         shard_id: int,
         monitor_factory: MonitorFactory,
         *,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        transport: str = DEFAULT_TRANSPORT,
-        mp_context=None,
         fastpath: bool = True,
-        **_: object,
     ) -> None:
         self.shard_id = shard_id
-        ctx = mp_context if mp_context is not None else _default_context()
-        self._transport = make_transport(
-            transport, ctx, queue_depth=queue_depth
-        )
+        ctx = _default_context()
+        self._transport = ShmRingTransport(ctx)
         self._results = ctx.Queue()
         self._proc = ctx.Process(
             target=_worker_main,
@@ -494,11 +365,6 @@ class ProcessWorker:
             daemon=True,
         )
         self._proc.start()
-
-    @property
-    def transport_name(self) -> str:
-        """The transport actually in use (``"shm"`` may have degraded)."""
-        return self._transport.name
 
     def _died(self) -> ShardFailure:
         # The worker reports errors (with partial stats) on the result
@@ -526,16 +392,6 @@ class ProcessWorker:
         if not self._proc.is_alive():
             raise self._died()
 
-    def submit(self, batch: List[PacketRecord]) -> None:
-        """Frame an object batch and ship it (convenience entry point).
-
-        The coordinator's process-mode dispatcher frames records as it
-        routes them and calls :meth:`submit_bytes` directly; this path
-        exists for callers holding record lists (tests, the thread/
-        process mode-agnostic fan-out in the engine).
-        """
-        self.submit_bytes(encode_records(batch))
-
     def submit_bytes(self, payload: bytes) -> None:
         """Ship one framed byte batch to the worker."""
         if not self._proc.is_alive():
@@ -543,12 +399,8 @@ class ProcessWorker:
         self._transport.send_batch(payload, self._stall_check)
 
     def telemetry_probe(self) -> Tuple[int, bool]:
-        """(inbox depth, subprocess liveness).
-
-        Depth units depend on the transport: queued messages for the
-        queue transport, unconsumed ring *bytes* for shm; -1 where the
-        platform cannot say.  Either way zero means "caught up".
-        """
+        """(unconsumed ring *bytes*, subprocess liveness); depth is -1
+        once the ring is gone, zero means "caught up"."""
         return self._transport.depth(), self._proc.is_alive()
 
     def finish(
@@ -609,6 +461,5 @@ class ProcessWorker:
 
 WORKER_MODES = {
     "serial": InlineWorker,
-    "thread": ThreadWorker,
     "process": ProcessWorker,
 }

@@ -54,7 +54,6 @@ from .samples import (
     NullSink,
     RttSample,
     SampleCollector,
-    TeeSink,
 )
 from .targets import TargetFlowTable, TargetRule
 
@@ -89,7 +88,6 @@ __all__ = [
     "StagedPacketTable",
     "TargetFlowTable",
     "TargetRule",
-    "TeeSink",
     "WindowMinimum",
     "ack_target_flow",
     "arithmetic_payload_size",

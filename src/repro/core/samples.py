@@ -10,7 +10,7 @@ retains samples for offline analysis, and the analytics module
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from ..net.packet import NS_PER_MS
 from .flow import FlowKey
@@ -79,17 +79,6 @@ class SampleCollector:
         drained = self.samples
         self.samples = []
         return drained
-
-
-class TeeSink:
-    """Fans one sample stream out to several sinks."""
-
-    def __init__(self, sinks: Iterable) -> None:
-        self._sinks = list(sinks)
-
-    def add(self, sample: RttSample) -> None:
-        for sink in self._sinks:
-            sink.add(sample)
 
 
 class NullSink:

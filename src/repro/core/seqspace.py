@@ -8,8 +8,8 @@ does raw ``<`` / ``>`` comparisons on sequence numbers.
 
 Comparisons use the standard serial-number convention: ``a`` is *before*
 ``b`` when the forward distance from ``a`` to ``b`` is less than half the
-space.  Distances of exactly half the space are treated as "after" so the
-relation stays antisymmetric for distinct values.
+space.  Two values exactly half the space apart are incomparable
+(RFC 1982 §3.2): neither precedes the other.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ def seq_gt(a: int, b: int) -> bool:
     return seq_lt(b, a)
 
 
-def seq_ge(a: int, b: int) -> bool:
-    """True when ``a`` follows or equals ``b`` in circular order."""
-    return a == b or seq_lt(b, a)
-
-
 def seq_between(lo: int, x: int, hi: int) -> bool:
     """True when ``x`` is inside the half-open circular interval (lo, hi].
 
@@ -72,13 +67,3 @@ def wraps(seq: int, payload: int) -> bool:
     """True when a segment starting at ``seq`` with ``payload`` bytes
     crosses the 2**32 wraparound point (i.e. its end index wraps)."""
     return seq + payload >= SEQ_SPACE
-
-
-def seq_max(a: int, b: int) -> int:
-    """Return the later of two sequence numbers in circular order."""
-    return a if seq_ge(a, b) else b
-
-
-def seq_min(a: int, b: int) -> int:
-    """Return the earlier of two sequence numbers in circular order."""
-    return a if seq_le(a, b) else b

@@ -1,8 +1,8 @@
 """Sample fan-out: one producer, many sinks, explicit lifecycle.
 
-Replaces the ad-hoc convention where callers spliced
-:class:`~repro.core.samples.TeeSink` objects into monitor internals and
-remembered (or forgot) to flush/close file-backed sinks themselves.  A
+Replaces the ad-hoc convention where callers spliced fan-out sinks into
+monitor internals and remembered (or forgot) to flush/close file-backed
+sinks themselves.  A
 :class:`SampleRouter` validates its sinks up front, fans every routed
 sample out to all of them, and owns the flush/close lifecycle — close is
 idempotent, flush/close failures on one sink don't strand the others.
@@ -45,7 +45,7 @@ class SampleRouter:
         for sink in self._sinks:
             sink.add(sample)
 
-    # A router quacks like a sink so routers compose with TeeSink-era code.
+    # A router quacks like a sink, so a router can be another's sink.
     add = route
 
     def route_batch(self, samples: Iterable[RttSample]) -> None:

@@ -40,7 +40,7 @@ from .pcap import (
     read_packets,
     write_packets,
 )
-from .pcapng import read_any_capture, read_pcapng_packets, sniff_format
+from .pcapng import read_any_capture, sniff_format
 from .scan import canonical_key_bytes, scan_shard_key
 from .tcp import (
     FLAG_ACK,
@@ -87,7 +87,6 @@ __all__ = [
     "read_any_capture",
     "read_frames",
     "read_packets",
-    "read_pcapng_packets",
     "scan_shard_key",
     "sniff_format",
     "to_wire_bytes",

@@ -382,7 +382,3 @@ def read_decoded(path: PathLike, decode: Callable[..., Any]) -> Iterator[Any]:
 def read_any_capture(path: PathLike) -> Iterator[PacketRecord]:
     """Read TCP packets from either a pcap or a pcapng file."""
     return read_packets(path)
-
-
-#: pcapng gets no decoder of its own: the frame reader speaks both.
-read_pcapng_packets = read_any_capture

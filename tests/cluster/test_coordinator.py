@@ -37,7 +37,7 @@ EQUIVALENT_COUNTERS = (
 
 
 class TestSerialEquivalence:
-    @pytest.mark.parametrize("parallel", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("parallel", ["serial", "process"])
     def test_sample_multiset_and_counters(self, trace, serial_run, parallel):
         cluster = ShardedDart(ideal_config(), shards=4, parallel=parallel,
                               batch_size=256)
@@ -114,7 +114,7 @@ class TestDegenerateSingleShard:
 
 class TestFacade:
     def test_reading_stats_finalizes(self, trace):
-        cluster = ShardedDart(ideal_config(), shards=2, parallel="thread")
+        cluster = ShardedDart(ideal_config(), shards=2, parallel="process")
         cluster.process_trace(trace.records)
         # No explicit finalize: the read surface joins the workers.
         assert cluster.stats.packets_processed == len(trace.records)
@@ -149,6 +149,8 @@ class TestFacade:
             ShardedDart(shards=0)
         with pytest.raises(ValueError):
             ShardedDart(shards=2, parallel="gpu")
+        with pytest.raises(ValueError, match=r"\['process', 'serial'\]"):
+            ShardedDart(shards=2, parallel="thread")
 
     def test_custom_dart_factory(self, trace):
         built = []

@@ -2,7 +2,7 @@
 
 Flow-consistent sharding plus element-wise addition must make a
 merged distribution equal a serial monitor's bin for bin and sketch
-bucket for sketch bucket — across serial, thread, and process worker
+bucket for sketch bucket — across serial and process worker
 modes (process crosses a real pickle boundary).
 """
 
@@ -34,7 +34,7 @@ def _serial_distribution(records):
     return dart.analytics.distribution_snapshot()
 
 
-@pytest.mark.parametrize("parallel", ["serial", "thread", "process"])
+@pytest.mark.parametrize("parallel", ["serial", "process"])
 def test_merged_distribution_equals_serial(parallel):
     records = _trace().records
     serial = _serial_distribution(records)

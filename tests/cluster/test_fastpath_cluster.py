@@ -4,8 +4,7 @@ With ``fastpath=True`` each process worker decodes its framed byte
 batches columnar (``columns_from_framed`` + ``process_columns``)
 instead of record by record.  The decode strategy lives entirely
 inside the worker, so the merged result — sample multiset, emission
-order, additive stats — must be identical across the flag on both
-transports (shared-memory rings and the queue fallback).
+order, additive stats — must be identical across the flag.
 """
 
 from collections import Counter
@@ -30,14 +29,13 @@ def records():
     ).records
 
 
-def run_cluster(records, *, fastpath, transport, parallel="process",
+def run_cluster(records, *, fastpath, parallel="process",
                 shards=2, config=None):
     cluster = ShardedMonitor(
         config or DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
                              pt_stages=2),
         shards=shards,
         parallel=parallel,
-        transport=transport,
         batch_size=256,
         fastpath=fastpath,
     )
@@ -46,10 +44,9 @@ def run_cluster(records, *, fastpath, transport, parallel="process",
     return cluster
 
 
-@pytest.mark.parametrize("transport", ["shm", "queue"])
-def test_fastpath_matches_object_workers(records, transport):
-    reference = run_cluster(records, fastpath=False, transport=transport)
-    candidate = run_cluster(records, fastpath=True, transport=transport)
+def test_fastpath_matches_object_workers(records):
+    reference = run_cluster(records, fastpath=False)
+    candidate = run_cluster(records, fastpath=True)
     assert list(candidate.samples) == list(reference.samples)
     assert candidate.stats == reference.stats
     assert (list(candidate.stats.seq_verdicts)
@@ -67,8 +64,8 @@ def test_fastpath_matches_serial_dart(records):
     # Ideal (default) tables: constrained per-shard tables evict
     # differently from one serial instance, which is expected — the
     # serial contract only holds when no capacity pressure exists.
-    cluster = run_cluster(records, fastpath=True, transport="shm",
-                          shards=4, config=DartConfig())
+    cluster = run_cluster(records, fastpath=True, shards=4,
+                          config=DartConfig())
     assert Counter(cluster.samples) == Counter(serial.samples)
     assert cluster.stats == serial.stats
 
@@ -76,10 +73,8 @@ def test_fastpath_matches_serial_dart(records):
 def test_fastpath_flag_recorded_and_harmless_off_process_mode(records):
     """Serial mode has no byte boundary: the flag is accepted, recorded,
     and changes nothing."""
-    reference = run_cluster(records, fastpath=False, transport="shm",
-                            parallel="serial")
-    candidate = run_cluster(records, fastpath=True, transport="shm",
-                            parallel="serial")
+    reference = run_cluster(records, fastpath=False, parallel="serial")
+    candidate = run_cluster(records, fastpath=True, parallel="serial")
     assert candidate.fastpath is True
     assert list(candidate.samples) == list(reference.samples)
     assert candidate.stats == reference.stats

@@ -3,15 +3,30 @@
 The coordinator must never deadlock on a dead or wedged worker — every
 failure mode ends in a :class:`ShardFailure` naming the shard, within
 the join timeout, with whatever partial results could be recovered.
+The worker's side of that contract (``_worker_main``) is also driven
+here in the test's own process, where a coverage tracer can see it.
 """
 
+import multiprocessing
 import os
+import queue
 import time
+from functools import partial
+from multiprocessing import shared_memory
 
 import pytest
 
-from repro.cluster import ShardFailure, ShardedDart, shard_of
-from repro.core import Dart, ideal_config
+from repro.cluster import (
+    InlineWorker,
+    ShardFailure,
+    ShardedDart,
+    ShmRingTransport,
+    shard_of,
+)
+from repro.cluster import worker as worker_mod
+from repro.cluster.worker import _worker_main
+from repro.core import Dart, MinFilterAnalytics, ideal_config
+from repro.net.framing import encode_records
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
 
@@ -55,7 +70,9 @@ class HangingDart(Dart):
         time.sleep(60)
 
 
-@pytest.mark.parametrize("parallel", ["thread", "process"])
+# Serial mode has no worker to lose: a monitor's exception reaches the
+# caller as itself, so process mode is the only leg.
+@pytest.mark.parametrize("parallel", ["process"])
 class TestCrashedWorker:
     def test_crash_surfaces_shard_failure(self, records, parallel):
         cluster = ShardedDart(
@@ -84,11 +101,16 @@ class TestCrashedWorker:
         # The worker got through exactly its crash budget.
         assert partial.stats.packets_processed == 50
 
-    def test_no_deadlock_when_queue_backs_up(self, records, parallel):
-        """A dead worker behind a full queue fails fast, never blocks."""
+    def test_no_deadlock_when_queue_backs_up(self, records, parallel,
+                                             monkeypatch):
+        """A dead worker behind a full ring fails fast, never blocks."""
+        # A 2 KiB ring holds three 16-record batches; each shard is
+        # sent hundreds, so the producer is waiting for space that a
+        # dead consumer will never free.
+        monkeypatch.setattr(worker_mod, "ShmRingTransport",
+                            partial(ShmRingTransport, capacity=2048))
         cluster = ShardedDart(
-            shards=2, parallel=parallel, batch_size=16, queue_depth=1,
-            join_timeout=10.0,
+            shards=2, parallel=parallel, batch_size=16, join_timeout=10.0,
             monitor_factory=lambda: CrashingDart(crash_after=0),
         )
         start = time.monotonic()
@@ -126,19 +148,17 @@ class TestHungWorker:
         assert elapsed < 15.0  # bounded by the timeout, not a hang
 
     def test_completed_shards_attached_to_failure(self, records):
-        # Shard-dependent factory: only shard 0's flows hang.  Build via
-        # a mutable cell so each worker constructs its own Dart.
+        # Shard-dependent factory: only one shard's flows hang.  The
+        # factory runs in the worker, which knows its shard by name.
         first_record = records[0]
         hang_shard = shard_of(first_record, 2)
-        counter = iter(range(2))
 
         def factory():
-            shard = next(counter)
-            return HangingDart() if shard == hang_shard else Dart(
-                ideal_config()
-            )
+            name = multiprocessing.current_process().name
+            return HangingDart() if name == f"dart-shard-{hang_shard}" \
+                else Dart(ideal_config())
 
-        cluster = ShardedDart(shards=2, parallel="thread",
+        cluster = ShardedDart(shards=2, parallel="process",
                               join_timeout=1.0, monitor_factory=factory)
         cluster.process_trace(records[:2000])
         with pytest.raises(ShardFailure) as excinfo:
@@ -148,3 +168,94 @@ class TestHungWorker:
         # completed before the failure was detected.
         for shard_id, result in failure.partial.items():
             assert result.stats.packets_processed > 0
+
+
+class TestWorkerStartFailure:
+    def test_earlier_workers_are_aborted(self, monkeypatch):
+        """The second shard's ring cannot be allocated: the constructor
+        raises that error and leaves neither the first shard's process
+        nor its segment behind."""
+        created = []
+
+        def second_creation_fails(*args, **kwargs):
+            if kwargs.get("create") and created:
+                raise OSError(28, "No space left on device")
+            segment = real(*args, **kwargs)
+            created.append(segment.name)
+            return segment
+
+        real = shared_memory.SharedMemory
+        monkeypatch.setattr(shared_memory, "SharedMemory",
+                            second_creation_fails)
+        with pytest.raises(OSError, match="No space left"):
+            ShardedDart(ideal_config(), shards=2, parallel="process")
+        assert not [child.name for child in multiprocessing.active_children()
+                    if child.name.startswith("dart-shard-")]
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=created[0])
+
+
+def plain_dart():
+    return Dart(ideal_config())
+
+
+def windowed_dart():
+    return Dart(ideal_config(),
+                analytics=MinFilterAnalytics(window_samples=4))
+
+
+@pytest.fixture
+def loaded_ring(records):
+    """A default-capacity ring holding the trace as two framed batches."""
+    ring = ShmRingTransport(multiprocessing.get_context())
+    name = ring._shm_name
+    half = len(records) // 2
+    ring.send_batch(encode_records(records[:half]))
+    ring.send_batch(encode_records(records[half:]))
+    yield ring
+    # _worker_main closes its mapping on the way out — here the
+    # owner's own, so destroy() has nothing left to unlink through.
+    segment = shared_memory.SharedMemory(name=name)
+    segment.close()
+    segment.unlink()
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+class TestWorkerLoopInProcess:
+    @pytest.mark.parametrize("factory", [plain_dart, windowed_dart])
+    def test_finish_posts_the_inline_harvest(self, records, loaded_ring,
+                                             fastpath, factory):
+        end_ns = records[-1].timestamp_ns + 1_000_000
+        loaded_ring.send_finish(end_ns)
+        reports = queue.Queue()
+        _worker_main(0, factory, loaded_ring, reports, fastpath)
+        status, shipped = reports.get_nowait()
+        inline = InlineWorker(0, factory)
+        inline.submit(records)
+        reference = inline.finish(end_ns=end_ns)
+        assert status == "ok" and not shipped.partial
+        assert shipped.packets == reference.packets == len(records)
+        assert shipped.stats == reference.stats
+        assert shipped.samples == reference.samples
+        assert shipped.window_history == reference.window_history
+        # Plain Dart retains samples, the windowed one only its windows.
+        assert shipped.samples or shipped.window_history
+
+    def test_crash_posts_the_partial_and_exits_1(self, loaded_ring,
+                                                 fastpath):
+        loaded_ring.send_finish(None)
+        reports = queue.Queue()
+        with pytest.raises(SystemExit) as excinfo:
+            _worker_main(0, lambda: CrashingDart(crash_after=100),
+                         loaded_ring, reports, fastpath)
+        assert excinfo.value.code == 1
+        status, reason, partial = reports.get_nowait()
+        assert status == "error" and "injected crash" in reason
+        assert partial.partial
+        assert partial.stats.packets_processed == 100
+
+    def test_stop_returns_without_posting(self, loaded_ring, fastpath):
+        loaded_ring.send_stop()
+        reports = queue.Queue()
+        _worker_main(0, plain_dart, loaded_ring, reports, fastpath)
+        assert reports.empty()

@@ -12,9 +12,12 @@ import pytest
 
 from repro.cluster import (
     ClusterPartialResultWarning,
+    InlineWorker,
     ShardFailure,
     ShardedDart,
+    harvest,
     merge_results,
+    split_trace,
 )
 from repro.core import Dart, MinFilterAnalytics, ideal_config
 from repro.obs import MetricsRegistry
@@ -50,15 +53,27 @@ class CrashingWindowedDart(Dart):
 
 
 def crash_one_shard(records, *, crash_after=800):
-    """Run a 2-shard thread cluster where one shard crashes mid-trace."""
+    """Run a 2-shard process cluster where one shard crashes mid-trace."""
     cluster = ShardedDart(
-        shards=2, parallel="thread", batch_size=64, join_timeout=10.0,
+        shards=2, parallel="process", batch_size=64, join_timeout=10.0,
         monitor_factory=lambda: CrashingWindowedDart(crash_after=crash_after),
     )
     with pytest.raises(ShardFailure) as excinfo:
         cluster.process_trace(records)
         cluster.finalize()
     return cluster, excinfo.value
+
+
+def inline_shard(records, shard_id, *, crash_after):
+    """What an :class:`InlineWorker` harvests for one shard of the same
+    trace: its share of the records, up to the crash if it has one."""
+    monitor = CrashingWindowedDart(crash_after=crash_after)
+    worker = InlineWorker(shard_id, lambda: monitor)
+    try:
+        worker.submit(split_trace(records, 2)[shard_id])
+    except RuntimeError:
+        return harvest(shard_id, monitor, partial=True)
+    return worker.finish(end_ns=max(r.timestamp_ns for r in records))
 
 
 class TestWindowsLostAccounting:
@@ -82,7 +97,7 @@ class TestWindowsLostAccounting:
         assert merged.windows_lost == sum(r.windows_lost for r in results)
 
     def test_clean_run_loses_nothing(self, records):
-        cluster = ShardedDart(shards=2, parallel="thread", batch_size=64,
+        cluster = ShardedDart(shards=2, parallel="process", batch_size=64,
                               join_timeout=10.0)
         cluster.process_trace(records)
         cluster.finalize()
@@ -92,6 +107,31 @@ class TestWindowsLostAccounting:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ClusterPartialResultWarning)
             merge_results(list(cluster.shard_results))
+
+
+class TestTelemetryParityUnderPartialHarvest:
+    def test_partial_harvest_ships_the_inline_telemetry_sums(self, records):
+        """Regression for the ShardResult.telemetry merge contract: the
+        snapshot sums must be a function of the *work*, not of the
+        process boundary the batches crossed or the partial-harvest
+        path."""
+        # At 2 shards this trace splits 5813/4189, so a crash budget of
+        # 5000 fells exactly one shard — the partial set is deterministic.
+        _, failure = crash_one_shard(records, crash_after=5000)
+        results = sorted(failure.partial.values(), key=lambda r: r.shard_id)
+        inline = [inline_shard(records, r.shard_id, crash_after=5000)
+                  for r in results]
+        assert any(r.partial for r in results)
+        for shipped, reference in zip(results, inline):
+            assert shipped.partial == reference.partial
+            assert shipped.stats == reference.stats
+            assert shipped.telemetry is not None
+            assert shipped.telemetry.to_wire() == reference.telemetry.to_wire()
+        with pytest.warns(ClusterPartialResultWarning):
+            merged = merge_results(results)
+            inline_merged = merge_results(inline)
+        assert merged.telemetry.to_wire() == inline_merged.telemetry.to_wire()
+        assert merged.windows_lost == inline_merged.windows_lost > 0
 
 
 class TestClusterTelemetryExposure:
@@ -117,7 +157,7 @@ class TestClusterTelemetryExposure:
         assert cluster._merged.windows_lost > 0
 
     def test_clean_run_exports_zero_partials(self, records):
-        cluster = ShardedDart(shards=2, parallel="thread", batch_size=64,
+        cluster = ShardedDart(shards=2, parallel="process", batch_size=64,
                               join_timeout=10.0)
         cluster.process_trace(records)
         cluster.finalize()

@@ -1,4 +1,4 @@
-"""Byte-batched shard transports: framing, ring mechanics, equivalence.
+"""The byte-batched shard transport: framing, ring mechanics, equivalence.
 
 Three layers of guarantees:
 
@@ -6,10 +6,8 @@ Three layers of guarantees:
 * the shared-memory ring delivers every message intact through
   wrap-around, applies backpressure via the caller's stall check, and
   tears down idempotently;
-* a process-mode cluster produces results *identical* to serial — and
-  identical across transports — on both the object and raw-wire entry
-  points, including the telemetry that ships home under partial
-  harvest.
+* a process-mode cluster produces results *identical* to serial on
+  both the object and raw-wire entry points.
 """
 
 import multiprocessing
@@ -20,18 +18,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster import (
-    ClusterPartialResultWarning,
-    QueueTransport,
-    ShardFailure,
-    ShardedDart,
-    ShmRingTransport,
-    make_transport,
-    merge_results,
-)
+from repro.cluster import ShardedDart, ShmRingTransport
 from repro.cluster import transport as transport_mod
 from repro.cluster.transport import TransportClosed
-from repro.core import Dart, MinFilterAnalytics, ideal_config
+from repro.core import Dart, ideal_config
 from repro.net import tcp as tcpf
 from repro.net.framing import (
     BatchEncoder,
@@ -116,9 +106,8 @@ class TestFraming:
 
 # -- The shared-memory ring ------------------------------------------------
 
-def small_ring(batch_bytes=64):
-    ctx = multiprocessing.get_context()
-    return ShmRingTransport(ctx, queue_depth=1, batch_bytes=batch_bytes)
+def small_ring():
+    return ShmRingTransport(multiprocessing.get_context(), capacity=512)
 
 
 class TestShmRing:
@@ -157,9 +146,11 @@ class TestShmRing:
         ring = small_ring()
         try:
             ring.send_batch(b"x" * 10)
-            ring.send_finish(123_456)
+            for end_ns in (123_456, None, 0, 2**62):
+                ring.send_finish(end_ns)
             assert ring.recv() == ("batch", b"x" * 10)
-            assert ring.recv() == ("finish", 123_456)
+            for end_ns in (123_456, None, 0, 2**62):
+                assert ring.recv() == ("finish", end_ns)
             ring.send_stop()
             assert ring.recv() == ("stop", None)
         finally:
@@ -285,19 +276,6 @@ class TestShmRing:
         with pytest.raises(TransportClosed):
             ring.send_batch(b"x")
 
-    def test_make_transport_names(self):
-        ctx = multiprocessing.get_context()
-        shm = make_transport("shm", ctx, queue_depth=2)
-        queue = make_transport("queue", ctx, queue_depth=2)
-        try:
-            assert isinstance(shm, ShmRingTransport) and shm.name == "shm"
-            assert isinstance(queue, QueueTransport) and queue.name == "queue"
-        finally:
-            shm.destroy()
-            queue.destroy()
-        with pytest.raises(ValueError):
-            make_transport("carrier-pigeon", ctx, queue_depth=2)
-
 
 # -- End-to-end equivalence ------------------------------------------------
 
@@ -338,24 +316,23 @@ def run_serial(records):
     return dart
 
 
-@pytest.mark.parametrize("transport", ["shm", "queue"])
 class TestTransportEquivalence:
-    def test_records_match_serial(self, records, transport):
+    def test_records_match_serial(self, records):
         serial = run_serial(records)
         cluster = ShardedDart(
             ideal_config(), shards=4, parallel="process",
-            transport=transport, batch_size=256, join_timeout=15.0,
+            batch_size=256, join_timeout=15.0,
         )
         cluster.process_trace(records)
         cluster.finalize()
         assert cluster.stats == serial.stats
         assert Counter(cluster.samples) == Counter(serial.samples)
 
-    def test_wire_path_matches_serial(self, records, transport):
+    def test_wire_path_matches_serial(self, records):
         serial = run_serial(records)
         cluster = ShardedDart(
             ideal_config(), shards=4, parallel="process",
-            transport=transport, batch_size=256, join_timeout=15.0,
+            batch_size=256, join_timeout=15.0,
         )
         for record in records:
             cluster.process_wire(to_wire_bytes(record), record.timestamp_ns)
@@ -366,8 +343,8 @@ class TestTransportEquivalence:
 
     @pytest.mark.parametrize("decoder",
                              ["columnar", "object", "numpy_hidden"])
-    def test_mixed_capture_matches_serial(self, records, transport,
-                                          decoder, monkeypatch):
+    def test_mixed_capture_matches_serial(self, records, decoder,
+                                          monkeypatch):
         """Plain frames (header parsed at dispatch, shipped as records)
         and everything else (shipped whole) interleave in one capture:
         same skips, same per-shard routing, same answers as serial."""
@@ -379,7 +356,7 @@ class TestTransportEquivalence:
         serial = ShardedDart(ideal_config(), shards=3, parallel="serial")
         cluster = ShardedDart(
             ideal_config(), shards=3, parallel="process",
-            transport=transport, batch_size=64, join_timeout=15.0,
+            batch_size=64, join_timeout=15.0,
             fastpath=decoder != "object",
         )
         for monitor in (serial, cluster):
@@ -397,10 +374,10 @@ class TestTransportEquivalence:
         assert cluster.samples
         assert cluster.window_history == serial.window_history
 
-    def test_unshardable_frames_skipped_and_counted(self, records, transport):
+    def test_unshardable_frames_skipped_and_counted(self, records):
         cluster = ShardedDart(
             ideal_config(), shards=2, parallel="process",
-            transport=transport, batch_size=64, join_timeout=15.0,
+            batch_size=64, join_timeout=15.0,
         )
         arp = b"\xff" * 12 + b"\x08\x06" + b"\x00" * 28
         cluster.process_wire(arp, 1)
@@ -410,62 +387,3 @@ class TestTransportEquivalence:
         cluster.finalize()
         assert cluster.wire_skipped == 2
         assert cluster.stats.packets_processed == 200
-
-
-class CrashingWindowedDart(Dart):
-    """Windowed analytics + a deterministic crash mid-trace, so partial
-    harvests ship identical telemetry no matter which transport ran."""
-
-    def __init__(self, crash_after: int) -> None:
-        super().__init__(
-            ideal_config(),
-            analytics=MinFilterAnalytics(window_samples=10_000),
-        )
-        self._crash_after = crash_after
-
-    def _packet(self, *row):
-        if self.stats.packets_processed >= self._crash_after:
-            raise RuntimeError("injected crash")
-        return super()._packet(*row)
-
-
-def partial_merge(records, transport):
-    # At 2 shards this trace splits 5813/4189, so a crash budget of
-    # 5000 fells exactly one shard (the same one on every transport)
-    # while the other completes — the partial set is deterministic.
-    cluster = ShardedDart(
-        shards=2, parallel="process", transport=transport,
-        batch_size=64, join_timeout=15.0,
-        monitor_factory=lambda: CrashingWindowedDart(crash_after=5000),
-    )
-    with pytest.raises(ShardFailure) as excinfo:
-        cluster.process_trace(records)
-        cluster.finalize()
-    results = sorted(
-        excinfo.value.partial.values(), key=lambda r: r.shard_id
-    )
-    with pytest.warns(ClusterPartialResultWarning):
-        merged = merge_results(results)
-    return results, merged
-
-
-class TestTelemetryParityUnderPartialHarvest:
-    def test_queue_and_shm_ship_identical_telemetry_sums(self, records):
-        """Regression for the ShardResult.telemetry merge contract: the
-        snapshot sums must be a function of the *work*, not of the
-        transport the batches rode on or the partial-harvest path."""
-        queue_results, queue_merged = partial_merge(records, "queue")
-        shm_results, shm_merged = partial_merge(records, "shm")
-        assert [r.shard_id for r in queue_results] == [
-            r.shard_id for r in shm_results
-        ]
-        for q, s in zip(queue_results, shm_results):
-            assert q.partial == s.partial
-            assert q.stats == s.stats
-            assert q.telemetry is not None and s.telemetry is not None
-            assert q.telemetry.to_wire() == s.telemetry.to_wire()
-        assert queue_merged.telemetry.to_wire() == (
-            shm_merged.telemetry.to_wire()
-        )
-        assert queue_merged.windows_lost == shm_merged.windows_lost
-        assert queue_merged.windows_lost > 0

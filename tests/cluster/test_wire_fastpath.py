@@ -373,13 +373,12 @@ def test_ns_flag_roundtrips_through_framing():
 
 
 @pytest.mark.parametrize("fastpath", [True, False])
-@pytest.mark.parametrize("transport", ["shm", "queue"])
 @pytest.mark.parametrize("entry", ["process_trace", "process_wire"])
 def test_ns_flagged_segments_match_serial(ns_records, ns_serial, entry,
-                                          transport, fastpath):
+                                          fastpath):
     cluster = ShardedDart(
-        ideal_config(), shards=2, parallel="process", transport=transport,
-        batch_size=128, join_timeout=15.0, fastpath=fastpath,
+        ideal_config(), shards=2, parallel="process", batch_size=128,
+        join_timeout=15.0, fastpath=fastpath,
     )
     if entry == "process_trace":
         cluster.process_trace(ns_records)

@@ -17,7 +17,6 @@ from repro.net.pcapng import (
     MAX_BLOCK_BYTES,
     read_any_capture,
     read_any_frames,
-    read_pcapng_packets,
     sniff_format,
 )
 
@@ -97,7 +96,7 @@ class TestPcapngReading:
         (PcapngBuilder().shb().idb()
          .epb(record.timestamp_ns // 1000, to_wire_bytes(record))
          .write(path))
-        (back,) = list(read_pcapng_packets(path))
+        (back,) = list(read_any_capture(path))
         assert back == record
 
     def test_nanosecond_tsresol_option(self, tmp_path):
@@ -106,7 +105,7 @@ class TestPcapngReading:
         (PcapngBuilder().shb().idb(tsresol=9)
          .epb(record.timestamp_ns, to_wire_bytes(record))
          .write(path))
-        (back,) = list(read_pcapng_packets(path))
+        (back,) = list(read_any_capture(path))
         assert back.timestamp_ns == record.timestamp_ns
 
     def test_big_endian_section(self, tmp_path):
@@ -115,7 +114,7 @@ class TestPcapngReading:
         (PcapngBuilder(order=">").shb().idb()
          .epb(record.timestamp_ns // 1000, to_wire_bytes(record))
          .write(path))
-        (back,) = list(read_pcapng_packets(path))
+        (back,) = list(read_any_capture(path))
         assert back == record
 
     def test_unknown_blocks_skipped(self, tmp_path):
@@ -124,14 +123,14 @@ class TestPcapngReading:
         (PcapngBuilder().shb().custom().idb().custom()
          .epb(record.timestamp_ns // 1000, to_wire_bytes(record))
          .write(path))
-        assert len(list(read_pcapng_packets(path))) == 1
+        assert len(list(read_any_capture(path))) == 1
 
     def test_simple_packet_block(self, tmp_path):
         record = make_record()
         path = tmp_path / "t.pcapng"
         (PcapngBuilder().shb().idb().spb(to_wire_bytes(record))
          .write(path))
-        (back,) = list(read_pcapng_packets(path))
+        (back,) = list(read_any_capture(path))
         assert back.timestamp_ns == 0  # SPBs carry no timestamp
         assert back.seq == record.seq
 
@@ -142,7 +141,7 @@ class TestPcapngReading:
             builder.epb(record.timestamp_ns // 1000, to_wire_bytes(record))
         path = tmp_path / "t.pcapng"
         builder.write(path)
-        assert list(read_pcapng_packets(path)) == records
+        assert list(read_any_capture(path)) == records
 
     def test_non_tcp_frames_skipped(self, tmp_path):
         from repro.net.ethernet import ETHERTYPE_ARP, EthernetFrame
@@ -150,7 +149,7 @@ class TestPcapngReading:
         arp = EthernetFrame(ethertype=ETHERTYPE_ARP, payload=b"\0" * 28)
         path = tmp_path / "t.pcapng"
         (PcapngBuilder().shb().idb().epb(0, arp.encode()).write(path))
-        assert list(read_pcapng_packets(path)) == []
+        assert list(read_any_capture(path)) == []
 
     def test_epb_before_idb_rejected(self, tmp_path):
         record = make_record()
@@ -159,13 +158,13 @@ class TestPcapngReading:
          .epb(0, to_wire_bytes(record))
          .write(path))
         with pytest.raises(PcapFormatError):
-            list(read_pcapng_packets(path))
+            list(read_any_capture(path))
 
     def test_not_pcapng_rejected(self, tmp_path):
         path = tmp_path / "t.pcapng"
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(PcapFormatError):
-            list(read_pcapng_packets(path))
+            list(read_any_capture(path))
 
 
 class TestFormatSniffing:

@@ -31,7 +31,7 @@ SHARED_GROUPS = {
     "tables": ["--rt-slots", "--pt-slots", "--stages", "--recirc",
                "--handshake"],
     "export": ["--csv", "--jsonl", "--reports"],
-    "shards": ["--shards", "--parallel", "--transport"],
+    "shards": ["--shards", "--parallel"],
     "distribution": ["--hist-bins", "--hist-edges", "--quantiles",
                      "--hist-prefix", "--sketch-alpha"],
 }
@@ -53,8 +53,7 @@ PINNED_SURFACE = {'dart-replay': {'pcap': (None, None, True),
                  '--recirc': (1, None, False),
                  '--handshake': (False, None, False),
                  '--shards': (1, None, False),
-                 '--parallel': ('process', ['process', 'serial', 'thread'], False),
-                 '--transport': ('shm', ['queue', 'shm'], False),
+                 '--parallel': ('process', ['process', 'serial'], False),
                  '--dump': (False, None, False),
                  '--csv': (None, None, False),
                  '--jsonl': (None, None, False),
@@ -74,8 +73,7 @@ PINNED_SURFACE = {'dart-replay': {'pcap': (None, None, True),
                 '--seed': (11, None, False),
                 '--pt-slots': (1024, None, False),
                 '--shards': (1, None, False),
-                '--parallel': ('process', ['process', 'serial', 'thread'], False),
-                '--transport': ('shm', ['queue', 'shm'], False),
+                '--parallel': ('process', ['process', 'serial'], False),
                 '--hist-bins': (None, None, False),
                 '--hist-edges': (None, None, False),
                 '--quantiles': (None, None, False),
