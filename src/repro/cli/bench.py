@@ -23,7 +23,7 @@ from ..baselines import tcptrace_const
 from ..core import DartConfig, make_leg_filter
 from ..engine import MonitorEngine, MonitorOptions, create
 from ..obs import add_telemetry_arguments, emitter_from_args
-from ..traces import CampusTraceConfig, generate_campus_trace, replay
+from ..traces import CampusTraceConfig, generate_campus_trace
 from .distargs import (
     add_distribution_arguments,
     distribution_factory_from_args,
@@ -92,7 +92,9 @@ def main(argv: Optional[list] = None) -> int:
                                legs=("external",))
 
     baseline = tcptrace_const(leg_filter=leg())
-    replay(trace.records, baseline)
+    oracle_pass = MonitorEngine()
+    oracle_pass.add_monitor(baseline, name="tcptrace-const")
+    oracle_pass.run(trace.records)
     reference = [s.rtt_ns for s in baseline.samples]
     print(f"trace: {trace.packets} packets; baseline samples: "
           f"{len(reference)}", file=sys.stderr)
@@ -113,33 +115,22 @@ def main(argv: Optional[list] = None) -> int:
         )))
         for label, config in sweep_points(args)
     ]
-    # The reference monitors are built once, whichever shape runs them.
     options = MonitorOptions(leg_filter=leg())
     reference_monitors = [(name, create(name, options)) for name in extra]
     from ..stream import GracefulShutdown
 
+    # One trace pass: every sweep point and reference monitor rides the
+    # same engine, so an emitter sees the whole run (per-monitor chunk
+    # timings included).
+    engine = MonitorEngine(telemetry=emitter)
+    for label, dart in points:
+        engine.add_monitor(dart, name=f"sweep-{label}")
+    for name, monitor in reference_monitors:
+        engine.add_monitor(monitor, name=name)
     with GracefulShutdown() as stop:
-        # SIGTERM/SIGINT stops the sweep at the next record/point; what
-        # has been measured so far still finalizes and prints.
-        if emitter is not None:
-            # Telemetry wants one observable trace pass: every sweep
-            # point and reference monitor rides the same engine, so the
-            # emitter sees the whole run (per-monitor chunk timings
-            # included).
-            engine = MonitorEngine(telemetry=emitter)
-            for label, dart in points:
-                engine.add_monitor(dart, name=f"sweep-{label}")
-        else:
-            for _, dart in points:
-                if stop.triggered:
-                    break
-                replay(trace.records, dart)
-            # All reference monitors share one engine pass.
-            engine = MonitorEngine()
-        for name, monitor in reference_monitors:
-            engine.add_monitor(monitor, name=name)
-        if engine.runs:
-            engine.run(stop.wrap(trace.records))
+        # SIGTERM/SIGINT stops the pass at the next record; what has
+        # been measured so far still finalizes and prints.
+        engine.run(stop.wrap(trace.records))
     if stop.triggered:
         print("dart-bench: interrupted — reporting what completed",
               file=sys.stderr)

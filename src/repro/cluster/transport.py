@@ -2,8 +2,8 @@
 
 The original cluster shipped every packet as a pickled Python object
 through a ``multiprocessing.Queue`` — and lost to the serial monitor
-(``BENCH_pipeline.json`` v4: 4-shard process mode at ~70k pps vs ~131k
-serial), because per-object pickling on the coordinator ate more CPU
+(4-shard process mode at ~70k pps vs ~131k serial when it was last
+measured), because per-object pickling on the coordinator ate more CPU
 than sharding saved.  :class:`ShmRingTransport` replaces that seam: a
 single-producer / single-consumer ring buffer in
 ``multiprocessing.shared_memory`` that moves *contiguous byte batches*

@@ -50,8 +50,6 @@ from .range_tracker import (
     SeqVerdict,
 )
 from .samples import (
-    CountingSink,
-    NullSink,
     RttSample,
     SampleCollector,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "AckVerdict",
     "AssociativePacketTable",
     "CollectAllAnalytics",
-    "CountingSink",
     "Dart",
     "DartConfig",
     "DartStats",
@@ -73,7 +70,6 @@ __all__ = [
     "INTERNAL_LEG",
     "InsertStatus",
     "MinFilterAnalytics",
-    "NullSink",
     "PayloadSizeTable",
     "PrefixMinAnalytics",
     "PtRecord",

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..analysis.sketch import QuantileSketch
-from ..net.inet import int_to_ipv4
+from ..net.inet import int_to_ipv4, int_to_ipv6
 from .analytics import DstPrefixKey, flow_key
 from .samples import RttSample
 
@@ -367,8 +367,8 @@ class _KeyedBuffer:
     switch's per-key register array, which the control plane reads and
     folds at harvest.  Keeping the hot path to one object (instead of
     an ``RttHistogram`` + ``QuantileSketch`` pair) roughly halves the
-    memory touched per sample, which is what the perf baseline's
-    hist-overhead gate bounds.
+    memory touched per sample, which is what the *distribution* row of
+    ``benchmarks/overheads.py`` budgets in ns per sample.
     """
 
     __slots__ = ("counts", "sum_ns", "count", "min_ns", "max_ns",
@@ -451,8 +451,8 @@ class DistributionAnalytics:
     # -- the analytics protocol --------------------------------------------
 
     def add(self, sample: RttSample) -> None:
-        # The per-sample hot path — what the perf baseline's
-        # serial_hist leg gates at <=5% over a plain engine pass.  Only
+        # The per-sample hot path — what benchmarks/overheads.py holds
+        # to 2 500 ns per sample over a plain engine pass.  Only
         # the key's buffer is touched: one dict probe, one bisect, one
         # log, a handful of integer adds.  Totals and the per-key
         # stage objects are derived by _flush() at read time, the way
@@ -672,12 +672,16 @@ def describe_key(key: Hashable, key_fn: Optional[object] = None) -> str:
 
     Flow keys render via their own ``describe``; bare-int prefix keys
     (what :class:`~repro.core.analytics.DstPrefixKey` emits) render as
-    dotted-quad/len when the key function tells us the length.
+    dotted-quad/len when the key function tells us the length.  A key
+    of 2**32 or more is an IPv6 address and renders without ``/len``:
+    the stage masks ``32 - prefix_len`` low bits whatever the family.
     """
     describe = getattr(key, "describe", None)
     if callable(describe):
         return describe()
     if isinstance(key, int):
+        if key >= 1 << 32:
+            return int_to_ipv6(key)
         if isinstance(key_fn, DstPrefixKey):
             return f"{int_to_ipv4(key)}/{key_fn.prefix_len}"
         return int_to_ipv4(key)

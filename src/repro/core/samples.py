@@ -79,25 +79,3 @@ class SampleCollector:
         drained = self.samples
         self.samples = []
         return drained
-
-
-class NullSink:
-    """Discards samples (useful when only counters matter)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, sample: RttSample) -> None:
-        self.count += 1
-
-
-class CountingSink:
-    """Counts samples and tracks the most recent one."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.last: Optional[RttSample] = None
-
-    def add(self, sample: RttSample) -> None:
-        self.count += 1
-        self.last = sample

@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Union
 
+from ..core.hist import describe_key
 from ..core.samples import RttSample
 from ..net.inet import int_to_ipv4, int_to_ipv6
 from .records import encode_sample
@@ -147,21 +148,6 @@ class JsonlSink(_FileSink):
         self.count += 1
 
 
-def _describe_key(key) -> str:
-    """A stable, human-readable spelling for an analytics window key.
-
-    Flow keys describe themselves; prefix keys (plain ints from
-    :class:`~repro.core.analytics.DstPrefixKey`) render as dotted quads;
-    anything else falls back to ``str``.
-    """
-    describe = getattr(key, "describe", None)
-    if callable(describe):
-        return describe()
-    if isinstance(key, int):
-        return int_to_ipv4(key) if key < (1 << 32) else int_to_ipv6(key)
-    return str(key)
-
-
 class WindowJsonlSink(_FileSink):
     """Streams closed analytics windows as JSON lines.
 
@@ -176,7 +162,7 @@ class WindowJsonlSink(_FileSink):
 
     def add(self, window) -> None:
         self._stream.write(json.dumps({
-            "key": _describe_key(window.key),
+            "key": describe_key(window.key),
             "window": window.window_index,
             "min_rtt_ns": window.min_rtt_ns,
             "samples": window.sample_count,

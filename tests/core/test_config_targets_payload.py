@@ -8,8 +8,6 @@ from repro.core.payload import (
     arithmetic_payload_size,
 )
 from repro.core.samples import (
-    CountingSink,
-    NullSink,
     RttSample,
     SampleCollector,
 )
@@ -179,13 +177,6 @@ class TestSinks:
         assert collector.for_flow(s.flow) == [s]
         other = FlowKey(src_ip=9, dst_ip=9, src_port=9, dst_port=9)
         assert collector.for_flow(other) == []
-
-    def test_null_and_counting_sinks_count(self):
-        a, b = NullSink(), CountingSink()
-        for sink in (a, b):
-            sink.add(self.make_sample())
-        assert a.count == 1 and b.count == 1
-        assert b.last is not None
 
     def test_rtt_ms_property(self):
         assert self.make_sample(2_500_000).rtt_ms == 2.5

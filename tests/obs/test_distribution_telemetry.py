@@ -7,6 +7,8 @@ with the all-traffic aggregate under ``key=""`` plus a bounded number
 of busiest per-key series.
 """
 
+import json
+
 from repro.core.analytics import DstPrefixKey
 from repro.core.flow import FlowKey
 from repro.core.hist import DistributionAnalytics, HistogramSpec
@@ -97,3 +99,33 @@ def test_collect_flushes_buffered_state():
             assert float(line.rsplit(" ", 1)[1]) == 4.0
             return
     raise AssertionError("aggregate _count series missing")
+
+
+def test_ipv6_prefix_key_has_one_label_everywhere(tmp_path):
+    # One IPv6 sample used to make every later emission raise "IPv4
+    # address out of range" here while the window sink rendered the same
+    # key fine: one describe_key now serves both.
+    from repro.core.analytics import WindowMinimum
+    from repro.export import WindowJsonlSink
+    from repro.net.inet import ipv6_to_int
+
+    flow = FlowKey(src_ip=ipv6_to_int("2001:db8::1"),
+                   dst_ip=ipv6_to_int("2001:db8::105"),
+                   src_port=10, dst_port=443, ipv6=True)
+    sample = RttSample(flow=flow, rtt_ns=5 * MS, timestamp_ns=9, eack=0)
+    dist = _distribution(keys=1)
+    dist.add(sample)
+    key = DstPrefixKey(24)(sample)
+
+    registry = MetricsRegistry()
+    collect_distribution(registry, dist, "dart")
+    text = to_prometheus(registry.snapshot())
+    assert 'key="2001:db8::100"' in text
+    assert 'key="16.0.0.0/24"' in text  # the IPv4 label is unchanged
+
+    path = tmp_path / "windows.jsonl"
+    with WindowJsonlSink(path) as sink:
+        sink.add(WindowMinimum(key, 0, MS, 1, 9))
+        sink.add(WindowMinimum(0x10000000, 0, MS, 1, 9))
+    assert [json.loads(line)["key"] for line in path.read_text().splitlines()
+            ] == ["2001:db8::100", "16.0.0.0"]
