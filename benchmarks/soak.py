@@ -90,13 +90,12 @@ def build_records(connections: int):
 def build_engine(trace, emitter, options: MonitorOptions) -> MonitorEngine:
     """All five registered monitors on one engine; Dart sharded.
 
-    The sharded Dart's process workers decode their byte batches
-    columnar (``columns_from_framed``) when numpy is installed and
-    object by object when it is not — nothing here selects.  The main
-    mixed pass itself stays record-driven (it interleaves QUIC
-    datagrams, which the columnar engine does not decode), so a numpy
-    night exercises the worker-side decode here and the full columnar
-    ingest in the streaming leg.
+    The sharded Dart's process workers read their byte batches with
+    ``struct`` (``Dart.process_framed``) whether or not numpy is
+    installed — nothing here selects.  The main mixed pass itself stays
+    record-driven (it interleaves QUIC datagrams, which the columnar
+    engine does not decode), so a numpy night exercises the full
+    columnar ingest only in the streaming leg.
     """
     engine = MonitorEngine(telemetry=emitter)
     for name in available():

@@ -75,13 +75,13 @@ class ShardedDart:
         batch_size: records per dispatched batch.
         join_timeout: seconds to wait for a worker at ``finalize``
             before declaring it hung.
-        fastpath: process-mode workers decode byte batches columnar
-            (``process_columns`` instead of per-record parse) whenever
-            numpy is importable in the worker and the monitor has
-            ``process_columns`` — same verdicts, stats, and samples.
-            ``False`` forces the per-record parse: the reference leg
-            of the cluster equivalence suite.  Serial mode has no
-            byte boundary to vectorise and ignores it.
+        fastpath: process-mode workers hand byte batches to the
+            monitor's ``process_framed`` (packed records become kernel
+            rows with one ``struct`` read, no record objects) whenever
+            the monitor has one — same verdicts, stats, and samples.
+            ``False`` forces ``process_batch(decode_batch(...))``: the
+            reference leg of the cluster equivalence suite.  Serial
+            mode has no byte boundary and ignores it.
     """
 
     def __init__(
@@ -119,7 +119,7 @@ class ShardedDart:
                 )
         self.shards = shards
         self.parallel = parallel if shards > 1 else "serial"
-        #: Whether process-mode workers were asked to decode columnar.
+        #: Whether process-mode workers were asked for ``process_framed``.
         self.fastpath = fastpath
         #: Multi-shard runs surface samples only after :meth:`finalize`
         #: (workers retain them until harvest); the engine reads this to

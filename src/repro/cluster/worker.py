@@ -263,31 +263,24 @@ def _worker_main(
     """Subprocess entry point: consume byte batches until the sentinel.
 
     Batches arrive as framed bytes (:mod:`repro.net.framing`) over the
-    shard's transport; *this* is where they become
-    :class:`~repro.net.packet.PacketRecord` objects or columns — in the
+    shard's transport; *this* is where they become packets — in the
     worker, in parallel across shards, while the coordinator only ever
     touches bytes.  Packed records need no parsing; whole wire frames
-    get the full decode here, and those that decode to non-TCP come
-    back as ``None`` entries, which ``process_batch`` skips, matching
-    the serial reader's behaviour for mixed captures.
+    get the full decode here, and those that decode to non-TCP are
+    skipped, matching the serial reader's behaviour for mixed captures.
 
-    With numpy importable in the worker and a monitor that has
-    ``process_columns``, framed batches decode columnar — same
-    verdicts, stats, and samples, pinned by the cluster equivalence
-    suite, whose reference leg passes ``fastpath=False`` to force the
-    object decoder.
+    A monitor with ``process_framed`` (Dart) turns each packed record
+    into a kernel row with one ``struct`` read — no
+    :class:`~repro.net.packet.PacketRecord`, no numpy, so a worker never
+    imports it.  Every other monitor, and every monitor under
+    ``fastpath=False`` (the cluster equivalence suite's reference leg),
+    gets ``process_batch(decode_batch(payload))``: same verdicts, stats
+    and samples.
     """
     monitor: Optional[Any] = None
     try:
         monitor = monitor_factory()
-        use_columns = False
-        if fastpath:
-            from ..net import columnar
-
-            use_columns = (
-                columnar.HAVE_NUMPY
-                and hasattr(monitor, "process_columns")
-            )
+        framed = getattr(monitor, "process_framed", None) if fastpath else None
         end_ns: Optional[int] = None
         while True:
             kind, payload = transport.recv()
@@ -296,8 +289,8 @@ def _worker_main(
             if kind == "finish":
                 end_ns = payload
                 break
-            if use_columns:
-                monitor.process_columns(columnar.columns_from_framed(payload))
+            if framed is not None:
+                framed(payload)
             else:
                 monitor.process_batch(decode_frames(payload))
         result_queue.put(("ok", harvest(shard_id, monitor, end_ns=end_ns)))
@@ -356,15 +349,21 @@ class ProcessWorker:
         self.shard_id = shard_id
         ctx = _default_context()
         self._transport = ShmRingTransport(ctx)
-        self._results = ctx.Queue()
-        self._proc = ctx.Process(
-            target=_worker_main,
-            args=(shard_id, monitor_factory, self._transport, self._results,
-                  fastpath),
-            name=f"dart-shard-{shard_id}",
-            daemon=True,
-        )
-        self._proc.start()
+        try:
+            self._results = ctx.Queue()
+            self._proc = ctx.Process(
+                target=_worker_main,
+                args=(shard_id, monitor_factory, self._transport,
+                      self._results, fastpath),
+                name=f"dart-shard-{shard_id}",
+                daemon=True,
+            )
+            self._proc.start()
+        except BaseException:
+            # A worker that never finished construction is in no
+            # coordinator's worker list: only this frame can free its ring.
+            self._transport.destroy()
+            raise
 
     def _died(self) -> ShardFailure:
         # The worker reports errors (with partial stats) on the result

@@ -32,6 +32,7 @@ from itertools import islice
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..net import tcp as tcp_mod
+from ..net.framing import REC_V6, decode_batch, header_rows
 from ..net.inet import prefix_of
 from ..net.packet import PacketRecord
 from .analytics import CollectAllAnalytics
@@ -149,8 +150,9 @@ class Dart:
             "specifying target flows"); packets rejected by the filter are
             not processed at all.
 
-    :meth:`process`, :meth:`process_batch` and :meth:`process_columns`
-    only *classify* their input into rows for :meth:`_packet`, the
+    :meth:`process`, :meth:`process_batch`, :meth:`process_columns`
+    and :meth:`process_framed` only *classify* their input into rows
+    for :meth:`_packet`, the
     single per-packet kernel and the only code that touches the
     trackers.  A subclass that must see (or fail on) every packet
     overrides ``_packet`` alone, whatever the entry point.
@@ -276,6 +278,39 @@ class Dart:
                 sample = packet(
                     ts_col[i], role[i], src[i], dst[i], sport[i], dport[i],
                     False, seq_col[i], eack_col[i], ack_col[i], None)
+            if sample is not None:
+                append(sample)
+        return samples
+
+    def process_framed(self, payload) -> List[RttSample]:
+        """Process a framed byte batch (:mod:`repro.net.framing`), as a
+        cluster process worker receives it.
+
+        The framed classifier: each packet's header tuple
+        (:func:`~repro.net.framing.header_rows` — one ``struct`` read
+        for a batch of ``REC_V4`` records) becomes a kernel row here, by
+        the same rule as :meth:`_classify`, with no
+        :class:`PacketRecord` and no numpy in between.  A leg or target
+        filter, which takes a :class:`PacketRecord`, sends the whole
+        batch to ``process_batch(decode_batch(payload))``.  Same stats,
+        samples, analytics windows and table state as that call, and the
+        same error for a damaged batch, raised before any of its packets
+        reach the kernel.
+        """
+        if self._target_filter is not None or self._leg_filter is not None:
+            return self.process_batch(decode_batch(payload))
+        packet = self._packet
+        roles = FLAG_ROLES
+        samples: List[RttSample] = []
+        append = samples.append
+        for (_, kind, ts, src, dst, sport, dport, seq, ack, flags,
+             payload_len) in header_rows(payload):
+            # eack: SYN (0x02) and FIN (0x01) each consume one number.
+            sample = packet(
+                ts, roles[flags & 0xFF] | (payload_len > 0), src, dst, sport,
+                dport, kind == REC_V6, seq,
+                (seq + payload_len + (flags & 1) + (flags >> 1 & 1))
+                & 0xFFFFFFFF, ack, None)
             if sample is not None:
                 append(sample)
         return samples

@@ -11,9 +11,11 @@ reference object path.  DESIGN §15 states the equivalence argument.
 numpy is optional and nothing selects this path by flag:
 :meth:`MonitorEngine.ingest_wire_chunk
 <repro.engine.MonitorEngine.ingest_wire_chunk>` (which ``dart-replay``
-and every ``repro.stream`` source feed raw frames) and the cluster's
-process workers each take it when :data:`HAVE_NUMPY` is true and the
-monitor has ``process_columns``, and the object path otherwise.
+and every ``repro.stream`` source feed raw frames) takes it when
+:data:`HAVE_NUMPY` is true and the monitor has ``process_columns``, and
+the object path otherwise.  The serial engine is its only user: cluster
+process workers read their framed batches with ``struct``
+(``Dart.process_framed``) and never import numpy.
 """
 
 from ..net.columnar import (
@@ -22,7 +24,6 @@ from ..net.columnar import (
     KIND_SKIP,
     KIND_VEC,
     PacketColumns,
-    columns_from_framed,
     decode_wire_columns,
     records_to_columns,
 )
@@ -35,7 +36,6 @@ __all__ = [
     "KIND_VEC",
     "PacketColumns",
     "classify",
-    "columns_from_framed",
     "decode_wire_columns",
     "records_to_columns",
 ]

@@ -39,8 +39,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6
-from .framing import _PREFIX, _V4, _V4_BODY, _V6, _V6_BODY, _WIRE_HEAD
-from .framing import REC_V4, REC_V6, REC_WIRE, FrameError
 from .ipv4 import PROTO_TCP
 from .packet import PacketRecord, from_wire_bytes
 
@@ -62,15 +60,6 @@ KIND_RECORD = 2
 
 _ETH_HEADER = 14
 _TCP_FLAGS_MASK = 0x01FF
-
-#: ``framing._V4`` as a packed big-endian structured dtype, its fields
-#: named (and ordered) after the :class:`PacketColumns` they fill.
-_V4_ROWS = np.dtype([
-    ("length", ">u2"), ("kind", "u1"), ("timestamps", ">u8"),
-    ("src_ip", ">u4"), ("dst_ip", ">u4"), ("src_port", ">u2"),
-    ("dst_port", ">u2"), ("seq", ">u4"), ("ack", ">u4"), ("flags", ">u2"),
-    ("payload_len", ">u4"),
-]) if HAVE_NUMPY else None
 
 #: Raw wire item: ``(timestamp_ns, linktype_is_ethernet, frame_bytes)``.
 WireItem = Tuple[int, bool, bytes]
@@ -278,129 +267,6 @@ def decode_wire_columns(items: Sequence[WireItem]) -> PacketColumns:
             records[i] = record
     return PacketColumns(n, kinds, timestamps, src, dst, sport, dport,
                          seq, ack, flags, payload_len, records)
-
-
-def columns_from_framed(payload) -> PacketColumns:
-    """Columnar twin of :func:`repro.net.framing.decode_batch`.
-
-    Walks the self-delimiting frame stream once (scalar — the walk is a
-    couple of struct reads per frame), then extracts packed ``REC_V4``
-    fields and embedded ``REC_WIRE`` frames with the same vectorised
-    gathers as :func:`decode_wire_columns`.  Raises :class:`FrameError`
-    for exactly the malformed batches ``decode_batch`` rejects.
-
-    A batch of nothing but ``REC_V4`` frames — what the cluster ships
-    for option-free IPv4/TCP traffic — skips the walk: when every
-    ``_V4.size`` stride starts with the ``REC_V4`` prefix, the walk
-    would visit exactly those offsets (each frame's length sends it to
-    the next stride), so the columns are the strided fields themselves.
-    """
-    _require_numpy()
-    view = memoryview(payload)
-    end = len(view)
-    if end and end % _V4.size == 0:
-        rows = np.frombuffer(view, dtype=_V4_ROWS)
-        if ((rows["length"] == _V4_BODY + 1) & (rows["kind"] == REC_V4)).all():
-            n = rows.shape[0]
-            return PacketColumns(
-                n, np.full(n, KIND_VEC, dtype=np.uint8),
-                *(rows[name].astype(np.int64) for name in _V4_ROWS.names[2:]),
-                {})
-    buf = np.frombuffer(view, dtype=np.uint8)
-    v4_pos: List[int] = []
-    v4_off: List[int] = []
-    v6_pos: List[int] = []
-    wire_pos: List[int] = []
-    wire_start: List[int] = []
-    wire_len: List[int] = []
-    wire_eth: List[bool] = []
-    wire_ts: List[int] = []
-    records: Dict[int, PacketRecord] = {}
-    record_ts: List[Tuple[int, int]] = []
-    offset = 0
-    index = 0
-    while offset < end:
-        if end - offset < _PREFIX.size:
-            raise FrameError("truncated frame prefix")
-        length, kind = _PREFIX.unpack_from(view, offset)
-        body_end = offset + _PREFIX.size + length - 1
-        if length < 1 or body_end > end:
-            raise FrameError(
-                f"frame length {length} overruns the batch at {offset}"
-            )
-        if kind == REC_V4:
-            if length - 1 != _V4_BODY:
-                raise FrameError(f"bad REC_V4 body length {length - 1}")
-            v4_pos.append(index)
-            v4_off.append(offset)
-        elif kind == REC_V6:
-            if length - 1 != _V6_BODY:
-                raise FrameError(f"bad REC_V6 body length {length - 1}")
-            (_, _, ts, src_hi, src_lo, dst_hi, dst_lo, sport, dport, seq,
-             ack, flags, payload_len) = _V6.unpack_from(view, offset)
-            records[index] = PacketRecord(
-                ts, (src_hi << 64) | src_lo, (dst_hi << 64) | dst_lo,
-                sport, dport, seq, ack, flags, payload_len, ipv6=True)
-            record_ts.append((index, ts))
-            v6_pos.append(index)
-        elif kind == REC_WIRE:
-            head_body = _WIRE_HEAD.size - _PREFIX.size
-            if length - 1 < head_body:
-                raise FrameError(f"bad REC_WIRE body length {length - 1}")
-            _, _, ts, ethernet = _WIRE_HEAD.unpack_from(view, offset)
-            wire_pos.append(index)
-            wire_start.append(offset + _WIRE_HEAD.size)
-            wire_len.append(body_end - offset - _WIRE_HEAD.size)
-            wire_eth.append(bool(ethernet))
-            wire_ts.append(ts)
-        else:
-            raise FrameError(f"unknown frame type {kind} at {offset}")
-        offset = body_end
-        index += 1
-
-    cols = PacketColumns.allocate(index)
-    kinds = cols.kinds
-    if v4_pos:
-        p = np.array(v4_pos, dtype=np.int64)
-        o = np.array(v4_off, dtype=np.int64)
-        rows = buf[o[:, None] + np.arange(_V4.size)].view(_V4_ROWS).ravel()
-        kinds[p] = KIND_VEC
-        for name in _V4_ROWS.names[2:]:
-            getattr(cols, name)[p] = rows[name]
-    if wire_pos:
-        p = np.array(wire_pos, dtype=np.int64)
-        (kw, src, dst, sport, dport, seq, ack, flags,
-         payload_len) = _scan_v4_tcp(
-            buf,
-            np.array(wire_start, dtype=np.int64),
-            np.array(wire_len, dtype=np.int64),
-            np.array(wire_eth, dtype=np.bool_),
-        )
-        kinds[p] = kw
-        cols.timestamps[p] = np.array(wire_ts, dtype=np.int64)
-        cols.src_ip[p] = src
-        cols.dst_ip[p] = dst
-        cols.src_port[p] = sport
-        cols.dst_port[p] = dport
-        cols.seq[p] = seq
-        cols.ack[p] = ack
-        cols.flags[p] = flags
-        cols.payload_len[p] = payload_len
-        for j in np.nonzero(kw == KIND_RECORD)[0].tolist():
-            i = wire_pos[j]
-            frame = bytes(view[wire_start[j]:wire_start[j] + wire_len[j]])
-            record = from_wire_bytes(frame, wire_ts[j],
-                                     linktype_ethernet=wire_eth[j])
-            if record is None:
-                kinds[i] = KIND_SKIP
-            else:
-                records[i] = record
-    if v6_pos:
-        kinds[np.array(v6_pos, dtype=np.int64)] = KIND_RECORD
-    for i, ts in record_ts:
-        cols.timestamps[i] = ts
-    cols.records = records
-    return cols
 
 
 def records_to_columns(

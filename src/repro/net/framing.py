@@ -28,12 +28,17 @@ The framing is self-delimiting and append-only, so batches concatenate
 freely and a decoder needs no out-of-band record count.  ``u16`` length
 bounds a frame body at 65534 bytes — far above any real MTU; oversized
 wire frames are rejected at encode time rather than truncated silently.
+
+Two readers share one frame walk, so a damaged batch fails with the
+same :class:`FrameError` on both: :func:`decode_batch` builds
+:class:`~repro.net.packet.PacketRecord` objects, :func:`header_rows`
+yields plain header tuples for ``Dart.process_framed``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .packet import PacketRecord, from_wire_bytes
 
@@ -55,6 +60,8 @@ _WIRE_HEAD = struct.Struct("!HBQB")
 _V4_BODY = _V4.size - _PREFIX.size
 _V6_BODY = _V6.size - _PREFIX.size
 _U64_MASK = (1 << 64) - 1
+#: The three bytes every ``REC_V4`` frame starts with.
+_V4_PREFIX = _PREFIX.pack(_V4_BODY + 1, REC_V4)
 
 #: Largest wire-frame payload a u16 length prefix can carry (the
 #: length field covers the type byte and the timestamp/linktype head).
@@ -144,21 +151,15 @@ def encode_records(records: Iterable[PacketRecord]) -> bytes:
     return encoder.take()
 
 
-def decode_batch(payload) -> List[Optional[PacketRecord]]:
-    """Decode a framed byte batch back into records.
+def _walk(view: memoryview) -> Iterator[Tuple[int, int, int]]:
+    """The frame walk: ``(kind, offset, body_end)`` of every frame, in
+    order, each validated before it is yielded.
 
-    Accepts ``bytes`` or ``memoryview``.  Packed frames rebuild their
-    :class:`PacketRecord` directly; wire frames run the full
-    :func:`~repro.net.packet.from_wire_bytes` decode *here*, in the
-    worker — the whole point of the byte transport is moving that work
-    off the coordinator.  Wire frames decoding to non-TCP yield
-    ``None`` entries (``process_batch`` skips them), matching the
-    serial reader's behaviour for mixed captures.
+    The one place a batch's framing is checked: both readers below
+    consume it, so a damaged batch raises the same :class:`FrameError`
+    at the same frame whichever reader runs.
     """
-    view = memoryview(payload)
     end = len(view)
-    records: List[Optional[PacketRecord]] = []
-    append = records.append
     offset = 0
     while offset < end:
         if end - offset < _PREFIX.size:
@@ -172,27 +173,95 @@ def decode_batch(payload) -> List[Optional[PacketRecord]]:
         if kind == REC_V4:
             if length - 1 != _V4_BODY:
                 raise FrameError(f"bad REC_V4 body length {length - 1}")
-            (_, _, ts, src, dst, sport, dport, seq, ack, flags,
-             payload_len) = _V4.unpack_from(view, offset)
-            append(PacketRecord(ts, src, dst, sport, dport, seq, ack,
-                                flags, payload_len))
         elif kind == REC_V6:
             if length - 1 != _V6_BODY:
                 raise FrameError(f"bad REC_V6 body length {length - 1}")
-            (_, _, ts, src_hi, src_lo, dst_hi, dst_lo, sport, dport, seq,
-             ack, flags, payload_len) = _V6.unpack_from(view, offset)
-            append(PacketRecord(ts, (src_hi << 64) | src_lo,
-                                (dst_hi << 64) | dst_lo, sport, dport,
-                                seq, ack, flags, payload_len, ipv6=True))
         elif kind == REC_WIRE:
-            head_body = _WIRE_HEAD.size - _PREFIX.size
-            if length - 1 < head_body:
+            if length - 1 < _WIRE_HEAD.size - _PREFIX.size:
                 raise FrameError(f"bad REC_WIRE body length {length - 1}")
-            _, _, ts, ethernet = _WIRE_HEAD.unpack_from(view, offset)
-            frame = bytes(view[offset + _WIRE_HEAD.size:body_end])
-            append(from_wire_bytes(frame, ts,
-                                   linktype_ethernet=bool(ethernet)))
         else:
             raise FrameError(f"unknown frame type {kind} at {offset}")
+        yield kind, offset, body_end
         offset = body_end
+
+
+def _v6_fields(view: memoryview, offset: int) -> tuple:
+    """A ``REC_V6`` frame's nine record fields, addresses rejoined."""
+    (_, _, ts, src_hi, src_lo, dst_hi, dst_lo, sport, dport, seq, ack,
+     flags, payload_len) = _V6.unpack_from(view, offset)
+    return (ts, (src_hi << 64) | src_lo, (dst_hi << 64) | dst_lo, sport,
+            dport, seq, ack, flags, payload_len)
+
+
+def _wire_record(view: memoryview, offset: int,
+                 body_end: int) -> Optional[PacketRecord]:
+    """The full decode of a ``REC_WIRE`` frame (``None``: not TCP)."""
+    _, _, ts, ethernet = _WIRE_HEAD.unpack_from(view, offset)
+    return from_wire_bytes(bytes(view[offset + _WIRE_HEAD.size:body_end]),
+                           ts, linktype_ethernet=bool(ethernet))
+
+
+def decode_batch(payload) -> List[Optional[PacketRecord]]:
+    """Decode a framed byte batch back into records.
+
+    Accepts ``bytes`` or ``memoryview``.  Packed frames rebuild their
+    :class:`PacketRecord` directly; wire frames run the full
+    :func:`~repro.net.packet.from_wire_bytes` decode *here*, in the
+    worker — the whole point of the byte transport is moving that work
+    off the coordinator.  Wire frames decoding to non-TCP yield
+    ``None`` entries (``process_batch`` skips them), matching the
+    serial reader's behaviour for mixed captures.
+    """
+    view = memoryview(payload)
+    records: List[Optional[PacketRecord]] = []
+    append = records.append
+    for kind, offset, body_end in _walk(view):
+        if kind == REC_V4:
+            append(PacketRecord(*_V4.unpack_from(view, offset)[2:]))
+        elif kind == REC_V6:
+            append(PacketRecord(*_v6_fields(view, offset), ipv6=True))
+        else:
+            append(_wire_record(view, offset, body_end))
     return records
+
+
+def header_rows(payload) -> Iterable[tuple]:
+    """Every TCP packet of a framed batch as one flat header tuple.
+
+    A row is a ``REC_V4`` frame as ``_V4`` unpacks it — ``(length,
+    kind, ts, src, dst, sport, dport, seq, ack, flags, payload_len)`` —
+    and rows of the other frame kinds take the same shape: ``kind`` is
+    ``REC_V6`` when the addresses are IPv6 and ``REC_V4`` otherwise;
+    ``length`` is not meaningful.  No :class:`PacketRecord` is built
+    for a packed frame.
+
+    A batch of nothing but ``REC_V4`` frames — what the cluster ships
+    for option-free IPv4/TCP traffic — is read by one
+    ``_V4.iter_unpack``: when the length is a multiple of the 37-byte
+    stride and every stride starts with the ``REC_V4`` prefix, the walk
+    would visit exactly those offsets and find nothing to reject.  Any
+    other batch is walked, and decoded, in full before this returns:
+    ``REC_WIRE`` frames run :func:`~repro.net.packet.from_wire_bytes`
+    (non-TCP frames yield no row), and a damaged batch raises what
+    :func:`decode_batch` raises for it.
+    """
+    view = memoryview(payload)
+    count, odd = divmod(len(view), _V4.size)
+    if not odd and all(view[i::_V4.size] == _V4_PREFIX[i:i + 1] * count
+                       for i in range(_PREFIX.size)):
+        return _V4.iter_unpack(view)
+    rows: List[tuple] = []
+    append = rows.append
+    for kind, offset, body_end in _walk(view):
+        if kind == REC_V4:
+            append(_V4.unpack_from(view, offset))
+        elif kind == REC_V6:
+            append((0, REC_V6, *_v6_fields(view, offset)))
+        else:
+            record = _wire_record(view, offset, body_end)
+            if record is not None:
+                append((0, REC_V6 if record.ipv6 else REC_V4,
+                        record.timestamp_ns, record.src_ip, record.dst_ip,
+                        record.src_port, record.dst_port, record.seq,
+                        record.ack, record.flags, record.payload_len))
+    return rows

@@ -1,10 +1,11 @@
-"""Cluster fastpath equivalence: columnar workers == object workers.
+"""Cluster fastpath equivalence: framed workers == object workers.
 
-With ``fastpath=True`` each process worker decodes its framed byte
-batches columnar (``columns_from_framed`` + ``process_columns``)
-instead of record by record.  The decode strategy lives entirely
-inside the worker, so the merged result — sample multiset, emission
-order, additive stats — must be identical across the flag.
+With ``fastpath=True`` each process worker hands its framed byte
+batches to ``Dart.process_framed`` (packed records straight to kernel
+rows) instead of ``process_batch(decode_batch(...))``.  The decode
+strategy lives entirely inside the worker, so the merged result —
+sample multiset, emission order, additive stats — must be identical
+across the flag.  Neither route needs numpy.
 """
 
 from collections import Counter
@@ -14,12 +15,7 @@ import pytest
 from repro.cluster import ShardedMonitor
 from repro.core import DartConfig
 from repro.engine import MonitorOptions, create, monitor_factory
-from repro.net.columnar import HAVE_NUMPY
 from repro.traces import CampusTraceConfig, generate_campus_trace
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the columnar fast path requires numpy"
-)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +53,7 @@ def test_fastpath_matches_object_workers(records):
 
 def test_fastpath_matches_serial_dart(records):
     """The original contract — merged cluster == one serial Dart — must
-    survive the columnar worker decode."""
+    survive the framed worker route."""
     serial = create("dart", MonitorOptions())
     serial.process_batch(records)
     serial.finalize(records[-1].timestamp_ns)
@@ -81,7 +77,7 @@ def test_fastpath_flag_recorded_and_harmless_off_process_mode(records):
 
 
 def test_fastpath_non_dart_monitor_falls_back(records):
-    """A sharded monitor without ``process_columns`` must run unchanged
+    """A sharded monitor without ``process_framed`` must run unchanged
     under the flag (worker-side per-record fallback)."""
     def build(fastpath):
         cluster = ShardedMonitor(

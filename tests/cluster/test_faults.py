@@ -13,6 +13,7 @@ import queue
 import time
 from functools import partial
 from multiprocessing import shared_memory
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -193,6 +194,27 @@ class TestWorkerStartFailure:
                     if child.name.startswith("dart-shard-")]
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=created[0])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="POSIX shared memory is not under /dev/shm")
+    def test_a_process_that_cannot_start_frees_its_ring(self, monkeypatch):
+        """The first shard's ring is allocated, then its process cannot
+        start: the half-built worker is in no worker list, so it must
+        free the ring itself before the error propagates."""
+        def segments():
+            return {name for name in os.listdir("/dev/shm")
+                    if name.startswith("psm_")}
+
+        def cannot_start(process):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        before = segments()
+        monkeypatch.setattr(BaseProcess, "start", cannot_start)
+        with pytest.raises(OSError, match="Resource temporarily"):
+            ShardedDart(ideal_config(), shards=2, parallel="process")
+        assert not [child.name for child in multiprocessing.active_children()
+                    if child.name.startswith("dart-shard-")]
+        assert segments() - before == set()
 
 
 def plain_dart():

@@ -347,7 +347,11 @@ class TestTransportEquivalence:
                                           monkeypatch):
         """Plain frames (header parsed at dispatch, shipped as records)
         and everything else (shipped whole) interleave in one capture:
-        same skips, same per-shard routing, same answers as serial."""
+        same skips, same per-shard routing, same answers as serial.
+
+        ``columnar`` and ``numpy_hidden`` both take the framed worker
+        route (ids kept from when the worker's decoder depended on
+        numpy; it no longer does), ``object`` the reference leg."""
         if decoder == "numpy_hidden":
             from repro.net import columnar
 

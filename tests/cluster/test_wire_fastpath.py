@@ -14,16 +14,21 @@ IPv6, UDP, raw-IP linktype, NS/CWR/ECE flags):
 * with numpy — it takes a frame exactly when
   :func:`repro.net.columnar._scan_v4_tcp` marks the row ``KIND_VEC``,
   with the same fields;
-* ``columns_from_framed``'s uniform-stride shortcut equals the scalar
-  walk, and anything that is not a pure ``REC_V4`` batch falls through
-  to the walk and its errors.
+* what a worker does with the batch — ``Dart.process_framed`` over
+  :func:`~repro.net.framing.header_rows` — equals
+  ``process_batch(decode_batch(payload))`` in stats, samples and error
+  text, on random mixed batches; the all-``REC_V4`` batch's one-call
+  read equals the frame walk, and anything that is not a pure
+  ``REC_V4`` batch falls through to the walk and its errors.
 
 The NS-flag regression (nine flag bits through every record route)
 lives here too.
 """
 
+import zlib
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -31,17 +36,19 @@ from hypothesis import strategies as st
 
 from repro.cluster import ShardedDart, shard_of_wire
 from repro.cluster.sharding import ByteBatchDispatcher, plain_v4_tcp
-from repro.core import Dart, ideal_config
+from repro.core import Dart, DartConfig, ideal_config
 from repro.net import tcp as tcpf
 from repro.net.columnar import HAVE_NUMPY
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.framing import (
     REC_V4,
+    REC_V6,
     REC_WIRE,
     BatchEncoder,
     FrameError,
     decode_batch,
     encode_records,
+    header_rows,
 )
 from repro.net.ipv4 import PROTO_TCP, IPv4Packet
 from repro.net.packet import PacketRecord, from_wire_bytes, to_wire_bytes
@@ -154,7 +161,7 @@ def outcome(function, *args, **kwargs):
     """A call's result, or the exception it raised, as comparable data."""
     try:
         return function(*args, **kwargs)
-    except ValueError as exc:
+    except Exception as exc:  # noqa: BLE001 - parity includes the error
         return type(exc), str(exc)
 
 
@@ -244,46 +251,44 @@ class TestFastPathIsTheVectorMask:
                 assert fields == tuple(int(c[i]) for c in columns)
 
 
-def column_lists(cols, rows=None):
-    """Every column of a ``PacketColumns`` as lists (first ``rows``)."""
-    names = ("kinds", "timestamps", "src_ip", "dst_ip", "src_port",
-             "dst_port", "seq", "ack", "flags", "payload_len")
-    return {name: getattr(cols, name)[:rows].tolist() for name in names}
+def records_of(rows):
+    """``header_rows`` output as the records ``decode_batch`` builds."""
+    return [PacketRecord(*row[2:], ipv6=row[1] == REC_V6) for row in rows]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar decode needs numpy")
+def decoded(payload):
+    """``decode_batch`` with the non-TCP ``None`` entries squeezed out:
+    a frame the full decode drops yields no header row either."""
+    return [record for record in decode_batch(payload) if record is not None]
+
+
 class TestUniformStrideShortcut:
     @settings(max_examples=100)
     @given(st.lists(v4_records(), min_size=1, max_size=40))
     def test_equals_the_scalar_walk(self, records):
-        from repro.net.columnar import columns_from_framed
-
         payload = encode_records(records)
         assert len(payload) == 37 * len(records)
-        shortcut = columns_from_framed(payload)
+        shortcut = header_rows(payload)
         # One trailing REC_V6 frame (61 bytes) breaks the stride, so the
-        # same records go through the frame walk.
+        # same records go through the frame walk, which returns a list.
         tail = PacketRecord(1, 1 << 100, 1 << 99, 1, 2, 3, 4, 0x10, 0,
                             ipv6=True)
-        walked = columns_from_framed(payload + encode_records([tail]))
-        assert shortcut.n == len(records) and shortcut.records == {}
-        assert column_lists(shortcut) == column_lists(walked, len(records))
-        assert shortcut.to_records() == records
+        walked = header_rows(payload + encode_records([tail]))
+        assert not isinstance(shortcut, list) and isinstance(walked, list)
+        assert list(shortcut) == walked[:len(records)]
+        assert records_of(header_rows(payload)) == records
 
     def test_high_timestamp_bits_wrap_like_the_walk(self):
-        from repro.net.columnar import columns_from_framed
-
         record = PacketRecord((1 << 64) - 5, 1, 2, 3, 4, 5, 6, 0x1FF, 7)
         payload = encode_records([record])
         tail = encode_records([PacketRecord(1, 1 << 100, 2, 1, 2, 3, 4,
                                             0x10, 0, ipv6=True)])
-        assert (column_lists(columns_from_framed(payload))
-                == column_lists(columns_from_framed(payload + tail), 1))
+        assert (list(header_rows(payload))
+                == header_rows(payload + tail)[:1]
+                == [(35, REC_V4, (1 << 64) - 5, 1, 2, 3, 4, 5, 6, 0x1FF, 7)])
 
     @pytest.mark.parametrize("mixed_in", ["v6", "wire"])
     def test_stride_multiple_but_mixed_takes_the_walk(self, mixed_in):
-        from repro.net.columnar import columns_from_framed
-
         plain = [PacketRecord(i, 1, 2, 3, 4, i, 6, 0x10, i)
                  for i in range(5)]
         encoder = BatchEncoder()
@@ -305,14 +310,12 @@ class TestUniformStrideShortcut:
             encoder.add_record(record)
         payload = encoder.take()
         assert len(payload) % 37 == 0
-        assert (columns_from_framed(payload).to_records()
+        assert (records_of(header_rows(payload))
                 == decode_batch(payload) == plain[:3] + odd + plain[3:])
 
     @settings(max_examples=100)
     @given(st.lists(v4_records(), min_size=1, max_size=8), st.data())
     def test_one_corrupted_prefix_fails_like_the_walk(self, records, data):
-        from repro.net.columnar import columns_from_framed
-
         payload = bytearray(encode_records(records))
         at = 37 * data.draw(st.integers(0, len(records) - 1))
         at += data.draw(st.integers(0, 2))
@@ -320,19 +323,129 @@ class TestUniformStrideShortcut:
         payload = bytes(payload)
         # ``decode_batch`` is the record-at-a-time twin with the walk's
         # own checks and messages.
-        expected = outcome(decode_batch, payload)
-        got = outcome(lambda: columns_from_framed(payload).to_records())
+        expected = outcome(decoded, payload)
+        got = outcome(lambda: records_of(header_rows(payload)))
         assert got == expected
         if isinstance(expected, tuple):
             assert issubclass(expected[0], ValueError)
 
     def test_empty_and_odd_length_batches(self):
-        from repro.net.columnar import columns_from_framed
-
-        assert columns_from_framed(b"").n == 0
+        assert list(header_rows(b"")) == []
+        assert Dart().process_framed(b"") == []
         with pytest.raises(FrameError):
-            columns_from_framed(encode_records(
+            header_rows(encode_records(
                 [PacketRecord(1, 1, 2, 3, 4, 5, 6, 0x10, 7)])[:-1])
+
+
+@st.composite
+def tcp_records(draw):
+    """IPv4 or IPv6 records, nine flag bits."""
+    record = draw(v4_records())
+    if draw(st.booleans()):
+        addr = st.integers(min_value=0, max_value=(1 << 128) - 1)
+        record = replace(record, src_ip=draw(addr), dst_ip=draw(addr),
+                         ipv6=True)
+    return record
+
+
+@lru_cache(maxsize=None)
+def conversation():
+    """A campus trace whose data and ACK segments carry NS: enough
+    round trips in any window for the kernel to emit samples."""
+    return ns_trace()
+
+
+#: How one connection travels in a mixed batch.
+SHAPES = ("record", "wire", "tcp_options", "v6_record", "v6_wire")
+
+
+def add_shaped(encoder, record, shape):
+    if shape.startswith("v6"):
+        record = replace(record, src_ip=(1 << 100) | record.src_ip,
+                         dst_ip=(1 << 100) | record.dst_ip, ipv6=True)
+    if shape in ("record", "v6_record"):
+        encoder.add_record(record)
+    elif shape == "tcp_options":
+        encoder.add_wire(option_frame(record, tcp_options=tcpf.TcpOptions(
+            timestamp=(record.seq, record.ack))), record.timestamp_ns)
+    else:
+        encoder.add_wire(to_wire_bytes(record), record.timestamp_ns)
+
+
+@st.composite
+def mixed_batches(draw):
+    """A framed batch as a worker may receive it, and worse: a window of
+    a real conversation, each connection in one of :data:`SHAPES`, with
+    random records and damaged, non-TCP or IPv6 wire frames mixed in,
+    and sometimes the batch itself cut short or with one byte flipped."""
+    trace = conversation()
+    start = draw(st.integers(0, len(trace) - 1))
+    window = trace[start:start + draw(st.integers(1, 150))]
+    salt = draw(st.integers(0, 2**32 - 1))
+    strays = draw(st.lists(
+        st.tuples(st.integers(0, len(window)),
+                  st.one_of(v4_records(), tcp_records(), damaged_frames())),
+        max_size=4))
+    encoder = BatchEncoder()
+    for i, record in enumerate(window + [None]):
+        for at, stray in strays:
+            if at != i:
+                continue
+            if isinstance(stray, PacketRecord):
+                encoder.add_record(stray)
+            else:
+                frame, ethernet = stray
+                encoder.add_wire(frame, record.timestamp_ns if record else 0,
+                                 linktype_ethernet=ethernet)
+        if record is None:
+            break
+        ends = sorted([(record.src_ip, record.src_port),
+                       (record.dst_ip, record.dst_port)])
+        key = repr((ends, salt)).encode()
+        add_shaped(encoder, record, SHAPES[zlib.crc32(key) % len(SHAPES)])
+    payload = bytearray(encoder.take())
+    damage = draw(st.sampled_from(["none", "none", "none", "cut", "flip"]))
+    if damage == "cut":
+        del payload[draw(st.integers(0, len(payload) - 1)):]
+    elif damage == "flip":
+        payload[draw(st.integers(0, len(payload) - 1))] ^= draw(
+            st.integers(1, 255))
+    return bytes(payload)
+
+
+#: Small tables and the handshake on: collisions, evictions,
+#: recirculation and SYN handling all run.
+SMALL = DartConfig(rt_slots=1 << 8, pt_slots=1 << 6, pt_stages=2,
+                   max_recirculations=2, track_handshake=True)
+
+
+class TestFramedRoute:
+    """``Dart.process_framed`` is ``process_batch(decode_batch(...))``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_batches())
+    def test_random_mixed_batch_equals_decode_batch(self, payload):
+        framed, reference = Dart(SMALL), Dart(SMALL)
+        got = outcome(framed.process_framed, payload)
+        expected = outcome(
+            lambda: reference.process_batch(decode_batch(payload)))
+        assert got == expected
+        assert framed.stats == reference.stats
+        assert framed.samples == reference.samples
+        assert framed.occupancy() == reference.occupancy()
+
+    @given(st.lists(tcp_records(), max_size=16))
+    def test_framed_batch_matches_decode_batch(self, records):
+        payload = encode_records(records)
+        assert records_of(header_rows(payload)) == decode_batch(payload)
+
+    @given(st.lists(tcp_records(), min_size=1, max_size=8), st.data())
+    def test_truncated_framed_batch_same_error(self, records, data):
+        payload = encode_records(records)
+        cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        expected = outcome(decode_batch, payload[:cut])
+        got = outcome(lambda: records_of(header_rows(payload[:cut])))
+        assert got == expected
 
 
 # -- Nine flag bits through every record route ------------------------------

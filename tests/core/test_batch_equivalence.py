@@ -1,7 +1,7 @@
 """Entry-point equivalence: every way into ``Dart`` is ``process``.
 
-``process``, ``process_batch`` and ``process_columns`` are classifiers
-around the one kernel, ``Dart._packet``, so whichever feeds a trace must
+``process``, ``process_batch``, ``process_columns`` and
+``process_framed`` are classifiers around the one kernel, ``Dart._packet``, so whichever feeds a trace must
 leave the monitor in the same observable state as a per-packet
 ``process`` loop: same stats (verdict-dict key order included), same
 sample sequence, same table occupancy, same analytics windows — for
@@ -28,6 +28,10 @@ from repro.core import (
 from repro.core.flow import intern_flow
 from repro.core.range_tracker import AckVerdict, SeqVerdict
 from repro.net.columnar import HAVE_NUMPY, KIND_RECORD, records_to_columns
+from repro.net.framing import BatchEncoder, encode_records
+from repro.net.packet import to_wire_bytes
+from repro.quic.packet import QuicPacketRecord
+from repro.quic.wire import quic_to_wire_bytes
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
 CONFIGS = {
@@ -100,6 +104,48 @@ def feed_columns_mixed(dart, records):
     return samples
 
 
+def feed_framed(dart, records):
+    return [s for chunk in chunks(records)
+            for s in dart.process_framed(encode_records(chunk))]
+
+
+#: A non-TCP frame: what a framed batch carries where a decode yields
+#: ``None``.
+UDP_FRAME = quic_to_wire_bytes(QuicPacketRecord(
+    timestamp_ns=0, src_ip=0x0A000001, dst_ip=0x0A000002, src_port=5000,
+    dst_port=443, spin_bit=False, long_header=False, payload_len=30))
+
+
+def framed(rows):
+    """Frame records, a ``None`` as a non-TCP ``REC_WIRE`` frame."""
+    encoder = BatchEncoder()
+    for record in rows:
+        if record is None:
+            encoder.add_wire(UDP_FRAME, 0)
+        else:
+            encoder.add_record(record)
+    return encoder.take()
+
+
+def feed_framed_mixed(dart, records):
+    """Framed batches as a worker receives them from ``process_wire``:
+    every fifth packet travels whole as a ``REC_WIRE`` frame (what IP
+    or TCP options, IPv6 or a short frame ship as) and a non-TCP frame
+    follows every seventh."""
+    samples = []
+    for chunk in chunks(records):
+        encoder = BatchEncoder()
+        for i, record in enumerate(chunk):
+            if i % 5 == 0:
+                encoder.add_wire(to_wire_bytes(record), record.timestamp_ns)
+            else:
+                encoder.add_record(record)
+            if i % 7 == 0:
+                encoder.add_wire(UDP_FRAME, record.timestamp_ns)
+        samples.extend(dart.process_framed(encoder.take()))
+    return samples
+
+
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="the columnar entry point requires numpy"
 )
@@ -108,6 +154,8 @@ ENTRY_POINTS = {
     "process_batch": feed_batch,
     "process_columns": feed_columns,
     "process_columns_mixed": feed_columns_mixed,
+    "process_framed": feed_framed,
+    "process_framed_mixed": feed_framed_mixed,
 }
 
 
@@ -282,8 +330,13 @@ def feed_as_columns(dart, batch):
     return dart.process_columns(records_to_columns(batch))
 
 
+def feed_as_framed(dart, batch):
+    return dart.process_framed(framed(batch))
+
+
 #: The batch entry points, fed one whole batch at a time.
-BATCH_FEEDS = [Dart.process_batch] + ([feed_as_columns] if HAVE_NUMPY else [])
+BATCH_FEEDS = [Dart.process_batch, feed_as_framed] + (
+    [feed_as_columns] if HAVE_NUMPY else [])
 
 
 class TestDegenerateBatches:

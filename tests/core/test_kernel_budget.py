@@ -23,14 +23,16 @@ from repro.core.packet_tracker import (
     StagedPacketTable,
 )
 from repro.core.range_tracker import AckVerdict, SeqVerdict
+from repro.net.columnar import HAVE_NUMPY
+from repro.net.framing import encode_records
 from repro.net.packet import to_wire_bytes
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
 CONFIG = DartConfig(rt_slots=1 << 16, pt_slots=1 << 12, pt_stages=1,
                     max_recirculations=1)
 
-#: One frame above what this trace measures (9.92 columnar, 10.92 batch:
-#: the difference is the ``_classify`` frame).  The kernel before the
+#: One frame above what this trace measures (9.92 columnar and framed,
+#: 10.92 batch: the difference is the ``_classify`` frame).  The kernel before the
 #: budget read 21.77 and 24.50.  Columnar read 7.16 while
 #: ``process_columns`` handed the kernel ten precomputed hashes per row;
 #: the 2.76 frames it costs to hash where the tables are —
@@ -90,6 +92,18 @@ class TestFrameBudget:
             [(r.timestamp_ns, True, to_wire_bytes(r)) for r in records])
         per_packet = frames_per_packet("process_columns", cols, len(records))
         assert per_packet <= COLUMNS_CEILING, per_packet
+
+    def test_process_framed(self, records):
+        # A shard worker's route: REC_V4 records straight to kernel rows
+        # costs no frame that the columnar route does not.
+        payload = encode_records(records)
+        per_packet = frames_per_packet("process_framed", payload, len(records))
+        assert per_packet <= COLUMNS_CEILING, per_packet
+        if HAVE_NUMPY:
+            from repro.net.columnar import records_to_columns
+
+            assert per_packet <= frames_per_packet(
+                "process_columns", records_to_columns(records), len(records))
 
     def test_packet_row_is_the_packet(self):
         # Nothing computed from the packet that a table could compute

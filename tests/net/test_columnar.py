@@ -27,10 +27,8 @@ from repro.net.columnar import (
     KIND_SKIP,
     KIND_VEC,
     decode_wire_columns,
-    columns_from_framed,
     records_to_columns,
 )
-from repro.net.framing import decode_batch, encode_records
 from repro.net.packet import PacketRecord, from_wire_bytes, to_wire_bytes
 from repro.quic.packet import QuicPacketRecord
 from repro.quic.wire import quic_to_wire_bytes
@@ -160,27 +158,6 @@ class TestDecodeEquivalence:
             assert col == ("ok", [obj[1]])
         else:
             assert col[:2] == obj[:2]
-
-    @given(st.lists(tcp_records(), max_size=16))
-    def test_framed_batch_matches_decode_batch(self, records):
-        payload = encode_records(records)
-        assert columns_from_framed(payload).to_records() == (
-            decode_batch(payload)
-        )
-
-    @given(st.lists(tcp_records(), min_size=1, max_size=8), st.data())
-    def test_truncated_framed_batch_same_error(self, records, data):
-        payload = encode_records(records)
-        cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
-        try:
-            expected = ("ok", decode_batch(payload[:cut]))
-        except Exception as exc:  # noqa: BLE001 - parity includes the error
-            expected = ("raise", type(exc), str(exc))
-        try:
-            got = ("ok", columns_from_framed(payload[:cut]).to_records())
-        except Exception as exc:  # noqa: BLE001 - parity includes the error
-            got = ("raise", type(exc), str(exc))
-        assert got == expected
 
     @given(st.lists(tcp_records(), max_size=16))
     def test_records_to_columns_round_trip(self, records):
