@@ -8,10 +8,8 @@ pipelines; this bench measures the software analogue, the
   median of ``REPEATS`` passes per point, min–max beside it, after one
   discarded cluster pass (the first process-mode run of a session is
   2–3x slow: a single-shot table publishes the order the points ran in);
-* the coordinator-side dispatch ceiling for both dispatcher flavours —
-  object batches (:class:`BatchDispatcher`) and framed byte batches
-  (:class:`ByteBatchDispatcher`), since the byte dispatcher is what
-  process mode actually runs;
+* the coordinator-side dispatch ceiling of :class:`ByteBatchDispatcher`,
+  the one dispatcher every mode runs;
 * an equivalence check — the sharded run must produce exactly the
   serial run's RTT-sample multiset and summed pipeline counters.
 
@@ -28,7 +26,7 @@ import statistics
 import time
 from collections import Counter
 
-from repro.cluster import BatchDispatcher, ByteBatchDispatcher, ShardedDart
+from repro.cluster import ByteBatchDispatcher, ShardedDart
 from repro.core import Dart, DartConfig, ideal_config
 from repro.traces import replay
 
@@ -59,18 +57,8 @@ def _throughput(records, monitor) -> float:
 
 
 def _dispatch_ceiling(records, shards: int) -> float:
-    """Max rate the coordinator can route/batch objects (emit discarded)."""
-    dispatcher = BatchDispatcher(shards, lambda shard, batch: None)
-    start = time.perf_counter()
-    for record in records:
-        dispatcher.dispatch(record)
-    dispatcher.flush()
-    return len(records) / (time.perf_counter() - start)
-
-
-def _byte_dispatch_ceiling(records, shards: int) -> float:
-    """Same ceiling for the byte dispatcher process mode actually runs:
-    shard hash + struct-pack framing per record, emit discarded."""
+    """Max rate the coordinator can route and frame records: shard hash
+    + struct-pack framing per record, emit discarded."""
     dispatcher = ByteBatchDispatcher(shards, lambda shard, payload: None)
     start = time.perf_counter()
     for record in records:
@@ -99,9 +87,8 @@ def run_scaling(campus_trace, external_leg):
          statistics.median(pps), min(pps), max(pps))
         for shards, pps in runs.items()
     ]
-    ceilings = (_dispatch_ceiling(records, 4),
-                _byte_dispatch_ceiling(records, 4))
-    return rows, _equivalence(records, external_leg), ceilings
+    ceiling = _dispatch_ceiling(records, 4)
+    return rows, _equivalence(records, external_leg), ceiling
 
 
 def _equivalence(records, leg):
@@ -134,7 +121,7 @@ def _equivalence(records, leg):
 
 def test_cluster_scaling(benchmark, campus_trace, external_leg,
                          report_sink):
-    rows, (sample_match, counter_match), (ceiling, byte_ceiling) = (
+    rows, (sample_match, counter_match), ceiling = (
         benchmark.pedantic(
             run_scaling, args=(campus_trace, external_leg),
             rounds=1, iterations=1,
@@ -158,8 +145,7 @@ def test_cluster_scaling(benchmark, campus_trace, external_leg,
         )
     lines += [
         "",
-        f"dispatch ceiling (4 shards, no workers): "
-        f"objects {ceiling:,.0f} pkts/s, bytes {byte_ceiling:,.0f} pkts/s",
+        f"dispatch ceiling (4 shards, no workers): {ceiling:,.0f} pkts/s",
         f"sample multiset == serial: {sample_match}, "
         f"summed counters == serial: {counter_match}",
     ]

@@ -12,26 +12,24 @@ Public surface:
 * :class:`ShardedDart` (alias :class:`ShardedMonitor`) — the
   coordinator façade with the serial monitor's ``process_trace`` /
   ``finalize`` / ``stats`` / ``samples`` surface and a
-  ``parallel="process" | "serial"`` execution knob.  Via
-  ``monitor_factory`` it shards any registered
+  ``parallel="process" | "serial"`` knob that only chooses where the
+  workers run: every packet takes the same byte route to its shard
+  either way.  Via ``monitor_factory`` it shards any registered
   :class:`repro.engine.RttMonitor`, not just Dart.
 * :class:`ShardFailure` / :class:`ShardResult` — the failure and result
   types of the worker layer.
 * :func:`shard_of` / :func:`shard_of_flow` / :func:`shard_of_wire` /
-  :func:`split_trace` / :class:`BatchDispatcher` /
-  :class:`ByteBatchDispatcher` — the sharding primitives (object and
-  byte-batch flavours).
+  :class:`ByteBatchDispatcher` — the sharding primitives and the one
+  dispatcher.
 * :class:`ShmRingTransport` — how process-mode byte batches cross the
   process boundary (a shared-memory ring per shard; there is no other
   transport, so process mode needs POSIX shared memory).
-* ``merge_*`` — pure aggregation of stats, sample streams, collectors,
-  and analytics window histories.
+* ``merge_*`` — pure aggregation of stats, sample streams, and
+  analytics window histories.
 """
 
 from .coordinator import PARALLEL_MODES, ShardedDart, ShardedMonitor
 from .merge import (
-    absorb_window_history,
-    merge_collectors,
     merge_results,
     merge_sample_lists,
     merge_stats,
@@ -41,13 +39,11 @@ from .merge import (
 from .sharding import (
     DEFAULT_BATCH_SIZE,
     SHARD_SALT,
-    BatchDispatcher,
     ByteBatchDispatcher,
     shard_of,
     shard_of_flow,
     shard_of_key_bytes,
     shard_of_wire,
-    split_trace,
 )
 from .transport import DEFAULT_BATCH_BYTES, ShmRingTransport
 from .worker import (
@@ -62,7 +58,6 @@ from .worker import (
 )
 
 __all__ = [
-    "BatchDispatcher",
     "ByteBatchDispatcher",
     "ClusterPartialResultWarning",
     "DEFAULT_BATCH_BYTES",
@@ -78,9 +73,7 @@ __all__ = [
     "ShardedDart",
     "ShardedMonitor",
     "ShmRingTransport",
-    "absorb_window_history",
     "harvest",
-    "merge_collectors",
     "merge_results",
     "merge_sample_lists",
     "merge_stats",
@@ -90,5 +83,4 @@ __all__ = [
     "shard_of_flow",
     "shard_of_key_bytes",
     "shard_of_wire",
-    "split_trace",
 ]

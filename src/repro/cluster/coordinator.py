@@ -3,9 +3,11 @@
 A :class:`ShardedDart` looks like a :class:`~repro.core.pipeline.Dart`
 — ``process_trace`` / ``finalize`` / ``stats`` / ``samples`` — but fans
 the packet stream out across N flow-sharded workers and merges their
-results.  ``shards=1`` degenerates to the serial monitor (the worker
-machinery is bypassed entirely), so callers can treat the shard count
-as just another sizing knob.
+results.  Every packet takes one route to its shard whatever the mode
+or shard count: :class:`~repro.cluster.sharding.ByteBatchDispatcher`
+frames it into its shard's byte batch, and the shard's worker hands
+each batch to the monitor — inline in ``parallel="serial"``, over a
+shared-memory ring in ``parallel="process"``.  One shard is one worker.
 
 Despite the name, the shards need not run Dart: ``monitor_factory``
 accepts any zero-argument factory building a
@@ -16,30 +18,27 @@ by canonical flow, so a flow's packets landing on one shard reproduce
 the serial monitor's per-flow decisions exactly.  ``ShardedMonitor`` is
 the name-accurate alias.
 
-Failure model: any worker crash or hang surfaces as a
+Failure model, the same in both modes: any worker crash, hang or
+monitor exception surfaces as a
 :class:`~repro.cluster.worker.ShardFailure` carrying the failed shard's
 id and whatever partial results were recovered.  On failure the
 coordinator aborts the remaining workers before raising — it never
-deadlocks waiting on a dead worker, and never silently returns a partial
-merge as if it were complete.
+deadlocks waiting on a dead worker — and stays failed: every later
+``finalize`` or read raises that same failure, never a partial merge
+dressed up as a complete one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, NoReturn, Optional
 
 from ..core.analytics import WindowMinimum
 from ..core.config import DartConfig
 from ..core.pipeline import Dart, LegFilter, TargetFilter
 from ..core.samples import RttSample
-from ..net.packet import PacketRecord, from_wire_bytes
-from ..net.scan import TCP_ONLY, scan_shard_key
+from ..net.packet import PacketRecord
 from .merge import merge_results
-from .sharding import (
-    DEFAULT_BATCH_SIZE,
-    BatchDispatcher,
-    ByteBatchDispatcher,
-)
+from .sharding import DEFAULT_BATCH_SIZE, ByteBatchDispatcher
 from .worker import (
     DEFAULT_JOIN_TIMEOUT,
     MonitorFactory,
@@ -58,12 +57,11 @@ class ShardedDart:
         config: per-shard Dart configuration (each worker gets its own
             tables of this size — total memory scales with the shard
             count, exactly like adding hardware pipelines).
-        shards: number of parallel Dart instances.  ``1`` short-circuits
-            to a plain serial :class:`Dart`.
+        shards: number of parallel Dart instances (workers).
         parallel: ``"process"`` (multi-core, the default; needs POSIX
             shared memory — a host without it raises ``OSError`` here)
-            or ``"serial"`` (inline, for debugging and ground-truth
-            comparisons).
+            or ``"serial"`` (the same workers run inline, for debugging
+            and coverage tracing).
         monitor_factory: build one shard's monitor — any
             :class:`repro.engine.RttMonitor` factory; overrides
             ``config`` / ``analytics_factory`` / filters.  Must be
@@ -75,14 +73,18 @@ class ShardedDart:
         batch_size: records per dispatched batch.
         join_timeout: seconds to wait for a worker at ``finalize``
             before declaring it hung.
-        fastpath: process-mode workers hand byte batches to the
-            monitor's ``process_framed`` (packed records become kernel
-            rows with one ``struct`` read, no record objects) whenever
-            the monitor has one — same verdicts, stats, and samples.
-            ``False`` forces ``process_batch(decode_batch(...))``: the
-            reference leg of the cluster equivalence suite.  Serial
-            mode has no byte boundary and ignores it.
+        fastpath: workers hand byte batches to the monitor's
+            ``process_framed`` (packed records become kernel rows with
+            one ``struct`` read, no record objects) whenever the monitor
+            has one — same verdicts, stats, and samples.  ``False``
+            forces ``process_batch(decode_batch(...))``, in either mode:
+            the reference leg of the cluster equivalence suite.
     """
+
+    #: Samples surface only after :meth:`finalize` (workers retain them
+    #: until harvest); the engine reads this to route retained samples
+    #: post-finalize instead of per batch.
+    defers_samples = True
 
     def __init__(
         self,
@@ -118,33 +120,26 @@ class ShardedDart:
                     target_filter=target_filter,
                 )
         self.shards = shards
-        self.parallel = parallel if shards > 1 else "serial"
-        #: Whether process-mode workers were asked for ``process_framed``.
+        self.parallel = parallel
+        #: Whether the workers were asked for ``process_framed``.
         self.fastpath = fastpath
-        #: Multi-shard runs surface samples only after :meth:`finalize`
-        #: (workers retain them until harvest); the engine reads this to
-        #: route retained samples post-finalize instead of per batch.
-        self.defers_samples = shards > 1
         #: Raw frames :meth:`process_wire` dropped because the header
         #: scanner could not shard them (non-IP, non-TCP, truncated
         #: before the ports) — the cluster twin of a capture reader
         #: skipping undecodable frames.
         self.wire_skipped = 0
         self._join_timeout = join_timeout
+        #: Set once :meth:`finalize` succeeded or a shard failed; no
+        #: packet is accepted after that.
+        self._closed = False
+        self._failure: Optional[ShardFailure] = None
         self._results: Optional[List[ShardResult]] = None
         self._merged: Optional[ShardResult] = None
         #: Latest packet timestamp dispatched — every shard flushes its
         #: open analytics windows at this global end-of-trace time, so
         #: flush windows match a serial run's bit for bit.
         self._end_ns: Optional[int] = None
-        self.dart: Optional[Any] = None
         self._workers: List = []
-        self._dispatcher: Optional[Any] = None
-        if shards == 1:
-            # Degenerate case: the serial monitor itself, no workers,
-            # no batching, live stats.
-            self.dart = monitor_factory()
-            return
         worker_cls = WORKER_MODES[parallel]
         try:
             for shard in range(shards):
@@ -156,20 +151,13 @@ class ShardedDart:
             # start must not leave the earlier shards running.
             self._abort_workers()
             raise
-        if parallel == "process":
-            # Byte path: packets are framed as they are routed — the
-            # coordinator never pickles an object graph, and of a raw
-            # frame it reads at most the 40 fixed IPv4/TCP header bytes
-            # (the full decode of anything else runs in the worker).
-            self._dispatcher = ByteBatchDispatcher(
-                shards, self._submit_bytes, batch_size=batch_size
-            )
-        else:
-            # No serialization boundary: object batches are strictly
-            # cheaper in-process.
-            self._dispatcher = BatchDispatcher(
-                shards, self._submit_records, batch_size=batch_size
-            )
+        # Packets are framed as they are routed — the coordinator never
+        # builds an object graph per batch, and of a raw frame it reads
+        # at most the 40 fixed IPv4/TCP header bytes (the full decode of
+        # anything else runs in the worker).
+        self._dispatcher = ByteBatchDispatcher(
+            shards, self._submit_bytes, batch_size=batch_size
+        )
 
     # -- Packet entry points ----------------------------------------------
 
@@ -179,25 +167,14 @@ class ShardedDart:
         Unlike serial :meth:`Dart.process` this cannot return the
         packet's samples synchronously (the shard consumes the batch
         later); samples are available from :attr:`samples` after
-        :meth:`finalize`.  With ``shards=1`` it delegates and behaves
-        exactly like the serial pipeline.
+        :meth:`finalize`.
         """
-        if self.dart is not None:
-            return self.dart.process(record)
-        if self._results is not None:
-            raise RuntimeError("ShardedDart already finalized")
-        if self._end_ns is None or record.timestamp_ns > self._end_ns:
-            self._end_ns = record.timestamp_ns
-        self._dispatcher.dispatch(record)
-        return []
+        return self.process_batch((record,))
 
     def process_trace(self, records: Iterable[PacketRecord]) -> "ShardedDart":
         """Dispatch an iterable of packets; returns self for chaining."""
-        if self.dart is not None:
-            self.dart.process_trace(records)
-            return self
-        if self._results is not None:
-            raise RuntimeError("ShardedDart already finalized")
+        if self._closed:
+            self._refuse()
         dispatch = self._dispatcher.dispatch
         end_ns = self._end_ns
         for record in records:
@@ -212,14 +189,11 @@ class ShardedDart:
     ) -> List[RttSample]:
         """Batched entry point mirroring :meth:`Dart.process_batch`.
 
-        With one shard it delegates to the serial fast path (and returns
-        that batch's samples); with several it dispatches the batch and
-        returns ``[]`` — like :meth:`process`, sharded samples are only
-        available from :attr:`samples` after :meth:`finalize`.  ``None``
-        entries (non-TCP decode results) are skipped either way.
+        Dispatches the batch and returns ``[]`` — like :meth:`process`,
+        sharded samples are only available from :attr:`samples` after
+        :meth:`finalize`.  ``None`` entries (non-TCP decode results)
+        are skipped.
         """
-        if self.dart is not None:
-            return self.dart.process_batch(records)
         self.process_trace(r for r in records if r is not None)
         return []
 
@@ -232,72 +206,34 @@ class ShardedDart:
     ) -> List[RttSample]:
         """Ingest one raw captured frame.
 
-        In process mode an option-free IPv4/TCP frame has its 40 fixed
-        header bytes parsed once, here, and only those fields — a
-        37-byte record, not the frame — travel to the owning worker,
-        as a switch parser hands its pipeline a header vector.  Any
-        other frame (IP or TCP options, IPv6, malformed) is sharded by
-        the pre-parse header scan and shipped *unparsed*; the owning
-        worker runs the full decode.
-        Frames the scanner cannot shard (non-IP, non-TCP, truncated
-        before the L4 ports) are dropped and counted in
-        :attr:`wire_skipped` — in every mode, so shard count never
-        changes which frames are skipped.  Frames that scan but are
-        malformed deeper in raise wherever the decode runs: inline
-        here in serial mode, as a :class:`ShardFailure` from
-        the owning shard in process mode.
+        An option-free IPv4/TCP frame has its 40 fixed header bytes
+        parsed once, here, and only those fields — a 37-byte record,
+        not the frame — travel to the owning worker, as a switch parser
+        hands its pipeline a header vector.  Any other frame (IP or TCP
+        options, IPv6, malformed) is sharded by the pre-parse header
+        scan and shipped *unparsed*; the owning worker runs the full
+        decode.  Frames the scanner cannot shard (non-IP, non-TCP,
+        truncated before the L4 ports) are dropped and counted in
+        :attr:`wire_skipped`.  Frames that scan but are malformed
+        deeper in fail in their owning shard, as a
+        :class:`ShardFailure`.  All of this holds in both modes and at
+        any shard count: the route is the same.
         """
-        if self._results is not None:
-            raise RuntimeError("ShardedDart already finalized")
-        if self._dispatcher is not None and isinstance(
-            self._dispatcher, ByteBatchDispatcher
-        ):
-            # Process mode: one header parse (or scan) routes the frame.
-            if not self._dispatcher.dispatch_wire(
-                data, timestamp_ns,
-                linktype_ethernet=linktype_ethernet, protocols=TCP_ONLY,
-            ):
-                self.wire_skipped += 1
-                return []
-            if self._end_ns is None or timestamp_ns > self._end_ns:
-                self._end_ns = timestamp_ns
-            return []
-        # No byte transport below this point (serial mode, or one
-        # shard): apply the same scanner gate — shard count and parallel
-        # mode must never change *which* frames are skipped — then
-        # decode inline.
-        if scan_shard_key(
-            data, linktype_ethernet=linktype_ethernet, protocols=TCP_ONLY
-        ) is None:
-            self.wire_skipped += 1
-            return []
-        record = from_wire_bytes(
+        if self._closed:
+            self._refuse()
+        if not self._dispatcher.dispatch_wire(
             data, timestamp_ns, linktype_ethernet=linktype_ethernet
-        )
-        if record is None:
+        ):
             self.wire_skipped += 1
-            return []
-        if self.dart is not None:
-            return self.dart.process(record)
-        if self._end_ns is None or timestamp_ns > self._end_ns:
+        elif self._end_ns is None or timestamp_ns > self._end_ns:
             self._end_ns = timestamp_ns
-        self._dispatcher.dispatch(record)
         return []
-
-    def _submit_records(self, shard: int,
-                        batch: List[PacketRecord]) -> None:
-        try:
-            self._workers[shard].submit(batch)
-        except ShardFailure as failure:
-            self._abort_workers(exclude=shard)
-            raise failure
 
     def _submit_bytes(self, shard: int, payload: bytes) -> None:
         try:
             self._workers[shard].submit_bytes(payload)
         except ShardFailure as failure:
-            self._abort_workers(exclude=shard)
-            raise failure
+            self._fail(failure)
 
     # -- Shutdown and results ----------------------------------------------
 
@@ -310,39 +246,45 @@ class ShardedDart:
         of a stream whose true end is later.  Raises
         :class:`ShardFailure` (with the completed shards' results
         attached as ``partial``) if any worker crashed or missed the
-        join timeout.
+        join timeout — and raises that same failure on every later call.
         """
-        if self.dart is not None:
-            self.dart.finalize(at_ns)
-            return
-        if self._results is not None:
+        if self._closed:
+            if self._failure is not None:
+                raise self._failure
             return
         if at_ns is not None and (self._end_ns is None or at_ns > self._end_ns):
             self._end_ns = at_ns
         self._dispatcher.flush()
         completed: Dict[int, ShardResult] = {}
-        failure: Optional[ShardFailure] = None
-        for worker in self._workers:
-            if failure is None:
-                try:
-                    result = worker.finish(
-                        timeout=self._join_timeout, end_ns=self._end_ns
-                    )
-                    completed[result.shard_id] = result
-                except ShardFailure as exc:
-                    failure = exc
-            else:
-                worker.abort()
-        if failure is not None:
+        try:
+            for worker in self._workers:
+                result = worker.finish(
+                    timeout=self._join_timeout, end_ns=self._end_ns
+                )
+                completed[result.shard_id] = result
+        except ShardFailure as failure:
             failure.partial.update(completed)
-            raise failure
+            self._fail(failure)
+        self._closed = True
         self._results = [completed[shard] for shard in range(self.shards)]
         self._merged = merge_results(self._results)
 
-    def _abort_workers(self, *, exclude: Optional[int] = None) -> None:
+    def _fail(self, failure: ShardFailure) -> NoReturn:
+        """Stop every worker and keep ``failure`` as the cluster's
+        answer from now on."""
+        self._closed = True
+        self._failure = failure
+        self._abort_workers()
+        raise failure
+
+    def _refuse(self) -> NoReturn:
+        if self._failure is not None:
+            raise self._failure
+        raise RuntimeError("ShardedDart already finalized")
+
+    def _abort_workers(self) -> None:
         for worker in self._workers:
-            if worker.shard_id != exclude:
-                worker.abort()
+            worker.abort()
 
     def _require_merged(self) -> ShardResult:
         self.finalize()
@@ -359,23 +301,16 @@ class ShardedDart:
         trace has not been finalized yet, mirroring how serial callers
         read ``dart.stats`` after ``process_trace``.
         """
-        if self.dart is not None:
-            return self.dart.stats
         return self._require_merged().stats
 
     @property
     def samples(self) -> List[RttSample]:
         """All shards' samples, interleaved by ACK arrival time."""
-        if self.dart is not None:
-            return self.dart.samples
         return self._require_merged().samples
 
     @property
     def window_history(self) -> List[WindowMinimum]:
         """Merged analytics window history, ordered by close time."""
-        if self.dart is not None:
-            analytics = getattr(self.dart, "analytics", None)
-            return list(getattr(analytics, "history", ()))
         return self._require_merged().window_history
 
     @property
@@ -387,19 +322,11 @@ class ShardedDart:
         addition; flow-consistent sharding makes the result equal a
         serial monitor's distribution bin for bin.
         """
-        if self.dart is not None:
-            analytics = getattr(self.dart, "analytics", None)
-            snapshot = getattr(analytics, "distribution_snapshot", None)
-            return snapshot() if callable(snapshot) else None
         return self._require_merged().distribution
 
     @property
     def shard_results(self) -> List[ShardResult]:
         """Per-shard results (shard id order); finalizes if needed."""
-        if self.dart is not None:
-            from .worker import harvest
-
-            return [harvest(0, self.dart)]
         self.finalize()
         assert self._results is not None
         return list(self._results)
@@ -425,11 +352,6 @@ class ShardedDart:
           home inside each ``ShardResult``, summed into the registry,
           plus merge/partial/window-loss accounting.
         """
-        if self.dart is not None:
-            from ..obs.collect import collect_monitor
-
-            collect_monitor(registry, self.dart, name)
-            return
         shard_labels = ("monitor", "shard")
         ring_depth = registry.gauge(
             "dart_cluster_queue_depth",
@@ -486,11 +408,6 @@ class ShardedDart:
 
         Zero for monitors without a Range Tracker (the baselines).
         """
-        if self.dart is not None:
-            range_tracker = getattr(self.dart, "range_tracker", None)
-            if range_tracker is None:
-                return 0
-            return range_tracker.stats.total_collapses
         return self._require_merged().rt_collapses
 
 

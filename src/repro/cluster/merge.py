@@ -20,9 +20,9 @@ from __future__ import annotations
 import warnings
 from typing import Any, Iterable, List, Optional, Sequence
 
-from ..core.analytics import MinFilterAnalytics, WindowMinimum
+from ..core.analytics import WindowMinimum
 from ..core.pipeline import DartStats
-from ..core.samples import RttSample, SampleCollector
+from ..core.samples import RttSample
 from .worker import ClusterPartialResultWarning, ShardResult
 
 
@@ -64,15 +64,6 @@ def merge_sample_lists(
     return merged
 
 
-def merge_collectors(collectors: Iterable[SampleCollector]) -> SampleCollector:
-    """Union several collectors' samples into a fresh, time-ordered one."""
-    merged = SampleCollector()
-    merged.samples.extend(
-        merge_sample_lists(c.samples for c in collectors)
-    )
-    return merged
-
-
 def merge_window_histories(
     histories: Iterable[Sequence[WindowMinimum]],
 ) -> List[WindowMinimum]:
@@ -88,25 +79,6 @@ def merge_window_histories(
         merged.extend(history)
     merged.sort(key=lambda w: w.closed_at_ns)
     return merged
-
-
-def absorb_window_history(
-    analytics: MinFilterAnalytics,
-    windows: Sequence[WindowMinimum],
-) -> MinFilterAnalytics:
-    """Fold other shards' closed windows into a live analytics object.
-
-    Rebuilds ``analytics.history`` as the ``closed_at_ns``-sorted union
-    and keeps the per-key ``minima_for`` index consistent by funnelling
-    every entry through the analytics' own record path.  Works for
-    :class:`MinFilterAnalytics` and :class:`PrefixMinAnalytics` alike.
-    """
-    merged = merge_window_histories([list(analytics.history), windows])
-    analytics.history.clear()
-    analytics._by_key.clear()
-    for window in merged:
-        analytics._record_window(window)
-    return analytics
 
 
 def merge_distributions(results: Sequence[ShardResult]) -> Optional[Any]:

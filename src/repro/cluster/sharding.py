@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.flow import FlowKey, flow_of
 from ..core.hashing import crc32_hash
@@ -29,7 +29,12 @@ from ..net.ethernet import HEADER_LEN as _ETH_LEN
 from ..net.framing import BatchEncoder
 from ..net.ipv4 import PROTO_TCP
 from ..net.packet import PacketRecord
-from ..net.scan import SCAN_PROTOCOLS, canonical_key_bytes, scan_shard_key
+from ..net.scan import (
+    SCAN_PROTOCOLS,
+    TCP_ONLY,
+    canonical_key_bytes,
+    scan_shard_key,
+)
 from .transport import DEFAULT_BATCH_BYTES
 
 #: Salt for the shard hash; distinct from every table-stage salt and the
@@ -139,69 +144,14 @@ def _shard_of_v4(src: int, dst: int, sport: int, dport: int,
     )
 
 
-def split_trace(
-    records: Sequence[PacketRecord], shards: int
-) -> List[List[PacketRecord]]:
-    """Partition a trace into per-shard sub-traces (order-preserving)."""
-    parts: List[List[PacketRecord]] = [[] for _ in range(shards)]
-    for record in records:
-        parts[shard_of(record, shards)].append(record)
-    return parts
-
-
-class BatchDispatcher:
-    """Buffers records per shard and emits fixed-size batches.
-
-    ``emit(shard_id, batch)`` is called whenever a shard's buffer
-    reaches ``batch_size``; :meth:`flush` drains the remainders at end
-    of trace.  This is the object path of ``parallel="serial"``, the
-    reference process mode is compared against; process mode itself
-    runs :class:`ByteBatchDispatcher`.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        emit: Callable[[int, List[PacketRecord]], None],
-        *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        self.shards = shards
-        self.batch_size = batch_size
-        self._emit = emit
-        self._buffers: List[List[PacketRecord]] = [[] for _ in range(shards)]
-        #: Packets routed to each shard so far (including buffered ones).
-        self.dispatched: Dict[int, int] = {i: 0 for i in range(shards)}
-
-    def dispatch(self, record: PacketRecord) -> None:
-        """Route one record; may emit a full batch."""
-        shard = shard_of(record, self.shards)
-        self.dispatched[shard] += 1
-        buffer = self._buffers[shard]
-        buffer.append(record)
-        if len(buffer) >= self.batch_size:
-            self._buffers[shard] = []
-            self._emit(shard, buffer)
-
-    def flush(self) -> None:
-        """Emit every non-empty partial batch (end of trace)."""
-        for shard, buffer in enumerate(self._buffers):
-            if buffer:
-                self._buffers[shard] = []
-                self._emit(shard, buffer)
-
-
 class ByteBatchDispatcher:
     """Buffers framed *bytes* per shard and emits contiguous batches.
 
-    The process-mode twin of :class:`BatchDispatcher`: instead of
-    per-shard record lists (which would each cost a pickled object
-    graph at the process boundary), every shard owns a
-    :class:`~repro.net.framing.BatchEncoder` and records are packed into its buffer the moment they are routed.
+    The one route to a shard, in either execution mode: every shard
+    owns a :class:`~repro.net.framing.BatchEncoder` and packets are
+    packed into its buffer the moment they are routed — no per-shard
+    record lists, so nothing crossing a process boundary is ever a
+    pickled object graph.
     ``emit(shard_id, payload)`` receives a finished ``bytes`` batch when
     a shard's buffer reaches ``batch_size`` records *or* ``batch_bytes``
     bytes — packed records are 37 bytes, so a count-full batch stays
@@ -217,10 +167,10 @@ class ByteBatchDispatcher:
       IPv4/TCP frame (:func:`plain_v4_tcp`) has its header read once,
       here, and ships as the packed record :meth:`dispatch` emits — 37
       bytes whatever the payload; any other frame is sharded via the
-      header scan and framed *unparsed*, in the same per-shard encoder
-      (arrival order holds), so the worker does the decode.  Returns
-      ``False`` for frames the scanner rejects, which the caller counts
-      rather than ships.
+      TCP header scan and framed *unparsed*, in the same per-shard
+      encoder (arrival order holds), so the worker does the decode.
+      Returns ``False`` for frames the scanner rejects, which the
+      caller counts rather than ships.
     """
 
     def __init__(
@@ -266,11 +216,10 @@ class ByteBatchDispatcher:
         timestamp_ns: int,
         *,
         linktype_ethernet: bool = True,
-        protocols: FrozenSet[int] = SCAN_PROTOCOLS,
     ) -> bool:
-        """Route one raw frame; ``False`` if not shardable."""
+        """Route one raw frame; ``False`` if not shardable TCP."""
         fields = plain_v4_tcp(data, linktype_ethernet=linktype_ethernet)
-        if fields is not None and PROTO_TCP in protocols:
+        if fields is not None:
             shard = _shard_of_v4(*fields[:4], self.shards)
             self.dispatched[shard] += 1
             encoder = self._encoders[shard]
@@ -278,7 +227,7 @@ class ByteBatchDispatcher:
         else:
             key = scan_shard_key(
                 data, linktype_ethernet=linktype_ethernet,
-                protocols=protocols,
+                protocols=TCP_ONLY,
             )
             if key is None:
                 return False

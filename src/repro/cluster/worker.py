@@ -1,23 +1,24 @@
-"""Per-shard workers: one monitor instance each, two execution modes.
+"""Per-shard workers: one monitor instance each, one feed, two places.
 
 A worker owns exactly one RTT monitor (historically always a
 :class:`~repro.core.pipeline.Dart`; now any
 :class:`repro.engine.RttMonitor` — tcptrace, the strawman, Dapper —
-built from a zero-argument factory) and consumes packet batches for its
-shard.  Two implementations share the ``finish()`` / ``abort()`` /
-``telemetry_probe()`` surface:
+built from a zero-argument factory) and consumes framed *byte* batches
+(:mod:`repro.net.framing`) for its shard through ``submit_bytes``.  The
+coordinator never materialises packet objects: an option-free IPv4/TCP
+frame arrives as the packed fields of its header, read once at
+dispatch, and every other frame arrives whole and is parsed here.
+Every batch reaches the monitor through :func:`consume_step`, and every
+failure is described by :func:`failure_report`, wherever the worker
+runs.  Two implementations share the ``submit_bytes()`` / ``finish()``
+/ ``abort()`` / ``telemetry_probe()`` surface:
 
 * :class:`InlineWorker` — runs the monitor synchronously in the caller
-  (the ``parallel="serial"`` mode; useful for debugging and as the
-  ground truth process mode is tested against).  Fed record lists
-  through ``submit(batch)``.
-* :class:`ProcessWorker` — a ``multiprocessing`` subprocess fed framed
-  *byte* batches through ``submit_bytes(payload)`` over the shared-
-  memory ring (:mod:`repro.cluster.transport`); the mode that buys
-  multi-core speedup.  The coordinator never materialises packet
-  objects: an option-free IPv4/TCP frame arrives as the packed fields
-  of its header, read once at dispatch, and every other frame arrives
-  whole and is parsed worker-side.
+  (the ``parallel="serial"`` mode; useful for debugging and for
+  coverage tracing).
+* :class:`ProcessWorker` — a ``multiprocessing`` subprocess fed over
+  the shared-memory ring (:mod:`repro.cluster.transport`); the mode
+  that buys multi-core speedup.
 
 Fault handling: every blocking operation on a worker is guarded by a
 liveness check or a deadline, so a crashed or hung worker surfaces as a
@@ -38,7 +39,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.analytics import WindowMinimum
 from ..core.samples import RttSample
 from ..net.framing import decode_batch as decode_frames
-from ..net.packet import PacketRecord
 from .transport import ShmRingTransport
 
 #: Builds one shard's monitor.  Any object satisfying the
@@ -90,6 +90,14 @@ class ShardFailure(RuntimeError):
         self.shard_id = shard_id
         self.reason = reason
         self.partial: Dict[int, ShardResult] = dict(partial or {})
+
+    @classmethod
+    def from_report(
+        cls, shard_id: int, reason: str, partial: Optional["ShardResult"]
+    ) -> "ShardFailure":
+        """The failure a :func:`failure_report` describes."""
+        return cls(shard_id, reason,
+                   partial={shard_id: partial} if partial else None)
 
 
 @dataclass
@@ -223,24 +231,83 @@ def _shard_telemetry(shard_id: int, monitor: Any):
     return registry.snapshot()
 
 
+def consume_step(monitor: Any, fastpath: bool) -> Callable[[bytes], Any]:
+    """How a shard's monitor takes one framed byte batch.
+
+    A monitor with ``process_framed`` (Dart) turns each packed record
+    into a kernel row with one ``struct`` read — no
+    :class:`~repro.net.packet.PacketRecord`, no numpy, so a worker never
+    imports it.  Every other monitor, and every monitor under
+    ``fastpath=False`` (the cluster equivalence suite's reference leg),
+    gets ``process_batch(decode_batch(payload))``: same verdicts, stats
+    and samples.  Whole wire frames that decode to non-TCP are skipped
+    either way, matching the serial reader on mixed captures.
+    """
+    framed = getattr(monitor, "process_framed", None) if fastpath else None
+    if framed is not None:
+        return framed
+    process_batch = monitor.process_batch
+    return lambda payload: process_batch(decode_frames(payload))
+
+
+def failure_report(
+    exc: BaseException, shard_id: int, monitor: Optional[Any]
+) -> Tuple[str, Optional[ShardResult]]:
+    """``(reason, partial harvest)`` for a shard that raised ``exc``.
+
+    Call it while handling ``exc``: the reason carries the traceback.
+    The harvest is ``None`` when there is no monitor yet or it cannot
+    be read.
+    """
+    partial = None
+    if monitor is not None:
+        try:
+            partial = harvest(shard_id, monitor, partial=True)
+        except Exception:
+            pass
+    return f"{exc!r}\n{traceback.format_exc()}", partial
+
+
 class InlineWorker:
-    """Runs the shard's monitor synchronously in the calling thread."""
+    """Runs the shard's monitor synchronously in the calling thread.
+
+    The same consume step and failure report as a process worker: a
+    monitor that raises surfaces as a :class:`ShardFailure` carrying
+    its partial harvest, never as its own exception.
+    """
 
     def __init__(
-        self, shard_id: int, monitor_factory: MonitorFactory, **_: object
+        self,
+        shard_id: int,
+        monitor_factory: MonitorFactory,
+        *,
+        fastpath: bool = True,
     ) -> None:
         self.shard_id = shard_id
         self._monitor = monitor_factory()
+        self._consume = consume_step(self._monitor, fastpath)
 
-    def submit(self, batch: List[PacketRecord]) -> None:
-        self._monitor.process_batch(batch)
+    def _failure(self, exc: Exception) -> ShardFailure:
+        return ShardFailure.from_report(
+            self.shard_id, *failure_report(exc, self.shard_id, self._monitor)
+        )
+
+    def submit_bytes(self, payload: bytes) -> None:
+        """Consume one framed byte batch, here and now."""
+        try:
+            self._consume(payload)
+        except Exception as exc:
+            raise self._failure(exc) from exc
 
     def finish(
         self,
         timeout: float = DEFAULT_JOIN_TIMEOUT,
         end_ns: Optional[int] = None,
     ) -> ShardResult:
-        return harvest(self.shard_id, self._monitor, end_ns=end_ns)
+        try:
+            return harvest(self.shard_id, self._monitor, end_ns=end_ns)
+        except Exception as exc:
+            raise self._failure(exc) from exc
 
     def telemetry_probe(self) -> Tuple[int, bool]:
         """(queue depth, liveness) — inline work has neither queue nor
@@ -262,25 +329,15 @@ def _worker_main(
 ) -> None:
     """Subprocess entry point: consume byte batches until the sentinel.
 
-    Batches arrive as framed bytes (:mod:`repro.net.framing`) over the
-    shard's transport; *this* is where they become packets — in the
-    worker, in parallel across shards, while the coordinator only ever
-    touches bytes.  Packed records need no parsing; whole wire frames
-    get the full decode here, and those that decode to non-TCP are
-    skipped, matching the serial reader's behaviour for mixed captures.
-
-    A monitor with ``process_framed`` (Dart) turns each packed record
-    into a kernel row with one ``struct`` read — no
-    :class:`~repro.net.packet.PacketRecord`, no numpy, so a worker never
-    imports it.  Every other monitor, and every monitor under
-    ``fastpath=False`` (the cluster equivalence suite's reference leg),
-    gets ``process_batch(decode_batch(payload))``: same verdicts, stats
-    and samples.
+    Batches arrive over the shard's transport and go through
+    :func:`consume_step` — in the worker, in parallel across shards,
+    while the coordinator only ever touches bytes.  A failure posts
+    :func:`failure_report` on the result queue and exits 1.
     """
     monitor: Optional[Any] = None
     try:
         monitor = monitor_factory()
-        framed = getattr(monitor, "process_framed", None) if fastpath else None
+        consume = consume_step(monitor, fastpath)
         end_ns: Optional[int] = None
         while True:
             kind, payload = transport.recv()
@@ -289,21 +346,12 @@ def _worker_main(
             if kind == "finish":
                 end_ns = payload
                 break
-            if framed is not None:
-                framed(payload)
-            else:
-                monitor.process_batch(decode_frames(payload))
+            consume(payload)
         result_queue.put(("ok", harvest(shard_id, monitor, end_ns=end_ns)))
     except BaseException as exc:
-        partial = None
-        if monitor is not None:
-            try:
-                partial = harvest(shard_id, monitor, partial=True)
-            except Exception:
-                partial = None
         try:
             result_queue.put(
-                ("error", f"{exc!r}\n{traceback.format_exc()}", partial)
+                ("error", *failure_report(exc, shard_id, monitor))
             )
         except Exception:
             pass
@@ -375,11 +423,7 @@ class ProcessWorker:
             report = None
         self._transport.destroy()
         if report is not None and report[0] == "error":
-            _, reason, partial_result = report
-            partial = (
-                {self.shard_id: partial_result} if partial_result else None
-            )
-            return ShardFailure(self.shard_id, reason, partial=partial)
+            return ShardFailure.from_report(self.shard_id, *report[1:])
         return ShardFailure(
             self.shard_id,
             f"worker process died (exitcode {self._proc.exitcode})",
@@ -434,13 +478,9 @@ class ProcessWorker:
                         f"worker missed the {timeout:.1f}s join timeout",
                     )
         if report[0] == "error":
-            _, reason, partial_result = report
             self._proc.join(timeout=1.0)
             self._transport.destroy()
-            partial = (
-                {self.shard_id: partial_result} if partial_result else None
-            )
-            raise ShardFailure(self.shard_id, reason, partial=partial)
+            raise ShardFailure.from_report(self.shard_id, *report[1:])
         self._proc.join(timeout=max(1.0, deadline - time.monotonic()))
         if self._proc.is_alive():
             self.abort()

@@ -187,9 +187,8 @@ class MinFilterAnalytics:
     def _record_window(self, window: WindowMinimum) -> None:
         """Append a closed window to the history and the per-key index.
 
-        The only write path into :attr:`history` — the cluster merge
-        (:func:`repro.cluster.merge.absorb_window_history`) also funnels
-        through it so the index can never go stale.  With
+        The only write path into :attr:`history`, so the index can
+        never go stale.  With
         ``retain_windows`` set the per-key index holds only the most
         recent N windows per key (older ones are evicted and counted).
         """

@@ -16,7 +16,7 @@ The engine owns the plumbing every frontend used to duplicate:
 * **finalization** — after the trace drains, every monitor's
   ``finalize(end_ns)`` runs with the last observed timestamp, then
   routers flush and close.  Monitors that defer samples until finalize
-  (``defers_samples = True``, e.g. a multi-shard
+  (``defers_samples = True``, e.g.
   :class:`~repro.cluster.coordinator.ShardedDart`) have their retained
   ``samples`` routed at that point instead.
 

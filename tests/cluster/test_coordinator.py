@@ -1,6 +1,7 @@
-"""ShardedDart: serial equivalence, the degenerate case, the façade."""
+"""ShardedDart: serial equivalence on the one route, the façade."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,9 @@ from repro.core import (
     ideal_config,
     make_leg_filter,
 )
+from repro.core.analytics import DstPrefixKey
+from repro.core.hist import DistributionFactory, HistogramSpec
+from repro.net.packet import to_wire_bytes
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
 
@@ -36,20 +40,81 @@ EQUIVALENT_COUNTERS = (
 )
 
 
+#: Analytics a shard can carry: none, windowed minima, and the
+#: histogram + sketch stage over windowed minima.
+ANALYTICS = {
+    "plain": None,
+    "windowed": partial(MinFilterAnalytics, window_samples=4),
+    "distribution": DistributionFactory(
+        spec=HistogramSpec.log_bins(16), key_fn=DstPrefixKey(24),
+        inner_factory=partial(MinFilterAnalytics, window_samples=4),
+    ),
+}
+
+#: An ARP frame: the shard scanner skips it in every mode.
+ARP = b"\xff" * 12 + b"\x08\x06" + b"\x00" * 28
+
+
 class TestSerialEquivalence:
     @pytest.mark.parametrize("parallel", ["serial", "process"])
     def test_sample_multiset_and_counters(self, trace, serial_run, parallel):
-        cluster = ShardedDart(ideal_config(), shards=4, parallel=parallel,
-                              batch_size=256)
-        cluster.process_trace(trace.records)
-        cluster.finalize()
-        assert Counter(cluster.samples) == Counter(serial_run.samples)
-        for name in EQUIVALENT_COUNTERS:
-            assert getattr(cluster.stats, name) == getattr(
-                serial_run.stats, name
-            ), name
-        assert cluster.stats.seq_verdicts == serial_run.stats.seq_verdicts
-        assert cluster.stats.ack_verdicts == serial_run.stats.ack_verdicts
+        for shards in (1, 4):
+            cluster = ShardedDart(ideal_config(), shards=shards,
+                                  parallel=parallel, batch_size=256)
+            cluster.process_trace(trace.records)
+            cluster.finalize()
+            assert len(cluster.shard_results) == shards
+            assert Counter(cluster.samples) == Counter(serial_run.samples)
+            for name in EQUIVALENT_COUNTERS:
+                assert getattr(cluster.stats, name) == getattr(
+                    serial_run.stats, name
+                ), (shards, name)
+            assert cluster.stats.seq_verdicts == serial_run.stats.seq_verdicts
+            assert cluster.stats.ack_verdicts == serial_run.stats.ack_verdicts
+
+    @pytest.mark.parametrize("entry", ["process_trace", "process_wire"])
+    @pytest.mark.parametrize("fastpath", [True, False])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("analytics", sorted(ANALYTICS))
+    def test_both_modes_answer_like_one_dart(self, trace, analytics, shards,
+                                             fastpath, entry):
+        """Serial and process mode take one route: each equals a plain
+        ``Dart`` in stats, samples, windows and distribution, and the two
+        agree on what they skipped and where every packet went."""
+        records = trace.records
+        factory = ANALYTICS[analytics]
+        reference = Dart(ideal_config(),
+                         analytics=factory() if factory else None)
+        reference.process_trace(records)
+        reference.finalize()
+        clusters = []
+        for parallel in ("serial", "process"):
+            cluster = ShardedDart(
+                ideal_config(), shards=shards, parallel=parallel,
+                analytics_factory=factory, batch_size=128, fastpath=fastpath,
+            )
+            if entry == "process_trace":
+                cluster.process_trace(records)
+            else:
+                for i, record in enumerate(records):
+                    if i % 100 == 0:
+                        cluster.process_wire(ARP, record.timestamp_ns)
+                    cluster.process_wire(to_wire_bytes(record),
+                                         record.timestamp_ns)
+            cluster.finalize()
+            assert cluster.stats == reference.stats
+            assert Counter(cluster.samples) == Counter(reference.samples)
+            history = getattr(reference.analytics, "history", [])
+            assert Counter(cluster.window_history) == Counter(history)
+            expected = (reference.analytics.distribution_snapshot()
+                        if analytics == "distribution" else None)
+            assert cluster.distribution == expected
+            clusters.append(cluster)
+        serial, process = clusters
+        assert serial.wire_skipped == process.wire_skipped == (
+            0 if entry == "process_trace" else len(records[::100]))
+        assert ([r.packets for r in serial.shard_results]
+                == [r.packets for r in process.shard_results])
 
     def test_samples_time_ordered(self, trace):
         cluster = ShardedDart(ideal_config(), shards=3, parallel="serial")
@@ -95,21 +160,17 @@ class TestSerialEquivalence:
 
 class TestDegenerateSingleShard:
     def test_is_the_serial_pipeline(self, trace, serial_run):
+        """One shard is one worker on the shared route, not a bypass, and
+        answers exactly like the serial pipeline."""
         cluster = ShardedDart(ideal_config(), shards=1, parallel="process")
-        assert isinstance(cluster.dart, Dart)
-        assert cluster.parallel == "serial"
+        assert not hasattr(cluster, "dart")
+        assert cluster.parallel == "process"
         cluster.process_trace(trace.records)
         cluster.finalize()
+        assert len(cluster.shard_results) == 1
         assert cluster.samples == serial_run.samples
         assert cluster.stats.packets_processed == \
             serial_run.stats.packets_processed
-
-    def test_process_returns_samples_synchronously(self, trace):
-        cluster = ShardedDart(ideal_config(), shards=1)
-        produced = []
-        for record in trace.records[:2000]:
-            produced.extend(cluster.process(record))
-        assert produced == cluster.samples[: len(produced)]
 
 
 class TestFacade:

@@ -51,6 +51,8 @@ def test_merged_distribution_equals_serial(parallel):
 
 
 def test_single_shard_exposes_live_distribution():
+    """One shard is one worker: reading ``distribution`` finalizes it,
+    as at any shard count, and it counts what a serial run counts."""
     records = _trace().records
     cluster = ShardedDart(CONFIG, shards=1, analytics_factory=FACTORY)
     cluster.process_trace(records)

@@ -67,8 +67,8 @@ def test_fastpath_matches_serial_dart(records):
 
 
 def test_fastpath_flag_recorded_and_harmless_off_process_mode(records):
-    """Serial mode has no byte boundary: the flag is accepted, recorded,
-    and changes nothing."""
+    """Serial mode honours the flag too (its inline workers take the
+    same byte batches): recorded, and the answers do not change."""
     reference = run_cluster(records, fastpath=False, parallel="serial")
     candidate = run_cluster(records, fastpath=True, parallel="serial")
     assert candidate.fastpath is True

@@ -71,9 +71,7 @@ class HangingDart(Dart):
         time.sleep(60)
 
 
-# Serial mode has no worker to lose: a monitor's exception reaches the
-# caller as itself, so process mode is the only leg.
-@pytest.mark.parametrize("parallel", ["process"])
+@pytest.mark.parametrize("parallel", ["serial", "process"])
 class TestCrashedWorker:
     def test_crash_surfaces_shard_failure(self, records, parallel):
         cluster = ShardedDart(
@@ -119,6 +117,31 @@ class TestCrashedWorker:
             cluster.process_trace(records)
             cluster.finalize()
         assert time.monotonic() - start < 30.0
+
+    def test_a_failed_cluster_stays_failed(self, records, parallel):
+        """Every later finalize, read or packet re-raises the first
+        failure: nothing re-flushes, re-joins or merges what was left."""
+        cluster = ShardedDart(
+            shards=2, parallel=parallel, batch_size=64, join_timeout=10.0,
+            monitor_factory=lambda: CrashingDart(crash_after=50),
+        )
+        with pytest.raises(ShardFailure) as excinfo:
+            cluster.process_trace(records)
+            cluster.finalize()
+        failure = excinfo.value
+        assert failure.partial[failure.shard_id].partial
+        for again in (
+            cluster.finalize,
+            lambda: cluster.stats,
+            lambda: cluster.samples,
+            lambda: cluster.window_history,
+            lambda: cluster.distribution,
+            lambda: cluster.shard_results,
+            lambda: cluster.process_trace(records[:1]),
+        ):
+            with pytest.raises(ShardFailure) as reraised:
+                again()
+            assert reraised.value is failure
 
 
 class TestHardCrash:
@@ -252,8 +275,8 @@ class TestWorkerLoopInProcess:
         reports = queue.Queue()
         _worker_main(0, factory, loaded_ring, reports, fastpath)
         status, shipped = reports.get_nowait()
-        inline = InlineWorker(0, factory)
-        inline.submit(records)
+        inline = InlineWorker(0, factory, fastpath=fastpath)
+        inline.submit_bytes(encode_records(records))
         reference = inline.finish(end_ns=end_ns)
         assert status == "ok" and not shipped.partial
         assert shipped.packets == reference.packets == len(records)

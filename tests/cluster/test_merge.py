@@ -6,8 +6,6 @@ import pytest
 
 from repro.cluster import (
     ClusterPartialResultWarning,
-    absorb_window_history,
-    merge_collectors,
     merge_results,
     merge_sample_lists,
     merge_stats,
@@ -17,9 +15,7 @@ from repro.cluster.worker import ShardResult
 from repro.core import (
     DartStats,
     FlowKey,
-    MinFilterAnalytics,
     RttSample,
-    SampleCollector,
     WindowMinimum,
 )
 from repro.core.range_tracker import AckVerdict, SeqVerdict
@@ -90,14 +86,6 @@ class TestSampleMerge:
         merged = merge_sample_lists([shard0, shard1])
         assert merged == [shard0[0], shard1[0]]
 
-    def test_collectors(self):
-        c0, c1 = SampleCollector(), SampleCollector()
-        c0.add(sample(FLOW_A, 2))
-        c1.add(sample(FLOW_B, 1))
-        merged = merge_collectors([c0, c1])
-        assert len(merged) == 2
-        assert merged.samples[0].timestamp_ns == 1 * MS
-
 
 class TestWindowHistoryMerge:
     def test_sorted_by_closed_at(self):
@@ -116,19 +104,6 @@ class TestWindowHistoryMerge:
         # Equal close times keep input order: h0's entry before h1's.
         assert merged[0].key == FLOW_A
         assert merged[1].key == FLOW_B
-
-    def test_absorb_into_live_analytics(self):
-        analytics = MinFilterAnalytics(window_samples=1)
-        for t in (1, 2):
-            analytics.add(sample(FLOW_A, t))
-        foreign = [window(FLOW_B, 0, 1), window(FLOW_B, 1, 3)]
-        absorb_window_history(analytics, foreign)
-        assert len(analytics.history) == 4
-        closed = [w.closed_at_ns for w in analytics.history]
-        assert closed == sorted(closed)
-        # The minima_for index stays consistent with the merged history.
-        assert [w.key for w in analytics.minima_for(FLOW_B)] == [FLOW_B, FLOW_B]
-        assert len(analytics.minima_for(FLOW_A)) == 2
 
 
 class TestMergeResults:

@@ -15,11 +15,11 @@ from repro.cluster import (
     InlineWorker,
     ShardFailure,
     ShardedDart,
-    harvest,
     merge_results,
-    split_trace,
+    shard_of,
 )
 from repro.core import Dart, MinFilterAnalytics, ideal_config
+from repro.net.framing import encode_records
 from repro.obs import MetricsRegistry
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
@@ -67,12 +67,13 @@ def crash_one_shard(records, *, crash_after=800):
 def inline_shard(records, shard_id, *, crash_after):
     """What an :class:`InlineWorker` harvests for one shard of the same
     trace: its share of the records, up to the crash if it has one."""
-    monitor = CrashingWindowedDart(crash_after=crash_after)
-    worker = InlineWorker(shard_id, lambda: monitor)
+    worker = InlineWorker(
+        shard_id, lambda: CrashingWindowedDart(crash_after=crash_after))
+    mine = [r for r in records if shard_of(r, 2) == shard_id]
     try:
-        worker.submit(split_trace(records, 2)[shard_id])
-    except RuntimeError:
-        return harvest(shard_id, monitor, partial=True)
+        worker.submit_bytes(encode_records(mine))
+    except ShardFailure as failure:
+        return failure.partial[shard_id]
     return worker.finish(end_ns=max(r.timestamp_ns for r in records))
 
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.cluster import BatchDispatcher, shard_of, shard_of_flow, split_trace
+from repro.cluster import ByteBatchDispatcher, shard_of, shard_of_flow
 from repro.core import FlowKey, ack_target_flow, flow_of
 from repro.net import tcp as tcpf
+from repro.net.framing import decode_batch
 from repro.net.packet import PacketRecord
 from repro.simnet.rng import SimRandom
 
@@ -75,22 +76,35 @@ class TestShardInvariant:
 
 class TestSplitTrace:
     def test_partition_preserves_packets_and_order(self):
+        """Dispatching a trace splits it across shards: no packet lost
+        or duplicated, each shard's part still in time order."""
+        parts = {}
+        dispatcher = ByteBatchDispatcher(
+            4, lambda shard, batch: parts.setdefault(shard, []).extend(
+                decode_batch(batch)),
+        )
         records = [
             pkt(src, 0x10000001, 40000 + src % 10, 443, t_ns=i)
             for i, src in enumerate(range(100))
         ]
-        parts = split_trace(records, 4)
-        assert sum(len(p) for p in parts) == len(records)
-        for part in parts:
+        for record in records:
+            dispatcher.dispatch(record)
+        dispatcher.flush()
+        assert len(parts) > 1
+        assert sum(len(p) for p in parts.values()) == len(records)
+        for part in parts.values():
             stamps = [r.timestamp_ns for r in part]
             assert stamps == sorted(stamps)
 
 
 class TestBatchDispatcher:
+    """The one dispatcher every mode and shard count routes through."""
+
     def test_emits_full_batches_and_flush_remainder(self):
         emitted = []
-        dispatcher = BatchDispatcher(
-            2, lambda shard, batch: emitted.append((shard, len(batch))),
+        dispatcher = ByteBatchDispatcher(
+            2, lambda shard, batch: emitted.append(
+                (shard, len(decode_batch(batch)))),
             batch_size=8,
         )
         records = [pkt(src, 0x10000001, 40000, 443) for src in range(1, 30)]
@@ -104,24 +118,32 @@ class TestBatchDispatcher:
 
     def test_flush_on_empty_is_a_noop(self):
         emitted = []
-        dispatcher = BatchDispatcher(2, lambda s, b: emitted.append(b))
+        dispatcher = ByteBatchDispatcher(2, lambda s, b: emitted.append(b))
         dispatcher.flush()
         assert emitted == []
 
     def test_routing_matches_shard_of(self):
+        """Each shard gets exactly its packets, in arrival order."""
         seen = {}
-        dispatcher = BatchDispatcher(
-            4, lambda shard, batch: seen.setdefault(shard, []).extend(batch),
-            batch_size=1,
+        dispatcher = ByteBatchDispatcher(
+            4, lambda shard, batch: seen.setdefault(shard, []).extend(
+                decode_batch(batch)),
+            batch_size=3,
         )
-        records = [pkt(src, 0x10000001, 40000, 443) for src in range(1, 50)]
+        records = [
+            pkt(src, 0x10000001, 40000 + src % 10, 443, t_ns=i)
+            for i, src in enumerate(range(1, 100))
+        ]
         for record in records:
             dispatcher.dispatch(record)
-        for shard, batch in seen.items():
-            assert all(shard_of(r, 4) == shard for r in batch)
+        dispatcher.flush()
+        for shard in range(4):
+            assert seen.get(shard, []) == [
+                r for r in records if shard_of(r, 4) == shard
+            ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BatchDispatcher(0, lambda s, b: None)
+            ByteBatchDispatcher(0, lambda s, b: None)
         with pytest.raises(ValueError):
-            BatchDispatcher(2, lambda s, b: None, batch_size=0)
+            ByteBatchDispatcher(2, lambda s, b: None, batch_size=0)

@@ -6,8 +6,8 @@ Three layers of guarantees:
 * the shared-memory ring delivers every message intact through
   wrap-around, applies backpressure via the caller's stall check, and
   tears down idempotently;
-* a process-mode cluster produces results *identical* to serial on
-  both the object and raw-wire entry points.
+* a cluster, in either mode, produces results *identical* to serial
+  on both the object and raw-wire entry points.
 """
 
 import multiprocessing
@@ -29,7 +29,7 @@ from repro.net.framing import (
     decode_batch,
     encode_records,
 )
-from repro.net.packet import PacketRecord, to_wire_bytes
+from repro.net.packet import PacketRecord, from_wire_bytes, to_wire_bytes
 from repro.quic.packet import QuicPacketRecord
 from repro.quic.wire import quic_to_wire_bytes
 from repro.traces import CampusTraceConfig, generate_campus_trace
@@ -309,6 +309,15 @@ def mixed_capture(records):
     return capture
 
 
+def decode_or_skip(frame, timestamp_ns):
+    """What a capture reader hands ``Dart``: the decoded record, or
+    ``None`` for a frame it skips (non-TCP, or too short to parse)."""
+    try:
+        return from_wire_bytes(frame, timestamp_ns)
+    except ValueError:
+        return None
+
+
 def run_serial(records):
     dart = Dart(ideal_config())
     dart.process_trace(records)
@@ -341,40 +350,41 @@ class TestTransportEquivalence:
         assert cluster.stats == serial.stats
         assert Counter(cluster.samples) == Counter(serial.samples)
 
-    @pytest.mark.parametrize("decoder",
-                             ["columnar", "object", "numpy_hidden"])
-    def test_mixed_capture_matches_serial(self, records, decoder,
-                                          monkeypatch):
+    @pytest.mark.parametrize("decoder", ["columnar", "object"])
+    def test_mixed_capture_matches_serial(self, records, decoder):
         """Plain frames (header parsed at dispatch, shipped as records)
         and everything else (shipped whole) interleave in one capture:
-        same skips, same per-shard routing, same answers as serial.
+        both modes skip the same frames, route the same packets to each
+        shard, and answer what one ``Dart`` fed the decoded frames does.
 
-        ``columnar`` and ``numpy_hidden`` both take the framed worker
-        route (ids kept from when the worker's decoder depended on
-        numpy; it no longer does), ``object`` the reference leg."""
-        if decoder == "numpy_hidden":
-            from repro.net import columnar
-
-            monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        ``columnar`` takes the framed worker route (the id is kept from
+        when the worker's decoder depended on numpy; it no longer
+        does), ``object`` the reference leg."""
         capture = mixed_capture(records)
-        serial = ShardedDart(ideal_config(), shards=3, parallel="serial")
-        cluster = ShardedDart(
-            ideal_config(), shards=3, parallel="process",
-            batch_size=64, join_timeout=15.0,
-            fastpath=decoder != "object",
+        decoded = [decode_or_skip(frame, ts) for frame, ts in capture]
+        reference = Dart(ideal_config())
+        reference.process_batch(decoded)
+        reference.finalize()
+        serial, cluster = (
+            ShardedDart(ideal_config(), shards=3, parallel=parallel,
+                        batch_size=64, join_timeout=15.0,
+                        fastpath=decoder != "object")
+            for parallel in ("serial", "process")
         )
         for monitor in (serial, cluster):
             for frame, timestamp_ns in capture:
                 monitor.process_wire(frame, timestamp_ns)
             monitor.finalize()
-        assert cluster.wire_skipped == serial.wire_skipped > 0
+        assert (cluster.wire_skipped == serial.wire_skipped
+                == decoded.count(None) > 0)
         assert (cluster._dispatcher.dispatched
                 == serial._dispatcher.dispatched)
         assert ([r.packets for r in cluster.shard_results]
                 == [r.packets for r in serial.shard_results])
-        assert cluster.stats == serial.stats
+        assert cluster.stats == serial.stats == reference.stats
         assert cluster.stats.packets_processed == len(records)
-        assert Counter(cluster.samples) == Counter(serial.samples)
+        assert (Counter(cluster.samples) == Counter(serial.samples)
+                == Counter(reference.samples))
         assert cluster.samples
         assert cluster.window_history == serial.window_history
 

@@ -1,6 +1,6 @@
 """``process_wire``'s header parse is the vector mask, no more, no less.
 
-In process mode the coordinator reads the 40 fixed header bytes of an
+In either mode the coordinator reads the 40 fixed header bytes of an
 option-free IPv4/TCP frame once and ships the fields as a ``REC_V4``
 record; every other frame still travels whole as ``REC_WIRE``.  Three
 guarantees are pinned here on frames built by the repo's own codecs and
@@ -150,8 +150,7 @@ def route(frame, ts, ethernet, shards):
     emitted = []
     dispatcher = ByteBatchDispatcher(
         shards, lambda shard, payload: emitted.append((shard, payload)))
-    shipped = dispatcher.dispatch_wire(
-        frame, ts, linktype_ethernet=ethernet, protocols=TCP_ONLY)
+    shipped = dispatcher.dispatch_wire(frame, ts, linktype_ethernet=ethernet)
     dispatcher.flush()
     assert len(emitted) == (1 if shipped else 0)
     return emitted[0] if shipped else None
@@ -215,15 +214,6 @@ class TestFastPathOracle:
         assert payload[2] == REC_WIRE
         with pytest.raises(ValueError, match="bad IPv4 total length"):
             decode_batch(payload)
-
-    def test_protocol_set_without_tcp_declines(self):
-        emitted = []
-        dispatcher = ByteBatchDispatcher(2, lambda *batch: emitted.append(batch))
-        frame = to_wire_bytes(PacketRecord(1, 1, 2, 3, 4, 5, 6, 0x10, 0))
-        assert not dispatcher.dispatch_wire(frame, 1,
-                                            protocols=frozenset((17,)))
-        dispatcher.flush()
-        assert emitted == []
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="compares against the "
