@@ -41,8 +41,8 @@ class FlowKey:
     dst_port: int
     ipv6: bool = False
     #: Cached ``hash()`` (eager) and key-byte/CRC/signature values
-    #: (lazy).  Excluded from equality/repr; they are pure functions of
-    #: the tuple, so pickled copies stay consistent.
+    #: (lazy).  Excluded from equality/repr and from the pickle; they
+    #: are pure functions of the tuple.
     _hash: int = field(init=False, repr=False, compare=False, default=0)
     _bytes: Optional[bytes] = field(init=False, repr=False, compare=False,
                                     default=None)
@@ -137,23 +137,13 @@ class FlowKey:
             object.__setattr__(self, "_sig", sig)
         return sig
 
-    _CACHE_SLOTS = ("_bytes", "_crc", "_sig", "_mix0")
-
-    def __getstate__(self):
-        # Which caches are filled depends on what this object has been
-        # asked so far — and a resumed process starts with empty ones —
-        # but serialized flows must not carry that history: stream
-        # checkpoints are pinned byte-identical across a kill/resume.
-        # The caches are pure functions of the 4-tuple and recompute
-        # lazily after unpickling.
-        state = {s: getattr(self, s) for s in self.__slots__}
-        for slot in self._CACHE_SLOTS:
-            state[slot] = None
-        return state
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
+    def __reduce__(self):
+        # Rebuilt from the 4-tuple alone, through intern_flow: the lazy
+        # caches stay out of the pickle by construction (checkpoints are
+        # pinned byte-identical across a kill/resume), and a resumed run
+        # gets the interned object its packets go on to look up.
+        return intern_flow, (self.src_ip, self.dst_ip, self.src_port,
+                             self.dst_port, self.ipv6)
 
     def describe(self) -> str:
         """Render as ``src:port > dst:port``."""

@@ -41,9 +41,10 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .flow import FlowKey
+from .flow import FlowKey, intern_flow
 from .hashing import _mix32, pack2_u32, stage_index_from_crc
 
 
@@ -63,7 +64,7 @@ class PtRecord:
     #: Lazily cached ``key_bytes()`` and its CRC — a record is re-hashed
     #: on every insertion pass (recirculation re-enters the stages), so
     #: the packing and CRC costs are paid once.  Pure functions of
-    #: (signature, eack); pickled copies stay consistent.
+    #: (signature, eack), left out of the pickle.
     _key: Optional[bytes] = field(init=False, default=None, repr=False,
                                   compare=False)
     _crc: Optional[int] = field(init=False, default=None, repr=False,
@@ -94,22 +95,14 @@ class PtRecord:
             mix = self._mix0 = _mix32(self.key_crc())
         return mix
 
-    _CACHE_SLOTS = ("_key", "_crc", "_mix0")
-
-    def __getstate__(self):
-        # Whether a cache is filled depends on how many insertion
-        # passes the record has made in this process (a resumed one
-        # starts with none).  Serialized state must not: checkpoints
-        # are required to be byte-identical across a kill/resume, so
-        # the caches — pure derived values — are dropped and recomputed.
-        state = {s: getattr(self, s) for s in self.__slots__}
-        for slot in self._CACHE_SLOTS:
-            state[slot] = None
-        return state
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
+    def __reduce__(self):
+        # Constructor arguments only: the caches are derived from
+        # (signature, eack), and whether they are filled depends on how
+        # many insertion passes this process made — which checkpoints,
+        # byte-identical across a kill/resume, must not record.
+        return PtRecord, (self.record_id, self.flow, self.signature,
+                          self.eack, self.timestamp_ns, self.handshake,
+                          self.leg, self.recirc_count, self.last_evicted_id)
 
 
 class InsertStatus(enum.Enum):
@@ -311,6 +304,48 @@ class StagedPacketTable:
         return [
             slot for stage in self._stages for slot in stage if slot is not None
         ]
+
+    def __reduce__(self):
+        # Rows of the occupied slots in (stage, index) order, each naming
+        # its flow by number in a first-seen list of 4-tuples: no
+        # PtRecord or FlowKey object graph is walked.
+        flows: Dict[FlowKey, int] = {}
+        rows = []
+        for stage, slots in enumerate(self._stages):
+            for index in compress(range(len(slots)), slots):
+                r = slots[index]
+                rows.append((stage, index, r.record_id,
+                             flows.setdefault(r.flow, len(flows)),
+                             r.signature, r.eack, r.timestamp_ns, r.handshake,
+                             r.leg, r.recirc_count, r.last_evicted_id))
+        flow_rows = [(f.src_ip, f.dst_ip, f.src_port, f.dst_port, f.ipv6)
+                     for f in flows]
+        return _rebuild_packet_table, (self._stage_count, self._stage_slots,
+                                       self.stats, flow_rows, rows)
+
+
+def _rebuild_packet_table(stages: int, stage_slots: int,
+                          stats: PacketTrackerStats, flows,
+                          rows) -> StagedPacketTable:
+    """Unpickle a :class:`StagedPacketTable` with re-interned flows,
+    refusing any row whose slot is out of range or not after the last,
+    or whose flow number is out of range."""
+    table = StagedPacketTable(stages * stage_slots, stages)
+    keys = [intern_flow(*flow) for flow in flows]
+    previous = (0, -1)
+    for (stage, index, record_id, flow_no, signature, eack, timestamp_ns,
+         handshake, leg, recirc_count, last_evicted_id) in rows:
+        if not (previous < (stage, index) and stage < stages
+                and 0 <= index < stage_slots and 0 <= flow_no < len(keys)):
+            raise ValueError(f"PT row ({stage}, {index}, flow {flow_no}) "
+                             "out of order or range")
+        table._stages[stage][index] = PtRecord(
+            record_id, keys[flow_no], signature, eack, timestamp_ns,
+            handshake, leg, recirc_count, last_evicted_id)
+        previous = (stage, index)
+    table._occupied = len(rows)
+    table.stats = stats
+    return table
 
 
 def make_packet_table(total_slots: Optional[int], stages: int = 1):

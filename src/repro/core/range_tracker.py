@@ -169,10 +169,10 @@ class HashedRangeTable:
         self._slots: list = [None] * slots
         self._size = slots
         self._overwrite_collapsed = overwrite_collapsed
-        # Maintained at every None<->entry transition so occupancy() is
-        # O(1) — telemetry samples it per emission, and a slot scan over
-        # 2^18 entries would dominate the emission cost.
-        self._occupied = 0
+        # The occupied slot indices, changed only at None<->entry
+        # transitions: occupancy() is their count, and a checkpoint
+        # writes these slots alone instead of walking all 2^18.
+        self._occupied: set = set()
 
     def __len__(self) -> int:
         return self._size
@@ -203,7 +203,7 @@ class HashedRangeTable:
         occupant = self._slots[index]
         if occupant is None or occupant.signature == entry.signature:
             if occupant is None:
-                self._occupied += 1
+                self._occupied.add(index)
             self._slots[index] = entry
             return True, False
         if self._overwrite_collapsed and occupant.collapsed:
@@ -216,7 +216,7 @@ class HashedRangeTable:
         occupant = self._slots[index]
         if occupant is not None and occupant.signature == flow.signature:
             self._slots[index] = None
-            self._occupied -= 1
+            self._occupied.discard(index)
 
     def purge_expired(self, flow: FlowKey, now_ns: int,
                       timeout_ns: int) -> bool:
@@ -230,12 +230,39 @@ class HashedRangeTable:
         occupant = self._slots[index]
         if occupant is not None and now_ns - occupant.touched_ns > timeout_ns:
             self._slots[index] = None
-            self._occupied -= 1
+            self._occupied.discard(index)
             return True
         return False
 
     def occupancy(self) -> int:
-        return self._occupied
+        return len(self._occupied)
+
+    def __reduce__(self):
+        # Rows of the occupied slots in index order: a checkpoint's size
+        # and write time follow the live flows, not the table size.
+        rows = []
+        for index in sorted(self._occupied):
+            e = self._slots[index]
+            rows.append((index, e.signature, e.left, e.right, e.collapses,
+                         e.touched_ns))
+        return _rebuild_range_table, (self._size, self._overwrite_collapsed,
+                                      rows)
+
+
+def _rebuild_range_table(size: int, overwrite_collapsed: bool,
+                         rows) -> HashedRangeTable:
+    """Unpickle a :class:`HashedRangeTable`, refusing any row whose index
+    is out of range or not above the last (a negative one would wrap)."""
+    table = HashedRangeTable(size, overwrite_collapsed=overwrite_collapsed)
+    previous = -1
+    for index, signature, left, right, collapses, touched_ns in rows:
+        if not previous < index < size:
+            raise ValueError(f"RT row index {index} out of order or range")
+        table._slots[index] = RangeEntry(signature, left, right, collapses,
+                                         touched_ns)
+        table._occupied.add(index)
+        previous = index
+    return table
 
 
 class RangeTracker:

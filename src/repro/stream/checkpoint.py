@@ -1,10 +1,10 @@
 """Versioned, self-validating checkpoint files for streaming runs.
 
 A checkpoint is everything a fresh process needs to continue a run
-sample-for-sample: the pickled monitor objects (tracker tables,
-recirculation queues, open analytics windows and all), the source
-resume offset, and the byte offsets of every output file.  The file
-layout is::
+sample-for-sample: the pickled monitor objects (hashed tracker tables
+as rows of their live entries, recirculation queues, open analytics
+windows and all), the source resume offset, and the byte offsets of
+every output file.  The file layout is::
 
     8 bytes   magic  b"DARTCKPT"
     4 bytes   header length (big-endian)
@@ -19,10 +19,10 @@ unpickling anything, and the loader can reject corrupt or incompatible
 files *before* touching the pickle.
 
 Versioning: :data:`SCHEMA` is bumped whenever the payload structure or
-monitor pickle layout changes incompatibly.  A mismatch raises
-:class:`CheckpointSchemaMismatch` — resuming across versions is refused
-rather than guessed at, because a half-restored tracker table corrupts
-silently.
+monitor pickle layout changes incompatibly (``/2``: tables as rows).
+A mismatch raises :class:`CheckpointSchemaMismatch` — resuming across
+versions is refused rather than migrated, because a half-restored
+tracker table corrupts silently.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Any, BinaryIO, Dict, Union
 PathLike = Union[str, Path]
 
 MAGIC = b"DARTCKPT"
-SCHEMA = "dart-stream-checkpoint/1"
+SCHEMA = "dart-stream-checkpoint/2"
 
 _HEADER_LEN = struct.Struct(">I")
 

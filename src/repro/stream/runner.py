@@ -151,6 +151,7 @@ class StreamRunner:
         self._report = StreamReport()
         self._last_checkpoint_wall: Optional[float] = None
         self._last_checkpoint_seconds = 0.0
+        self._last_checkpoint_bytes = 0
         self._live_pps = 0.0
         self._hooks = list(hooks or [])
         self._telemetry = telemetry
@@ -287,7 +288,8 @@ class StreamRunner:
                 },
             },
         }
-        write_checkpoint(self._checkpoint_path, payload, meta)
+        header = write_checkpoint(self._checkpoint_path, payload, meta)
+        self._last_checkpoint_bytes = header["payload_len"]
         self._last_checkpoint_seconds = self._clock() - started
         self._last_checkpoint_wall = self._clock()
         self._report.checkpoints += 1
@@ -357,6 +359,10 @@ class StreamRunner:
             "dart_stream_checkpoint_seconds",
             "Wall time of the most recent checkpoint write",
         ).set((), self._last_checkpoint_seconds)
+        registry.gauge(
+            "dart_stream_checkpoint_bytes",
+            "Payload bytes of the most recent checkpoint",
+        ).set((), self._last_checkpoint_bytes)
         registry.gauge(
             "dart_stream_source_lag_bytes",
             "Capture bytes on disk not yet read by the source",

@@ -8,9 +8,12 @@ sample sequence, same table occupancy, same analytics windows — for
 every table configuration and under either filter.  One parametrised
 matrix holds that line.  The suite also pins the ``DartStats.merge``
 property the cluster relies on (per-packet stat deltas merged together
-equal the one-shot run) and the degenerate batches.
+equal the one-shot run), the degenerate batches, and the checkpoint
+round trip: a monitor pickled mid-trace, in every table layout,
+re-pickles to the same bytes and finishes like an uninterrupted one.
 """
 
+import pickle
 from dataclasses import fields
 from functools import lru_cache
 
@@ -368,3 +371,53 @@ class TestDegenerateBatches:
             feed(tolerant, mixed)
             assert plain.stats == tolerant.stats
             assert plain.samples == tolerant.samples
+
+
+#: Every table layout a checkpoint can hold.
+LAYOUTS = {
+    "rt-timeout": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
+                             rt_timeout_ns=50_000_000),
+    "shadow-rt": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
+                            max_recirculations=2, shadow_rt=True),
+    "pt-1-stage": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8),
+    "pt-2-stages": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
+                              pt_stages=2, max_recirculations=2),
+    "pt-4-stages": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
+                              pt_stages=4, max_recirculations=3),
+    "recirc-delay": DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
+                               pt_stages=2, max_recirculations=3,
+                               recirculation_delay_packets=5),
+    "ideal": DartConfig(),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_checkpoint_round_trip_is_canonical_and_resumes(layout):
+    """Pickle mid-trace, unpickle, pickle again: the same bytes.  The
+    restored monitor then finishes the trace exactly as an uninterrupted
+    one does."""
+    records = trace()
+    config = LAYOUTS[layout]
+    reference = Dart(config)
+    reference.process_batch(records)
+    reference.finalize(records[-1].timestamp_ns)
+
+    dart = Dart(config)
+    cut = len(records) // 2
+    dart.process_batch(records[:cut])
+    if config.recirculation_delay_packets:
+        # Cut where a delayed recirculation is still in flight.
+        while not dart._recirc_queue:
+            dart.process(records[cut])
+            cut += 1
+    blob = pickle.dumps(dart)
+    restored = pickle.loads(blob)
+    assert pickle.dumps(restored) == blob
+    assert restored.occupancy() == dart.occupancy()
+
+    restored.process_batch(records[cut:])
+    restored.finalize(records[-1].timestamp_ns)
+    assert restored.stats == reference.stats
+    assert restored.occupancy() == reference.occupancy()
+    assert restored.samples == reference.samples
+    assert reference.stats.samples > 0

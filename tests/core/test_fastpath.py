@@ -52,6 +52,28 @@ class TestSlotsPickling:
         assert hash(clone) == hash(warm)
         assert clone.key_crc == warm.key_crc
 
+    def test_warm_flow_key_pickles_to_the_bytes_of_a_fresh_one(self):
+        fresh = FlowKey(src_ip=5, dst_ip=6, src_port=7, dst_port=8)
+        warm = FlowKey(src_ip=5, dst_ip=6, src_port=7, dst_port=8)
+        _ = warm.key_crc, warm.signature, warm.mix0  # every lazy cache
+        assert pickle.dumps(warm) == pickle.dumps(fresh)
+
+    def test_unpickled_flow_key_is_the_interned_object(self):
+        for key in (FLOW, intern_flow(1 << 120, 2 << 100, 80, 8080, True)):
+            clone = pickle.loads(pickle.dumps(key))
+            assert clone is intern_flow(key.src_ip, key.dst_ip, key.src_port,
+                                        key.dst_port, key.ipv6)
+
+    def test_warm_pt_record_pickles_to_the_bytes_of_a_fresh_one(self):
+        def record():
+            return PtRecord(record_id=7, flow=FLOW, signature=FLOW.signature,
+                            eack=1548, timestamp_ns=1_000, leg="external",
+                            recirc_count=1, last_evicted_id=3)
+        warm = record()
+        warm.mix0()  # fills the key, CRC and mix caches
+        assert pickle.dumps(warm) == pickle.dumps(record())
+        assert pickle.loads(pickle.dumps(warm)) == warm
+
     def test_packet_record_round_trips(self):
         clone = pickle.loads(pickle.dumps(PACKET))
         assert clone == PACKET

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from repro.core import Dart, DartConfig
 from repro.stream import (
     CheckpointCorrupt,
     CheckpointSchemaMismatch,
@@ -15,6 +16,7 @@ from repro.stream import (
 )
 from repro.stream import checkpoint as checkpoint_module
 from repro.stream.checkpoint import MAGIC
+from repro.traces import CampusTraceConfig, generate_campus_trace
 
 
 @pytest.fixture()
@@ -80,6 +82,17 @@ class TestRoundTrip:
         assert read_checkpoint(checkpoint).finalized  # the new one, whole
 
 
+def restamp(checkpoint, schema):
+    """Rewrite the checkpoint's header with another schema tag."""
+    blob = checkpoint.read_bytes()
+    header_len = struct.unpack(">I", blob[8:12])[0]
+    header = json.loads(blob[12 : 12 + header_len])
+    header["schema"] = schema
+    new_header = json.dumps(header, sort_keys=True).encode()
+    checkpoint.write_bytes(MAGIC + struct.pack(">I", len(new_header))
+                           + new_header + blob[12 + header_len:])
+
+
 class TestRejection:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "notckpt"
@@ -101,16 +114,7 @@ class TestRejection:
             read_checkpoint(checkpoint)
 
     def test_schema_mismatch(self, checkpoint):
-        blob = checkpoint.read_bytes()
-        header_len = struct.unpack(">I", blob[8:12])[0]
-        header = json.loads(blob[12 : 12 + header_len])
-        header["schema"] = "dart-stream-checkpoint/999"
-        new_header = json.dumps(header, sort_keys=True).encode()
-        rewritten = (
-            MAGIC + struct.pack(">I", len(new_header)) + new_header
-            + blob[12 + header_len:]
-        )
-        checkpoint.write_bytes(rewritten)
+        restamp(checkpoint, "dart-stream-checkpoint/999")
         with pytest.raises(CheckpointSchemaMismatch):
             read_header(checkpoint)
 
@@ -160,3 +164,134 @@ class TestDistributionPayload:
         write_checkpoint(second, loaded.payload, {"finalized": False})
         assert (read_header(first)["payload_sha256"]
                 == read_header(second)["payload_sha256"])
+
+
+#: The deployed table sizing (2^18 RT slots, 2^14 PT slots).
+CAMPUS = dict(rt_slots=1 << 18, pt_slots=1 << 14, pt_stages=1,
+              max_recirculations=1)
+
+
+def payload_len(tmp_path, payload):
+    path = tmp_path / "sized.ckpt"
+    return write_checkpoint(path, payload, {"finalized": False})["payload_len"]
+
+
+def index_bytes(dart):
+    """Pickled bytes of the slot indices in ``dart``'s table rows.  An
+    int pickles in 1, 2 or 4 bytes by its value, the one way a row can
+    depend on the size of its table."""
+    rt_rows = dart.range_tracker._table.__reduce__()[1][2]
+    pt_rows = dart.packet_tracker.__reduce__()[1][4]
+    indices = [row[0] for row in rt_rows] + [row[1] for row in pt_rows]
+    return sum(1 if i < 1 << 8 else 2 if i < 1 << 16 else 4 for i in indices)
+
+
+class TestTableEncoding:
+    """Hashed tables pickle their live entries as rows, nothing else."""
+
+    def test_bytes_track_occupancy_not_table_size(self, tmp_path):
+        records = generate_campus_trace(
+            CampusTraceConfig(connections=30, seed=7)).records
+        records = records[:len(records) // 2]
+
+        def fed(**sizes):
+            dart = Dart(DartConfig(**{**CAMPUS, **sizes}))
+            dart.process_batch(records)
+            return dart
+
+        base = fed()
+        assert base.occupancy()[0] and base.occupancy()[1]
+        for doubled in (fed(rt_slots=1 << 19), fed(pt_slots=1 << 15)):
+            # Too few records for a collision in either table: the
+            # doubled one holds exactly the same entries.
+            assert doubled.occupancy() == base.occupancy()
+            assert (payload_len(tmp_path, doubled) - index_bytes(doubled)
+                    == payload_len(tmp_path, base) - index_bytes(base))
+
+    def test_empty_deployed_monitor_is_small(self, tmp_path):
+        # 2^18 empty RT slots pickled as ~281 KB while each one was
+        # written out; now there are no rows to write.
+        assert payload_len(tmp_path, Dart(DartConfig(**CAMPUS))) < 4096
+
+
+class Forged:
+    """Pickles as a table rebuild call with hand-made arguments."""
+
+    def __init__(self, rebuild, args):
+        self.reduced = (rebuild, args)
+
+    def __reduce__(self):
+        return self.reduced
+
+
+def constrained_tables():
+    dart = Dart(DartConfig(rt_slots=1 << 10, pt_slots=1 << 8, pt_stages=2))
+    dart.process_batch(generate_campus_trace(
+        CampusTraceConfig(connections=20, seed=7)).records[:150])
+    return dart.range_tracker._table, dart.packet_tracker
+
+
+def forge_rt(fault):
+    table, _ = constrained_tables()
+    rebuild, (size, overwrite, rows) = table.__reduce__()
+    assert len(rows) >= 2
+    first = rows[0]
+    rows = {
+        "none": rows,
+        "index-at-size": [(size,) + first[1:]] + rows[1:],
+        "negative-index": [(-1,) + first[1:]] + rows[1:],
+        "duplicate-index": [first, first] + rows[1:],
+    }[fault]
+    return Forged(rebuild, (size, overwrite, rows))
+
+
+def forge_pt(fault):
+    _, table = constrained_tables()
+    rebuild, (stages, stage_slots, stats, flows, rows) = table.__reduce__()
+    assert len(rows) >= 2
+    first = rows[0]
+    rows = {
+        "none": rows,
+        "index-at-size": [first[:1] + (stage_slots,) + first[2:]] + rows[1:],
+        "negative-index": [first[:1] + (-1,) + first[2:]] + rows[1:],
+        "duplicate-index": [first, first] + rows[1:],
+        "stage-at-stages": rows + [(stages,) + first[1:]],
+        "flow-out-of-range": [first[:3] + (len(flows),) + first[4:]]
+        + rows[1:],
+    }[fault]
+    return Forged(rebuild, (stages, stage_slots, stats, flows, rows))
+
+
+class TestForgedRows:
+    """A row naming a slot the table does not have, or a slot twice, or
+    a flow the checkpoint does not list, is refused on load."""
+
+    def write(self, tmp_path, table):
+        path = tmp_path / "forged.ckpt"
+        write_checkpoint(path, {"table": table}, {"finalized": False})
+        return path
+
+    def test_unforged_rows_load(self, tmp_path):
+        loaded = read_checkpoint(self.write(tmp_path, forge_rt("none")))
+        assert loaded.payload["table"].occupancy() > 1
+        loaded = read_checkpoint(self.write(tmp_path, forge_pt("none")))
+        assert loaded.payload["table"].occupancy() > 1
+
+    @pytest.mark.parametrize("fault", ["index-at-size", "negative-index",
+                                       "duplicate-index"])
+    def test_bad_rt_row_is_corrupt(self, tmp_path, fault):
+        with pytest.raises(CheckpointCorrupt):
+            read_checkpoint(self.write(tmp_path, forge_rt(fault)))
+
+    @pytest.mark.parametrize("fault", ["index-at-size", "negative-index",
+                                       "duplicate-index", "stage-at-stages",
+                                       "flow-out-of-range"])
+    def test_bad_pt_row_is_corrupt(self, tmp_path, fault):
+        with pytest.raises(CheckpointCorrupt):
+            read_checkpoint(self.write(tmp_path, forge_pt(fault)))
+
+    def test_schema_1_is_refused(self, checkpoint):
+        # Object-graph tables (schema /1) are not migrated to rows.
+        restamp(checkpoint, "dart-stream-checkpoint/1")
+        with pytest.raises(CheckpointSchemaMismatch):
+            read_checkpoint(checkpoint)

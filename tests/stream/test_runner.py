@@ -16,6 +16,7 @@ from repro.stream import (
     StreamRunner,
     TailCaptureSource,
     read_checkpoint,
+    read_header,
 )
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
@@ -163,6 +164,22 @@ class TestTelemetry:
         assert "dart_stream_rotations_total" in text
         assert "dart_stream_source_lag_bytes" in text
         assert "dart_engine_records_total" in text
+
+    def test_checkpoint_bytes_gauge_reports_the_last_payload(
+        self, campus_pcap, tmp_path
+    ):
+        ckpt = tmp_path / "ck"
+        emitter = TelemetryEmitter("prom", interval_s=1000,
+                                   stream=io.StringIO())
+        runner, _, _, _ = make_runner(
+            tmp_path, CaptureFileSource(campus_pcap), checkpoint=ckpt,
+            telemetry=emitter, chunk_size=256, checkpoint_interval_s=1e-9,
+        )
+        report = runner.run()
+        assert report.checkpoints > 1
+        emitter.emit()
+        gauge = emitter.registry.get("dart_stream_checkpoint_bytes")
+        assert gauge.value() == read_header(ckpt)["payload_len"] > 0
 
 
 @pytest.fixture(scope="module")
