@@ -98,15 +98,17 @@ def bin_width_ns(spec: HistogramSpec, value_ns: float) -> float:
 def check_accuracy(distribution, exact_rtts, failures: List[str]) -> dict:
     """Sketch and histogram estimates vs the exact sample quantiles."""
     rows = []
-    spec = distribution.histogram.spec
+    spec = distribution.spec
+    total_sketch = distribution.sketch()
+    total_hist = distribution.histogram()
     data = sorted(exact_rtts)
     for q in QUANTILES:
         exact = exact_quantile(data, q)
         # The order statistic the sketch's rank rule targets — the
         # value its alpha guarantee is stated against.
         rank_exact = float(data[int(q / 100 * (len(data) - 1))])
-        sketch = distribution.sketch.quantile(q)
-        hist = distribution.histogram.total.quantile(q)
+        sketch = total_sketch.quantile(q)
+        hist = total_hist.quantile(q)
         sketch_rel = (abs(sketch - rank_exact) / rank_exact
                       if rank_exact else 0.0)
         hist_abs = abs(hist - exact)
@@ -153,7 +155,7 @@ def check_shard_merge(records, serial_dist, failures: List[str]) -> dict:
     if merged is None:
         failures.append("sharded run produced no distribution")
         return {"shards": SHARDS, "identical": False}
-    hist_identical = merged.histogram == serial_dist.histogram
+    hist_identical = merged.histograms() == serial_dist.histograms()
     if not hist_identical:
         failures.append(
             f"{SHARDS}-shard merged histogram differs from serial "
@@ -161,9 +163,11 @@ def check_shard_merge(records, serial_dist, failures: List[str]) -> dict:
         )
     sketch_rows = []
     sketch_identical = True
+    serial_sketch = serial_dist.sketch()
+    merged_sketch = merged.sketch()
     for q in QUANTILES:
-        serial_q = serial_dist.sketch.quantile(q)
-        merged_q = merged.sketch.quantile(q)
+        serial_q = serial_sketch.quantile(q)
+        merged_q = merged_sketch.quantile(q)
         same = serial_q == merged_q
         sketch_identical = sketch_identical and same
         if not same:

@@ -165,12 +165,9 @@ def check_hist_merge(engine, records, options: MonitorOptions,
                           record_kind=spec.record_kind)
     reference.run(records)
     serial = serial_monitor.analytics.distribution_snapshot()
-    if merged.histogram != serial.histogram:
-        failures.append("hist axis: merged shard histograms differ from "
-                        "the serial reference")
-    if merged.sketch != serial.sketch:
-        failures.append("hist axis: merged shard sketches differ from "
-                        "the serial reference")
+    if merged != serial:
+        failures.append("hist axis: merged shard histograms or sketches "
+                        "differ from the serial reference")
 
 
 def check_streaming_kill_resume(tcp_records, failures: List[str]) -> None:

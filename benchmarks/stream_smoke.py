@@ -24,11 +24,15 @@ With numpy installed the daemon of steps 2-4 decodes its tail columnar
 that path; without it the same steps cover the per-frame decoder and
 step 5 measures only that one.
 
+Every ``dart-stream`` leg runs with ``--hist-bins 16``, so the
+distribution stage is checkpointed, killed and resumed too.
+
 Pass criteria (exit 0): both processes exit cleanly, the checkpoint is
 non-finalized after the kill and finalized after the resume, the
 sample CSV and window JSONL from the interrupted pair are
 **byte-identical** to the reference — zero samples lost or duplicated
-across the process boundary — and the quiet tail's decoders agree.
+across the process boundary — the resumed run prints the reference's
+``distribution:`` line, and the quiet tail's decoders agree.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ DEADLINE_S = 120.0
 #: The quiet leg: frames the tail finds per poll, and packets followed.
 QUIET_FRAMES_PER_POLL = 4
 QUIET_PACKETS = 4000
+#: Every dart-stream leg runs the distribution stage, so its registers
+#: cross the kill/resume boundary inside the checkpoint.
+HIST = ("--hist-bins", "16")
 
 
 def cli_env() -> dict:
@@ -73,6 +80,14 @@ def cli_env() -> dict:
 
 def stream_cli(*args: object) -> List[str]:
     return [sys.executable, "-m", "repro.cli.stream", *map(str, args)]
+
+
+def distribution_line(stdout: str) -> Optional[str]:
+    """The ``distribution:`` summary line a dart-stream run printed."""
+    for line in stdout.splitlines():
+        if line.strip().startswith("distribution:"):
+            return line.strip()
+    return None
 
 
 def wait_until(predicate, what: str, deadline_s: float = DEADLINE_S) -> None:
@@ -172,7 +187,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ref_csv = workdir / "ref.csv"
     ref_win = workdir / "ref-win.jsonl"
     reference = subprocess.run(
-        stream_cli(full, "--csv", ref_csv,
+        stream_cli(full, "--csv", ref_csv, *HIST,
                    "--window-samples", "8", "--windows", ref_win),
         env=cli_env(), capture_output=True, text=True, timeout=DEADLINE_S,
     )
@@ -192,7 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     daemon = subprocess.Popen(
         stream_cli(live, "--follow", "--poll-interval", "0.05",
                    "--checkpoint", ckpt, "--checkpoint-interval", "0.5",
-                   "--csv", out_csv,
+                   "--csv", out_csv, *HIST,
                    "--window-samples", "8", "--windows", out_win),
         env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True,
@@ -232,7 +247,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         resumed = subprocess.run(
             stream_cli(live, "--follow", "--poll-interval", "0.05",
                        "--idle-timeout", "1.0",
-                       "--checkpoint", ckpt, "--resume"),
+                       "--checkpoint", ckpt, "--resume", *HIST),
             env=cli_env(), capture_output=True, text=True,
             timeout=DEADLINE_S,
         )
@@ -249,6 +264,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if out_win.read_bytes() != ref_win.read_bytes():
             failures.append("window JSONL differs from the uninterrupted "
                             "reference")
+        expected = distribution_line(reference.stdout)
+        if expected is None:
+            failures.append("reference run printed no distribution line")
+        elif distribution_line(resumed.stdout) != expected:
+            failures.append(
+                "resumed distribution differs from the reference: "
+                f"{distribution_line(resumed.stdout)!r} vs {expected!r}")
 
     # 5. A quiet --follow: a handful of frames per poll, both decoders.
     quiet_follow_leg(records, workdir, failures)

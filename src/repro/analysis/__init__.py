@@ -25,7 +25,7 @@ from .metrics import (
     worst_case_error_percent,
 )
 from .report import format_count, render_cdf, render_series, render_table
-from .sketch import QuantileSketch, QuantileSketchAnalytics, SketchWindow
+from .sketch import QuantileSketch
 
 __all__ = [
     "DartPerformance",
@@ -34,9 +34,7 @@ __all__ = [
     "compare_samples",
     "pair_samples",
     "QuantileSketch",
-    "QuantileSketchAnalytics",
     "REPORTED_PERCENTILES",
-    "SketchWindow",
     "ccdf",
     "cdf",
     "collection_error_percent",

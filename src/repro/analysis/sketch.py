@@ -15,8 +15,7 @@ satisfies ``|q̂ - q| <= alpha * q`` for the true sample quantile ``q``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 
 class QuantileSketch:
@@ -55,18 +54,26 @@ class QuantileSketch:
             return
         index = self._bucket_of(value)
         self._buckets[index] = self._buckets.get(index, 0) + weight
-        if (self._max_buckets is not None
-                and len(self._buckets) > self._max_buckets):
-            self._collapse_smallest()
+        self._collapse()
 
-    def _collapse_smallest(self) -> None:
-        """Merge the two smallest buckets (bounded-memory fallback).
+    def _collapse(self) -> None:
+        """Fold the lowest buckets into the lowest of the ``max_buckets``
+        highest (bounded-memory fallback).
 
         Collapsing low buckets preserves accuracy at the high quantiles
         operators alarm on (p95/p99) at the cost of the extreme low end.
+        The result depends only on the buckets' contents — the highest
+        ``max_buckets`` indices survive and the lowest of them holds
+        every weight at or below it — so collapsing after every insert,
+        after every merge, or once at the end builds the same sketch.
         """
-        low, second = sorted(self._buckets)[:2]
-        self._buckets[second] = self._buckets.get(second, 0) + self._buckets.pop(low)
+        bound = self._max_buckets
+        if bound is None or len(self._buckets) <= bound:
+            return
+        indices = sorted(self._buckets)
+        cut = len(indices) - bound
+        folded = sum(self._buckets.pop(index) for index in indices[:cut])
+        self._buckets[indices[cut]] += folded
 
     # -- queries ----------------------------------------------------------------
 
@@ -97,8 +104,20 @@ class QuantileSketch:
     def max(self) -> Optional[float]:
         return self._max
 
+    @property
+    def zero_count(self) -> int:
+        return self._zero_count
+
+    @property
+    def max_buckets(self) -> Optional[int]:
+        return self._max_buckets
+
     def bucket_count(self) -> int:
         return len(self._buckets) + (1 if self._zero_count else 0)
+
+    def bucket_weights(self) -> Dict[int, int]:
+        """A copy of the non-zero buckets: index → weight."""
+        return dict(self._buckets)
 
     # -- state (JSON-safe; fleet wire + checkpoint transport) ----------------
 
@@ -117,14 +136,52 @@ class QuantileSketch:
 
     @classmethod
     def from_state(cls, state: Dict) -> "QuantileSketch":
-        """Rebuild a sketch from :meth:`state_dict` output."""
-        sketch = cls(alpha=state["alpha"], max_buckets=state["max_buckets"])
-        sketch._buckets = {int(index): int(weight)
-                           for index, weight in state["buckets"]}
-        sketch._zero_count = int(state["zero_count"])
-        sketch.count = int(state["count"])
-        sketch._min = state["min"]
-        sketch._max = state["max"]
+        """Rebuild a sketch from :meth:`state_dict` output.
+
+        Refuses, with ``ValueError``, state no run of :meth:`add` could
+        leave: a repeated index, a weight below one, a negative zero
+        count, a count other than the zero count plus the bucket
+        weights, or ``min > max``.
+        """
+        buckets: Dict[int, int] = {}
+        for index, weight in state["buckets"]:
+            index, weight = int(index), int(weight)
+            if index in buckets:
+                raise ValueError(f"sketch bucket {index} repeated")
+            if weight < 1:
+                raise ValueError(f"sketch bucket {index} weighs {weight}")
+            buckets[index] = weight
+        zero_count = int(state["zero_count"])
+        if zero_count < 0:
+            raise ValueError("negative sketch zero count")
+        if int(state["count"]) != zero_count + sum(buckets.values()):
+            raise ValueError("sketch count is not its zero count plus "
+                             "its bucket weights")
+        low, high = state["min"], state["max"]
+        if low is not None and high is not None and low > high:
+            raise ValueError("sketch min exceeds its max")
+        return cls.from_counts(buckets, zero_count, low, high,
+                               alpha=state["alpha"],
+                               max_buckets=state["max_buckets"])
+
+    @classmethod
+    def from_counts(cls, buckets: Dict[int, int], zero_count: int,
+                    min_value: Optional[float], max_value: Optional[float],
+                    *, alpha: float = 0.01,
+                    max_buckets: Optional[int] = 4096) -> "QuantileSketch":
+        """The sketch that adding these values one by one builds.
+
+        ``buckets`` maps an index to its weight (copied, not kept) and
+        ``zero_count`` counts the zeros; ``max_buckets`` is applied
+        once, which equals applying it after every add.
+        """
+        sketch = cls(alpha=alpha, max_buckets=max_buckets)
+        sketch._buckets = dict(buckets)
+        sketch._zero_count = zero_count
+        sketch.count = zero_count + sum(buckets.values())
+        sketch._min = min_value
+        sketch._max = max_value
+        sketch._collapse()
         return sketch
 
     def __eq__(self, other: object) -> bool:
@@ -142,16 +199,6 @@ class QuantileSketch:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __getstate__(self) -> Dict:
-        # Canonical bucket order: insertion order varies with merge and
-        # flush grouping, and checkpoint bytes must not depend on when
-        # (or whether) the sketch was read mid-run.
-        state = dict(self.__dict__)
-        state["_buckets"] = {
-            index: self._buckets[index] for index in sorted(self._buckets)
-        }
-        return state
-
     # -- composition ----------------------------------------------------------------
 
     def merge(self, other: "QuantileSketch") -> None:
@@ -167,83 +214,5 @@ class QuantileSketch:
                 continue
             self._min = bound if self._min is None else min(self._min, bound)
             self._max = bound if self._max is None else max(self._max, bound)
-        while (self._max_buckets is not None
-               and len(self._buckets) > self._max_buckets):
-            self._collapse_smallest()
+        self._collapse()
 
-
-@dataclass(frozen=True)
-class SketchWindow:
-    """Per-window percentile digest emitted by the sketch analytics."""
-
-    key: object
-    window_index: int
-    closed_at_ns: int
-    count: int
-    p50_ns: float
-    p95_ns: float
-    p99_ns: float
-    min_ns: float
-    max_ns: float
-
-
-class QuantileSketchAnalytics:
-    """Windowed percentile tracking on constant per-key state.
-
-    A drop-in alternative to :class:`~repro.core.analytics.MinFilterAnalytics`
-    when the operator wants distribution shape, not just minima —
-    while keeping state a switch could plausibly hold.
-    """
-
-    def __init__(self, *, window_ns: int, alpha: float = 0.02,
-                 key_fn=None, on_window=None) -> None:
-        if window_ns <= 0:
-            raise ValueError("window_ns must be positive")
-        self._window_ns = window_ns
-        self._alpha = alpha
-        self._key_fn = key_fn or (lambda sample: sample.flow)
-        self._on_window = on_window
-        self._open: Dict[object, Tuple[int, int, QuantileSketch]] = {}
-        self.history: List[SketchWindow] = []
-
-    def add(self, sample) -> None:
-        key = self._key_fn(sample)
-        state = self._open.get(key)
-        if state is None:
-            state = (0, sample.timestamp_ns, QuantileSketch(alpha=self._alpha))
-            self._open[key] = state
-        index, started, sketch = state
-        while sample.timestamp_ns - started >= self._window_ns:
-            self._close(key, index, started, sketch)
-            index += 1
-            started += self._window_ns
-            sketch = QuantileSketch(alpha=self._alpha)
-            self._open[key] = (index, started, sketch)
-        sketch.add(sample.rtt_ns)
-
-    def _close(self, key, index, started, sketch) -> None:
-        if sketch.count == 0:
-            return
-        window = SketchWindow(
-            key=key,
-            window_index=index,
-            closed_at_ns=started + self._window_ns,
-            count=sketch.count,
-            p50_ns=sketch.quantile(50),
-            p95_ns=sketch.quantile(95),
-            p99_ns=sketch.quantile(99),
-            min_ns=sketch.min or 0.0,
-            max_ns=sketch.max or 0.0,
-        )
-        self.history.append(window)
-        if self._on_window is not None:
-            self._on_window(window)
-
-    def flush(self, now_ns: int) -> None:
-        for key, (index, started, sketch) in list(self._open.items()):
-            self._close(key, index, started, sketch)
-        self._open.clear()
-
-    def worth_recirculating(self, flow, timestamp_ns: int,
-                            now_ns: int) -> bool:
-        return True  # percentile tracking wants every sample

@@ -152,17 +152,17 @@ def monitor_distribution(monitor) -> Optional[DistributionAnalytics]:
 
 def distribution_rows(distribution: DistributionAnalytics) -> List[list]:
     """Summary-table rows for one distribution stage."""
+    total = distribution.histogram()
     rows: List[list] = [
-        ["histogram bins", distribution.histogram.spec.bins],
-        ["histogram samples", distribution.histogram.total.count],
+        ["histogram bins", distribution.spec.bins],
+        ["histogram samples", total.count],
     ]
-    if distribution.count:
+    if total.count:
         for q, rtt_ns in distribution.percentiles().items():
             rows.append(
                 [f"sketch p{q:g} RTT (ms)", f"{rtt_ns / 1e6:.3f}"]
             )
         rows.append(
-            ["hist mean RTT (ms)",
-             f"{distribution.histogram.total.mean_ns() / 1e6:.3f}"],
+            ["hist mean RTT (ms)", f"{total.mean_ns() / 1e6:.3f}"],
         )
     return rows

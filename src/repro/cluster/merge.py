@@ -84,18 +84,17 @@ def merge_window_histories(
 def merge_distributions(results: Sequence[ShardResult]) -> Optional[Any]:
     """Fold the shards' distribution snapshots by addition.
 
-    Seeds the fold with a deep copy (distribution stages carry
-    configuration — bin edges, alpha — so there is no zero-argument
-    construction) and merges the rest in, leaving every shard's own
-    snapshot untouched.  ``None`` when no shard carried one.
+    Seeds the fold with a snapshot of the first (distribution stages
+    carry configuration — bin edges, alpha — so there is no
+    zero-argument construction) and merges the rest in; merging copies
+    what it adopts, so every shard's own snapshot stays untouched.
+    ``None`` when no shard carried one.
     """
     distributions = [r.distribution for r in results
                      if r.distribution is not None]
     if not distributions:
         return None
-    from copy import deepcopy
-
-    merged = deepcopy(distributions[0])
+    merged = distributions[0].distribution_snapshot()
     for distribution in distributions[1:]:
         merged.merge(distribution)
     return merged

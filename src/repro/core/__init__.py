@@ -24,8 +24,6 @@ from .hist import (
     DistributionFactory,
     HistogramSpec,
     RttHistogram,
-    RttHistogramAnalytics,
-    RttSketchAnalytics,
     describe_key,
     exact_quantile,
 )
@@ -76,9 +74,7 @@ __all__ = [
     "RangeEntry",
     "RangeTracker",
     "RttHistogram",
-    "RttHistogramAnalytics",
     "RttSample",
-    "RttSketchAnalytics",
     "SampleCollector",
     "SeqVerdict",
     "StagedPacketTable",

@@ -18,9 +18,10 @@ semantics matching :class:`~repro.core.pipeline.DartStats`:
   sums across agents.
 
 Nothing here retains samples: per-sample work is O(1) (a bisect into
-the bin edges, a sketch bucket increment) and state is O(keys x bins),
-which is what :func:`repro.hw.estimate_histogram` costs against the
-Tofino model.
+the bin edges, a sketch bucket increment) and state is one register per
+key — O(keys x bins) for the histogram, which is what
+:func:`repro.hw.estimate_histogram` costs against the Tofino model,
+plus at most ~ln(max RTT)/(2 alpha) raw sketch buckets.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class HistogramSpec:
 
 
 class RttHistogram:
-    """One fixed-bin histogram: the per-key register array.
+    """One fixed-bin histogram: what a key's register reads as.
 
     ``add`` is a bisect into the edges plus three stores — no per-sample
     allocation, no retention.  ``merge`` is element-wise addition over
@@ -212,167 +213,44 @@ class RttHistogram:
 
     @classmethod
     def from_state(cls, state: Dict) -> "RttHistogram":
+        """Rebuild a histogram from :meth:`state_dict` output.
+
+        Refuses, with ``ValueError``, state no run of :meth:`add` could
+        leave: the wrong bin count, a negative count or sum, a count
+        other than the sum of the bins, or ``min > max``.
+        """
         hist = cls(HistogramSpec(edges_ns=tuple(state["edges_ns"])))
         counts = [int(c) for c in state["counts"]]
         if len(counts) != hist.spec.bins:
             raise ValueError("histogram state has the wrong bin count")
+        count, sum_ns = int(state["count"]), int(state["sum_ns"])
+        if min(counts) < 0 or sum_ns < 0:
+            raise ValueError("negative histogram count or sum")
+        if count != sum(counts):
+            raise ValueError("histogram count is not the sum of its bins")
+        low, high = state["min_ns"], state["max_ns"]
+        if low is not None and high is not None and low > high:
+            raise ValueError("histogram min exceeds its max")
         hist.counts = counts
-        hist.sum_ns = int(state["sum_ns"])
-        hist.count = int(state["count"])
-        hist.min_ns = state["min_ns"]
-        hist.max_ns = state["max_ns"]
+        hist.sum_ns = sum_ns
+        hist.count = count
+        hist.min_ns = low
+        hist.max_ns = high
         return hist
 
 
-def _require_same_key_fn(mine, theirs) -> None:
-    if mine != theirs:
-        raise ValueError(
-            "cannot merge distribution stages keyed differently "
-            f"({mine!r} vs {theirs!r})"
-        )
+class _Register:
+    """One key's register: the only state the distribution stage keeps.
 
-
-class RttHistogramAnalytics:
-    """Per-key fixed-bin histograms plus an all-traffic aggregate.
-
-    Satisfies the analytics protocol (``add`` / ``flush`` /
-    ``worth_recirculating``) so it can ride a Dart pipeline, an engine
-    sample router sink, or a shard worker.  ``key_fn`` must be
-    picklable (module function or frozen dataclass) — the state crosses
-    the cluster's process boundary and the streaming checkpoint.
-    """
-
-    def __init__(
-        self,
-        spec: Optional[HistogramSpec] = None,
-        *,
-        key_fn: Optional[Callable[[RttSample], Hashable]] = None,
-    ) -> None:
-        self.spec = spec if spec is not None else HistogramSpec.log_bins()
-        self.key_fn = key_fn if key_fn is not None else flow_key
-        self.total = RttHistogram(self.spec)
-        self.per_key: Dict[Hashable, RttHistogram] = {}
-
-    def add(self, sample: RttSample) -> None:
-        self.total.add(sample.rtt_ns)
-        key = self.key_fn(sample)
-        hist = self.per_key.get(key)
-        if hist is None:
-            hist = RttHistogram(self.spec)
-            self.per_key[key] = hist
-        hist.add(sample.rtt_ns)
-
-    def flush(self, now_ns: int) -> None:
-        """Histograms are cumulative; there is nothing to close."""
-
-    def worth_recirculating(self, flow, timestamp_ns: int,
-                            now_ns: int) -> bool:
-        return True  # every sample shapes the distribution
-
-    def merge(self, other: "RttHistogramAnalytics") -> None:
-        if other.spec != self.spec:
-            raise ValueError("cannot merge histograms with different edges")
-        _require_same_key_fn(self.key_fn, other.key_fn)
-        self.total.merge(other.total)
-        for key, hist in other.per_key.items():
-            mine = self.per_key.get(key)
-            if mine is None:
-                mine = RttHistogram(self.spec)
-                self.per_key[key] = mine
-            mine.merge(hist)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RttHistogramAnalytics):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.total == other.total
-            and self.per_key == other.per_key
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-class RttSketchAnalytics:
-    """Per-key quantile sketches plus an all-traffic aggregate.
-
-    The promotion of :class:`~repro.analysis.sketch.QuantileSketch` to
-    a first-class analytics stage: cumulative (not windowed, unlike
-    :class:`~repro.analysis.sketch.QuantileSketchAnalytics`), keyed by
-    a picklable ``key_fn``, and mergeable with the same addition /
-    replacement algebra as the histogram stage.
-    """
-
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.01,
-        max_buckets: Optional[int] = 4096,
-        key_fn: Optional[Callable[[RttSample], Hashable]] = None,
-    ) -> None:
-        self.alpha = alpha
-        self.max_buckets = max_buckets
-        self.key_fn = key_fn if key_fn is not None else flow_key
-        self.total = QuantileSketch(alpha=alpha, max_buckets=max_buckets)
-        self.per_key: Dict[Hashable, QuantileSketch] = {}
-
-    def add(self, sample: RttSample) -> None:
-        self.total.add(sample.rtt_ns)
-        key = self.key_fn(sample)
-        sketch = self.per_key.get(key)
-        if sketch is None:
-            sketch = QuantileSketch(alpha=self.alpha,
-                                    max_buckets=self.max_buckets)
-            self.per_key[key] = sketch
-        sketch.add(sample.rtt_ns)
-
-    def flush(self, now_ns: int) -> None:
-        """Sketches are cumulative; there is nothing to close."""
-
-    def worth_recirculating(self, flow, timestamp_ns: int,
-                            now_ns: int) -> bool:
-        return True
-
-    def merge(self, other: "RttSketchAnalytics") -> None:
-        _require_same_key_fn(self.key_fn, other.key_fn)
-        self.total.merge(other.total)
-        for key, sketch in other.per_key.items():
-            mine = self.per_key.get(key)
-            if mine is None:
-                mine = QuantileSketch(alpha=self.alpha,
-                                      max_buckets=self.max_buckets)
-                self.per_key[key] = mine
-            mine.merge(sketch)
-
-    def quantile(self, p: float) -> float:
-        return self.total.quantile(p)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RttSketchAnalytics):
-            return NotImplemented
-        return (
-            self.alpha == other.alpha
-            and self.total == other.total
-            and self.per_key == other.per_key
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-class _KeyedBuffer:
-    """Per-key accumulation register: the data-plane half of the stage.
-
-    One compact object per key holding histogram counts and sketch
-    bucket *deltas* since the last flush — the Python analogue of the
-    switch's per-key register array, which the control plane reads and
-    folds at harvest.  Keeping the hot path to one object (instead of
-    an ``RttHistogram`` + ``QuantileSketch`` pair) roughly halves the
-    memory touched per sample, which is what the *distribution* row of
-    ``benchmarks/overheads.py`` budgets in ns per sample.
+    The Python analogue of the switch's per-key register array: the
+    histogram's bin counts, the sum/count/min/max both views share, the
+    sketch's zero count and its raw bucket counts.  The control plane
+    only reads it — :class:`RttHistogram` and :class:`QuantileSketch`
+    views are built from it on demand.
     """
 
     __slots__ = ("counts", "sum_ns", "count", "min_ns", "max_ns",
-                 "buckets")
+                 "zero_count", "buckets")
 
     def __init__(self, bins: int) -> None:
         self.counts: List[int] = [0] * bins
@@ -380,28 +258,48 @@ class _KeyedBuffer:
         self.count = 0
         self.min_ns: Optional[int] = None
         self.max_ns: Optional[int] = None
+        self.zero_count = 0
         self.buckets: Dict[int, int] = {}
+
+    def merge(self, other: "_Register") -> None:
+        """Add ``other`` in (reads it, never keeps a reference to it)."""
+        counts = self.counts
+        for i, c in enumerate(other.counts):
+            if c:
+                counts[i] += c
+        self.sum_ns += other.sum_ns
+        self.count += other.count
+        if other.min_ns is not None and (self.min_ns is None
+                                         or other.min_ns < self.min_ns):
+            self.min_ns = other.min_ns
+        if other.max_ns is not None and (self.max_ns is None
+                                         or other.max_ns > self.max_ns):
+            self.max_ns = other.max_ns
+        self.zero_count += other.zero_count
+        buckets = self.buckets
+        for index, weight in other.buckets.items():
+            buckets[index] = buckets.get(index, 0) + weight
 
 
 class DistributionAnalytics:
-    """Histogram + sketch stages behind one analytics front.
+    """Per-key RTT histograms and quantile sketches, plus their totals.
 
     The object the CLIs build, checkpoints pickle, shard harvests ship,
     and the fleet wire encodes.  ``inner`` composes an existing
     analytics module (``CollectAllAnalytics`` to keep retained samples,
-    ``MinFilterAnalytics`` to keep windowed minima): ``add`` fans out
-    to the stages and the inner module, and unknown attributes
+    ``MinFilterAnalytics`` to keep windowed minima): ``add`` feeds the
+    registers and the inner module, and unknown attributes
     (``samples``, ``history``, ``drain_windows`` ...) delegate to it,
     so the distribution stage is a strict add-on — everything that
     worked before keeps working.
 
-    Internally ``add`` only touches a per-key :class:`_KeyedBuffer`;
-    the ``histogram``/``sketch`` stages (totals and per-key) are
-    brought up to date by an exact additive flush on every read,
-    merge, snapshot, or pickle.  Flushing is pure integer addition
-    with the same bin/bucket index math as the stage-wise ``add``
-    paths, so the resulting state is identical to eager fan-out —
-    the equivalence the property suite pins.
+    One :class:`_Register` per key is the whole state.  Every read —
+    :meth:`histogram`, :meth:`sketch`, :meth:`histograms`,
+    :meth:`sketches`, :attr:`count`, :meth:`percentiles` — builds fresh
+    objects from the registers and changes nothing, so pickled bytes
+    never depend on what was read when.  A view equals the
+    :class:`RttHistogram`/:class:`QuantileSketch` fed the same samples
+    one by one; ``max_buckets`` is applied when a sketch view is built.
     """
 
     def __init__(
@@ -419,159 +317,62 @@ class DistributionAnalytics:
         for q in quantiles:
             if not 0 <= q <= 100:
                 raise ValueError(f"quantile out of range: {q}")
-        self.histogram = RttHistogramAnalytics(spec, key_fn=key_fn)
-        self.sketch = RttSketchAnalytics(
-            alpha=alpha, max_buckets=max_buckets, key_fn=key_fn
-        )
+        if not 0 < alpha < 1:
+            raise ValueError(f"alpha out of range: {alpha}")
+        self.spec = spec if spec is not None else HistogramSpec.log_bins()
+        self.alpha = alpha
+        self.max_buckets = max_buckets
         self.quantiles = tuple(float(q) for q in quantiles)
+        self.key_fn = key_fn if key_fn is not None else flow_key
         self._inner = inner
-        self._rebind_caches()
-
-    def _rebind_caches(self) -> None:
-        """Hot-path shortcuts, rebuilt after ``__init__``/unpickle/
-        snapshot: the bin edges, an empty buffer map, and the prefix
-        shift when the key function is a :class:`DstPrefixKey` (its
-        mask is two shifts we can do inline instead of two function
-        calls per sample)."""
-        self._edges = self.histogram.spec.edges_ns
-        self._log_gamma = self.sketch.total._log_gamma
-        self._keyed: Dict[Hashable, _KeyedBuffer] = {}
-        # One-entry memo: ACK bursts make consecutive samples share a
-        # key ~85% of the time on the campus trace, and the repeated
-        # dict probe into a few hundred cold buffers is the single
-        # largest cost of the buffered hot path.
-        self._last_key: Optional[Hashable] = None
-        self._last_buf: Optional[_KeyedBuffer] = None
-        key_fn = self.histogram.key_fn
+        self._registers: Dict[Hashable, _Register] = {}
+        # Hot-path shortcuts, all fixed by the configuration: the bin
+        # edges, QuantileSketch's log(gamma) computed the way it does,
+        # and the prefix shift when the key function is a DstPrefixKey
+        # (its mask is two shifts done inline instead of two calls).
+        self._edges = self.spec.edges_ns
+        self._log_gamma = math.log((1 + alpha) / (1 - alpha))
         self._prefix_shift: Optional[int] = None
-        if (isinstance(key_fn, DstPrefixKey)
-                and 0 <= key_fn.prefix_len <= 32):
-            self._prefix_shift = 32 - key_fn.prefix_len
+        if (isinstance(self.key_fn, DstPrefixKey)
+                and 0 <= self.key_fn.prefix_len <= 32):
+            self._prefix_shift = 32 - self.key_fn.prefix_len
 
     # -- the analytics protocol --------------------------------------------
 
     def add(self, sample: RttSample) -> None:
         # The per-sample hot path — what benchmarks/overheads.py holds
-        # to 2 500 ns per sample over a plain engine pass.  Only
-        # the key's buffer is touched: one dict probe, one bisect, one
-        # log, a handful of integer adds.  Totals and the per-key
-        # stage objects are derived by _flush() at read time, the way
-        # a switch's control plane folds register reads at harvest.
+        # to 2 500 ns per sample over a plain engine pass: one dict
+        # probe, one bisect, one log, a handful of integer adds.
         rtt = sample.rtt_ns
-        if rtt <= 0:
-            self._add_slow(sample)
-            return
+        if rtt < 0:
+            raise ValueError("RTT distributions accept non-negative "
+                             "values only")
         shift = self._prefix_shift
         if shift is not None:
             key = (sample.flow.dst_ip >> shift) << shift
         else:
-            key = self.histogram.key_fn(sample)
-        if key == self._last_key and self._last_buf is not None:
-            buf = self._last_buf
+            key = self.key_fn(sample)
+        register = self._registers.get(key)
+        if register is None:
+            register = _Register(self.spec.bins)
+            self._registers[key] = register
+        register.counts[bisect_left(self._edges, rtt)] += 1
+        register.sum_ns += rtt
+        register.count += 1
+        if register.min_ns is None or rtt < register.min_ns:
+            register.min_ns = rtt
+        if register.max_ns is None or rtt > register.max_ns:
+            register.max_ns = rtt
+        if rtt:
+            # The exact expression QuantileSketch.add uses, so a sketch
+            # view is bucket-identical to one fed sample by sample.
+            index = math.ceil(math.log(rtt) / self._log_gamma)
+            buckets = register.buckets
+            buckets[index] = buckets.get(index, 0) + 1
         else:
-            buf = self._keyed.get(key)
-            if buf is None:
-                buf = _KeyedBuffer(self.histogram.spec.bins)
-                self._keyed[key] = buf
-            self._last_key = key
-            self._last_buf = buf
-        buf.counts[bisect_left(self._edges, rtt)] += 1
-        buf.sum_ns += rtt
-        buf.count += 1
-        if buf.min_ns is None or rtt < buf.min_ns:
-            buf.min_ns = rtt
-        if buf.max_ns is None or rtt > buf.max_ns:
-            buf.max_ns = rtt
-        buckets = buf.buckets
-        # The exact expression QuantileSketch.add uses, so a flushed
-        # sketch is bucket-identical to one fed sample by sample.
-        index = math.ceil(math.log(rtt) / self._log_gamma)
-        buckets[index] = buckets.get(index, 0) + 1
+            register.zero_count += 1
         if self._inner is not None:
             self._inner.add(sample)
-
-    def _add_slow(self, sample: RttSample) -> None:
-        # Zero/negative RTTs take the stage-wise path so the sketch's
-        # zero-bucket semantics and the negative-value error stay
-        # defined in exactly one place each.  Stage-wise adds commute
-        # with buffered flushes — both are pure addition.
-        self.histogram.add(sample)
-        self.sketch.add(sample)
-        if self._inner is not None:
-            self._inner.add(sample)
-
-    def _flush(self) -> None:
-        """Fold the per-key buffers into the histogram/sketch stages.
-
-        Exact by construction: buffer state is integer deltas keyed by
-        the same bin/bucket indices the stage-wise paths compute, so
-        flush order and frequency never change the resulting state —
-        which keeps checkpoint bytes deterministic (``__getstate__``
-        flushes first) and the shard-merge identity intact.
-        """
-        if not self._keyed:
-            return
-        hist = self.histogram
-        sketch = self.sketch
-        for key, buf in self._keyed.items():
-            khist = hist.per_key.get(key)
-            if khist is None:
-                khist = RttHistogram(hist.spec)
-                hist.per_key[key] = khist
-            ksketch = sketch.per_key.get(key)
-            if ksketch is None:
-                ksketch = QuantileSketch(alpha=sketch.alpha,
-                                         max_buckets=sketch.max_buckets)
-                sketch.per_key[key] = ksketch
-            for target in (khist, hist.total):
-                counts = target.counts
-                for i, c in enumerate(buf.counts):
-                    if c:
-                        counts[i] += c
-                target.sum_ns += buf.sum_ns
-                target.count += buf.count
-                if buf.min_ns is not None and (target.min_ns is None
-                                               or buf.min_ns < target.min_ns):
-                    target.min_ns = buf.min_ns
-                if buf.max_ns is not None and (target.max_ns is None
-                                               or buf.max_ns > target.max_ns):
-                    target.max_ns = buf.max_ns
-            for starget in (ksketch, sketch.total):
-                buckets = starget._buckets
-                for index, weight in buf.buckets.items():
-                    buckets[index] = buckets.get(index, 0) + weight
-                starget.count += buf.count
-                if buf.min_ns is not None and (starget._min is None
-                                               or buf.min_ns < starget._min):
-                    starget._min = buf.min_ns
-                if buf.max_ns is not None and (starget._max is None
-                                               or buf.max_ns > starget._max):
-                    starget._max = buf.max_ns
-                while (starget._max_buckets is not None
-                       and len(starget._buckets) > starget._max_buckets):
-                    starget._collapse_smallest()
-        self._keyed = {}
-        # The memo points into the cleared map; an add after a flush
-        # must not land in an orphaned buffer.
-        self._last_key = None
-        self._last_buf = None
-
-    # -- pickling (checkpoints, shard harvests) -----------------------------
-
-    def __getstate__(self) -> Dict:
-        # Flush first so pickled bytes are independent of read history
-        # (the kill/resume suite requires byte-identical checkpoints),
-        # and drop the derived caches — __setstate__ rebuilds them.
-        self._flush()
-        state = dict(self.__dict__)
-        for name in ("_edges", "_keyed", "_prefix_shift", "_log_gamma",
-                     "_last_key", "_last_buf"):
-            state.pop(name, None)
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._rebind_caches()
 
     def flush(self, now_ns: int) -> None:
         if self._inner is not None:
@@ -601,70 +402,156 @@ class DistributionAnalytics:
     def inner(self) -> Optional[object]:
         return self._inner
 
+    def _config(self) -> Tuple:
+        return (self.spec, self.alpha, self.max_buckets, self.quantiles,
+                self.key_fn)
+
     def distribution_snapshot(self) -> "DistributionAnalytics":
-        """The transportable view: stages only, no inner module.
+        """The transportable view: a copy of the registers, no inner module.
 
         What shard harvests ship home and fleet deltas encode — the
         inner module's state already travels its own channel (retained
         samples, window history), so shipping it here would double it.
-        Shares state with ``self``; callers that outlive the producer
-        (the cluster merge) deep-copy before folding.
+        Shares nothing with ``self``: folding into it leaves the
+        producer untouched.
         """
-        self._flush()
-        snapshot = DistributionAnalytics.__new__(DistributionAnalytics)
-        snapshot.histogram = self.histogram
-        snapshot.sketch = self.sketch
-        snapshot.quantiles = self.quantiles
-        snapshot._inner = None
-        snapshot._rebind_caches()
+        snapshot = DistributionAnalytics(
+            self.spec, alpha=self.alpha, max_buckets=self.max_buckets,
+            quantiles=self.quantiles, key_fn=self.key_fn,
+        )
+        snapshot.merge(self)
         return snapshot
+
+    def load_key(self, key: Hashable, histogram: RttHistogram,
+                 sketch: QuantileSketch) -> None:
+        """Rebuild one key's register from its two views (fleet decode).
+
+        Refuses, with ``ValueError``, a key already present, views built
+        under another configuration, an empty key, and views that
+        disagree on the samples they hold.  A sketch view that ``max_buckets`` already
+        collapsed yields the same views again (collapsing is
+        idempotent).
+        """
+        if key in self._registers:
+            raise ValueError(f"key {key!r} loaded twice")
+        if histogram.spec != self.spec:
+            raise ValueError("histogram edges differ from the stage's")
+        if (sketch.alpha, sketch.max_buckets) != (self.alpha,
+                                                  self.max_buckets):
+            raise ValueError("sketch alpha or max_buckets differ from "
+                             "the stage's")
+        if histogram.count == 0:
+            raise ValueError(f"key {key!r} holds no samples")
+        if ((histogram.count, histogram.min_ns, histogram.max_ns)
+                != (sketch.count, sketch.min, sketch.max)):
+            raise ValueError("histogram and sketch disagree on count, "
+                             "min or max")
+        register = _Register(self.spec.bins)
+        register.counts = list(histogram.counts)
+        register.sum_ns = histogram.sum_ns
+        register.count = histogram.count
+        register.min_ns = histogram.min_ns
+        register.max_ns = histogram.max_ns
+        register.zero_count = sketch.zero_count
+        register.buckets = sketch.bucket_weights()
+        self._registers[key] = register
 
     # -- merge algebra -------------------------------------------------------
 
     def merge(self, other: "DistributionAnalytics") -> None:
-        """Fold another distribution in (addition — the shard rule).
+        """Add another stage's registers in (the shard rule).
 
-        Inner modules are deliberately not merged: their state merges
-        through the existing sample/window channels.
+        Copies what it adopts, so ``other`` stays independent.  Inner
+        modules are deliberately not merged: their state merges through
+        the existing sample/window channels.
         """
-        if other.quantiles != self.quantiles:
-            raise ValueError("cannot merge distributions reporting "
-                             "different quantiles")
-        self._flush()
-        other._flush()
-        self.histogram.merge(other.histogram)
-        self.sketch.merge(other.sketch)
+        if other._config() != self._config():
+            names = ("spec", "alpha", "max_buckets", "quantiles", "key_fn")
+            differ = [name for name, mine, theirs in
+                      zip(names, self._config(), other._config())
+                      if mine != theirs]
+            raise ValueError("cannot merge distribution stages configured "
+                             f"differently ({', '.join(differ)})")
+        registers = self._registers
+        for key, theirs in other._registers.items():
+            mine = registers.get(key)
+            if mine is None:
+                mine = _Register(self.spec.bins)
+                registers[key] = mine
+            mine.merge(theirs)
 
     def __eq__(self, other: object) -> bool:
+        """Same configuration and the same views: registers equal up to
+        the sketch collapse, which no read or later merge can see."""
         if not isinstance(other, DistributionAnalytics):
             return NotImplemented
-        self._flush()
-        other._flush()
         return (
-            self.quantiles == other.quantiles
-            and self.histogram == other.histogram
-            and self.sketch.total.count == other.sketch.total.count
+            self._config() == other._config()
+            and self.histograms() == other.histograms()
+            and self.sketches() == other.sketches()
         )
 
     __hash__ = None  # type: ignore[assignment]
 
-    # -- read surface --------------------------------------------------------
+    # -- read surface (pure: every call builds fresh objects) ---------------
+
+    def _total(self) -> _Register:
+        total = _Register(self.spec.bins)
+        for register in self._registers.values():
+            total.merge(register)
+        return total
+
+    def _histogram_of(self, register: _Register) -> RttHistogram:
+        hist = RttHistogram(self.spec)
+        hist.counts = list(register.counts)
+        hist.sum_ns = register.sum_ns
+        hist.count = register.count
+        hist.min_ns = register.min_ns
+        hist.max_ns = register.max_ns
+        return hist
+
+    def _sketch_of(self, register: _Register) -> QuantileSketch:
+        return QuantileSketch.from_counts(
+            register.buckets, register.zero_count, register.min_ns,
+            register.max_ns, alpha=self.alpha, max_buckets=self.max_buckets,
+        )
+
+    def histogram(self, key: Optional[Hashable] = None) -> RttHistogram:
+        """The histogram of one key, or of all traffic (``key=None``)."""
+        if key is None:
+            return self._histogram_of(self._total())
+        return self._histogram_of(self._registers[key])
+
+    def sketch(self, key: Optional[Hashable] = None) -> QuantileSketch:
+        """The quantile sketch of one key, or of all traffic."""
+        if key is None:
+            return self._sketch_of(self._total())
+        return self._sketch_of(self._registers[key])
+
+    def histograms(self) -> Dict[Hashable, RttHistogram]:
+        """Every key's histogram."""
+        return {key: self._histogram_of(register)
+                for key, register in self._registers.items()}
+
+    def sketches(self) -> Dict[Hashable, QuantileSketch]:
+        """Every key's quantile sketch."""
+        return {key: self._sketch_of(register)
+                for key, register in self._registers.items()}
 
     @property
     def count(self) -> int:
-        self._flush()
-        return self.histogram.total.count
+        return sum(register.count for register in self._registers.values())
 
     def percentiles(self) -> Dict[float, float]:
         """Sketch-estimated {quantile: rtt_ns} for the configured set."""
-        self._flush()
-        if self.sketch.total.count == 0:
+        if not self._registers:
             return {}
-        return {q: self.sketch.total.quantile(q) for q in self.quantiles}
+        sketch = self.sketch()
+        return {q: sketch.quantile(q) for q in self.quantiles}
 
     def key_label(self, key: Hashable) -> str:
         """Render an aggregation key as a telemetry label value."""
-        return describe_key(key, self.histogram.key_fn)
+        return describe_key(key, self.key_fn)
 
 
 def describe_key(key: Hashable, key_fn: Optional[object] = None) -> str:

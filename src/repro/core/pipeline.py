@@ -105,6 +105,9 @@ class DartStats:
     shadow_discards: int = 0
     shadow_false_discards: int = 0
     shadow_false_keeps: int = 0
+    #: ACKs matched to a data packet stamped later than themselves (a
+    #: capture clock that ran backwards): dropped, never a sample.
+    negative_rtt_drops: int = 0
     seq_verdicts: Dict[SeqVerdict, int] = field(default_factory=dict)
     ack_verdicts: Dict[AckVerdict, int] = field(default_factory=dict)
 
@@ -425,8 +428,12 @@ class Dart:
         pt_record = self.packet_tracker.match_ack(flow, ack)
         if pt_record is None:
             return None
-        sample = RttSample(pt_record.flow, ts - pt_record.timestamp_ns, ts,
-                           ack, pt_record.handshake, pt_record.leg)
+        rtt = ts - pt_record.timestamp_ns
+        if rtt < 0:
+            stats.negative_rtt_drops += 1
+            return None
+        sample = RttSample(pt_record.flow, rtt, ts, ack, pt_record.handshake,
+                           pt_record.leg)
         stats.samples += 1
         if sample.handshake:
             stats.handshake_samples += 1

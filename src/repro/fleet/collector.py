@@ -287,10 +287,9 @@ class FleetCollector:
         Addition across agents is exact because every agent's snapshot
         is cumulative and the (epoch, seq) guard already collapsed each
         agent to its newest self — the same replacement-then-sum rule as
-        :meth:`merged_stats`.
+        :meth:`merged_stats`.  Each agent's stage stays as decoded: the
+        fold starts from a snapshot and merging copies what it adopts.
         """
-        from copy import deepcopy
-
         with self._lock:
             by_monitor: Dict[str, List[Any]] = {}
             for state in self._agents.values():
@@ -298,7 +297,7 @@ class FleetCollector:
                     by_monitor.setdefault(monitor, []).append(distribution)
         merged: Dict[str, Any] = {}
         for monitor, items in sorted(by_monitor.items()):
-            folded = deepcopy(items[0])
+            folded = items[0].distribution_snapshot()
             for item in items[1:]:
                 folded.merge(item)
             merged[monitor] = folded

@@ -45,12 +45,7 @@ from ..baselines.strawman import StrawmanStats
 from ..baselines.tcptrace import TcpTraceStats
 from ..core.analytics import DstPrefixKey, WindowMinimum, flow_key
 from ..core.flow import FlowKey, intern_flow
-from ..core.hist import (
-    DistributionAnalytics,
-    RttHistogram,
-    RttHistogramAnalytics,
-    RttSketchAnalytics,
-)
+from ..core.hist import DistributionAnalytics, RttHistogram
 from ..core.pipeline import DartStats
 from ..core.range_tracker import AckVerdict, SeqVerdict
 from ..quic.monitor import SpinBitStats
@@ -312,57 +307,65 @@ def _sorted_keyed_states(per_key: Dict[Any, Any]) -> List[List[Any]]:
 
 
 def distribution_to_wire(distribution: Any) -> Dict[str, Any]:
-    """Encode a distribution snapshot as a JSON-safe object."""
-    flush = getattr(distribution, "_flush", None)
-    if callable(flush):
-        flush()  # fold any buffered per-key deltas before reading state
-    hist_stage = distribution.histogram
-    sketch_stage = distribution.sketch
+    """Encode a distribution stage as a JSON-safe object."""
     return {
         "quantiles": list(distribution.quantiles),
-        "key_fn": _key_fn_to_wire(hist_stage.key_fn),
+        "key_fn": _key_fn_to_wire(distribution.key_fn),
         "hist": {
-            "total": hist_stage.total.state_dict(),
-            "per_key": _sorted_keyed_states(hist_stage.per_key),
+            "total": distribution.histogram().state_dict(),
+            "per_key": _sorted_keyed_states(distribution.histograms()),
         },
         "sketch": {
-            "alpha": sketch_stage.alpha,
-            "max_buckets": sketch_stage.max_buckets,
-            "total": sketch_stage.total.state_dict(),
-            "per_key": _sorted_keyed_states(sketch_stage.per_key),
+            "alpha": distribution.alpha,
+            "max_buckets": distribution.max_buckets,
+            "total": distribution.sketch().state_dict(),
+            "per_key": _sorted_keyed_states(distribution.sketches()),
         },
     }
 
 
+def _decode_keyed(entries: List[Any], decode) -> Dict[Any, Any]:
+    decoded: Dict[Any, Any] = {}
+    for key_wire, state in entries:
+        key = key_from_wire(key_wire)
+        if key in decoded:
+            raise FrameCorrupt(f"distribution key {key_wire!r} repeated")
+        decoded[key] = decode(state)
+    return decoded
+
+
 def distribution_from_wire(wire: Dict[str, Any]) -> DistributionAnalytics:
-    """Decode :func:`distribution_to_wire` output into a mergeable stage."""
+    """Decode :func:`distribution_to_wire` output into a mergeable stage.
+
+    Rebuilds each key's register from its histogram and sketch states
+    and refuses, as :class:`FrameCorrupt`, anything a real stage cannot
+    hold: inconsistent counts, negative weights, ``min > max``, a key
+    in one view only, or totals that are not the sum of the keys.
+    """
     try:
-        key_fn = _key_fn_from_wire(wire["key_fn"])
         hist_wire = wire["hist"]
         sketch_wire = wire["sketch"]
         total_hist = RttHistogram.from_state(hist_wire["total"])
-        histogram = RttHistogramAnalytics(total_hist.spec, key_fn=key_fn)
-        histogram.total = total_hist
-        for key_wire, state in hist_wire["per_key"]:
-            histogram.per_key[key_from_wire(key_wire)] = \
-                RttHistogram.from_state(state)
-        sketch = RttSketchAnalytics(
+        distribution = DistributionAnalytics(
+            total_hist.spec,
             alpha=float(sketch_wire["alpha"]),
             max_buckets=sketch_wire["max_buckets"],
-            key_fn=key_fn,
+            quantiles=tuple(float(q) for q in wire["quantiles"]),
+            key_fn=_key_fn_from_wire(wire["key_fn"]),
         )
-        sketch.total = QuantileSketch.from_state(sketch_wire["total"])
-        for key_wire, state in sketch_wire["per_key"]:
-            sketch.per_key[key_from_wire(key_wire)] = \
-                QuantileSketch.from_state(state)
-        distribution = DistributionAnalytics.__new__(DistributionAnalytics)
-        distribution.histogram = histogram
-        distribution.sketch = sketch
-        distribution.quantiles = tuple(
-            float(q) for q in wire["quantiles"]
-        )
-        distribution._inner = None
-        distribution._rebind_caches()
+        hists = _decode_keyed(hist_wire["per_key"], RttHistogram.from_state)
+        sketches = _decode_keyed(sketch_wire["per_key"],
+                                 QuantileSketch.from_state)
+        if hists.keys() != sketches.keys():
+            raise FrameCorrupt("distribution keys differ between the "
+                               "histogram and the sketch")
+        for key, hist in hists.items():
+            distribution.load_key(key, hist, sketches[key])
+        if (distribution.histogram() != total_hist
+                or distribution.sketch()
+                != QuantileSketch.from_state(sketch_wire["total"])):
+            raise FrameCorrupt("distribution totals are not the sum of "
+                               "the per-key states")
         return distribution
     except FrameCorrupt:
         raise

@@ -91,33 +91,23 @@ def collect_distribution(registry: MetricsRegistry, distribution: Any,
     :meth:`~repro.obs.metrics.Histogram.set_state` per labelset, so
     telemetry stays zero-cost per packet.
     """
-    flush = getattr(distribution, "_flush", None)
-    if callable(flush):
-        flush()  # fold any buffered per-key deltas before reading state
-    hist_stage = distribution.histogram
-    if hist_stage.total.count == 0:
+    total = distribution.histogram()
+    if total.count == 0:
         return
-    buckets_s = tuple(edge / 1e9 for edge in hist_stage.spec.edges_ns)
+    buckets_s = tuple(edge / 1e9 for edge in distribution.spec.edges_ns)
     hist = registry.histogram(
         "dart_rtt_hist",
         "RTT distribution (seconds) from the fixed-bin analytics stage",
         DISTRIBUTION_LABELS, buckets=buckets_s,
     )
+    ranked = sorted(
+        distribution.histograms().items(),
+        key=lambda kv: (-kv[1].count, distribution.key_label(kv[0])),
+    )[:top_keys]
 
-    def busiest(per_key):
-        ranked = sorted(
-            per_key.items(),
-            key=lambda kv: (-kv[1].count, distribution.key_label(kv[0])),
-        )
-        return ranked[:top_keys]
-
-    hist.set_state(
-        (monitor, shard, ""),
-        hist_stage.total.counts,
-        hist_stage.total.sum_ns / 1e9,
-        hist_stage.total.count,
-    )
-    for key, per_key_hist in busiest(hist_stage.per_key):
+    hist.set_state((monitor, shard, ""), total.counts, total.sum_ns / 1e9,
+                   total.count)
+    for key, per_key_hist in ranked:
         hist.set_state(
             (monitor, shard, distribution.key_label(key)),
             per_key_hist.counts,
@@ -125,20 +115,17 @@ def collect_distribution(registry: MetricsRegistry, distribution: Any,
             per_key_hist.count,
         )
 
-    sketch_stage = distribution.sketch
+    sketches = [("", distribution.sketch())]
+    sketches += [(distribution.key_label(key), distribution.sketch(key))
+                 for key, _ in ranked]
     for q in distribution.quantiles:
         gauge = registry.gauge(
             f"dart_rtt_p{_quantile_suffix(q)}",
             f"Sketch-estimated p{q:g} RTT (seconds)",
             DISTRIBUTION_LABELS,
         )
-        if sketch_stage.total.count:
-            gauge.set((monitor, shard, ""),
-                      sketch_stage.total.quantile(q) / 1e9)
-        for key, sketch in busiest(sketch_stage.per_key):
-            if sketch.count:
-                gauge.set((monitor, shard, distribution.key_label(key)),
-                          sketch.quantile(q) / 1e9)
+        for label, sketch in sketches:
+            gauge.set((monitor, shard, label), sketch.quantile(q) / 1e9)
 
 
 def collect_monitor(registry: MetricsRegistry, monitor: Any,

@@ -19,7 +19,8 @@ unpickling anything, and the loader can reject corrupt or incompatible
 files *before* touching the pickle.
 
 Versioning: :data:`SCHEMA` is bumped whenever the payload structure or
-monitor pickle layout changes incompatibly (``/2``: tables as rows).
+monitor pickle layout changes incompatibly (``/2``: tables as rows;
+``/3``: the distribution stage as per-key registers).
 A mismatch raises :class:`CheckpointSchemaMismatch` — resuming across
 versions is refused rather than migrated, because a half-restored
 tracker table corrupts silently.
@@ -40,7 +41,7 @@ from typing import Any, BinaryIO, Dict, Union
 PathLike = Union[str, Path]
 
 MAGIC = b"DARTCKPT"
-SCHEMA = "dart-stream-checkpoint/2"
+SCHEMA = "dart-stream-checkpoint/3"
 
 _HEADER_LEN = struct.Struct(">I")
 

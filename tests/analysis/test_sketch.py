@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sketch import (
-    QuantileSketch,
-    QuantileSketchAnalytics,
-    SketchWindow,
-)
-from repro.core.flow import FlowKey
-from repro.core.samples import RttSample
-
-MS = 1_000_000
-FLOW = FlowKey(src_ip=1, dst_ip=2, src_port=3, dst_port=4)
+from repro.analysis.sketch import QuantileSketch
 
 
 @pytest.fixture
@@ -133,58 +124,3 @@ class TestQuantileSketch:
         qs = [sketch.quantile(p) for p in (10, 50, 90, 99)]
         assert qs == sorted(qs)
 
-
-def sample(rtt_ms, t_ms):
-    return RttSample(flow=FLOW, rtt_ns=int(rtt_ms * MS),
-                     timestamp_ns=int(t_ms * MS), eack=0)
-
-
-class TestSketchAnalytics:
-    def test_windows_emit_percentiles(self):
-        analytics = QuantileSketchAnalytics(window_ns=1000 * MS)
-        for i in range(100):
-            analytics.add(sample(10 + (i % 10), i * 5))
-        analytics.add(sample(10, 2000))  # crosses window boundary
-        assert analytics.history
-        window = analytics.history[0]
-        assert isinstance(window, SketchWindow)
-        assert window.count == 100
-        assert 10 * MS <= window.p50_ns <= 20 * MS
-        assert window.p99_ns >= window.p50_ns
-
-    def test_flush_closes_open_window(self):
-        analytics = QuantileSketchAnalytics(window_ns=1000 * MS)
-        analytics.add(sample(10, 0))
-        analytics.flush(500 * MS)
-        assert len(analytics.history) == 1
-
-    def test_on_window_callback(self):
-        seen = []
-        analytics = QuantileSketchAnalytics(window_ns=100 * MS,
-                                            on_window=seen.append)
-        analytics.add(sample(5, 0))
-        analytics.add(sample(5, 250))
-        assert seen
-
-    def test_usable_as_dart_analytics(self):
-        from repro.core import Dart, ideal_config
-        from repro.net import tcp as tcpf
-        from repro.net.packet import PacketRecord
-
-        analytics = QuantileSketchAnalytics(window_ns=10 * MS)
-        dart = Dart(ideal_config(), analytics=analytics)
-        dart.process(PacketRecord(
-            timestamp_ns=0, src_ip=1, dst_ip=2, src_port=3, dst_port=4,
-            seq=100, ack=1, flags=tcpf.FLAG_ACK, payload_len=50,
-        ))
-        dart.process(PacketRecord(
-            timestamp_ns=5 * MS, src_ip=2, dst_ip=1, src_port=4, dst_port=3,
-            seq=1, ack=150, flags=tcpf.FLAG_ACK, payload_len=0,
-        ))
-        dart.finalize()
-        assert analytics.history
-        assert analytics.history[0].p50_ns == pytest.approx(5 * MS, rel=0.05)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            QuantileSketchAnalytics(window_ns=0)

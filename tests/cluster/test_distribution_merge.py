@@ -44,10 +44,11 @@ def test_merged_distribution_equals_serial(parallel):
     cluster.finalize()
     merged = cluster.distribution
     assert merged is not None
-    assert merged.histogram == serial.histogram
-    assert merged.sketch == serial.sketch
+    assert merged == serial
+    assert merged.histogram() == serial.histogram()
+    assert merged.sketch() == serial.sketch()
     for q in (50.0, 95.0, 99.0):
-        assert merged.sketch.quantile(q) == serial.sketch.quantile(q)
+        assert merged.sketch().quantile(q) == serial.sketch().quantile(q)
 
 
 def test_single_shard_exposes_live_distribution():

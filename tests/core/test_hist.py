@@ -1,32 +1,34 @@
 """Tests for the RTT distribution analytics stage (DESIGN §16).
 
-Covers the bin-edge scheme, the per-key histogram registers, the
-buffered hot path's equivalence with stage-wise adds, checkpoint
-determinism, and — via Hypothesis — the merge algebra the cluster and
-fleet rely on: element-wise addition that is associative, commutative,
-and makes a sharded run equal a serial one bin for bin.
+Covers the bin-edge scheme, the per-key registers and the views read
+from them (equal to an RttHistogram and a QuantileSketch fed sample by
+sample), reads that change nothing, checkpoint determinism, and — via
+Hypothesis — the merge algebra the cluster and fleet rely on:
+element-wise addition that is associative, commutative, and makes a
+sharded run equal a serial one bin for bin.
 """
 
-import copy
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analytics import CollectAllAnalytics, DstPrefixKey
+from repro.analysis.sketch import QuantileSketch
+from repro.core.analytics import CollectAllAnalytics, DstPrefixKey, flow_key
 from repro.core.flow import FlowKey
 from repro.core.hist import (
     DistributionAnalytics,
     DistributionFactory,
     HistogramSpec,
     RttHistogram,
-    RttHistogramAnalytics,
-    RttSketchAnalytics,
     describe_key,
     exact_quantile,
 )
 from repro.core.samples import RttSample
+from repro.fleet.wire import distribution_to_wire
+from repro.obs.collect import collect_distribution
+from repro.obs.metrics import MetricsRegistry
 
 MS = 1_000_000
 
@@ -36,6 +38,24 @@ FLOW_B = FlowKey(src_ip=0x0A000002, dst_ip=0x10000207, src_port=3, dst_port=4)
 
 def sample(flow, rtt_ns, t_ns=0):
     return RttSample(flow=flow, rtt_ns=rtt_ns, timestamp_ns=t_ns, eack=0)
+
+
+def references(samples, spec, key_fn=flow_key, max_buckets=4096):
+    """Per-key and all-traffic RttHistogram/QuantileSketch objects fed
+    sample by sample: what a distribution stage's views must equal."""
+    hists, sketches = {}, {}
+    total_hist = RttHistogram(spec)
+    total_sketch = QuantileSketch(max_buckets=max_buckets)
+    for s in samples:
+        key = key_fn(s)
+        if key not in hists:
+            hists[key] = RttHistogram(spec)
+            sketches[key] = QuantileSketch(max_buckets=max_buckets)
+        for hist in (hists[key], total_hist):
+            hist.add(s.rtt_ns)
+        for sketch in (sketches[key], total_sketch):
+            sketch.add(s.rtt_ns)
+    return hists, sketches, total_hist, total_sketch
 
 
 class TestHistogramSpec:
@@ -152,38 +172,42 @@ class TestDistributionAnalytics:
         return out
 
     def test_buffered_equals_stagewise(self):
-        buffered = DistributionAnalytics(HistogramSpec.log_bins(16))
-        hist = RttHistogramAnalytics(HistogramSpec.log_bins(16))
-        sketch = RttSketchAnalytics()
-        for s in self._samples():
-            buffered.add(s)
-            hist.add(s)
-            sketch.add(s)
-        assert buffered.count == hist.total.count
-        assert buffered.histogram == hist
-        assert buffered.sketch == sketch
+        spec = HistogramSpec.log_bins(16)
+        dist = DistributionAnalytics(spec)
+        samples = self._samples()
+        for s in samples:
+            dist.add(s)
+        hists, sketches, total_hist, total_sketch = references(samples, spec)
+        assert dist.count == total_hist.count
+        assert dist.histograms() == hists
+        assert dist.sketches() == sketches
+        assert dist.histogram() == total_hist
+        assert dist.sketch() == total_sketch
 
     def test_zero_rtt_takes_stagewise_path(self):
         dist = DistributionAnalytics(HistogramSpec(edges_ns=(10,)))
         dist.add(sample(FLOW_A, 0))
         assert dist.count == 1
-        assert dist.histogram.total.counts[0] == 1
+        assert dist.histogram().counts[0] == 1
+        reference = QuantileSketch()
+        reference.add(0)
+        assert dist.sketch(FLOW_A) == reference
+        assert dist.sketch().zero_count == 1
 
     def test_prefix_key_fast_path_matches_key_fn(self):
         key_fn = DstPrefixKey(24)
-        fast = DistributionAnalytics(HistogramSpec.log_bins(8),
-                                     key_fn=key_fn)
-        slow = RttHistogramAnalytics(HistogramSpec.log_bins(8),
-                                     key_fn=key_fn)
-        for s in self._samples():
+        spec = HistogramSpec.log_bins(8)
+        fast = DistributionAnalytics(spec, key_fn=key_fn)
+        samples = self._samples()
+        for s in samples:
             fast.add(s)
-            slow.add(s)
-        _ = fast.count
-        assert fast.histogram == slow
+        hists, sketches, _, _ = references(samples, spec, key_fn)
+        assert fast.histograms() == hists
+        assert fast.sketches() == sketches
 
     def test_memo_survives_midstream_flush(self):
-        # A read flushes the buffers; adds after the flush must fold
-        # into fresh buffers, not an orphaned memoized one.
+        # A read between adds changes nothing: later adds land in the
+        # same registers as in a run never read.
         full = DistributionAnalytics(HistogramSpec.log_bins(8))
         split = DistributionAnalytics(HistogramSpec.log_bins(8))
         samples = self._samples()
@@ -196,6 +220,45 @@ class TestDistributionAnalytics:
         for s in samples[mid:]:
             split.add(s)
         assert split == full
+
+    def test_negative_rtt_refused_without_a_trace(self):
+        dist = DistributionAnalytics(HistogramSpec.log_bins(8))
+        dist.add(sample(FLOW_A, 5 * MS))
+        before = pickle.dumps(dist)
+        with pytest.raises(ValueError):
+            dist.add(sample(FLOW_B, -1))
+        assert pickle.dumps(dist) == before
+
+    def test_equality_sees_the_sketch(self):
+        # Equal histograms (one bin, same sum/min/max) but different
+        # medians: the stages differ, and == must say so.
+        a = DistributionAnalytics()
+        b = DistributionAnalytics()
+        for ms in (1.00, 1.10, 1.10, 1.20):
+            a.add(sample(FLOW_A, int(ms * MS)))
+        for ms in (1.00, 1.05, 1.15, 1.20):
+            b.add(sample(FLOW_A, int(ms * MS)))
+        assert a.histogram() == b.histogram()
+        assert a.percentiles()[50.0] != b.percentiles()[50.0]
+        assert a != b
+
+    def test_equality_compares_configuration(self):
+        spec = HistogramSpec.log_bins(8)
+        base = DistributionAnalytics(spec)
+        assert base == DistributionAnalytics(spec)
+        for other in (DistributionAnalytics(HistogramSpec.log_bins(9)),
+                      DistributionAnalytics(spec, alpha=0.02),
+                      DistributionAnalytics(spec, max_buckets=64),
+                      DistributionAnalytics(spec, quantiles=(50.0,)),
+                      DistributionAnalytics(spec, key_fn=DstPrefixKey(24))):
+            assert base != other
+
+    def test_total_count_is_current_after_every_add(self):
+        dist = DistributionAnalytics(HistogramSpec.log_bins(8))
+        for n, s in enumerate(self._samples(), start=1):
+            dist.add(s)
+            assert dist.histogram().count == n
+            assert dist.sketch().count == n
 
     def test_inner_delegation(self):
         dist = DistributionAnalytics(HistogramSpec.log_bins(8),
@@ -234,14 +297,18 @@ class TestDistributionAnalytics:
         assert pickle.dumps(resumed) == pickle.dumps(full)
 
     def test_snapshot_shares_stage_state_without_inner(self):
+        # The snapshot carries the stage's state, not its inner module,
+        # as a copy: later adds to the live stage leave it unchanged.
         dist = DistributionAnalytics(HistogramSpec.log_bins(8),
                                      inner=CollectAllAnalytics())
         for s in self._samples():
             dist.add(s)
         snapshot = dist.distribution_snapshot()
         assert snapshot.inner is None
-        assert snapshot.histogram is dist.histogram
+        assert snapshot == dist
         assert snapshot.count == dist.count
+        dist.add(sample(FLOW_A, 7 * MS))
+        assert snapshot.count == dist.count - 1
 
     def test_merge_rejects_quantile_mismatch(self):
         a = DistributionAnalytics(HistogramSpec.log_bins(8),
@@ -346,5 +413,77 @@ class TestMergeAlgebra:
         for part in parts[1:]:
             merged.merge(part)
         assert merged == serial
-        assert merged.histogram == serial.histogram
-        assert merged.sketch == serial.sketch
+        assert merged.histogram() == serial.histogram()
+        assert merged.sketch() == serial.sketch()
+
+
+#: Every public read of a stage, as a function of the stage.
+READS = (
+    lambda d: d.histogram(),
+    lambda d: d.sketch(),
+    lambda d: d.histograms(),
+    lambda d: d.sketches(),
+    lambda d: [(d.histogram(k), d.sketch(k)) for k in d.histograms()],
+    lambda d: d.percentiles(),
+    lambda d: d.count,
+    lambda d: collect_distribution(MetricsRegistry(), d, "dart"),
+    lambda d: distribution_to_wire(d),
+    lambda d: d == d.distribution_snapshot(),
+    lambda d: pickle.dumps(d),
+    lambda d: d.distribution_snapshot().merge(d),
+)
+
+
+class TestPureReads:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3_000 * MS),
+                              st.booleans(),
+                              st.one_of(st.none(),
+                                        st.integers(0, len(READS) - 1))),
+                    max_size=40))
+    def test_reads_change_nothing(self, steps):
+        read = _fill([])
+        unread = _fill([])
+        for n, (rtt, which, probe) in enumerate(steps, start=1):
+            s = sample(FLOW_A if which else FLOW_B, rtt, t_ns=n)
+            read.add(s)
+            unread.add(s)
+            assert read.histogram().count == n
+            if probe is not None:
+                READS[probe](read)
+        assert read == unread
+        assert pickle.dumps(read) == pickle.dumps(unread)
+
+
+class TestCollapseOrder:
+    """``max_buckets`` applied when a view is built equals QuantileSketch
+    collapsing after every add and every merge, in any fold order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=10**10),
+                    min_size=1, max_size=80),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=4),
+           st.randoms(use_true_random=False))
+    def test_any_fold_order_matches_the_sketch(self, values, max_buckets,
+                                               shards, rng):
+        spec = HistogramSpec.log_bins(4)
+        stages = [DistributionAnalytics(spec, max_buckets=max_buckets)
+                  for _ in range(shards)]
+        parts = [QuantileSketch(max_buckets=max_buckets)
+                 for _ in range(shards)]
+        eager = QuantileSketch(max_buckets=max_buckets)
+        for i, rtt in enumerate(values):
+            shard = rng.randrange(shards)
+            stages[shard].add(sample(FLOW_A, rtt, t_ns=i))
+            parts[shard].add(rtt)
+            eager.add(rtt)
+        order = list(range(shards))
+        rng.shuffle(order)
+        merged = stages[order[0]].distribution_snapshot()
+        folded = parts[order[0]]
+        for index in order[1:]:
+            merged.merge(stages[index])
+            folded.merge(parts[index])
+        assert merged.sketch() == eager == folded
+        assert merged.sketch(FLOW_A) == eager

@@ -1,5 +1,6 @@
 """End-to-end tests for the Dart pipeline (paper Fig 3)."""
 
+import pytest
 
 from repro.core import (
     CollectAllAnalytics,
@@ -9,6 +10,7 @@ from repro.core import (
     ideal_config,
     make_leg_filter,
 )
+from repro.core.hist import DistributionFactory
 from repro.core.range_tracker import AckVerdict, SeqVerdict
 from repro.net import tcp as tcpf
 from repro.net.packet import PacketRecord
@@ -333,3 +335,25 @@ class TestStats:
         dart.process_trace([data(0, 1000), ack_of(10, 1100)])
         dart.finalize()
         assert analytics.history  # the open window was flushed
+
+
+class TestBackwardsClock:
+    """An ACK stamped before its data packet (a capture clock that ran
+    backwards) is dropped and counted, never emitted as a sample."""
+
+    @pytest.mark.parametrize("with_distribution", [False, True])
+    def test_ack_before_its_data_is_dropped_and_counted(
+            self, with_distribution):
+        analytics = (DistributionFactory()() if with_distribution
+                     else CollectAllAnalytics())
+        dart = Dart(ideal_config(), analytics=analytics)
+        dart.process(data(2, 1000))
+        assert dart.process(ack_of(1, 1100)) == []
+        assert dart.stats.negative_rtt_drops == 1
+        assert dart.stats.samples == 0
+        assert list(dart.samples) == []
+        # The flow keeps working once the clock is sane again.
+        dart.process(data(3, 1100))
+        samples = dart.process(ack_of(8, 1200))
+        assert [s.rtt_ns for s in samples] == [5 * MS]
+        assert dart.stats.negative_rtt_drops == 1

@@ -7,7 +7,6 @@ with addition across agents — a restarted agent can never
 double-count its distribution.
 """
 
-import copy
 import io
 import json
 
@@ -49,8 +48,10 @@ def test_roundtrip_is_exact_and_json_safe():
     wire = json.loads(json.dumps(distribution_to_wire(original)))
     decoded = distribution_from_wire(wire)
     assert decoded == original
-    assert decoded.histogram == original.histogram
-    assert decoded.sketch == original.sketch
+    assert decoded.histogram() == original.histogram()
+    assert decoded.sketch() == original.sketch()
+    assert decoded.histograms() == original.histograms()
+    assert decoded.sketches() == original.sketches()
 
 
 def test_decoded_stage_is_mergeable():
@@ -63,9 +64,10 @@ def test_decoded_stage_is_mergeable():
 
 
 def test_encode_flushes_buffered_state():
+    # An add after a read is in the next encoding: reads cache nothing.
     dist = _distribution(10)
     _ = dist.count
-    dist.add(_sample(99, 30 * MS))  # buffered, not yet flushed
+    dist.add(_sample(99, 30 * MS))
     wire = distribution_to_wire(dist)
     assert wire["hist"]["total"]["count"] == 11
 
@@ -88,6 +90,69 @@ def test_malformed_payload_refused():
         distribution_from_wire(wire)
     with pytest.raises(FrameCorrupt):
         distribution_from_wire({"key_fn": {"t": "martian"}})
+
+
+def _forge(mutate):
+    wire = json.loads(json.dumps(distribution_to_wire(_distribution())))
+    mutate(wire)
+    return wire
+
+
+def _first_key(view):
+    return view["per_key"][0][1]
+
+
+class TestForgedFieldsRefused:
+    """A peer's numbers are checked as the registers are rebuilt: each
+    forgery below would otherwise decode and skew the merged view."""
+
+    def test_count_is_not_the_sum_of_the_bins(self):
+        def mutate(wire):
+            _first_key(wire["hist"])["count"] = 999
+        with pytest.raises(FrameCorrupt, match="sum of its bins"):
+            distribution_from_wire(_forge(mutate))
+
+    def test_count_is_not_zeros_plus_buckets(self):
+        def mutate(wire):
+            _first_key(wire["sketch"])["count"] += 1
+        with pytest.raises(FrameCorrupt, match="zero count plus"):
+            distribution_from_wire(_forge(mutate))
+
+    def test_negative_count_or_weight(self):
+        def negative_bin(wire):
+            state = _first_key(wire["hist"])
+            state["counts"][0] = -5
+            state["counts"][-1] += 5
+        def negative_weight(wire):
+            state = _first_key(wire["sketch"])
+            state["buckets"][0][1] = -1
+        for mutate in (negative_bin, negative_weight):
+            with pytest.raises(FrameCorrupt, match="negative|weighs"):
+                distribution_from_wire(_forge(mutate))
+
+    def test_min_above_max(self):
+        def mutate(wire):
+            for view in ("hist", "sketch"):
+                state = _first_key(wire[view])
+                low = "min_ns" if view == "hist" else "min"
+                high = "max_ns" if view == "hist" else "max"
+                state[low], state[high] = state[high] + 1, state[low]
+        with pytest.raises(FrameCorrupt, match="min exceeds"):
+            distribution_from_wire(_forge(mutate))
+
+    def test_key_in_one_stage_only(self):
+        def mutate(wire):
+            del wire["sketch"]["per_key"][0]
+        with pytest.raises(FrameCorrupt, match="keys differ"):
+            distribution_from_wire(_forge(mutate))
+
+    def test_totals_differ_from_the_keys(self):
+        def mutate(wire):
+            total = wire["hist"]["total"]
+            total["counts"][0] += 1
+            total["count"] += 1
+        with pytest.raises(FrameCorrupt, match="totals"):
+            distribution_from_wire(_forge(mutate))
 
 
 def _frame(agent, epoch, seq, distribution):
@@ -117,9 +182,11 @@ class TestCollectorMergeRules:
         collector.handle_frame(_frame("a1", 1, 2, fresh_a))  # replaces
         collector.handle_frame(_frame("a2", 1, 1, fresh_b))  # adds
         merged = collector.merged_distribution()["dart"]
-        expected = copy.deepcopy(fresh_a)
+        expected = fresh_a.distribution_snapshot()
         expected.merge(fresh_b)
         assert merged == expected
+        # Folding copied what it adopted: a second read is the same.
+        assert collector.merged_distribution()["dart"] == expected
 
     def test_agent_restart_cannot_double_count(self):
         collector = FleetCollector()

@@ -166,3 +166,13 @@ class TestStatsCodec:
         wire["fields"]["not_a_field"] = 1
         with pytest.raises(FrameCorrupt, match="no field"):
             stats_from_wire(wire)
+
+    def test_counter_missing_from_an_older_peer_reads_zero(self):
+        # An agent built before a counter existed omits it; the sum
+        # across the fleet then counts only the agents that have it.
+        stats = DartStats()
+        stats.negative_rtt_drops = 2
+        wire = stats_to_wire(stats)
+        assert wire["fields"]["negative_rtt_drops"] == 2
+        del wire["fields"]["negative_rtt_drops"]
+        assert stats_from_wire(wire).negative_rtt_drops == 0

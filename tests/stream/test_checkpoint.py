@@ -140,9 +140,9 @@ class TestDistributionPayload:
     def test_round_trip_payload_sha256_is_stable(self, tmp_path):
         # The distribution stage's pickle must be canonical: re-writing
         # a read-back checkpoint yields the same payload digest, even
-        # when one side was read (flushed) mid-run and the other never
-        # was.  Resumed daemons checkpoint the restored state — a
-        # history-dependent pickle would make their digests drift.
+        # when the stage was read mid-run.  Resumed daemons checkpoint
+        # the restored state — a history-dependent pickle would make
+        # their digests drift.
         from repro.core.flow import FlowKey
         from repro.core.hist import DistributionAnalytics, HistogramSpec
         from repro.core.samples import RttSample
@@ -155,7 +155,7 @@ class TestDistributionPayload:
             dist.add(RttSample(flow=flow, rtt_ns=(i % 37 + 1) * 1_000_000,
                                timestamp_ns=i, eack=0))
             if i == 77:
-                _ = dist.percentiles()  # mid-run read flushes the buffer
+                _ = dist.percentiles()  # a mid-run read
 
         first = tmp_path / "first.ckpt"
         write_checkpoint(first, {"analytics": dist}, {"finalized": False})
@@ -293,5 +293,12 @@ class TestForgedRows:
     def test_schema_1_is_refused(self, checkpoint):
         # Object-graph tables (schema /1) are not migrated to rows.
         restamp(checkpoint, "dart-stream-checkpoint/1")
+        with pytest.raises(CheckpointSchemaMismatch):
+            read_checkpoint(checkpoint)
+
+    def test_schema_2_is_refused(self, checkpoint):
+        # Distribution stages pickled as histogram/sketch objects
+        # (schema /2) are not migrated to registers.
+        restamp(checkpoint, "dart-stream-checkpoint/2")
         with pytest.raises(CheckpointSchemaMismatch):
             read_checkpoint(checkpoint)
