@@ -19,7 +19,6 @@ from typing import List
 from repro.analysis import DartPerformance, evaluate_dart, render_table
 from repro.baselines import tcptrace_const
 from repro.core import Dart, DartConfig
-from repro.traces import replay
 
 #: A Range Tracker comfortably larger than the trace's flow count,
 #: mirroring the paper's "large enough" 2**20 RT.
@@ -29,7 +28,8 @@ LARGE_RT = 1 << 18
 def baseline_rtts(campus_trace, external_leg) -> List[int]:
     """The tcptrace_const reference sample set (computed once)."""
     baseline = tcptrace_const(leg_filter=external_leg())
-    replay(campus_trace.records, baseline)
+    baseline.process_batch(campus_trace.records)
+    baseline.finalize()
     return [s.rtt_ns for s in baseline.samples]
 
 
@@ -37,7 +37,8 @@ def run_config(campus_trace, external_leg, config: DartConfig,
                reference: List[int]) -> DartPerformance:
     """One sweep point: replay, then compute the paper's metric bundle."""
     dart = Dart(config, leg_filter=external_leg())
-    replay(campus_trace.records, dart)
+    dart.process_batch(campus_trace.records)
+    dart.finalize()
     return evaluate_dart(
         reference,
         [s.rtt_ns for s in dart.samples],

@@ -149,7 +149,7 @@ def check_shard_merge(records, serial_dist, failures: List[str]) -> dict:
         CONFIG, shards=SHARDS, parallel="process",
         analytics_factory=build_factory(),
     )
-    cluster.process_trace(records)
+    cluster.process_batch(records)
     cluster.finalize()
     merged = cluster.distribution
     if merged is None:

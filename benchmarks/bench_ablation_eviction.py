@@ -20,7 +20,6 @@ from _sweeps import LARGE_RT, baseline_rtts, run_config
 from repro.analysis import collection_error_percent, render_table
 from repro.baselines import Strawman
 from repro.core import DartConfig
-from repro.traces import replay
 
 PT_SLOTS = 1 << 8
 MS = 1_000_000
@@ -42,7 +41,8 @@ def run_ablation(campus_trace, external_leg):
     )
     timeout_monitor = Strawman(slots=PT_SLOTS, timeout_ns=250 * MS,
                                leg_filter=external_leg())
-    replay(campus_trace.records, timeout_monitor)
+    timeout_monitor.process_batch(campus_trace.records)
+    timeout_monitor.finalize()
     timeout_rtts = [s.rtt_ns for s in timeout_monitor.samples]
     return reference, second_chance, blind, timeout_rtts
 

@@ -8,7 +8,6 @@ and verifies the analytics result (the per-window minima) is unchanged.
 
 from repro.analysis import render_table
 from repro.core import Dart, DartConfig, MinFilterAnalytics
-from repro.traces import replay
 
 PT_SLOTS = 1 << 7
 RT_SLOTS = 1 << 18
@@ -23,7 +22,7 @@ def run_pair(campus_trace, external_leg):
                        max_recirculations=2, analytics_purge=purge),
             analytics=analytics,
         )
-        replay(campus_trace.records, dart)
+        dart.process_batch(campus_trace.records)
         dart.finalize()
         results[label] = (dart, analytics)
     return results

@@ -13,14 +13,14 @@ collapse counts as an indicator of loss/reordering on the path.
 from repro.analysis import percentile, render_table
 from repro.baselines import Strawman, tcptrace_const
 from repro.core.range_tracker import SeqVerdict
+from repro.core import make_leg_filter
+from repro.engine import MonitorEngine
 from repro.traces import (
     CampusTraceConfig,
     CampusWorkload,
     PathImpairmentModel,
     generate_campus_trace,
-    replay,
 )
-from repro.core import make_leg_filter
 
 
 def run_heavy_impairment():
@@ -39,7 +39,10 @@ def run_heavy_impairment():
                                   legs=("external",))
     dart = tcptrace_const(leg_filter=leg())
     no_rt = Strawman(leg_filter=leg())
-    replay(trace.records, dart, no_rt)
+    engine = MonitorEngine()
+    engine.add_monitor(dart, name="dart")
+    engine.add_monitor(no_rt, name="no_rt")
+    engine.run(trace.records)
     return trace, dart, no_rt
 
 
@@ -93,7 +96,8 @@ def test_ablation_collapse_telemetry_scales_with_impairment(benchmark,
                                   workload=workload)
             )
             dart = tcptrace_const()
-            replay(trace.records, dart)
+            dart.process_batch(trace.records)
+            dart.finalize()
             results.append((label, dart.range_tracker.stats.total_collapses,
                             trace.packets))
         return results

@@ -13,7 +13,6 @@ from _sweeps import LARGE_RT, baseline_rtts
 
 from repro.analysis import evaluate_dart, render_table
 from repro.core import Dart, DartConfig
-from repro.traces import replay
 
 PT_SLOTS = 1 << 8
 LAGS = [0, 4, 16, 64]
@@ -25,7 +24,8 @@ def run_variants(campus_trace, external_leg):
     base = Dart(DartConfig(rt_slots=LARGE_RT, pt_slots=PT_SLOTS,
                            max_recirculations=2),
                 leg_filter=external_leg())
-    replay(campus_trace.records, base)
+    base.process_batch(campus_trace.records)
+    base.finalize()
     base_perf = evaluate_dart(
         reference, [s.rtt_ns for s in base.samples],
         recirculations=base.stats.recirculations,
@@ -40,7 +40,8 @@ def run_variants(campus_trace, external_leg):
                        shadow_rt_lag_packets=lag),
             leg_filter=external_leg(),
         )
-        replay(campus_trace.records, dart)
+        dart.process_batch(campus_trace.records)
+        dart.finalize()
         perf = evaluate_dart(
             reference, [s.rtt_ns for s in dart.samples],
             recirculations=dart.stats.recirculations,

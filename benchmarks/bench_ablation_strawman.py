@@ -8,14 +8,17 @@ Dapper arms only one measurement per flow and undersamples.
 
 from repro.analysis import percentile, render_table
 from repro.baselines import DapperMonitor, Strawman, tcptrace_const
-from repro.traces import replay
+from repro.engine import MonitorEngine
 
 
 def run_monitors(campus_trace, external_leg):
     dart = tcptrace_const(leg_filter=external_leg())
     strawman = Strawman(leg_filter=external_leg())
     dapper = DapperMonitor(leg_filter=external_leg())
-    replay(campus_trace.records, dart, strawman, dapper)
+    engine = MonitorEngine()
+    for monitor in (dart, strawman, dapper):
+        engine.add_monitor(monitor)
+    engine.run(campus_trace.records)
     return dart, strawman, dapper
 
 

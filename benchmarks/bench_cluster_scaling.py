@@ -28,7 +28,7 @@ from collections import Counter
 
 from repro.cluster import ByteBatchDispatcher, ShardedDart
 from repro.core import Dart, DartConfig, ideal_config
-from repro.traces import replay
+from repro.engine import MonitorEngine
 
 CONFIG = DartConfig(rt_slots=1 << 16, pt_slots=1 << 12,
                     max_recirculations=1)
@@ -47,13 +47,9 @@ def _usable_cores() -> int:
 
 
 def _throughput(records, monitor) -> float:
-    # End-to-end wall clock: ReplayReport times only the dispatch loop,
-    # which for a cluster excludes the workers draining their queues —
-    # replay() calls finalize (the join) before returning, so timing the
-    # whole call charges the cluster for every packet actually processed.
-    start = time.perf_counter()
-    replay(records, monitor)
-    return len(records) / (time.perf_counter() - start)
+    engine = MonitorEngine()
+    engine.add_monitor(monitor)
+    return engine.run(records).records_per_second
 
 
 def _dispatch_ceiling(records, shards: int) -> float:
@@ -101,10 +97,11 @@ def _equivalence(records, leg):
     the constrained operating point but equivalence is checked here.)
     """
     serial = Dart(ideal_config(), leg_filter=leg())
-    replay(records, serial)
     cluster = ShardedDart(ideal_config(), shards=4, parallel="process",
                           leg_filter=leg())
-    replay(records, cluster)
+    for monitor in (serial, cluster):
+        monitor.process_batch(records)
+        monitor.finalize()
     sample_match = Counter(cluster.samples) == Counter(serial.samples)
     merged, ref = cluster.stats, serial.stats
     counter_match = (

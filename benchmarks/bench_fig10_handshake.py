@@ -8,7 +8,7 @@ while losing only 4.2% of RTT samples (the handshake samples).
 
 from repro.analysis import format_count, render_table
 from repro.core import Dart, ideal_config
-from repro.traces import replay
+from repro.engine import MonitorEngine
 
 
 def run_handshake_accounting(campus_trace, external_leg):
@@ -16,7 +16,10 @@ def run_handshake_accounting(campus_trace, external_leg):
                     leg_filter=external_leg())
     minus_syn = Dart(ideal_config(track_handshake=False),
                      leg_filter=external_leg())
-    replay(campus_trace.records, plus_syn, minus_syn)
+    engine = MonitorEngine()
+    engine.add_monitor(plus_syn, name="+syn")
+    engine.add_monitor(minus_syn, name="-syn")
+    engine.run(campus_trace.records)
     return plus_syn, minus_syn
 
 

@@ -11,7 +11,6 @@ subnets, plus the paper's headline claims:
 
 from repro.analysis import fraction_above, fraction_below, render_cdf
 from repro.core import Dart, ideal_config
-from repro.traces import replay
 from repro.traces.campus import WIRED_NET, WIRELESS_NET
 
 CDF_POINTS = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
@@ -19,7 +18,8 @@ CDF_POINTS = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
 
 def split_internal_samples(campus_trace, internal_leg):
     dart = Dart(ideal_config(), leg_filter=internal_leg())
-    replay(campus_trace.records, dart)
+    dart.process_batch(campus_trace.records)
+    dart.finalize()
     wired, wireless = [], []
     for sample in dart.samples:
         client = sample.flow.dst_ip  # internal data flows toward campus

@@ -18,7 +18,7 @@ from repro.analysis import (
 )
 from repro.baselines import TcpTrace
 from repro.core import Dart, ideal_config
-from repro.traces import replay
+from repro.engine import MonitorEngine
 
 MS = 1_000_000
 
@@ -34,7 +34,10 @@ def run_four_monitors(campus_trace, external_leg):
         "Dart(-SYN)": Dart(ideal_config(track_handshake=False),
                            leg_filter=external_leg()),
     }
-    replay(campus_trace.records, *monitors.values())
+    engine = MonitorEngine()
+    for name, monitor in monitors.items():
+        engine.add_monitor(monitor, name=name)
+    engine.run(campus_trace.records)
     return {name: [s.rtt_ms for s in monitor.samples]
             for name, monitor in monitors.items()}
 

@@ -37,7 +37,8 @@ def run_comparison():
                                      duration_ns=duration)
     quic_trace = generate_quic_trace(quic_config)
     spin = SpinBitMonitor(is_client=lambda a: a >> 24 == 10)
-    spin.process_trace(quic_trace.records)
+    spin.process_batch(quic_trace.records)
+    spin.finalize()
     return duration, tcp_trace, dart, quic_trace, spin
 
 

@@ -36,7 +36,7 @@ from typing import List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.cluster import ClusterPartialResultWarning, ShardedMonitor  # noqa: E402
+from repro.cluster import ClusterPartialResultWarning, ShardedDart  # noqa: E402
 from repro.core.analytics import CollectAllAnalytics, DstPrefixKey  # noqa: E402
 from repro.core.hist import DistributionFactory, HistogramSpec  # noqa: E402
 from repro.engine import (  # noqa: E402
@@ -101,7 +101,7 @@ def build_engine(trace, emitter, options: MonitorOptions) -> MonitorEngine:
     for name in available():
         spec = get_spec(name)
         if name == "dart":
-            monitor = ShardedMonitor(
+            monitor = ShardedDart(
                 shards=SHARDS,
                 parallel="process",
                 monitor_factory=monitor_factory(name, options),

@@ -21,8 +21,9 @@ from collections import defaultdict
 
 from repro.analysis import fraction_below, percentile, render_table
 from repro.core import Dart, DartConfig, PrefixMinAnalytics, make_leg_filter
+from repro.engine import MonitorEngine
 from repro.net.inet import format_prefix
-from repro.traces import CampusTraceConfig, generate_campus_trace, replay
+from repro.traces import CampusTraceConfig, generate_campus_trace
 from repro.traces.campus import WIRED_NET, WIRELESS_NET
 
 
@@ -41,8 +42,10 @@ def main() -> None:
         leg_filter=make_leg_filter(trace.internal.is_internal,
                                    legs=("external",)),
     )
-    report = replay(trace.records, dart)
-    print(f"  replayed at {report.packets_per_second:,.0f} packets/s "
+    engine = MonitorEngine()
+    engine.add_monitor(dart)
+    report = engine.run(trace.records)
+    print(f"  replayed at {report.records_per_second:,.0f} packets/s "
           f"(simulated monitor)")
 
     best = defaultdict(lambda: float("inf"))
@@ -67,7 +70,8 @@ def main() -> None:
         leg_filter=make_leg_filter(trace.internal.is_internal,
                                    legs=("internal",)),
     )
-    replay(trace.records, internal)
+    internal.process_batch(trace.records)
+    internal.finalize()
     wired, wireless = [], []
     for sample in internal.samples:
         subnet = sample.flow.dst_ip >> 16

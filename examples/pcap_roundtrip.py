@@ -19,8 +19,10 @@ from pathlib import Path
 from repro.analysis import percentile, render_table
 from repro.baselines import TcpTrace, tcptrace_const
 from repro.core import make_leg_filter
-from repro.traces import CampusTraceConfig, generate_campus_trace, replay_pcap
+from repro.engine import MonitorEngine
 from repro.net.pcap import write_packets
+from repro.net.pcapng import read_any_frames
+from repro.traces import CampusTraceConfig, generate_campus_trace
 
 
 def make_capture() -> Path:
@@ -45,10 +47,13 @@ def main() -> None:
     dart = tcptrace_const(leg_filter=campus)
     baseline = TcpTrace(track_handshake=False, leg_filter=campus)
 
-    report = replay_pcap(path, dart, baseline)
-    print(f"replayed {report.packets} packets in "
+    engine = MonitorEngine()
+    engine.add_monitor(dart, name="dart")
+    engine.add_monitor(baseline, name="tcptrace")
+    report = engine.run_frames(read_any_frames(path))
+    print(f"replayed {report.records} packets in "
           f"{report.wall_seconds:.2f}s "
-          f"({report.packets_per_second:,.0f} pkts/s)")
+          f"({report.records_per_second:,.0f} pkts/s)")
 
     rows = []
     for name, monitor in (("Dart", dart), ("tcptrace", baseline)):

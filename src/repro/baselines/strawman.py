@@ -118,11 +118,6 @@ class Strawman:
                 out.extend(process(record))
         return out
 
-    def process_trace(self, records) -> "Strawman":
-        for record in records:
-            self.process(record)
-        return self
-
     def finalize(self, at_ns: Optional[int] = None) -> None:
         """End-of-trace hook (no deferred state to flush)."""
 

@@ -127,11 +127,6 @@ class TcpTrace:
                 out.extend(process(record))
         return out
 
-    def process_trace(self, records) -> "TcpTrace":
-        for record in records:
-            self.process(record)
-        return self
-
     def finalize(self, at_ns: Optional[int] = None) -> None:
         """End-of-trace hook (no deferred state to flush)."""
 

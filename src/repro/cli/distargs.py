@@ -136,8 +136,8 @@ def build_distribution(
 def monitor_distribution(monitor) -> Optional[DistributionAnalytics]:
     """Read a monitor's distribution snapshot, serial or sharded.
 
-    ``ShardedDart``/``ShardedMonitor`` expose a merged ``distribution``
-    property (reading it finalizes the cluster); serial monitors carry
+    ``ShardedDart`` exposes a merged ``distribution`` property
+    (reading it finalizes the cluster); serial monitors carry
     the stage on ``monitor.analytics``.
     """
     dist = getattr(type(monitor), "distribution", None)

@@ -135,9 +135,9 @@ def build_monitor(name: str, args: argparse.Namespace,
                   options: MonitorOptions):
     """One serial monitor, or a flow-sharded cluster of them."""
     if args.shards > 1:
-        from ..cluster import ShardedMonitor
+        from ..cluster import ShardedDart
 
-        return ShardedMonitor(
+        return ShardedDart(
             shards=args.shards,
             parallel=args.parallel,
             monitor_factory=monitor_factory(name, options),

@@ -9,13 +9,13 @@ into one cluster-wide view.
 
 Public surface:
 
-* :class:`ShardedDart` (alias :class:`ShardedMonitor`) — the
-  coordinator façade with the serial monitor's ``process_trace`` /
-  ``finalize`` / ``stats`` / ``samples`` surface and a
-  ``parallel="process" | "serial"`` knob that only chooses where the
-  workers run: every packet takes the same byte route to its shard
-  either way.  Via ``monitor_factory`` it shards any registered
-  :class:`repro.engine.RttMonitor`, not just Dart.
+* :class:`ShardedDart` — the coordinator façade with the serial
+  monitor's ``process_batch`` / ``finalize`` / ``stats`` / ``samples``
+  surface (so :class:`repro.engine.MonitorEngine` drives it like any
+  other monitor) and a ``parallel="process" | "serial"`` knob that only
+  chooses where the workers run: every packet takes the same byte route
+  to its shard either way.  Via ``monitor_factory`` it shards any
+  registered :class:`repro.engine.RttMonitor`, not just Dart.
 * :class:`ShardFailure` / :class:`ShardResult` — the failure and result
   types of the worker layer.
 * :func:`shard_of` / :func:`shard_of_flow` / :func:`shard_of_wire` /
@@ -28,7 +28,7 @@ Public surface:
   analytics window histories.
 """
 
-from .coordinator import PARALLEL_MODES, ShardedDart, ShardedMonitor
+from .coordinator import PARALLEL_MODES, ShardedDart
 from .merge import (
     merge_results,
     merge_sample_lists,
@@ -71,7 +71,6 @@ __all__ = [
     "ShardFailure",
     "ShardResult",
     "ShardedDart",
-    "ShardedMonitor",
     "ShmRingTransport",
     "harvest",
     "merge_results",

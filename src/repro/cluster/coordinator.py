@@ -1,7 +1,7 @@
 """``ShardedDart``: the cluster façade with the serial monitor surface.
 
 A :class:`ShardedDart` looks like a :class:`~repro.core.pipeline.Dart`
-— ``process_trace`` / ``finalize`` / ``stats`` / ``samples`` — but fans
+— ``process_batch`` / ``finalize`` / ``stats`` / ``samples`` — but fans
 the packet stream out across N flow-sharded workers and merges their
 results.  Every packet takes one route to its shard whatever the mode
 or shard count: :class:`~repro.cluster.sharding.ByteBatchDispatcher`
@@ -15,8 +15,7 @@ accepts any zero-argument factory building a
 shards the tcptrace oracle, for instance).  Flow-consistent sharding is
 what makes this sound: every monitor in this library keys all its state
 by canonical flow, so a flow's packets landing on one shard reproduce
-the serial monitor's per-flow decisions exactly.  ``ShardedMonitor`` is
-the name-accurate alias.
+the serial monitor's per-flow decisions exactly.
 
 Failure model, the same in both modes: any worker crash, hang or
 monitor exception surfaces as a
@@ -171,19 +170,6 @@ class ShardedDart:
         """
         return self.process_batch((record,))
 
-    def process_trace(self, records: Iterable[PacketRecord]) -> "ShardedDart":
-        """Dispatch an iterable of packets; returns self for chaining."""
-        if self._closed:
-            self._refuse()
-        dispatch = self._dispatcher.dispatch
-        end_ns = self._end_ns
-        for record in records:
-            if end_ns is None or record.timestamp_ns > end_ns:
-                end_ns = record.timestamp_ns
-            dispatch(record)
-        self._end_ns = end_ns
-        return self
-
     def process_batch(
         self, records: Iterable[Optional[PacketRecord]]
     ) -> List[RttSample]:
@@ -194,7 +180,17 @@ class ShardedDart:
         :meth:`finalize`.  ``None`` entries (non-TCP decode results)
         are skipped.
         """
-        self.process_trace(r for r in records if r is not None)
+        if self._closed:
+            self._refuse()
+        dispatch = self._dispatcher.dispatch
+        end_ns = self._end_ns
+        for record in records:
+            if record is None:
+                continue
+            if end_ns is None or record.timestamp_ns > end_ns:
+                end_ns = record.timestamp_ns
+            dispatch(record)
+        self._end_ns = end_ns
         return []
 
     def process_wire(
@@ -298,8 +294,8 @@ class ShardedDart:
         """Cluster-wide counters (per-shard stats summed).
 
         Reading this (or :attr:`samples`) finalizes the cluster if the
-        trace has not been finalized yet, mirroring how serial callers
-        read ``dart.stats`` after ``process_trace``.
+        trace has not been finalized yet, so a caller can read it
+        straight after feeding the trace, as it would a serial Dart's.
         """
         return self._require_merged().stats
 
@@ -410,8 +406,3 @@ class ShardedDart:
         """
         return self._require_merged().rt_collapses
 
-
-#: Name-accurate alias: the coordinator shards any registered monitor,
-#: not just Dart.  ``ShardedDart`` remains the primary name for
-#: backward compatibility.
-ShardedMonitor = ShardedDart

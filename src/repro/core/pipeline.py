@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..net import tcp as tcp_mod
@@ -73,8 +72,8 @@ FLAG_ROLES = tuple(
     for flags in range(256)
 )
 
-#: Records per chunk when :meth:`Dart.process_trace` drains an iterable
-#: through :meth:`Dart.process_batch`.
+#: Records per chunk when :class:`~repro.engine.MonitorEngine` drains a
+#: trace through each monitor's ``process_batch``.
 TRACE_CHUNK = 8192
 
 
@@ -224,20 +223,6 @@ class Dart:
             if sample is not None:
                 append(sample)
         return samples
-
-    def process_trace(self, records) -> "Dart":
-        """Process an iterable of packets; returns self for chaining.
-
-        Drains the iterable through :meth:`process_batch` in
-        ``TRACE_CHUNK``-sized chunks, so trace-level callers need not
-        materialise generator inputs.
-        """
-        iterator = iter(records)
-        while True:
-            chunk = list(islice(iterator, TRACE_CHUNK))
-            if not chunk:
-                return self
-            self.process_batch(chunk)
 
     def process_columns(self, cols) -> List[RttSample]:
         """Process a decoded columnar batch

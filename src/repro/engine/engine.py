@@ -5,10 +5,10 @@ The engine owns the plumbing every frontend used to duplicate:
 * **ingest + batching** — drains the record iterable in
   ``TRACE_CHUNK``-sized chunks so each monitor gets its loop-hoisted
   ``process_batch`` fast path without materialising the trace;
-* **record partitioning** — when TCP and QUIC monitors run in the same
+* **record partitioning** — ``None`` gaps from partial decodes are
+  dropped (and not counted); when TCP and QUIC monitors run in the same
   pass, each chunk is split by record type and each monitor sees only
-  its kind (``None`` gaps from partial decodes are preserved for TCP
-  monitors, which skip them);
+  its kind;
 * **sample routing** — each monitor gets a :class:`.SampleRouter`; the
   samples returned by ``process_batch`` are fanned out immediately, so
   streaming sinks (files, detectors, live analytics) see samples in
@@ -22,7 +22,7 @@ The engine owns the plumbing every frontend used to duplicate:
 
 The engine assumes records are time-ordered (every producer in this
 repo emits them that way), so the end-of-trace timestamp is read from
-each chunk's last non-``None`` record — O(1) per chunk, not per packet.
+each chunk's last record — O(1) per chunk, not per packet.
 """
 
 from __future__ import annotations
@@ -190,18 +190,21 @@ class MonitorEngine:
         trace (a tailing source, a paced replay) push chunks as they
         materialise and call :meth:`finish` when the stream ends.
         Samples are routed as they are emitted, exactly as in
-        :meth:`run`.
+        :meth:`run`.  ``None`` entries (decode gaps) reach no monitor
+        and are not counted as records.
         """
         self._begin_ingest()
+        # Records are never falsy, so this drops exactly the ``None``
+        # gaps, and at C speed: ``chunk.count(None)`` would call the
+        # dataclass ``__eq__`` once per record.
+        chunk = list(filter(None, chunk))
         if not chunk:
             return
         self._records += len(chunk)
         kinds = {run.record_kind for run in self._runs}
         if len(kinds) == 2:
             tcp_chunk = [
-                r
-                for r in chunk
-                if r is not None and not isinstance(r, QuicPacketRecord)
+                r for r in chunk if not isinstance(r, QuicPacketRecord)
             ]
             quic_chunk = [
                 r for r in chunk if isinstance(r, QuicPacketRecord)
@@ -212,12 +215,9 @@ class MonitorEngine:
         else:
             tcp_chunk = chunk
             quic_chunk = []
-        # Records are time-ordered: the chunk's last decoded record
-        # carries the most recent timestamp.
-        for record in reversed(chunk):
-            if record is not None:
-                self._end_ns = record.timestamp_ns
-                break
+        # Records are time-ordered: the chunk's last record carries the
+        # most recent timestamp.
+        self._end_ns = chunk[-1].timestamp_ns
         for run in self._runs:
             part = quic_chunk if run.record_kind == "quic" else tcp_chunk
             if part:
@@ -306,11 +306,10 @@ class MonitorEngine:
         if fastpath and columnar.HAVE_NUMPY:
             self.ingest_columns(columnar.decode_wire_columns(chunk))
             return
-        records = [
+        self.ingest_chunk([
             from_wire_bytes(frame, ts, linktype_ethernet=eth)
             for ts, eth, frame in chunk
-        ]
-        self.ingest_chunk([r for r in records if r is not None])
+        ])
 
     def finish(self) -> EngineReport:
         """Finalize monitors, route deferred samples, close routers.

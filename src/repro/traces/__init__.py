@@ -1,11 +1,13 @@
-"""Synthetic trace generation and replay.
+"""Synthetic trace generation.
 
 Substitutes for the paper's data sources:
 
 * :func:`generate_campus_trace` — the anonymized Princeton campus trace
   (distributionally calibrated; see :mod:`repro.traces.workloads`).
 * :func:`generate_attack_trace` — the PEERING BGP-interception capture.
-* :func:`replay` / :func:`replay_pcap` — the tcpreplay stand-in.
+
+The tcpreplay stand-in that feeds a trace to monitors is
+:class:`repro.engine.MonitorEngine`.
 """
 
 from .attack import AttackTrace, AttackTraceConfig, generate_attack_trace
@@ -25,7 +27,6 @@ from .datacenter import (
     generate_incast_trace,
     generate_video_trace,
 )
-from .replay import ReplayReport, replay, replay_pcap, split_by_leg
 from .workloads import (
     CampusWorkload,
     DelayMixture,
@@ -51,7 +52,6 @@ __all__ = [
     "IncastShape",
     "IncastTraceConfig",
     "PathImpairmentModel",
-    "ReplayReport",
     "VideoCallShape",
     "VideoTraceConfig",
     "WorkloadTrace",
@@ -60,7 +60,4 @@ __all__ = [
     "generate_file_transfer_trace",
     "generate_incast_trace",
     "generate_video_trace",
-    "replay",
-    "replay_pcap",
-    "split_by_leg",
 ]

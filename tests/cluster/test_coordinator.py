@@ -28,7 +28,7 @@ def trace():
 @pytest.fixture(scope="module")
 def serial_run(trace):
     dart = Dart(ideal_config())
-    dart.process_trace(trace.records)
+    dart.process_batch(trace.records)
     dart.finalize()
     return dart
 
@@ -61,7 +61,7 @@ class TestSerialEquivalence:
         for shards in (1, 4):
             cluster = ShardedDart(ideal_config(), shards=shards,
                                   parallel=parallel, batch_size=256)
-            cluster.process_trace(trace.records)
+            cluster.process_batch(trace.records)
             cluster.finalize()
             assert len(cluster.shard_results) == shards
             assert Counter(cluster.samples) == Counter(serial_run.samples)
@@ -72,7 +72,7 @@ class TestSerialEquivalence:
             assert cluster.stats.seq_verdicts == serial_run.stats.seq_verdicts
             assert cluster.stats.ack_verdicts == serial_run.stats.ack_verdicts
 
-    @pytest.mark.parametrize("entry", ["process_trace", "process_wire"])
+    @pytest.mark.parametrize("entry", ["process_batch", "process_wire"])
     @pytest.mark.parametrize("fastpath", [True, False])
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("analytics", sorted(ANALYTICS))
@@ -85,7 +85,7 @@ class TestSerialEquivalence:
         factory = ANALYTICS[analytics]
         reference = Dart(ideal_config(),
                          analytics=factory() if factory else None)
-        reference.process_trace(records)
+        reference.process_batch(records)
         reference.finalize()
         clusters = []
         for parallel in ("serial", "process"):
@@ -93,8 +93,8 @@ class TestSerialEquivalence:
                 ideal_config(), shards=shards, parallel=parallel,
                 analytics_factory=factory, batch_size=128, fastpath=fastpath,
             )
-            if entry == "process_trace":
-                cluster.process_trace(records)
+            if entry == "process_batch":
+                cluster.process_batch(records)
             else:
                 for i, record in enumerate(records):
                     if i % 100 == 0:
@@ -112,13 +112,13 @@ class TestSerialEquivalence:
             clusters.append(cluster)
         serial, process = clusters
         assert serial.wire_skipped == process.wire_skipped == (
-            0 if entry == "process_trace" else len(records[::100]))
+            0 if entry == "process_batch" else len(records[::100]))
         assert ([r.packets for r in serial.shard_results]
                 == [r.packets for r in process.shard_results])
 
     def test_samples_time_ordered(self, trace):
         cluster = ShardedDart(ideal_config(), shards=3, parallel="serial")
-        cluster.process_trace(trace.records)
+        cluster.process_batch(trace.records)
         stamps = [s.timestamp_ns for s in cluster.samples]
         assert stamps == sorted(stamps)
 
@@ -126,14 +126,14 @@ class TestSerialEquivalence:
         leg = make_leg_filter(trace.internal.is_internal,
                               legs=("external",))
         serial = Dart(ideal_config(), leg_filter=leg)
-        serial.process_trace(trace.records)
+        serial.process_batch(trace.records)
         serial.finalize()
         cluster = ShardedDart(
             ideal_config(), shards=4, parallel="process",
             leg_filter=make_leg_filter(trace.internal.is_internal,
                                        legs=("external",)),
         )
-        cluster.process_trace(trace.records)
+        cluster.process_batch(trace.records)
         assert Counter(cluster.samples) == Counter(serial.samples)
 
     def test_analytics_windows_merge(self, trace):
@@ -141,13 +141,13 @@ class TestSerialEquivalence:
             ideal_config(),
             analytics=MinFilterAnalytics(window_samples=4),
         )
-        serial.process_trace(trace.records)
+        serial.process_batch(trace.records)
         serial.finalize()
         cluster = ShardedDart(
             ideal_config(), shards=4, parallel="process",
             analytics_factory=lambda: MinFilterAnalytics(window_samples=4),
         )
-        cluster.process_trace(trace.records)
+        cluster.process_batch(trace.records)
         cluster.finalize()
         # Per-flow windows are identical; the merged history is the same
         # multiset, ordered by close time.
@@ -165,7 +165,7 @@ class TestDegenerateSingleShard:
         cluster = ShardedDart(ideal_config(), shards=1, parallel="process")
         assert not hasattr(cluster, "dart")
         assert cluster.parallel == "process"
-        cluster.process_trace(trace.records)
+        cluster.process_batch(trace.records)
         cluster.finalize()
         assert len(cluster.shard_results) == 1
         assert cluster.samples == serial_run.samples
@@ -176,21 +176,21 @@ class TestDegenerateSingleShard:
 class TestFacade:
     def test_reading_stats_finalizes(self, trace):
         cluster = ShardedDart(ideal_config(), shards=2, parallel="process")
-        cluster.process_trace(trace.records)
+        cluster.process_batch(trace.records)
         # No explicit finalize: the read surface joins the workers.
         assert cluster.stats.packets_processed == len(trace.records)
         assert len(cluster.shard_results) == 2
 
     def test_process_after_finalize_raises(self, trace):
         cluster = ShardedDart(ideal_config(), shards=2, parallel="serial")
-        cluster.process_trace(trace.records[:100])
+        cluster.process_batch(trace.records[:100])
         cluster.finalize()
         with pytest.raises(RuntimeError):
             cluster.process(trace.records[100])
 
     def test_finalize_is_idempotent(self, trace):
         cluster = ShardedDart(ideal_config(), shards=2, parallel="serial")
-        cluster.process_trace(trace.records[:500])
+        cluster.process_batch(trace.records[:500])
         cluster.finalize()
         first = cluster.stats.packets_processed
         cluster.finalize()
@@ -198,7 +198,7 @@ class TestFacade:
 
     def test_shard_stats_cover_all_shards(self, trace):
         cluster = ShardedDart(ideal_config(), shards=4, parallel="serial")
-        cluster.process_trace(trace.records)
+        cluster.process_batch(trace.records)
         per_shard = cluster.shard_stats
         assert len(per_shard) == 4
         assert sum(s.packets_processed for s in per_shard) == \
@@ -223,6 +223,6 @@ class TestFacade:
 
         cluster = ShardedDart(shards=2, parallel="serial",
                               monitor_factory=factory)
-        cluster.process_trace(trace.records[:200])
+        cluster.process_batch(trace.records[:200])
         cluster.finalize()
         assert len(built) == 2

@@ -40,7 +40,7 @@ def test_merged_distribution_equals_serial(parallel):
     serial = _serial_distribution(records)
     cluster = ShardedDart(CONFIG, shards=4, parallel=parallel,
                           analytics_factory=FACTORY)
-    cluster.process_trace(records)
+    cluster.process_batch(records)
     cluster.finalize()
     merged = cluster.distribution
     assert merged is not None
@@ -56,7 +56,7 @@ def test_single_shard_exposes_live_distribution():
     as at any shard count, and it counts what a serial run counts."""
     records = _trace().records
     cluster = ShardedDart(CONFIG, shards=1, analytics_factory=FACTORY)
-    cluster.process_trace(records)
+    cluster.process_batch(records)
     distribution = cluster.distribution
     assert distribution is not None
     assert distribution.count == _serial_distribution(records).count
@@ -65,6 +65,6 @@ def test_single_shard_exposes_live_distribution():
 def test_no_distribution_without_stage():
     records = _trace().records
     cluster = ShardedDart(CONFIG, shards=2, parallel="serial")
-    cluster.process_trace(records)
+    cluster.process_batch(records)
     cluster.finalize()
     assert cluster.distribution is None

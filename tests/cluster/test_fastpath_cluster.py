@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import ShardedMonitor
+from repro.cluster import ShardedDart
 from repro.core import DartConfig
 from repro.engine import MonitorOptions, create, monitor_factory
 from repro.traces import CampusTraceConfig, generate_campus_trace
@@ -27,7 +27,7 @@ def records():
 
 def run_cluster(records, *, fastpath, parallel="process",
                 shards=2, config=None):
-    cluster = ShardedMonitor(
+    cluster = ShardedDart(
         config or DartConfig(rt_slots=1 << 10, pt_slots=1 << 8,
                              pt_stages=2),
         shards=shards,
@@ -35,7 +35,7 @@ def run_cluster(records, *, fastpath, parallel="process",
         batch_size=256,
         fastpath=fastpath,
     )
-    cluster.process_trace(records)
+    cluster.process_batch(records)
     cluster.finalize(records[-1].timestamp_ns)
     return cluster
 
@@ -80,14 +80,14 @@ def test_fastpath_non_dart_monitor_falls_back(records):
     """A sharded monitor without ``process_framed`` must run unchanged
     under the flag (worker-side per-record fallback)."""
     def build(fastpath):
-        cluster = ShardedMonitor(
+        cluster = ShardedDart(
             shards=2,
             parallel="process",
             monitor_factory=monitor_factory("tcptrace", MonitorOptions()),
             batch_size=256,
             fastpath=fastpath,
         )
-        cluster.process_trace(records)
+        cluster.process_batch(records)
         cluster.finalize(records[-1].timestamp_ns)
         return cluster
 

@@ -79,7 +79,7 @@ class TestCrashedWorker:
             monitor_factory=lambda: CrashingDart(crash_after=50),
         )
         with pytest.raises(ShardFailure) as excinfo:
-            cluster.process_trace(records)
+            cluster.process_batch(records)
             cluster.finalize()
         failure = excinfo.value
         assert 0 <= failure.shard_id < 4
@@ -91,7 +91,7 @@ class TestCrashedWorker:
             monitor_factory=lambda: CrashingDart(crash_after=50),
         )
         with pytest.raises(ShardFailure) as excinfo:
-            cluster.process_trace(records)
+            cluster.process_batch(records)
             cluster.finalize()
         failure = excinfo.value
         partial = failure.partial.get(failure.shard_id)
@@ -114,7 +114,7 @@ class TestCrashedWorker:
         )
         start = time.monotonic()
         with pytest.raises(ShardFailure):
-            cluster.process_trace(records)
+            cluster.process_batch(records)
             cluster.finalize()
         assert time.monotonic() - start < 30.0
 
@@ -126,7 +126,7 @@ class TestCrashedWorker:
             monitor_factory=lambda: CrashingDart(crash_after=50),
         )
         with pytest.raises(ShardFailure) as excinfo:
-            cluster.process_trace(records)
+            cluster.process_batch(records)
             cluster.finalize()
         failure = excinfo.value
         assert failure.partial[failure.shard_id].partial
@@ -137,7 +137,7 @@ class TestCrashedWorker:
             lambda: cluster.window_history,
             lambda: cluster.distribution,
             lambda: cluster.shard_results,
-            lambda: cluster.process_trace(records[:1]),
+            lambda: cluster.process_batch(records[:1]),
         ):
             with pytest.raises(ShardFailure) as reraised:
                 again()
@@ -151,7 +151,7 @@ class TestHardCrash:
             monitor_factory=ExitingDart,
         )
         with pytest.raises(ShardFailure) as excinfo:
-            cluster.process_trace(records)
+            cluster.process_batch(records)
             cluster.finalize()
         assert "died" in str(excinfo.value)
         assert 0 <= excinfo.value.shard_id < 2
@@ -163,7 +163,7 @@ class TestHungWorker:
             shards=2, parallel="process", join_timeout=2.0,
             monitor_factory=HangingDart,
         )
-        cluster.process_trace(records[:500])
+        cluster.process_batch(records[:500])
         start = time.monotonic()
         with pytest.raises(ShardFailure) as excinfo:
             cluster.finalize()
@@ -184,7 +184,7 @@ class TestHungWorker:
 
         cluster = ShardedDart(shards=2, parallel="process",
                               join_timeout=1.0, monitor_factory=factory)
-        cluster.process_trace(records[:2000])
+        cluster.process_batch(records[:2000])
         with pytest.raises(ShardFailure) as excinfo:
             cluster.finalize()
         failure = excinfo.value

@@ -59,7 +59,7 @@ def crash_one_shard(records, *, crash_after=800):
         monitor_factory=lambda: CrashingWindowedDart(crash_after=crash_after),
     )
     with pytest.raises(ShardFailure) as excinfo:
-        cluster.process_trace(records)
+        cluster.process_batch(records)
         cluster.finalize()
     return cluster, excinfo.value
 
@@ -100,7 +100,7 @@ class TestWindowsLostAccounting:
     def test_clean_run_loses_nothing(self, records):
         cluster = ShardedDart(shards=2, parallel="process", batch_size=64,
                               join_timeout=10.0)
-        cluster.process_trace(records)
+        cluster.process_batch(records)
         cluster.finalize()
         for result in cluster.shard_results:
             assert not result.partial
@@ -160,7 +160,7 @@ class TestClusterTelemetryExposure:
     def test_clean_run_exports_zero_partials(self, records):
         cluster = ShardedDart(shards=2, parallel="process", batch_size=64,
                               join_timeout=10.0)
-        cluster.process_trace(records)
+        cluster.process_batch(records)
         cluster.finalize()
         registry = MetricsRegistry()
         cluster.collect_telemetry(registry, "dart")

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import ShardedMonitor
+from repro.cluster import ShardedDart
 from repro.engine import MonitorOptions, create, monitor_factory
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
@@ -31,13 +31,13 @@ def serial_run(name, records):
 
 
 def sharded_run(name, records, shards):
-    cluster = ShardedMonitor(
+    cluster = ShardedDart(
         shards=shards,
         parallel="serial",
         monitor_factory=monitor_factory(name, MonitorOptions()),
         batch_size=256,
     )
-    cluster.process_trace(records)
+    cluster.process_batch(records)
     cluster.finalize(records[-1].timestamp_ns)
     return cluster
 

@@ -320,7 +320,7 @@ def decode_or_skip(frame, timestamp_ns):
 
 def run_serial(records):
     dart = Dart(ideal_config())
-    dart.process_trace(records)
+    dart.process_batch(records)
     dart.finalize()
     return dart
 
@@ -332,7 +332,7 @@ class TestTransportEquivalence:
             ideal_config(), shards=4, parallel="process",
             batch_size=256, join_timeout=15.0,
         )
-        cluster.process_trace(records)
+        cluster.process_batch(records)
         cluster.finalize()
         assert cluster.stats == serial.stats
         assert Counter(cluster.samples) == Counter(serial.samples)

@@ -461,7 +461,7 @@ def ns_records():
 @pytest.fixture(scope="module")
 def ns_serial(ns_records):
     dart = Dart(ideal_config())
-    dart.process_trace(ns_records)
+    dart.process_batch(ns_records)
     dart.finalize()
     assert dart.samples
     return dart
@@ -476,15 +476,20 @@ def test_ns_flag_roundtrips_through_framing():
 
 
 @pytest.mark.parametrize("fastpath", [True, False])
-@pytest.mark.parametrize("entry", ["process_trace", "process_wire"])
+@pytest.mark.parametrize("entry", [
+    # The record route; its id is the name the route had before
+    # ``process_batch`` became the one record entry point.
+    pytest.param("process_batch", id="process_trace"),
+    "process_wire",
+])
 def test_ns_flagged_segments_match_serial(ns_records, ns_serial, entry,
                                           fastpath):
     cluster = ShardedDart(
         ideal_config(), shards=2, parallel="process", batch_size=128,
         join_timeout=15.0, fastpath=fastpath,
     )
-    if entry == "process_trace":
-        cluster.process_trace(ns_records)
+    if entry == "process_batch":
+        cluster.process_batch(ns_records)
     else:
         for record in ns_records:
             cluster.process_wire(to_wire_bytes(record), record.timestamp_ns)

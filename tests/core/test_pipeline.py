@@ -330,11 +330,16 @@ class TestStats:
         assert dart.stats.ack_verdicts[AckVerdict.VALID] == 1
 
     def test_process_trace_and_finalize(self):
+        # A trace in one list goes through ``process_batch``; the
+        # window it leaves open closes at ``finalize``.
         analytics = MinFilterAnalytics(window_samples=8)
         dart = Dart(ideal_config(), analytics=analytics)
-        dart.process_trace([data(0, 1000), ack_of(10, 1100)])
+        ack = ack_of(10, 1100)
+        samples = dart.process_batch([data(0, 1000), ack])
+        assert len(samples) == 1 and not analytics.history
         dart.finalize()
-        assert analytics.history  # the open window was flushed
+        assert [w.sample_count for w in analytics.history] == [1]
+        assert analytics.history[0].closed_at_ns == ack.timestamp_ns
 
 
 class TestBackwardsClock:

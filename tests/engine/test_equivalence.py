@@ -6,9 +6,20 @@ through ``MonitorEngine.run`` produces byte-identical samples and stats
 to the obvious hand-rolled ``process()`` loop over the same records.
 """
 
+from functools import partial
+
 import pytest
 
-from repro.engine import MonitorEngine, MonitorOptions, create, get_spec
+from repro.cluster import ShardedDart
+from repro.core import MinFilterAnalytics
+from repro.engine import (
+    MonitorEngine,
+    MonitorOptions,
+    available,
+    create,
+    get_spec,
+)
+from repro.quic import QuicPacketRecord
 from repro.quic import generate_quic_trace
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
@@ -128,6 +139,108 @@ class TestSharedPass:
         assert list(spin.samples) == list(
             hand_rolled("spinbit", quic_records).samples
         )
+
+
+class TestGapCounting:
+    """``None`` gaps are skipped by every monitor, so they are not
+    records: the report must count what the monitors were fed."""
+
+    def test_gaps_in_a_chunk_are_not_counted(self, tcp_records):
+        chunk = list(tcp_records[:10])
+        chunk[3:3] = [None]
+        chunk.append(None)
+        dart = create("dart", MonitorOptions())
+        engine = MonitorEngine()
+        run = engine.add_monitor(dart, name="dart")
+        engine.ingest_chunk(chunk)
+        report = engine.finish()
+        assert dart.stats.packets_processed == 10
+        assert report.records == 10
+        assert run.records_seen == 10
+        assert report.end_ns == tcp_records[9].timestamp_ns
+
+    def test_an_all_gap_chunk_feeds_nothing(self, tcp_records):
+        dart = create("dart", MonitorOptions())
+        engine = MonitorEngine()
+        run = engine.add_monitor(dart, name="dart")
+        engine.ingest_chunk([None, None])
+        report = engine.finish()
+        assert (report.records, run.records_seen, report.end_ns) == (
+            0, 0, None)
+
+    def test_gaps_beside_a_quic_monitor(self, tcp_records, quic_records):
+        chunk = [None, *tcp_records[:5], None, *quic_records[:3], None]
+        dart = create("dart", MonitorOptions())
+        spin = create("spinbit", MonitorOptions())
+        engine = MonitorEngine()
+        tcp_run = engine.add_monitor(dart, name="dart")
+        quic_run = engine.add_monitor(spin, name="spinbit",
+                                      record_kind="quic")
+        report = engine.run(chunk)
+        assert report.records == 8
+        assert (tcp_run.records_seen, quic_run.records_seen) == (5, 3)
+        assert dart.stats.packets_processed == 5
+        assert spin.stats.packets_processed == 3
+
+
+def _window_history(monitor):
+    if isinstance(monitor, ShardedDart):
+        return monitor.window_history
+    return list(getattr(getattr(monitor, "analytics", None), "history", ()))
+
+
+class TestEngineMatchesTheMonitorAlone:
+    """The engine is the one trace driver: a monitor it feeds ends in
+    the state ``process_batch`` + ``finalize()`` leave it in."""
+
+    def test_every_registered_monitor_and_a_cluster(self, tcp_records,
+                                                    quic_records):
+        # One interleaved trace with decode gaps that ends on a TCP
+        # record, so the engine's end-of-trace timestamp is the TCP
+        # monitors' own.
+        last_tcp = tcp_records[-1].timestamp_ns
+        mixed = sorted(
+            [*tcp_records,
+             *(r for r in quic_records if r.timestamp_ns < last_tcp)],
+            key=lambda r: r.timestamp_ns,
+        )
+        gappy = [None if i % 7 == 0 else r
+                 for i, r in enumerate(r for record in mixed
+                                       for r in (None, record))]
+        options = MonitorOptions(
+            analytics_factory=partial(MinFilterAnalytics, window_samples=4))
+
+        def build():
+            monitors = {name: create(name, options)
+                        for name in available()}
+            monitors["sharded"] = ShardedDart(
+                shards=3, parallel="serial",
+                analytics_factory=options.analytics_factory)
+            return monitors
+
+        def kind(name):
+            return "tcp" if name == "sharded" else get_spec(name).record_kind
+
+        assert set(available()) == {"dart", "tcptrace", "strawman",
+                                    "dapper", "spinbit"}
+        engine = MonitorEngine()
+        engined = build()
+        for name, monitor in engined.items():
+            engine.add_monitor(monitor, name=name, record_kind=kind(name))
+        engine.run(gappy)
+        for name, alone in build().items():
+            # Fed alone, a monitor skips the gaps itself.
+            alone.process_batch(
+                [r for r in gappy if r is None or (kind(name) == "quic")
+                 == isinstance(r, QuicPacketRecord)])
+            alone.finalize()
+            monitor = engined[name]
+            assert alone.stats.packets_processed > 0, name
+            assert list(monitor.samples) == list(alone.samples), name
+            assert monitor.stats == alone.stats, name
+            assert _window_history(monitor) == _window_history(alone), name
+        assert _window_history(engined["dart"])
+        assert _window_history(engined["sharded"])
 
 
 class TestRoutingBehaviour:

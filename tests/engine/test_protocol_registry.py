@@ -50,7 +50,7 @@ class TestConformsToMonitor:
         cluster = ShardedDart(DartConfig(), shards=2, parallel="serial")
         assert conforms_to_monitor(cluster)
         assert cluster._merged is None  # still un-finalized
-        cluster.process_trace([])
+        cluster.process_batch([])
         cluster.finalize()
 
     def test_slots_only_monitor_conforms(self):

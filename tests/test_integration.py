@@ -7,12 +7,21 @@ from hypothesis import strategies as st
 from repro.analysis import evaluate_dart, percentile
 from repro.baselines import Strawman, TcpTrace, tcptrace_const
 from repro.core import Dart, DartConfig, ideal_config, make_leg_filter
+from repro.engine import MonitorEngine
 from repro.net import tcp as tcpf
 from repro.net.packet import PacketRecord
 from repro.net.pcap import read_packets, write_packets
-from repro.traces import CampusTraceConfig, generate_campus_trace, replay
+from repro.traces import CampusTraceConfig, generate_campus_trace
 
 MS = 1_000_000
+
+
+def run_engine(records, *monitors):
+    """One engine pass feeding ``records`` to every monitor."""
+    engine = MonitorEngine()
+    for index, monitor in enumerate(monitors):
+        engine.add_monitor(monitor, name=str(index))
+    return engine.run(records)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +44,7 @@ class TestDartVsTcptrace(object):
     def results(self, campus, leg_external):
         tt = TcpTrace(track_handshake=False, leg_filter=leg_external())
         ideal = tcptrace_const(leg_filter=leg_external())
-        replay(campus.records, tt, ideal)
+        run_engine(campus.records, tt, ideal)
         return tt, ideal
 
     def test_dart_collects_large_majority(self, results):
@@ -72,7 +81,7 @@ class TestConstrainedDart:
                        max_recirculations=1),
             leg_filter=leg_external(),
         )
-        replay(campus.records, ideal, constrained)
+        run_engine(campus.records, ideal, constrained)
         perf = evaluate_dart(
             [s.rtt_ns for s in ideal.samples],
             [s.rtt_ns for s in constrained.samples],
@@ -88,13 +97,13 @@ class TestConstrainedDart:
                      leg_filter=leg_external())
         large = Dart(DartConfig(rt_slots=1 << 18, pt_slots=1 << 12),
                      leg_filter=leg_external())
-        replay(campus.records, small, large)
+        run_engine(campus.records, small, large)
         assert large.stats.samples > small.stats.samples
 
     def test_pt_occupancy_bounded_by_size(self, campus, leg_external):
         dart = Dart(DartConfig(rt_slots=1 << 18, pt_slots=64),
                     leg_filter=leg_external())
-        replay(campus.records, dart)
+        run_engine(campus.records, dart)
         _, pt_occ = dart.occupancy()
         assert pt_occ <= 64
 
@@ -103,7 +112,7 @@ class TestStrawmanComparison:
     def test_strawman_emits_ambiguous_samples(self, campus, leg_external):
         strawman = Strawman(leg_filter=leg_external())
         ideal = tcptrace_const(leg_filter=leg_external())
-        replay(campus.records, strawman, ideal)
+        run_engine(campus.records, strawman, ideal)
         # The strawman matches everything it can, ambiguity included, so
         # on a lossy/reordering trace it emits at least as many samples.
         assert strawman.stats.samples >= ideal.stats.samples
@@ -117,8 +126,8 @@ class TestPcapPipeline:
         write_packets(path, subset)
         direct = Dart(ideal_config(), leg_filter=leg_external())
         from_disk = Dart(ideal_config(), leg_filter=leg_external())
-        replay(subset, direct)
-        replay(read_packets(path), from_disk)
+        run_engine(subset, direct)
+        run_engine(read_packets(path), from_disk)
         assert direct.stats.samples == from_disk.stats.samples
         assert [s.rtt_ns for s in direct.samples] == [
             s.rtt_ns for s in from_disk.samples

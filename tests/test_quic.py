@@ -95,7 +95,7 @@ class TestQuicSimulation:
                                     jitter_fraction=0.0)
         trace = generate_quic_trace(config)
         monitor = SpinBitMonitor(is_client=is_client)
-        monitor.process_trace(trace.records)
+        monitor.process_batch(trace.records)
         rtts = sorted(s.rtt_ms for s in monitor.samples)
         median = rtts[len(rtts) // 2]
         # The true RTT is 24 ms; spin quantizes up by <= 2 send intervals.
@@ -105,7 +105,7 @@ class TestQuicSimulation:
         config = QuicScenarioConfig(duration_ns=10 * SEC)
         trace = generate_quic_trace(config)
         monitor = SpinBitMonitor(is_client=is_client)
-        monitor.process_trace(trace.records)
+        monitor.process_batch(trace.records)
         duration_s = config.duration_ns / SEC
         true_rtt_s = 2 * config.one_way_delay_ns / SEC
         upper_bound = duration_s / true_rtt_s + 2
@@ -122,7 +122,7 @@ class TestQuicSimulation:
                                     jitter_fraction=0.0)
         trace = generate_quic_trace(config)
         monitor = SpinBitMonitor(is_client=is_client)
-        monitor.process_trace(trace.records)
+        monitor.process_batch(trace.records)
         pre = [s.rtt_ms for s in monitor.samples
                if s.timestamp_ns < attack_at]
         post = [s.rtt_ms for s in monitor.samples
@@ -135,7 +135,7 @@ class TestQuicSimulation:
         config = QuicScenarioConfig(loss_rate=0.05, duration_ns=8 * SEC)
         trace = generate_quic_trace(config)
         monitor = SpinBitMonitor(is_client=is_client)
-        monitor.process_trace(trace.records)
+        monitor.process_batch(trace.records)
         assert monitor.stats.samples > 10
 
     def test_handshake_packets_are_long_header(self):

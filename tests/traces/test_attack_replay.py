@@ -1,16 +1,15 @@
-"""Tests for the attack trace generator and the replay utilities."""
+"""Tests for the attack trace generator and for replaying it through
+the engine."""
+
+from collections import Counter
 
 import pytest
 
 from repro.core import Dart, ideal_config, make_leg_filter
+from repro.engine import MonitorEngine
 from repro.net.pcap import write_packets
-from repro.traces import (
-    AttackTraceConfig,
-    generate_attack_trace,
-    replay,
-    replay_pcap,
-    split_by_leg,
-)
+from repro.net.pcapng import read_any_frames
+from repro.traces import AttackTraceConfig, generate_attack_trace
 
 MS = 1_000_000
 SEC = 1_000_000_000
@@ -76,22 +75,43 @@ class TestReplay:
     def test_replay_feeds_all_monitors(self, attack_trace):
         d1 = Dart(ideal_config())
         d2 = Dart(ideal_config())
-        report = replay(attack_trace.records, d1, d2)
-        assert report.packets == attack_trace.packets
-        assert d1.stats.packets_processed == d2.stats.packets_processed
-        assert report.packets_per_second > 0
+        engine = MonitorEngine()
+        engine.add_monitor(d1, name="d1")
+        engine.add_monitor(d2, name="d2")
+        report = engine.run(attack_trace.records)
+        assert report.records == attack_trace.packets
+        assert d1.stats.packets_processed == attack_trace.packets
+        assert d1.stats == d2.stats
+        assert d1.samples == d2.samples
+        assert report.records_per_second > 0
 
     def test_replay_pcap_roundtrip(self, attack_trace, tmp_path):
         path = tmp_path / "attack.pcap"
         write_packets(path, attack_trace.records[:500])
         dart = Dart(ideal_config())
-        report = replay_pcap(path, dart)
-        assert report.packets == 500
+        engine = MonitorEngine()
+        engine.add_monitor(dart)
+        report = engine.run_frames(read_any_frames(path))
+        assert report.records == 500
         assert dart.stats.packets_processed == 500
+        direct = Dart(ideal_config())
+        direct.process_batch(attack_trace.records[:500])
+        assert dart.samples == direct.samples
 
     def test_split_by_leg_partitions(self, attack_trace):
-        parts = split_by_leg(attack_trace.records,
-                             attack_trace.internal.is_internal)
-        total = len(parts["outbound"]) + len(parts["inbound"])
-        assert total == attack_trace.packets
-        assert parts["outbound"] and parts["inbound"]
+        # A trace splits by data direction through the leg filter: the
+        # two one-leg monitors share out the two-leg monitor's samples.
+        legs = (("external",), ("internal",), ("external", "internal"))
+        engine = MonitorEngine()
+        external, internal, both = monitors = [
+            Dart(ideal_config(), leg_filter=make_leg_filter(
+                attack_trace.internal.is_internal, legs=leg))
+            for leg in legs
+        ]
+        for leg, monitor in zip(legs, monitors):
+            engine.add_monitor(monitor, name="+".join(leg))
+        engine.run(attack_trace.records)
+        assert {s.leg for s in external.samples} == {"external"}
+        assert {s.leg for s in internal.samples} == {"internal"}
+        assert (Counter(external.samples) + Counter(internal.samples)
+                == Counter(both.samples))
