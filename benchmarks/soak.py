@@ -16,7 +16,10 @@ Pass criteria (exit 0):
   lost);
 * every monitor produced RTT samples;
 * the telemetry snapshot file exists and parses back as well-formed
-  Prometheus text exposition with zero partial shards recorded.
+  Prometheus text exposition with zero partial shards recorded, and
+  the sharded Dart's per-shard ``dart_monitor_packets_processed_total``
+  series sum to its ``stats.packets_processed`` (an end-of-trace
+  emission that re-counted the shards would read a multiple).
 
 The final snapshot (``--telemetry-out``) is the workflow's uploaded
 artifact: one complete end-of-trace exposition, atomically rewritten
@@ -129,7 +132,8 @@ def check_samples(engine, failures: List[str]) -> None:
             failures.append(f"monitor {run.name!r} produced zero samples")
 
 
-def check_snapshot(path: str, failures: List[str]) -> None:
+def check_snapshot(path: str, packets_processed: int,
+                   failures: List[str]) -> None:
     try:
         snapshot = parse_prometheus(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -141,6 +145,16 @@ def check_snapshot(path: str, failures: List[str]) -> None:
     partial = snapshot.get("dart_cluster_partial_shards_total")
     if partial is not None and sum(partial.values.values()) != 0:
         failures.append("telemetry recorded partial shards")
+    processed = snapshot.get("dart_monitor_packets_processed_total")
+    per_shard = sum(
+        value for (monitor, shard), value in processed.values.items()
+        if monitor == "dart" and shard != ""
+    ) if processed is not None else 0
+    if per_shard != packets_processed:
+        failures.append(
+            f"telemetry per-shard packets_processed sum {per_shard} != "
+            f"the sharded Dart's stats ({packets_processed})"
+        )
 
 
 def check_hist_merge(engine, records, options: MonitorOptions,
@@ -291,7 +305,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     check_cluster_health(engine, failures)
     check_samples(engine, failures)
-    check_snapshot(args.telemetry_out, failures)
+    check_snapshot(args.telemetry_out,
+                   engine["dart"].monitor.stats.packets_processed, failures)
     if args.hist:
         print("hist merge-vs-serial leg...", file=sys.stderr)
         # TCP records only: the mixed trace's QUIC datagrams route to

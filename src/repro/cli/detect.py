@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Optional
 
-from ..core import dst_prefix_key
+from ..core import DstPrefixKey
 from ..detection import (
     BufferbloatConfig,
     BufferbloatDetector,
@@ -74,7 +74,7 @@ class DetectionSink:
         self._prefix_len = prefix_len
         self._window = window
         self._rise_factor = rise_factor
-        self._key_fn = dst_prefix_key(prefix_len)
+        self._key_fn = DstPrefixKey(prefix_len)
         self.interception: dict = {}
         self.bloat = BufferbloatDetector(BufferbloatConfig(),
                                          key_fn=self._key_fn)

@@ -344,9 +344,10 @@ class ShardedDart:
         * mid-flight — coordinator-side observables only: per-shard
           inbox depth, worker liveness, and packets dispatched (the
           workers' own counters live in other processes until harvest);
-        * after finalize — the per-shard worker snapshots that shipped
-          home inside each ``ShardResult``, summed into the registry,
-          plus merge/partial/window-loss accounting.
+        * after finalize — the per-shard worker registries that shipped
+          home inside each ``ShardResult``, merged once at finalize and
+          copied over the registry's series (every emission reports the
+          same totals), plus merge/partial/window-loss accounting.
         """
         shard_labels = ("monitor", "shard")
         ring_depth = registry.gauge(
@@ -392,11 +393,11 @@ class ShardedDart:
             "In-flight analytics windows dropped by partial harvests",
             ("monitor", "shard"),
         ).set_cumulative((name, ""), self._merged.windows_lost)
-        if self._merged.telemetry is not None:
-            registry.absorb(self._merged.telemetry)
-        if self._merged.distribution is not None:
-            from ..obs.collect import collect_distribution
+        from ..obs.collect import collect_distribution, collect_registry
 
+        if self._merged.telemetry is not None:
+            collect_registry(registry, self._merged.telemetry)
+        if self._merged.distribution is not None:
             collect_distribution(registry, self._merged.distribution, name)
 
     def range_collapses(self) -> int:

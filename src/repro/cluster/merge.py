@@ -81,33 +81,37 @@ def merge_window_histories(
     return merged
 
 
-def merge_distributions(results: Sequence[ShardResult]) -> Optional[Any]:
-    """Fold the shards' distribution snapshots by addition.
+def merge_distributions(stages: Iterable[Any]) -> Optional[Any]:
+    """Fold distribution stages by addition (``None`` when there are none).
 
     Seeds the fold with a snapshot of the first (distribution stages
     carry configuration — bin edges, alpha — so there is no
     zero-argument construction) and merges the rest in; merging copies
-    what it adopts, so every shard's own snapshot stays untouched.
-    ``None`` when no shard carried one.
+    what it adopts, so every input stage stays untouched.  The one fold
+    for shards' and fleet agents' stages alike.
     """
-    distributions = [r.distribution for r in results
-                     if r.distribution is not None]
-    if not distributions:
-        return None
-    merged = distributions[0].distribution_snapshot()
-    for distribution in distributions[1:]:
-        merged.merge(distribution)
+    merged = None
+    for stage in stages:
+        if merged is None:
+            merged = stage.distribution_snapshot()
+        else:
+            merged.merge(stage)
     return merged
 
 
-def merge_telemetry(results: Sequence[ShardResult]) -> Optional[Any]:
-    """Sum the shards' obs snapshots (None when no shard carried one)."""
-    snapshots = [r.telemetry for r in results if r.telemetry is not None]
-    if not snapshots:
-        return None
-    from ..obs.snapshot import merge_snapshots
+def merge_telemetry(registries: Iterable[Any]) -> Optional[Any]:
+    """Sum :class:`~repro.obs.MetricsRegistry` objects into a fresh one
+    (``None`` when there are none) — the one fold for shards' and fleet
+    agents' telemetry.  Inputs are never mutated; mismatched shapes
+    raise :class:`ValueError`."""
+    from ..obs.metrics import MetricsRegistry
 
-    return merge_snapshots(snapshots)
+    merged = None
+    for registry in registries:
+        if merged is None:
+            merged = MetricsRegistry()
+        merged.merge(registry)
+    return merged
 
 
 def merge_results(results: Iterable[ShardResult]) -> ShardResult:
@@ -142,6 +146,10 @@ def merge_results(results: Iterable[ShardResult]) -> ShardResult:
         rt_collapses=sum(r.rt_collapses for r in ordered),
         partial=any(r.partial for r in ordered),
         windows_lost=sum(r.windows_lost for r in ordered),
-        telemetry=merge_telemetry(ordered),
-        distribution=merge_distributions(ordered),
+        telemetry=merge_telemetry(
+            r.telemetry for r in ordered if r.telemetry is not None
+        ),
+        distribution=merge_distributions(
+            r.distribution for r in ordered if r.distribution is not None
+        ),
     )

@@ -128,7 +128,7 @@ class ShardResult:
     #: in-flight window state cannot be flushed safely, so the loss is
     #: counted here and surfaced by the merge instead of vanishing.
     windows_lost: int = 0
-    #: Worker-side :class:`repro.obs.Snapshot`; plain data, so it ships
+    #: The worker's :class:`repro.obs.MetricsRegistry`; it pickles as is
     #: across the process boundary and merges by summation.
     telemetry: Optional[Any] = None
     #: Distribution analytics snapshot
@@ -215,11 +215,11 @@ def _open_window_count(monitor: Any) -> int:
 
 
 def _shard_telemetry(shard_id: int, monitor: Any):
-    """Freeze the shard's metric state for the trip home.
+    """Collect the shard's metric state into a registry for the trip home.
 
     Runs once per shard at harvest (never per packet), in the worker
     context, so the coordinator can aggregate worker-side counters by
-    merging plain-data snapshots instead of sharing any live state.
+    merging registries instead of sharing any live state.
     """
     from ..obs.collect import collect_monitor
     from ..obs.metrics import MetricsRegistry
@@ -228,7 +228,7 @@ def _shard_telemetry(shard_id: int, monitor: Any):
     collect_monitor(
         registry, monitor, type(monitor).__name__.lower(), str(shard_id)
     )
-    return registry.snapshot()
+    return registry
 
 
 def consume_step(monitor: Any, fastpath: bool) -> Callable[[bytes], Any]:

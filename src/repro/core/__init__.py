@@ -12,10 +12,10 @@ The public surface:
 
 from .analytics import (
     CollectAllAnalytics,
+    DstPrefixKey,
     MinFilterAnalytics,
     PrefixMinAnalytics,
     WindowMinimum,
-    dst_prefix_key,
 )
 from .config import DartConfig, ideal_config, paper_default_config
 from .flow import FlowKey, ack_target_flow, flow_of
@@ -62,6 +62,7 @@ __all__ = [
     "DartStats",
     "DistributionAnalytics",
     "DistributionFactory",
+    "DstPrefixKey",
     "EXTERNAL_LEG",
     "FlowKey",
     "HistogramSpec",
@@ -84,7 +85,6 @@ __all__ = [
     "ack_target_flow",
     "arithmetic_payload_size",
     "describe_key",
-    "dst_prefix_key",
     "exact_quantile",
     "flow_of",
     "ideal_config",

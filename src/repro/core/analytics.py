@@ -287,6 +287,10 @@ def _probe_sample(flow: FlowKey, now_ns: int) -> RttSample:
 class DstPrefixKey:
     """Picklable key function: the data receiver's /N prefix.
 
+    For external-leg measurement the SEQ-direction flow's destination is
+    the remote (Internet) host, so this aggregates per remote /24 — the
+    paper's suggested congestion view (§3.1).
+
     A callable dataclass rather than a closure so analytics configured
     with it survive pickling — both the cluster's process boundary and
     the streaming checkpoint snapshot require it.
@@ -296,16 +300,6 @@ class DstPrefixKey:
 
     def __call__(self, sample: RttSample) -> Hashable:
         return prefix_of(sample.flow.dst_ip, self.prefix_len)
-
-
-def dst_prefix_key(prefix_len: int = 24) -> Callable[[RttSample], Hashable]:
-    """Key function aggregating samples by the data receiver's prefix.
-
-    For external-leg measurement the SEQ-direction flow's destination is
-    the remote (Internet) host, so this aggregates per remote /24 — the
-    paper's suggested congestion view (§3.1).
-    """
-    return DstPrefixKey(prefix_len)
 
 
 class PrefixMinAnalytics(MinFilterAnalytics):
@@ -322,7 +316,7 @@ class PrefixMinAnalytics(MinFilterAnalytics):
         super().__init__(
             window_samples=window_samples,
             window_ns=window_ns,
-            key_fn=dst_prefix_key(prefix_len),
+            key_fn=DstPrefixKey(prefix_len),
             on_window=on_window,
         )
         self.prefix_len = prefix_len

@@ -54,10 +54,6 @@ class SampleCollector:
     def __iter__(self) -> Iterator[RttSample]:
         return iter(self.samples)
 
-    def rtts_ns(self) -> List[int]:
-        """All RTT values in nanoseconds, in arrival order."""
-        return [s.rtt_ns for s in self.samples]
-
     def rtts_ms(self) -> List[float]:
         """All RTT values in milliseconds, in arrival order."""
         return [s.rtt_ns / NS_PER_MS for s in self.samples]

@@ -58,11 +58,6 @@ def seq_between(lo: int, x: int, hi: int) -> bool:
     return seq_sub(x, lo) <= seq_sub(hi, lo) and x != lo
 
 
-def seq_clamp(x: int) -> int:
-    """Wrap an arbitrary integer into the sequence space."""
-    return x & SEQ_MASK
-
-
 def wraps(seq: int, payload: int) -> bool:
     """True when a segment starting at ``seq`` with ``payload`` bytes
     crosses the 2**32 wraparound point (i.e. its end index wraps)."""

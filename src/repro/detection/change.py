@@ -70,10 +70,6 @@ class InterceptionDetector:
         """Feed one raw RTT sample."""
         self._analytics.add(sample)
 
-    def add_many(self, samples: Sequence[RttSample]) -> None:
-        for sample in samples:
-            self.add(sample)
-
     # -- windowed logic ----------------------------------------------------------
 
     def on_window(self, window: WindowMinimum) -> None:

@@ -358,9 +358,9 @@ class FleetExporter(StreamHook):
                     break
         telemetry_wire = None
         if self.telemetry is not None:
-            telemetry_wire = self.telemetry.registry.snapshot(
-                sequence=self.telemetry.emissions
-            ).to_wire()
+            telemetry_wire = self.telemetry.registry.to_wire(
+                self.telemetry.emissions
+            )
         windows_closed = 0
         distribution_wire = None
         if self.analytics is not None:

@@ -16,7 +16,7 @@ Three layers, separable for testing:
 Churn semantics (the part that makes the merge *exact*):
 
 * Deltas are **cumulative**: each one re-states the sending agent's
-  full monitor stats, telemetry snapshot, and per-flow sample counts.
+  full monitor stats, telemetry registry, and per-flow sample counts.
   The collector keeps the latest per agent and the merged view is a sum
   over agents — so a lost delta costs staleness, never correctness, and
   a resumed agent (same id, fresh ``epoch``) *replaces* its former self
@@ -48,7 +48,6 @@ from ..core.analytics import WindowMinimum
 from ..detection.change import DetectorConfig, run_over_windows
 from ..obs.exporters import to_prometheus
 from ..obs.metrics import MetricsRegistry
-from ..obs.snapshot import Snapshot, merge_snapshots
 from .wire import (
     Frame,
     FrameCorrupt,
@@ -85,8 +84,8 @@ class AgentState:
     stats: Dict[str, Any] = field(default_factory=dict)
     #: Latest cumulative packet-record count per monitor name.
     records: Dict[str, int] = field(default_factory=dict)
-    #: Latest cumulative telemetry snapshot (None until one arrives).
-    telemetry: Optional[Snapshot] = None
+    #: Latest cumulative telemetry registry (None until one arrives).
+    telemetry: Optional[MetricsRegistry] = None
     #: Latest cumulative distribution snapshot per monitor name
     #: (histogram + sketch stages, wire-decoded).  Replacement under
     #: the (epoch, seq) guard, like ``stats`` — cumulative deltas make
@@ -215,7 +214,9 @@ class FleetCollector:
             if "records" in payload:
                 state.records[monitor] = int(payload["records"])
             if payload.get("telemetry") is not None:
-                state.telemetry = Snapshot.from_wire(payload["telemetry"])
+                state.telemetry = MetricsRegistry.from_wire(
+                    payload["telemetry"]
+                )
             if payload.get("distribution") is not None:
                 state.distribution[monitor] = distribution_from_wire(
                     payload["distribution"]
@@ -287,29 +288,31 @@ class FleetCollector:
         Addition across agents is exact because every agent's snapshot
         is cumulative and the (epoch, seq) guard already collapsed each
         agent to its newest self — the same replacement-then-sum rule as
-        :meth:`merged_stats`.  Each agent's stage stays as decoded: the
-        fold starts from a snapshot and merging copies what it adopts.
+        :meth:`merged_stats`, and the cluster's fold
+        (:func:`~repro.cluster.merge.merge_distributions`), which leaves
+        each agent's stage as decoded.
         """
+        from ..cluster.merge import merge_distributions
+
         with self._lock:
             by_monitor: Dict[str, List[Any]] = {}
             for state in self._agents.values():
                 for monitor, distribution in state.distribution.items():
                     by_monitor.setdefault(monitor, []).append(distribution)
-        merged: Dict[str, Any] = {}
-        for monitor, items in sorted(by_monitor.items()):
-            folded = items[0].distribution_snapshot()
-            for item in items[1:]:
-                folded.merge(item)
-            merged[monitor] = folded
-        return merged
+        return {
+            monitor: merge_distributions(items)
+            for monitor, items in sorted(by_monitor.items())
+        }
 
-    def merged_telemetry(self) -> Optional[Snapshot]:
+    def merged_telemetry(self) -> Optional[MetricsRegistry]:
+        """The agents' latest telemetry registries, summed (the
+        cluster's fold, :func:`~repro.cluster.merge.merge_telemetry`)."""
+        from ..cluster.merge import merge_telemetry
+
         with self._lock:
-            snapshots = [a.telemetry for a in self._agents.values()
-                         if a.telemetry is not None]
-        if not snapshots:
-            return None
-        return merge_snapshots(snapshots)
+            registries = [a.telemetry for a in self._agents.values()
+                          if a.telemetry is not None]
+        return merge_telemetry(registries)
 
     def merged_windows(self) -> List[WindowMinimum]:
         """Deduped windows from every agent, in close-time order."""
@@ -472,7 +475,7 @@ class FleetCollector:
 
         for monitor, distribution in self.merged_distribution().items():
             collect_distribution(registry, distribution, monitor)
-        text = to_prometheus(registry.snapshot())
+        text = to_prometheus(registry)
         merged = self.merged_telemetry()
         if merged is not None:
             text += to_prometheus(merged)

@@ -24,7 +24,7 @@ previous value instead of adding to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Tuple
+from typing import Any, Dict, Hashable, List
 
 from ..core.flow import FlowKey
 
@@ -82,11 +82,6 @@ class FlowRegistry:
             view.observers.append(agent)
         view.counts[agent] = count
         return view
-
-    def observe_many(self, agent: str,
-                     counts: Iterable[Tuple[Hashable, int]]) -> None:
-        for key, count in counts:
-            self.observe(agent, key, count)
 
     def forget_agent(self, agent: str) -> None:
         """Drop an agent's observations entirely (operator removal, not

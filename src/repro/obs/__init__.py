@@ -8,20 +8,22 @@ packets are still flowing.
 Layers:
 
 * :mod:`.metrics` — ``Counter`` / ``Gauge`` / ``Histogram`` primitives
-  with label support and a per-run :class:`MetricsRegistry`.  Hot-path
-  writes are single dict operations; there are no locks (one registry
-  per run, cross-shard aggregation happens on snapshots).
-* :mod:`.snapshot` — :class:`Snapshot`, the frozen plain-data form that
-  pickles across the cluster's process boundary and merges by
-  summation (the repo's ``AdditiveCounters`` convention).
-* :mod:`.exporters` — Prometheus text exposition and JSON lines, plus
-  :func:`parse_prometheus` for round-trip verification.
+  with label support and a per-run :class:`MetricsRegistry`, the only
+  metric state.  Hot-path writes are single dict operations; there are
+  no locks (one registry per run).  A registry merges by summation
+  (:meth:`MetricsRegistry.merge`, the repo's ``AdditiveCounters``
+  convention), pickles as is across the cluster's process boundary,
+  and crosses the fleet's JSON boundary as
+  :meth:`MetricsRegistry.to_wire` / :meth:`MetricsRegistry.from_wire`.
+* :mod:`.exporters` — render a registry as Prometheus text exposition
+  or JSON lines, plus :func:`parse_prometheus` (back into a registry)
+  for round-trip verification.
 * :mod:`.collect` — collectors that *sample* the counters monitors
   already keep, so telemetry costs nothing per packet and its overhead
   is bounded by the emission interval (``benchmarks/overheads.py``
   holds it to 250 ns per packet at a 50 ms interval).
 * :mod:`.emitter` — :class:`TelemetryEmitter`, the periodic
-  collect-snapshot-format-write driver the engine calls per chunk,
+  collect-format-write driver the engine calls per chunk,
   and the shared ``--telemetry`` CLI flag family.
 """
 
@@ -31,6 +33,7 @@ from .collect import (
     VERDICT_LABELS,
     collect_distribution,
     collect_monitor,
+    collect_registry,
     collect_stats,
 )
 from .emitter import (
@@ -51,15 +54,8 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    MetricsRegistry,
-)
-from .snapshot import (
     SNAPSHOT_WIRE_SCHEMA,
-    MetricSnapshot,
-    Snapshot,
-    absorb_into_registry,
-    merge_snapshots,
-    snapshot_registry,
+    MetricsRegistry,
 )
 
 __all__ = [
@@ -70,23 +66,19 @@ __all__ = [
     "Histogram",
     "DISTRIBUTION_LABELS",
     "MONITOR_LABELS",
-    "MetricSnapshot",
     "MetricsRegistry",
     "SNAPSHOT_WIRE_SCHEMA",
-    "Snapshot",
     "TELEMETRY_MODES",
     "TELEMETRY_SCHEMA",
     "TelemetryEmitter",
     "VERDICT_LABELS",
-    "absorb_into_registry",
     "add_telemetry_arguments",
     "collect_distribution",
     "collect_monitor",
+    "collect_registry",
     "collect_stats",
     "emitter_from_args",
-    "merge_snapshots",
     "parse_prometheus",
-    "snapshot_registry",
     "to_json",
     "to_prometheus",
 ]

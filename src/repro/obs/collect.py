@@ -21,7 +21,7 @@ from dataclasses import fields, is_dataclass
 from enum import Enum
 from typing import Any, Tuple
 
-from .metrics import MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 #: Labels every per-monitor metric carries.
 MONITOR_LABELS: Tuple[str, ...] = ("monitor", "shard")
@@ -181,3 +181,35 @@ def collect_monitor(registry: MetricsRegistry, monitor: Any,
                 "dart_monitor_table_occupancy",
                 "Occupied flow-table slots", MONITOR_LABELS,
             ).set(labels, occupied)
+
+
+def collect_registry(registry: MetricsRegistry,
+                     source: MetricsRegistry) -> None:
+    """Copy every series of ``source`` into the registry, overwriting.
+
+    The collector for telemetry that was harvested elsewhere (a
+    finished cluster's merged worker registries): like every other
+    collector it *sets* (``set_cumulative`` / ``set`` / ``set_state``),
+    so emitting twice reports the same totals, never twice them.  A
+    histogram already registered with other bucket bounds raises
+    :class:`ValueError`.
+    """
+    for metric in source:
+        if isinstance(metric, Histogram):
+            histogram = registry.histogram(
+                metric.name, metric.help, metric.label_names,
+                buckets=metric.buckets,
+            )
+            for labels, counts in metric.bucket_counts.items():
+                histogram.set_state(labels, counts, metric.sum(labels),
+                                    metric.count(labels))
+        elif isinstance(metric, Counter):
+            counter = registry.counter(metric.name, metric.help,
+                                       metric.label_names)
+            for labels, value in metric.values.items():
+                counter.set_cumulative(labels, value)
+        elif isinstance(metric, Gauge):
+            gauge = registry.gauge(metric.name, metric.help,
+                                   metric.label_names)
+            for labels, value in metric.values.items():
+                gauge.set(labels, value)

@@ -1,4 +1,4 @@
-"""TelemetryEmitter: periodic snapshot emission during a trace pass.
+"""TelemetryEmitter: periodic registry emission during a trace pass.
 
 The emitter owns one :class:`~repro.obs.metrics.MetricsRegistry`, a set
 of collector callbacks, an interval clock, and an output destination.
@@ -38,7 +38,7 @@ Collector = Callable[[MetricsRegistry], None]
 
 
 class TelemetryEmitter:
-    """Collect-snapshot-format-write, every ``interval_s`` seconds."""
+    """Collect-format-write, every ``interval_s`` seconds."""
 
     def __init__(
         self,
@@ -93,17 +93,17 @@ class TelemetryEmitter:
         return self.emit()
 
     def emit(self) -> str:
-        """Collect, snapshot, format, and write one emission now."""
+        """Collect, format, and write one emission now."""
         for collector in self._collectors:
             collector(self.registry)
         self.emissions += 1
         self._next_due = self._clock() + self.interval_s
-        snapshot = self.registry.snapshot(sequence=self.emissions)
         if self.mode == "json":
-            text = to_json(snapshot, timestamp_unix_ns=time.time_ns())
+            text = to_json(self.registry, sequence=self.emissions,
+                           timestamp_unix_ns=time.time_ns())
             self._write(text + "\n")
         else:
-            text = to_prometheus(snapshot)
+            text = to_prometheus(self.registry)
             if self._path is not None:
                 self._rewrite(text)
             else:
@@ -129,7 +129,7 @@ class TelemetryEmitter:
     def close(self) -> None:
         """Final emission (always), then release any owned file handle.
 
-        Guarantees even a sub-interval run leaves one complete snapshot
+        Guarantees even a sub-interval run leaves one complete emission
         behind — the end-of-trace state.  Idempotent.
         """
         if self._closed:

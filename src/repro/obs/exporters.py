@@ -1,6 +1,6 @@
 """Exporters: Prometheus text exposition and JSON lines.
 
-Both formats render a :class:`~repro.obs.snapshot.Snapshot`:
+Both formats render a :class:`~repro.obs.metrics.MetricsRegistry`:
 
 * :func:`to_prometheus` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` headers, ``name{label="v"} value`` samples,
@@ -9,10 +9,11 @@ Both formats render a :class:`~repro.obs.snapshot.Snapshot`:
 * :func:`to_json` — one self-contained JSON object per emission
   (schema ``dart-telemetry/1``), designed for ``jq``-friendly JSON
   lines files: stable key order, labels as objects, histograms with
-  explicit bucket bounds.
+  explicit bucket bounds.  The emitter's emission index is an argument,
+  not registry state.
 
 :func:`parse_prometheus` parses this module's own exposition output
-back into a Snapshot — the round-trip property the exporter tests pin.
+back into a registry — the round-trip property the exporter tests pin.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 from typing import Dict, List, Optional, Tuple
 
-from .snapshot import MetricSnapshot, Snapshot
+from .metrics import Histogram, LabelValues, MetricsRegistry
 
 #: Stamped into every JSON emission; bump on breaking shape changes.
 TELEMETRY_SCHEMA = "dart-telemetry/1"
@@ -73,16 +74,16 @@ def _labels_text(label_names: Tuple[str, ...], labels: Tuple[str, ...],
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
-def to_prometheus(snapshot: Snapshot) -> str:
-    """Render a snapshot in the Prometheus text exposition format."""
+def to_prometheus(registry: MetricsRegistry) -> str:
+    """Render a registry in the Prometheus text exposition format."""
     lines: List[str] = []
-    for name in sorted(snapshot.metrics):
-        metric = snapshot.metrics[name]
+    for metric in registry:
+        name = metric.name
         if metric.help:
             escaped = metric.help.replace("\\", r"\\").replace("\n", r"\n")
             lines.append(f"# HELP {name} {escaped}")
         lines.append(f"# TYPE {name} {metric.kind}")
-        if metric.kind == "histogram":
+        if isinstance(metric, Histogram):
             for labels in sorted(metric.bucket_counts):
                 counts = metric.bucket_counts[labels]
                 cumulative = 0
@@ -104,46 +105,30 @@ def to_prometheus(snapshot: Snapshot) -> str:
                     f"{name}_count{plain} {metric.counts.get(labels, 0)}"
                 )
         else:
-            for labels in sorted(metric.values):
+            for labels, value in sorted(metric.values.items()):  # type: ignore[attr-defined]
                 labels_text = _labels_text(metric.label_names, labels)
-                lines.append(
-                    f"{name}{labels_text} "
-                    f"{_format_value(metric.values[labels])}"
-                )
+                lines.append(f"{name}{labels_text} {_format_value(value)}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def to_json(snapshot: Snapshot, *,
+def to_json(registry: MetricsRegistry, *, sequence: int = 0,
             timestamp_unix_ns: Optional[int] = None) -> str:
-    """Render a snapshot as one JSON line (schema ``dart-telemetry/1``)."""
-    metrics = []
-    for name in sorted(snapshot.metrics):
-        metric = snapshot.metrics[name]
-        entry: Dict[str, object] = {
-            "name": name,
+    """Render a registry as one JSON line (schema ``dart-telemetry/1``).
+
+    ``sequence`` is the emitter's emission index.
+    """
+    metrics = [
+        {
+            "name": metric.name,
             "kind": metric.kind,
             "labels": list(metric.label_names),
+            **metric.wire_series(),
         }
-        if metric.kind == "histogram":
-            entry["buckets"] = list(metric.buckets)
-            entry["series"] = [
-                {
-                    "labels": list(labels),
-                    "bucket_counts": list(metric.bucket_counts[labels]),
-                    "sum": metric.sums.get(labels, 0.0),
-                    "count": metric.counts.get(labels, 0),
-                }
-                for labels in sorted(metric.bucket_counts)
-            ]
-        else:
-            entry["series"] = [
-                {"labels": list(labels), "value": metric.values[labels]}
-                for labels in sorted(metric.values)
-            ]
-        metrics.append(entry)
+        for metric in registry
+    ]
     payload: Dict[str, object] = {
         "schema": TELEMETRY_SCHEMA,
-        "sequence": snapshot.sequence,
+        "sequence": sequence,
         "metrics": metrics,
     }
     if timestamp_unix_ns is not None:
@@ -184,8 +169,8 @@ def _parse_sample_line(line: str) -> Tuple[str, Dict[str, str], float]:
     return name.strip(), labels, value
 
 
-def parse_prometheus(text: str) -> Snapshot:
-    """Parse :func:`to_prometheus` output back into a Snapshot.
+def parse_prometheus(text: str) -> MetricsRegistry:
+    """Parse :func:`to_prometheus` output back into a registry.
 
     Supports the subset this module emits (which is what the round-trip
     tests need): counters, gauges, and histograms with cumulative
@@ -217,46 +202,46 @@ def parse_prometheus(text: str) -> Snapshot:
                 return trimmed
         return sample_name
 
-    snapshot = Snapshot()
+    registry = MetricsRegistry()
+    label_names: Dict[str, Tuple[str, ...]] = {}
+    # Histogram samples gather per labelset first: the cumulative
+    # ``le`` buckets are de-cumulated once every bound has been seen.
+    bucket_samples: Dict[str, Dict[LabelValues, List[Tuple[float, int]]]] = {}
+    sums: Dict[Tuple[str, LabelValues], float] = {}
+    counts: Dict[Tuple[str, LabelValues], int] = {}
     for sample_name, labels, value in samples:
         name = base_name(sample_name)
-        kind = kinds.get(name, "gauge")
-        metric = snapshot.metrics.get(name)
-        if metric is None:
-            label_names = tuple(k for k in labels if k != "le")
-            metric = MetricSnapshot(
-                name=name, kind=kind, help=helps.get(name, ""),
-                label_names=label_names,
-            )
-            snapshot.metrics[name] = metric
-        labelset = tuple(
-            labels[k] for k in metric.label_names
+        names = label_names.setdefault(
+            name, tuple(k for k in labels if k != "le")
         )
+        labelset = tuple(labels[k] for k in names)
+        kind = kinds.get(name)
         if kind != "histogram":
-            metric.values[labelset] = value
+            make = registry.counter if kind == "counter" else registry.gauge
+            make(name, helps.get(name, ""), names).values[labelset] = value
         elif sample_name.endswith("_sum"):
-            metric.sums[labelset] = value
+            sums[name, labelset] = value
         elif sample_name.endswith("_count"):
-            metric.counts[labelset] = int(value)
+            counts[name, labelset] = int(value)
         else:  # _bucket
             le = labels["le"]
             bound = math.inf if le == "+Inf" else float(le)
-            # Cumulative counts arrive in ascending-bound order; stash
-            # them raw and de-cumulate once the labelset is complete.
-            raw_buckets = metric.bucket_counts.get(labelset, ())
-            metric.bucket_counts[labelset] = raw_buckets + (int(value),)
-            if bound != math.inf and bound not in metric.buckets:
-                metric.buckets = metric.buckets + (bound,)
-    # De-cumulate histogram buckets back to per-bucket counts.
-    for metric in snapshot.metrics.values():
-        if metric.kind != "histogram":
-            continue
-        metric.buckets = tuple(sorted(metric.buckets))
-        for labelset, cumulative in metric.bucket_counts.items():
-            counts = []
-            previous = 0
-            for value in cumulative:
-                counts.append(int(value) - previous)
-                previous = int(value)
-            metric.bucket_counts[labelset] = tuple(counts)
-    return snapshot
+            bucket_samples.setdefault(name, {}).setdefault(
+                labelset, []
+            ).append((bound, int(value)))
+    for name, series in bucket_samples.items():
+        bounds = {bound for points in series.values()
+                  for bound, _ in points if bound != math.inf}
+        histogram = registry.histogram(
+            name, helps.get(name, ""), label_names[name],
+            buckets=tuple(sorted(bounds)),
+        )
+        for labelset, points in series.items():
+            cumulative = [count for _, count in sorted(points)]
+            histogram.set_state(
+                labelset,
+                [c - p for c, p in zip(cumulative, [0] + cumulative[:-1])],
+                sums.get((name, labelset), 0.0),
+                counts.get((name, labelset), 0),
+            )
+    return registry

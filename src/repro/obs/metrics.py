@@ -8,9 +8,12 @@ Design constraints (DESIGN §9):
   store — no locks, no attribute indirection, no allocation beyond the
   key tuple the caller already holds.
 * **No locks in the serial path.**  A registry belongs to one run (one
-  engine pass, one worker); cross-shard aggregation happens by merging
-  :class:`~repro.obs.snapshot.Snapshot` objects, never by sharing a
-  registry between threads or processes.
+  engine pass, one worker); cross-shard and cross-agent aggregation
+  folds whole registries with :meth:`MetricsRegistry.merge`, never by
+  sharing one between threads or processes.
+* **The registry is the only metric state.**  It pickles as is across
+  the cluster's process boundary, crosses the fleet's JSON boundary as
+  :meth:`MetricsRegistry.to_wire`, and is what the exporters render.
 * **Sampling beats instrumenting.**  The monitors already maintain
   additive counters (``DartStats`` and friends); collectors copy those
   cumulative values into the registry at emission time via
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 LabelValues = Tuple[str, ...]
 
@@ -37,6 +40,11 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
 )
+
+#: Stamped into every :meth:`MetricsRegistry.to_wire` dict; bumped on
+#: breaking shape changes so a peer speaking an older layout is refused
+#: loudly instead of mis-merged.
+SNAPSHOT_WIRE_SCHEMA = "dart-snapshot-wire/1"
 
 
 def _check_name(name: str, what: str = "metric") -> str:
@@ -67,18 +75,72 @@ class _Metric:
                 f"value(s) {self.label_names}, got {labels!r}"
             )
 
+    def _check_mergeable(self, other: "_Metric") -> None:
+        if other.name != self.name:
+            raise ValueError(
+                f"cannot merge metric {other.name!r} into {self.name!r}"
+            )
+        if other.kind != self.kind or other.label_names != self.label_names:
+            raise ValueError(
+                f"{self.name}: incompatible shapes "
+                f"({other.kind}{other.label_names} vs "
+                f"{self.kind}{self.label_names})"
+            )
 
-class Counter(_Metric):
-    """A monotonically increasing count, one value per labelset."""
+    def empty(self) -> "_Metric":
+        """A series-less metric of the same shape (a merge target)."""
+        return type(self)(self.name, self.help, self.label_names)
+
+    def merge(self, other: "_Metric") -> "_Metric":
+        """Add ``other``'s series into this metric; returns self.
+
+        Kind and label names (and a histogram's bucket bounds) must
+        match, else :class:`ValueError`.  ``other`` is never mutated.
+        """
+        raise NotImplementedError
+
+    def wire_series(self) -> Dict[str, Any]:
+        """JSON-safe per-labelset data (histograms: bounds too), shared
+        by :meth:`MetricsRegistry.to_wire` and the JSON exporter; each
+        labelset becomes a ``series`` entry, since label-value tuples
+        cannot key a JSON object."""
+        raise NotImplementedError
+
+
+class _Valued(_Metric):
+    """Counter and Gauge: one number per labelset."""
 
     __slots__ = ("values",)
-
-    kind = "counter"
 
     def __init__(self, name: str, help: str = "",
                  label_names: Tuple[str, ...] = ()) -> None:
         super().__init__(name, help, label_names)
         self.values: Dict[LabelValues, float] = {}
+
+    def value(self, labels: LabelValues = _NO_LABELS) -> float:
+        return self.values.get(labels, 0)
+
+    def merge(self, other: "_Metric") -> "_Valued":
+        self._check_mergeable(other)
+        assert isinstance(other, _Valued)
+        values = self.values
+        for labels, value in other.values.items():
+            values[labels] = values.get(labels, 0) + value
+        return self
+
+    def wire_series(self) -> Dict[str, Any]:
+        return {"series": [
+            {"labels": list(labels), "value": value}
+            for labels, value in sorted(self.values.items())
+        ]}
+
+
+class Counter(_Valued):
+    """A monotonically increasing count, one value per labelset."""
+
+    __slots__ = ()
+
+    kind = "counter"
 
     def inc(self, labels: LabelValues = _NO_LABELS,
             amount: Union[int, float] = 1) -> None:
@@ -98,21 +160,13 @@ class Counter(_Metric):
         """
         self.values[labels] = value
 
-    def value(self, labels: LabelValues = _NO_LABELS) -> float:
-        return self.values.get(labels, 0)
 
-
-class Gauge(_Metric):
+class Gauge(_Valued):
     """A value that can go up and down (occupancy, queue depth)."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "",
-                 label_names: Tuple[str, ...] = ()) -> None:
-        super().__init__(name, help, label_names)
-        self.values: Dict[LabelValues, float] = {}
 
     def set(self, labels: LabelValues = _NO_LABELS,
             value: Union[int, float] = 0) -> None:
@@ -126,9 +180,6 @@ class Gauge(_Metric):
     def dec(self, labels: LabelValues = _NO_LABELS,
             amount: Union[int, float] = 1) -> None:
         self.inc(labels, -amount)
-
-    def value(self, labels: LabelValues = _NO_LABELS) -> float:
-        return self.values.get(labels, 0)
 
 
 class Histogram(_Metric):
@@ -194,13 +245,51 @@ class Histogram(_Metric):
     def sum(self, labels: LabelValues = _NO_LABELS) -> float:
         return self.sums.get(labels, 0.0)
 
+    def empty(self) -> "Histogram":
+        return Histogram(self.name, self.help, self.label_names,
+                         buckets=self.buckets)
+
+    def merge(self, other: "_Metric") -> "Histogram":
+        self._check_mergeable(other)
+        assert isinstance(other, Histogram)
+        if other.buckets != self.buckets:
+            raise ValueError(
+                f"{self.name}: bucket bounds differ "
+                f"({other.buckets} vs {self.buckets})"
+            )
+        for labels, counts in other.bucket_counts.items():
+            mine = self.bucket_counts.get(labels)
+            if mine is None:
+                self.bucket_counts[labels] = list(counts)
+            else:
+                for i, count in enumerate(counts):
+                    mine[i] += count
+            self.sums[labels] = self.sum(labels) + other.sum(labels)
+            self.counts[labels] = self.count(labels) + other.count(labels)
+        return self
+
+    def wire_series(self) -> Dict[str, Any]:
+        return {
+            "buckets": list(self.buckets),
+            "series": [
+                {
+                    "labels": list(labels),
+                    "bucket_counts": list(self.bucket_counts[labels]),
+                    "sum": self.sum(labels),
+                    "count": self.count(labels),
+                }
+                for labels in sorted(self.bucket_counts)
+            ],
+        }
+
 
 class MetricsRegistry:
     """One run's metrics, keyed by name; get-or-create accessors.
 
-    Re-requesting a name returns the existing metric when the kind and
-    label names match, and raises when they do not — two call sites
-    cannot silently fork one metric into incompatible shapes.
+    Re-requesting a name returns the existing metric when the kind,
+    label names and (histograms) bucket bounds match, and raises when
+    they do not — two call sites cannot silently fork one metric into
+    incompatible shapes.
     """
 
     __slots__ = ("_metrics",)
@@ -238,32 +327,109 @@ class MetricsRegistry:
                   label_names: Tuple[str, ...] = (),
                   buckets: Tuple[float, ...] = DEFAULT_TIME_BUCKETS
                   ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, label_names,
-                                   buckets=buckets)
+        histogram = self._get_or_create(Histogram, name, help, label_names,
+                                        buckets=buckets)
+        if histogram.buckets != tuple(sorted(buckets)):
+            raise ValueError(
+                f"{name!r} already registered with buckets "
+                f"{histogram.buckets}, requested {tuple(sorted(buckets))}"
+            )
+        return histogram
 
     def get(self, name: str) -> Optional[_Metric]:
         return self._metrics.get(name)
 
+    def value(self, name: str, labels: LabelValues = _NO_LABELS) -> float:
+        """One counter/gauge value (0 when the metric is absent)."""
+        metric = self._metrics.get(name)
+        if not isinstance(metric, _Valued):
+            return 0
+        return metric.value(labels)
+
     def __iter__(self) -> Iterator[_Metric]:
-        return iter(self._metrics.values())
+        """Metrics in name order — the order every renderer prints."""
+        return iter(sorted(self._metrics.values(), key=lambda m: m.name))
 
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def snapshot(self, *, sequence: int = 0):
-        """Freeze current values into a transportable Snapshot."""
-        from .snapshot import snapshot_registry
+    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
+        """Fold ``other`` in by addition, per metric and labelset.
 
-        return snapshot_registry(self, sequence=sequence)
-
-    def absorb(self, snapshot) -> None:
-        """Fold a (possibly remote) snapshot's values into this registry.
-
-        Every value adds, per labelset — the same summation rules as
-        :meth:`~repro.obs.snapshot.Snapshot.merge`.  This is how a
-        coordinator surfaces worker-side snapshots that crossed the
-        process boundary inside a ShardResult.
+        Addition is associative and commutative, so shards and agents
+        may report in any order and grouping (the repo's
+        ``AdditiveCounters`` convention).  Gauges add too: per-shard
+        gauges carry the shard id as a label, so they stay apart.
+        A metric this registry lacks is adopted as a copy; ``other`` is
+        never mutated.  Returns self.
         """
-        from .snapshot import absorb_into_registry
+        for metric in other:
+            mine = self._metrics.get(metric.name)
+            if mine is None:
+                mine = self._metrics[metric.name] = metric.empty()
+            mine.merge(metric)
+        return self
 
-        absorb_into_registry(self, snapshot)
+    def to_wire(self, sequence: int = 0) -> Dict[str, Any]:
+        """Stable, versioned, JSON-safe form for cross-process transport.
+
+        The schema tag, the emitter's emission index ``sequence`` and
+        every metric in name order; ``json.dumps`` of the result is the
+        fleet protocol's telemetry payload.
+        """
+        return {
+            "schema": SNAPSHOT_WIRE_SCHEMA,
+            "sequence": sequence,
+            "metrics": [
+                {
+                    "name": metric.name,
+                    "kind": metric.kind,
+                    "help": metric.help,
+                    "label_names": list(metric.label_names),
+                    **metric.wire_series(),
+                }
+                for metric in self
+            ],
+        }
+
+    @classmethod
+    def from_wire(cls, wire: Dict[str, Any]) -> "MetricsRegistry":
+        """Rebuild a registry from :meth:`to_wire` output.
+
+        Raises :class:`ValueError` on a schema mismatch or a malformed
+        metric — merging a layout this build does not understand would
+        corrupt the aggregate silently.  The emission index is not
+        state and is dropped.
+        """
+        schema = wire.get("schema")
+        if schema != SNAPSHOT_WIRE_SCHEMA:
+            raise ValueError(
+                f"snapshot wire schema {schema!r} != expected "
+                f"{SNAPSHOT_WIRE_SCHEMA!r}"
+            )
+        registry = cls()
+        for entry in wire.get("metrics", ()):
+            name, kind = entry["name"], entry["kind"]
+            help = entry.get("help", "")
+            label_names = tuple(entry.get("label_names", ()))
+            series = entry.get("series", ())
+            if kind == "histogram":
+                histogram = registry.histogram(
+                    name, help, label_names,
+                    buckets=tuple(entry.get("buckets", ())),
+                )
+                for item in series:
+                    histogram.set_state(
+                        tuple(item["labels"]),
+                        [int(c) for c in item["bucket_counts"]],
+                        float(item.get("sum", 0.0)),
+                        int(item.get("count", 0)),
+                    )
+            elif kind in ("counter", "gauge"):
+                values = (registry.counter if kind == "counter"
+                          else registry.gauge)(name, help, label_names).values
+                for item in series:
+                    values[tuple(item["labels"])] = item["value"]
+            else:
+                raise ValueError(f"{name}: unknown metric kind {kind!r}")
+        return registry

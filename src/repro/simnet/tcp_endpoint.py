@@ -221,10 +221,6 @@ class TcpEndpoint:
         return self.state == "ESTABLISHED" or self.state == "CLOSING"
 
     @property
-    def bytes_unacked(self) -> int:
-        return self._snd_nxt - self._snd_una
-
-    @property
     def congestion_control(self):
         """The live congestion controller (for inspection and tests)."""
         return self._cc

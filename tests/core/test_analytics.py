@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.analytics import (
     CollectAllAnalytics,
+    DstPrefixKey,
     MinFilterAnalytics,
     PrefixMinAnalytics,
-    dst_prefix_key,
 )
 from repro.core.flow import FlowKey
 from repro.core.samples import RttSample
@@ -129,7 +129,7 @@ class TestPreemptiveDiscard:
 
 class TestPrefixAggregation:
     def test_dst_prefix_key(self):
-        key_fn = dst_prefix_key(24)
+        key_fn = DstPrefixKey(24)
         assert key_fn(sample(FLOW_A, 1, 0)) == 0x10000100
         assert key_fn(sample(FLOW_A2, 1, 0)) == 0x10000900
 

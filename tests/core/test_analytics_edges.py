@@ -16,7 +16,6 @@ from repro.core.analytics import (
     PrefixMinAnalytics,
     WindowMinimum,
     _probe_sample,
-    dst_prefix_key,
 )
 from repro.core.flow import FlowKey
 from repro.core.samples import RttSample
@@ -136,7 +135,7 @@ class TestWorthRecirculatingDeterminism:
         samples of the flow, for key functions that only read the flow."""
         analytics = PrefixMinAnalytics(prefix_len=24, window_samples=8)
         analytics.add(sample(FLOW_A, 5, 10))
-        key_fn = dst_prefix_key(24)
+        key_fn = DstPrefixKey(24)
         assert key_fn(_probe_sample(FLOW_A, 0)) == key_fn(
             sample(FLOW_A, 5, 10)
         )

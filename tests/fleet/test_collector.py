@@ -11,6 +11,8 @@ import time
 import urllib.error
 import urllib.request
 
+import pytest
+
 from repro.core.analytics import WindowMinimum
 from repro.core.flow import intern_flow
 from repro.core.pipeline import DartStats
@@ -192,13 +194,45 @@ class TestExposition:
     def test_merged_agent_telemetry_included(self):
         registry = MetricsRegistry()
         registry.counter("dart_stream_records_total").inc((), 42)
-        snapshot = registry.snapshot(sequence=1)
         collector = FleetCollector()
         payload = delta_payload()
-        payload["telemetry"] = snapshot.to_wire()
+        payload["telemetry"] = registry.to_wire(1)
         collector.handle_frame(frame("delta", seq=1, payload=payload))
         parsed = parse_prometheus(collector.prometheus_exposition())
         assert parsed.value("dart_stream_records_total") == 42
+
+    def test_agents_telemetry_sums_and_stays_as_decoded(self):
+        collector = FleetCollector()
+        for agent, count in (("a1", 40), ("a2", 2)):
+            registry = MetricsRegistry()
+            registry.counter("dart_stream_records_total").inc((), count)
+            payload = delta_payload()
+            payload["telemetry"] = registry.to_wire(1)
+            collector.handle_frame(frame("delta", agent=agent, seq=1,
+                                         payload=payload))
+        decoded = [a.telemetry.to_wire() for a in collector.agents()]
+        assert collector.merged_telemetry().value(
+            "dart_stream_records_total") == 42
+        assert collector.merged_telemetry().value(
+            "dart_stream_records_total") == 42
+        assert [a.telemetry.to_wire() for a in collector.agents()] == decoded
+
+    def test_histogram_shape_mismatch_refused(self):
+        # Two agents exporting one histogram under different bucket
+        # layouts (other bounds, or another bin count) cannot be summed.
+        for other in ((10.0, 20.0, 40.0), (10.0, 20.0)):
+            collector = FleetCollector()
+            for agent, buckets in (("a1", (10.0, 20.0, 30.0)),
+                                   ("a2", other)):
+                registry = MetricsRegistry()
+                registry.histogram("dart_rtt_seconds", buckets=buckets)\
+                    .observe(25.0)
+                payload = delta_payload()
+                payload["telemetry"] = registry.to_wire(1)
+                collector.handle_frame(frame("delta", agent=agent, seq=1,
+                                             payload=payload))
+            with pytest.raises(ValueError, match="bucket bounds differ"):
+                collector.merged_telemetry()
 
     def test_detector_runs_over_merged_windows(self):
         collector = FleetCollector()

@@ -43,13 +43,13 @@ def test_empty_distribution_emits_nothing():
     registry = MetricsRegistry()
     dist = DistributionAnalytics(HistogramSpec(edges_ns=(MS,)))
     collect_distribution(registry, dist, "dart")
-    assert "dart_rtt_hist" not in to_prometheus(registry.snapshot())
+    assert "dart_rtt_hist" not in to_prometheus(registry)
 
 
 def test_exposition_carries_buckets_and_quantiles():
     registry = MetricsRegistry()
     collect_distribution(registry, _distribution(), "dart")
-    text = to_prometheus(registry.snapshot())
+    text = to_prometheus(registry)
     assert 'dart_rtt_hist_bucket{' in text
     assert 'le="+Inf"' in text
     assert "dart_rtt_hist_sum{" in text
@@ -65,7 +65,7 @@ def test_aggregate_count_matches_samples():
     registry = MetricsRegistry()
     dist = _distribution(keys=2, samples_per_key=4)
     collect_distribution(registry, dist, "dart")
-    text = to_prometheus(registry.snapshot())
+    text = to_prometheus(registry)
     for line in text.splitlines():
         if line.startswith("dart_rtt_hist_count") and 'key=""' in line:
             assert float(line.rsplit(" ", 1)[1]) == 8.0
@@ -78,7 +78,7 @@ def test_top_keys_bounds_scrape_size():
     registry = MetricsRegistry()
     collect_distribution(registry, _distribution(keys=6), "dart",
                          top_keys=2)
-    text = to_prometheus(registry.snapshot())
+    text = to_prometheus(registry)
     count_series = [line for line in text.splitlines()
                     if line.startswith("dart_rtt_hist_count")]
     # aggregate + 2 busiest keys
@@ -93,7 +93,7 @@ def test_collect_flushes_buffered_state():
     _ = dist.count
     dist.add(_sample(0x10000005, 50 * MS))
     collect_distribution(registry, dist, "dart")
-    text = to_prometheus(registry.snapshot())
+    text = to_prometheus(registry)
     for line in text.splitlines():
         if line.startswith("dart_rtt_hist_count") and 'key=""' in line:
             assert float(line.rsplit(" ", 1)[1]) == 4.0
@@ -119,7 +119,7 @@ def test_ipv6_prefix_key_has_one_label_everywhere(tmp_path):
 
     registry = MetricsRegistry()
     collect_distribution(registry, dist, "dart")
-    text = to_prometheus(registry.snapshot())
+    text = to_prometheus(registry)
     assert 'key="2001:db8::100"' in text
     assert 'key="16.0.0.0/24"' in text  # the IPv4 label is unchanged
 
