@@ -3,7 +3,7 @@
 Flow-consistent sharding guarantees every per-flow quantity is computed
 entirely inside one shard, so merging is pure aggregation:
 
-* counters add (:meth:`repro.core.pipeline.DartStats.merge`),
+* counters add (:meth:`repro.core.stats.AdditiveCounters.merge`),
 * sample streams interleave by timestamp (each shard's stream is
   already time-ordered, so the merged stream is the multiset union of
   the shards' samples in global ACK-arrival order),
@@ -30,12 +30,11 @@ def merge_stats(stats: Iterable[Any]) -> Any:
     """Sum per-shard stats into a fresh object of the same stats type.
 
     Works for any monitor's counters dataclass: a zero-argument
-    construction of the first item's type seeds the fold, and each
-    item's own ``merge`` (field-wise addition, or
-    :meth:`~repro.core.pipeline.DartStats.merge`'s histogram-aware
-    variant) accumulates into it.  An empty input merges to an empty
-    :class:`DartStats` — the historical behaviour, kept for callers that
-    merge zero shards.
+    construction of the first item's type seeds the fold, and
+    :meth:`~repro.core.stats.AdditiveCounters.merge` (field-wise
+    addition, verdict histograms key by key) accumulates into it.  An
+    empty input merges to an empty :class:`DartStats` — the historical
+    behaviour, kept for callers that merge zero shards.
     """
     iterator = iter(stats)
     first = next(iterator, None)

@@ -127,20 +127,6 @@ _CYCLE = InsertOutcome(InsertStatus.CYCLE)
 _UNPLACED = InsertOutcome(InsertStatus.UNPLACED)
 
 
-@dataclass(slots=True)
-class PacketTrackerStats:
-    """PT-side counters for the §6.2 metrics."""
-
-    insert_passes: int = 0
-    placed_empty: int = 0
-    placed_evicting: int = 0
-    duplicates: int = 0
-    cycle_self_destructs: int = 0
-    unplaced: int = 0
-    matches: int = 0
-    lookup_misses: int = 0
-
-
 class AssociativePacketTable:
     """Unlimited fully-associative PT backend (§6.1 ideal mode).
 
@@ -150,32 +136,23 @@ class AssociativePacketTable:
 
     def __init__(self) -> None:
         self._records: Dict[Tuple[FlowKey, int], PtRecord] = {}
-        self.stats = PacketTrackerStats()
 
     def __len__(self) -> int:
         return len(self._records)
 
     def insert(self, record: PtRecord) -> InsertOutcome:
-        self.stats.insert_passes += 1
         key = (record.flow, record.eack)
         if key in self._records:
             # A same-key insert can only be a retransmission that slipped
             # past range tracking; the older record is kept (paper: older
             # records are preferred).
-            self.stats.duplicates += 1
             return _DUPLICATE
         self._records[key] = record
-        self.stats.placed_empty += 1
         return _PLACED
 
     def match_ack(self, flow: FlowKey, ack: int) -> Optional[PtRecord]:
         """Find-and-delete the record acknowledged by ``ack``."""
-        record = self._records.pop((flow, ack), None)
-        if record is None:
-            self.stats.lookup_misses += 1
-        else:
-            self.stats.matches += 1
-        return record
+        return self._records.pop((flow, ack), None)
 
     def discard_flow(self, flow: FlowKey) -> int:
         """Drop all records of one flow (operator/test helper)."""
@@ -205,7 +182,6 @@ class StagedPacketTable:
         # O(1) — telemetry samples it per emission, and a slot scan
         # would dominate the emission cost.
         self._occupied = 0
-        self.stats = PacketTrackerStats()
 
     def __len__(self) -> int:
         return self._stage_count * self._stage_slots
@@ -220,8 +196,6 @@ class StagedPacketTable:
 
     def insert(self, record: PtRecord) -> InsertOutcome:
         """One insertion pass; never recirculates by itself."""
-        stats = self.stats
-        stats.insert_passes += 1
         # The stage at which this pass holds eviction rights (None = none).
         if record.recirc_count:
             force_stage = (record.recirc_count - 1) % self._stage_count
@@ -243,22 +217,17 @@ class StagedPacketTable:
             if occupant is None:
                 slots[index] = record
                 self._occupied += 1
-                stats.placed_empty += 1
                 return _PLACED
             if occupant.signature == signature and occupant.eack == eack:
-                stats.duplicates += 1
                 return _DUPLICATE
             if stage == force_stage:
                 if record.last_evicted_id == occupant.record_id:
                     # About to evict the record we already evicted once:
                     # an eviction loop.  Self-destruct instead (paper §3.2).
-                    stats.cycle_self_destructs += 1
                     return _CYCLE
                 slots[index] = record
                 record.last_evicted_id = occupant.record_id
-                stats.placed_evicting += 1
                 return InsertOutcome(InsertStatus.PLACED_EVICTING, occupant)
-        stats.unplaced += 1
         return _UNPLACED
 
     def match_ack(self, flow: FlowKey, ack: int) -> Optional[PtRecord]:
@@ -279,9 +248,7 @@ class StagedPacketTable:
                     and occupant.eack == ack):
                 slots[index] = None
                 self._occupied -= 1
-                self.stats.matches += 1
                 return occupant
-        self.stats.lookup_misses += 1
         return None
 
     def discard_flow(self, flow: FlowKey) -> int:
@@ -321,11 +288,10 @@ class StagedPacketTable:
         flow_rows = [(f.src_ip, f.dst_ip, f.src_port, f.dst_port, f.ipv6)
                      for f in flows]
         return _rebuild_packet_table, (self._stage_count, self._stage_slots,
-                                       self.stats, flow_rows, rows)
+                                       flow_rows, rows)
 
 
-def _rebuild_packet_table(stages: int, stage_slots: int,
-                          stats: PacketTrackerStats, flows,
+def _rebuild_packet_table(stages: int, stage_slots: int, flows,
                           rows) -> StagedPacketTable:
     """Unpickle a :class:`StagedPacketTable` with re-interned flows,
     refusing any row whose slot is out of range or not after the last,
@@ -344,7 +310,6 @@ def _rebuild_packet_table(stages: int, stage_slots: int,
             handshake, leg, recirc_count, last_evicted_id)
         previous = (stage, index)
     table._occupied = len(rows)
-    table.stats = stats
     return table
 
 

@@ -27,7 +27,7 @@ modelling recirculation latency.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..net import tcp as tcp_mod
@@ -44,6 +44,7 @@ from .packet_tracker import (
 )
 from .range_tracker import AckVerdict, RangeTracker, SeqVerdict
 from .samples import RttSample
+from .stats import AdditiveCounters
 
 LegFilter = Callable[[PacketRecord], Optional[str]]
 TargetFilter = Callable[[PacketRecord], bool]
@@ -78,8 +79,9 @@ TRACE_CHUNK = 8192
 
 
 @dataclass(slots=True)
-class DartStats:
-    """Pipeline-level counters behind the §6.2 metrics.
+class DartStats(AdditiveCounters):
+    """Pipeline-level counters behind the §6.2 metrics: Dart's one
+    counter set, each kernel decision counted once.
 
     Every field is either a plain additive counter or a verdict→count
     mapping, so two stats objects merge by summation — the property the
@@ -107,29 +109,11 @@ class DartStats:
     #: ACKs matched to a data packet stamped later than themselves (a
     #: capture clock that ran backwards): dropped, never a sample.
     negative_rtt_drops: int = 0
+    #: Data packets whose PT key was already resident (a retransmission
+    #: that slipped past range tracking): dropped, the older record kept.
+    duplicate_inserts: int = 0
     seq_verdicts: Dict[SeqVerdict, int] = field(default_factory=dict)
     ack_verdicts: Dict[AckVerdict, int] = field(default_factory=dict)
-
-    @staticmethod
-    def _bump(verdicts: Dict, verdict, count: int = 1) -> None:
-        """Count a verdict (the single write path into the verdict dicts)."""
-        verdicts[verdict] = verdicts.get(verdict, 0) + count
-
-    def merge(self, other: "DartStats") -> "DartStats":
-        """Fold ``other``'s counts into this object; returns self.
-
-        Plain counters add; verdict histograms add per verdict.  Used to
-        aggregate per-shard stats into a cluster-wide view.
-        """
-        for f in fields(self):
-            if f.name in ("seq_verdicts", "ack_verdicts"):
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        for verdict, count in other.seq_verdicts.items():
-            self._bump(self.seq_verdicts, verdict, count)
-        for verdict, count in other.ack_verdicts.items():
-            self._bump(self.ack_verdicts, verdict, count)
-        return self
 
     def recirculations_per_packet(self) -> float:
         """The paper's recirculation-overhead metric (Figs 11c/12c/13c)."""
@@ -437,8 +421,10 @@ class Dart:
         while candidate is not None:
             outcome = self.packet_tracker.insert(candidate)
             status = outcome.status
-            if (status is InsertStatus.PLACED
-                    or status is InsertStatus.DUPLICATE):
+            if status is InsertStatus.PLACED:
+                return
+            if status is InsertStatus.DUPLICATE:
+                self.stats.duplicate_inserts += 1
                 return
             if status is InsertStatus.CYCLE:
                 self.stats.cycle_self_destructs += 1

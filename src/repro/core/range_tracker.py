@@ -74,12 +74,13 @@ class AckVerdict(enum.Enum):
 
 @dataclass(slots=True)
 class RangeEntry:
-    """One flow's measurement range."""
+    """One flow's measurement range: the RT record's three registers
+    (signature, left, right) and the last-access stamp the §7 timeout
+    reads."""
 
     signature: int
     left: int
     right: int
-    collapses: int = 0
     touched_ns: int = 0
 
     @property
@@ -90,21 +91,15 @@ class RangeEntry:
 
 @dataclass(slots=True)
 class RangeTrackerStats:
-    """Counters exposed for the evaluation and for congestion telemetry
-    (paper §3.1 suggests collapse frequency as a congestion signal)."""
+    """What the RT decides that no verdict carries alone: collapses by
+    cause (paper §3.1 suggests their frequency as a congestion signal),
+    overwrites of a collapsed flow's slot, and §7 timeout expiries.
+    Per-verdict counts live in :class:`~repro.core.pipeline.DartStats`."""
 
-    data_packets: int = 0
-    acks: int = 0
-    new_flows: int = 0
     retransmission_collapses: int = 0
     duplicate_ack_collapses: int = 0
     overlap_collapses: int = 0
-    holes: int = 0
-    wraparounds: int = 0
-    table_full: int = 0
     flow_overwrites: int = 0
-    old_acks_ignored: int = 0
-    optimistic_acks_ignored: int = 0
     timeout_expiries: int = 0
 
     @property
@@ -243,8 +238,7 @@ class HashedRangeTable:
         rows = []
         for index in sorted(self._occupied):
             e = self._slots[index]
-            rows.append((index, e.signature, e.left, e.right, e.collapses,
-                         e.touched_ns))
+            rows.append((index, e.signature, e.left, e.right, e.touched_ns))
         return _rebuild_range_table, (self._size, self._overwrite_collapsed,
                                       rows)
 
@@ -255,11 +249,10 @@ def _rebuild_range_table(size: int, overwrite_collapsed: bool,
     is out of range or not above the last (a negative one would wrap)."""
     table = HashedRangeTable(size, overwrite_collapsed=overwrite_collapsed)
     previous = -1
-    for index, signature, left, right, collapses, touched_ns in rows:
+    for index, signature, left, right, touched_ns in rows:
         if not previous < index < size:
             raise ValueError(f"RT row index {index} out of order or range")
-        table._slots[index] = RangeEntry(signature, left, right, collapses,
-                                         touched_ns)
+        table._slots[index] = RangeEntry(signature, left, right, touched_ns)
         table._occupied.add(index)
         previous = index
     return table
@@ -317,7 +310,6 @@ class RangeTracker:
         space); callers guarantee ``eack != seq``.  ``now_ns`` only
         matters when an RT timeout is configured.
         """
-        self.stats.data_packets += 1
         entry = (self._table.lookup(flow) if self._timeout_ns is None
                  else self._live_entry(flow, now_ns))
 
@@ -326,9 +318,7 @@ class RangeTracker:
                                right=eack, touched_ns=now_ns)
             inserted, overwrote = self._table.insert(flow, entry)
             if not inserted:
-                self.stats.table_full += 1
                 return SeqVerdict.TABLE_FULL
-            self.stats.new_flows += 1
             if overwrote:
                 self.stats.flow_overwrites += 1
             return SeqVerdict.NEW_FLOW
@@ -347,14 +337,12 @@ class RangeTracker:
             # The segment crosses the 2**32 boundary (its end wrapped).
             entry.left = 0
             entry.right = eack
-            self.stats.wraparounds += 1
             return SeqVerdict.WRAPAROUND
 
         if seq_le(eack, entry.right):
             # Every byte was transmitted before: a retransmission. Any
             # future ACK for in-flight bytes is ambiguous -> collapse.
             entry.left = entry.right
-            entry.collapses += 1
             self.stats.retransmission_collapses += 1
             return SeqVerdict.RETRANSMISSION
 
@@ -368,7 +356,6 @@ class RangeTracker:
             # Keep only the highest contiguous range (paper Fig 4d).
             entry.left = seq
             entry.right = eack
-            self.stats.holes += 1
             return SeqVerdict.TRACK_AFTER_HOLE
 
         # seq < right < eack: the segment partially overlaps bytes already
@@ -376,7 +363,6 @@ class RangeTracker:
         # eack is ambiguous -> collapse at the new right edge.
         entry.left = eack
         entry.right = eack
-        entry.collapses += 1
         self.stats.overlap_collapses += 1
         return SeqVerdict.OVERLAP
 
@@ -392,7 +378,6 @@ class RangeTracker:
         advance does not affect the PT lookup for this same ack number,
         so a single call is safe.)
         """
-        self.stats.acks += 1
         entry = (self._table.lookup(flow) if self._timeout_ns is None
                  else self._live_entry(flow, now_ns))
         if entry is None:
@@ -408,7 +393,6 @@ class RangeTracker:
             # already-collapsed range is a no-op and not counted.)
             if left != right:
                 entry.left = right
-                entry.collapses += 1
                 self.stats.duplicate_ack_collapses += 1
             return AckVerdict.DUPLICATE
 
@@ -419,10 +403,7 @@ class RangeTracker:
             return AckVerdict.VALID
 
         if seq_lt(ack, left):
-            self.stats.old_acks_ignored += 1
             return AckVerdict.OLD
-
-        self.stats.optimistic_acks_ignored += 1
         return AckVerdict.OPTIMISTIC
 
     # -- Recirculation support ---------------------------------------------

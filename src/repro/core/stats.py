@@ -3,11 +3,7 @@
 Every monitor in this library exposes a ``stats`` dataclass of plain
 additive counters.  The sharded cluster (:mod:`repro.cluster`) merges
 per-shard stats by summation; :class:`AdditiveCounters` provides that
-``merge`` once, so each baseline's stats class stays a bare field list.
-
-:class:`~repro.core.pipeline.DartStats` implements its own ``merge``
-(its verdict histograms need per-key addition); everything else inherits
-this mixin.
+``merge`` once, so each monitor's stats class stays a bare field list.
 """
 
 from __future__ import annotations
@@ -18,8 +14,10 @@ from dataclasses import fields
 class AdditiveCounters:
     """Mixin: fold another stats object in by summing every field.
 
-    ``__slots__`` is empty so ``slots=True`` dataclass subclasses keep
-    their per-instance dict-free layout (the PR 2 fast-path convention).
+    An int field adds; a dict field (a verdict→count histogram) adds
+    key by key, new keys appended in ``other``'s order.  ``__slots__``
+    is empty so ``slots=True`` dataclass subclasses keep their
+    per-instance dict-free layout.
     """
 
     __slots__ = ()
@@ -32,5 +30,11 @@ class AdditiveCounters:
                 f"{type(self).__name__}"
             )
         for f in fields(self):  # type: ignore[arg-type]
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+            mine = getattr(self, f.name)
+            theirs = getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, count in theirs.items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(self, f.name, mine + theirs)
         return self

@@ -6,7 +6,7 @@ loop and each monitor grew a slightly different surface (Dart had
 batching nor finalization).  The protocol pins down the common surface:
 
 * ``stats`` — a dataclass of additive counters (summable across shards
-  via :class:`repro.core.stats.AdditiveCounters` or a bespoke ``merge``);
+  via :class:`repro.core.stats.AdditiveCounters`);
 * ``samples`` — every :class:`~repro.core.samples.RttSample` the monitor
   has retained, in emission order;
 * ``process(record)`` — one record in, zero or more samples out;

@@ -138,9 +138,9 @@ def collect_monitor(registry: MetricsRegistry, monitor: Any,
     it).  Otherwise this generic path reads:
 
     * the ``stats`` counters dataclass (every monitor has one),
-    * Range Tracker verdict/collapse counters and RT/PT occupancy
-      (Dart only; read through ``getattr`` guards like the cluster's
-      ``harvest`` does, so baselines collect cleanly).
+    * Range Tracker collapse, overwrite and expiry counters and RT/PT
+      occupancy (Dart only; read through ``getattr`` guards like the
+      cluster's ``harvest`` does, so baselines collect cleanly).
     """
     custom = getattr(monitor, "collect_telemetry", None)
     if callable(custom):

@@ -48,12 +48,10 @@ class TestDartStatsMerge:
         assert merged.recirculations == 4
 
     def test_verdict_histograms_sum(self):
-        a = DartStats()
-        a._bump(a.seq_verdicts, SeqVerdict.NEW_FLOW)
-        a._bump(a.ack_verdicts, AckVerdict.VALID, 2)
-        b = DartStats()
-        b._bump(b.seq_verdicts, SeqVerdict.NEW_FLOW, 3)
-        b._bump(b.ack_verdicts, AckVerdict.OPTIMISTIC)
+        a = DartStats(seq_verdicts={SeqVerdict.NEW_FLOW: 1},
+                      ack_verdicts={AckVerdict.VALID: 2})
+        b = DartStats(seq_verdicts={SeqVerdict.NEW_FLOW: 3},
+                      ack_verdicts={AckVerdict.OPTIMISTIC: 1})
         merged = merge_stats([a, b])
         assert merged.seq_verdicts[SeqVerdict.NEW_FLOW] == 4
         assert merged.ack_verdicts[AckVerdict.VALID] == 2

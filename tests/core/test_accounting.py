@@ -1,12 +1,16 @@
 """Conservation laws over Dart's counters.
 
 Every Packet Tracker record created by the pipeline must end in exactly
-one terminal state: still resident in the table, matched by an ACK,
-self-destructed (cycle, stale, budget, analytics purge, shadow
-discard), or dropped as a duplicate key.  If the books don't balance,
-some code path is silently losing or double-counting records — this
-test is the canary for the whole contention machinery.
+one terminal state: still resident in the table, matched by an ACK
+(a sample, or a negative-RTT drop), self-destructed (cycle, stale,
+budget, analytics purge, shadow discard), or dropped as a duplicate
+key.  ``DartStats`` alone holds every one of those counts.  If the
+books don't balance, some code path is silently losing or
+double-counting records — this test is the canary for the whole
+contention machinery.
 """
+
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core import Dart, DartConfig, MinFilterAnalytics
 from repro.net import tcp as tcpf
+from repro.net.columnar import HAVE_NUMPY, records_to_columns
+from repro.net.framing import encode_records
 from repro.net.packet import PacketRecord
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
@@ -22,12 +28,12 @@ MS = 1_000_000
 
 def record_balance(dart: Dart) -> dict:
     stats = dart.stats
-    pt = dart.packet_tracker.stats
     _, resident = dart.occupancy()
     terminal = (
         resident
-        + pt.matches
-        + pt.duplicates
+        + stats.samples
+        + stats.negative_rtt_drops
+        + stats.duplicate_inserts
         + stats.cycle_self_destructs
         + stats.stale_self_destructs
         + stats.budget_drops
@@ -38,7 +44,6 @@ def record_balance(dart: Dart) -> dict:
         "created": stats.tracked_inserts,
         "terminal": terminal,
         "resident": resident,
-        "matches": pt.matches,
     }
 
 
@@ -151,3 +156,49 @@ class TestConservation:
         queued = len(dart._recirc_queue)
         balance = record_balance(dart)
         assert balance["created"] == balance["terminal"] + queued
+
+
+CHUNK = 500
+
+
+def _in_chunks(feed):
+    """A feed of the whole trace in CHUNK-record calls to ``feed``."""
+    def run(dart, records):
+        for start in range(0, len(records), CHUNK):
+            feed(dart, records[start:start + CHUNK])
+        return dart
+    return run
+
+
+def _through_pickle(dart, records):
+    half = len(records) // 2
+    dart.process_batch(records[:half])
+    dart = pickle.loads(pickle.dumps(dart))
+    dart.process_batch(records[half:])
+    return dart
+
+
+ENTRY_POINTS = [
+    pytest.param(_in_chunks(lambda dart, chunk: [dart.process(r)
+                                                 for r in chunk]),
+                 id="process"),
+    pytest.param(_in_chunks(Dart.process_batch), id="process_batch"),
+    pytest.param(_in_chunks(lambda dart, chunk: dart.process_framed(
+        encode_records(chunk))), id="process_framed"),
+    pytest.param(_in_chunks(lambda dart, chunk: dart.process_columns(
+        records_to_columns(chunk))), id="process_columns",
+        marks=pytest.mark.skipif(not HAVE_NUMPY,
+                                 reason="process_columns requires numpy")),
+    pytest.param(_through_pickle, id="pickled_mid_trace"),
+]
+
+
+@pytest.mark.parametrize("feed", ENTRY_POINTS)
+def test_books_balance_on_every_entry_point(feed):
+    records = generate_campus_trace(
+        CampusTraceConfig(connections=150, seed=8)).records
+    dart = feed(Dart(DartConfig(rt_slots=1 << 12, pt_slots=1 << 6,
+                                pt_stages=2, max_recirculations=2)), records)
+    assert dart.stats.packets_processed == len(records)
+    assert dart.stats.samples and dart.stats.evictions
+    check_balance(dart)

@@ -280,7 +280,7 @@ def stats_delta(before: DartStats, after: DartStats) -> DartStats:
             for verdict, count in getattr(after, f.name).items():
                 step = count - prior.get(verdict, 0)
                 if step:
-                    DartStats._bump(getattr(delta, f.name), verdict, step)
+                    getattr(delta, f.name)[verdict] = step
         else:
             setattr(delta, f.name,
                     getattr(after, f.name) - getattr(before, f.name))
@@ -315,16 +315,17 @@ class TestMergeMatchesBatchedRun:
            st.integers(min_value=1, max_value=7))
     def test_merge_is_chunking_invariant(self, verdicts, parts):
         """Summing verdicts in any partition equals one-shot counting."""
-        whole = DartStats()
-        for verdict in verdicts:
-            DartStats._bump(whole.seq_verdicts, verdict)
+        def counted(chunk):
+            counts = {}
+            for verdict in chunk:
+                counts[verdict] = counts.get(verdict, 0) + 1
+            return DartStats(seq_verdicts=counts)
+
+        whole = counted(verdicts)
         merged = DartStats()
         chunk = max(1, len(verdicts) // parts)
         for start in range(0, len(verdicts), chunk):
-            piece = DartStats()
-            for verdict in verdicts[start:start + chunk]:
-                DartStats._bump(piece.seq_verdicts, verdict)
-            merged.merge(piece)
+            merged.merge(counted(verdicts[start:start + chunk]))
         assert merged.seq_verdicts == whole.seq_verdicts
         assert list(merged.seq_verdicts) == list(whole.seq_verdicts)
 

@@ -90,16 +90,12 @@ class TestSlotsPickling:
 
     def test_range_entry_round_trips(self):
         entry = RangeEntry(signature=0xDEADBEEF, left=100, right=2000,
-                           collapses=3, touched_ns=42)
+                           touched_ns=42)
         clone = pickle.loads(pickle.dumps(entry))
-        assert (clone.signature, clone.left, clone.right) == \
-            (entry.signature, entry.left, entry.right)
-        assert clone.collapses == entry.collapses
+        assert clone == entry
 
     def test_dart_stats_round_trips_including_verdict_dicts(self):
-        stats = DartStats()
-        DartStats._bump(stats.seq_verdicts, SeqVerdict.NEW_FLOW, 5)
-        stats.samples = 9
+        stats = DartStats(seq_verdicts={SeqVerdict.NEW_FLOW: 5}, samples=9)
         clone = pickle.loads(pickle.dumps(stats))
         assert clone == stats
         assert list(clone.seq_verdicts) == list(stats.seq_verdicts)

@@ -10,6 +10,7 @@ from repro.core import (
     ideal_config,
     make_leg_filter,
 )
+from repro.core.flow import intern_flow
 from repro.core.hist import DistributionFactory
 from repro.core.range_tracker import AckVerdict, SeqVerdict
 from repro.net import tcp as tcpf
@@ -362,3 +363,24 @@ class TestBackwardsClock:
         samples = dart.process(ack_of(8, 1200))
         assert [s.rtt_ns for s in samples] == [5 * MS]
         assert dart.stats.negative_rtt_drops == 1
+
+
+
+class TestDuplicateInsert:
+    """A data packet whose PT key is already resident (here: resent
+    after its flow's RT entry was dropped) keeps the older record and
+    is counted once, in ``DartStats``."""
+
+    @pytest.mark.parametrize("config", [
+        ideal_config(), DartConfig(rt_slots=1 << 8, pt_slots=1 << 8)])
+    def test_duplicate_key_is_counted_and_the_older_record_kept(
+            self, config):
+        dart = Dart(config)
+        dart.process(data(0, 1000))
+        dart.range_tracker.delete(intern_flow(CLIENT, SERVER, 40000, 443))
+        dart.process(data(5, 1000))
+        assert dart.stats.seq_verdicts[SeqVerdict.NEW_FLOW] == 2
+        assert dart.stats.tracked_inserts == 2
+        assert dart.stats.duplicate_inserts == 1
+        samples = dart.process(ack_of(10, 1100))
+        assert [s.rtt_ns for s in samples] == [10 * MS]

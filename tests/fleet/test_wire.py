@@ -170,9 +170,8 @@ class TestStatsCodec:
     def test_counter_missing_from_an_older_peer_reads_zero(self):
         # An agent built before a counter existed omits it; the sum
         # across the fleet then counts only the agents that have it.
-        stats = DartStats()
-        stats.negative_rtt_drops = 2
-        wire = stats_to_wire(stats)
-        assert wire["fields"]["negative_rtt_drops"] == 2
-        del wire["fields"]["negative_rtt_drops"]
-        assert stats_from_wire(wire).negative_rtt_drops == 0
+        for counter in ("negative_rtt_drops", "duplicate_inserts"):
+            wire = stats_to_wire(DartStats(**{counter: 2}))
+            assert wire["fields"][counter] == 2
+            del wire["fields"][counter]
+            assert getattr(stats_from_wire(wire), counter) == 0

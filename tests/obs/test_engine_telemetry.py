@@ -59,6 +59,21 @@ class TestEngineTelemetry:
         assert "dart_monitor_rt_occupancy" in names
         assert "dart_monitor_pt_occupancy" in names
         assert "dart_monitor_rt_collapses_total" in names
+        # Each kernel decision is one series: the duplicate-insert count
+        # is DartStats', and no RT series copies a verdict series.
+        labels = ("dart", "")
+        assert series_value(
+            final, "dart_monitor_duplicate_inserts_total", labels
+        ) == monitor.stats.duplicate_inserts
+        assert series_value(
+            final, "dart_monitor_rt_collapses_total", labels
+        ) == sum(series_value(final, f"dart_monitor_rt_{cause}_total", labels)
+                 for cause in ("retransmission_collapses",
+                               "overlap_collapses",
+                               "duplicate_ack_collapses"))
+        assert not {"dart_monitor_rt_data_packets_total",
+                    "dart_monitor_rt_holes_total",
+                    "dart_monitor_rt_old_acks_ignored_total"} & names
 
     def test_chunk_histogram_counts_chunks(self, tcp_records):
         chunk_size = 64

@@ -180,9 +180,11 @@ def index_bytes(dart):
     """Pickled bytes of the slot indices in ``dart``'s table rows.  An
     int pickles in 1, 2 or 4 bytes by its value, the one way a row can
     depend on the size of its table."""
-    rt_rows = dart.range_tracker._table.__reduce__()[1][2]
-    pt_rows = dart.packet_tracker.__reduce__()[1][4]
-    indices = [row[0] for row in rt_rows] + [row[1] for row in pt_rows]
+    _, (_, _, rt_rows) = dart.range_tracker._table.__reduce__()
+    _, (_, _, _, pt_rows) = dart.packet_tracker.__reduce__()
+    # An RT row is the slot's registers and timeout stamp, nothing else.
+    indices = [index for index, _sig, _left, _right, _touched in rt_rows]
+    indices += [row[1] for row in pt_rows]
     return sum(1 if i < 1 << 8 else 2 if i < 1 << 16 else 4 for i in indices)
 
 
@@ -247,7 +249,7 @@ def forge_rt(fault):
 
 def forge_pt(fault):
     _, table = constrained_tables()
-    rebuild, (stages, stage_slots, stats, flows, rows) = table.__reduce__()
+    rebuild, (stages, stage_slots, flows, rows) = table.__reduce__()
     assert len(rows) >= 2
     first = rows[0]
     rows = {
@@ -259,7 +261,7 @@ def forge_pt(fault):
         "flow-out-of-range": [first[:3] + (len(flows),) + first[4:]]
         + rows[1:],
     }[fault]
-    return Forged(rebuild, (stages, stage_slots, stats, flows, rows))
+    return Forged(rebuild, (stages, stage_slots, flows, rows))
 
 
 class TestForgedRows:
@@ -300,5 +302,12 @@ class TestForgedRows:
         # Distribution stages pickled as histogram/sketch objects
         # (schema /2) are not migrated to registers.
         restamp(checkpoint, "dart-stream-checkpoint/2")
+        with pytest.raises(CheckpointSchemaMismatch):
+            read_checkpoint(checkpoint)
+
+    def test_schema_3_is_refused(self, checkpoint):
+        # RT rows with a per-entry collapse count and a PT carrying its
+        # own stats (schema /3) are not migrated.
+        restamp(checkpoint, "dart-stream-checkpoint/3")
         with pytest.raises(CheckpointSchemaMismatch):
             read_checkpoint(checkpoint)

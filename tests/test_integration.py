@@ -12,6 +12,7 @@ from repro.net import tcp as tcpf
 from repro.net.packet import PacketRecord
 from repro.net.pcap import read_packets, write_packets
 from repro.traces import CampusTraceConfig, generate_campus_trace
+from tests.core.test_accounting import check_balance
 
 MS = 1_000_000
 
@@ -197,8 +198,7 @@ class TestFuzzInvariants:
                     src_port=443, dst_port=40000, seq=1, ack=seq + 100,
                     flags=tcpf.FLAG_ACK, payload_len=0,
                 ))
-        stats = dart.stats
-        assert stats.samples == dart.packet_tracker.stats.matches
-        assert stats.packets_processed == len(events)
+        check_balance(dart)
+        assert dart.stats.packets_processed == len(events)
         _, pt_occ = dart.occupancy()
         assert pt_occ <= 4
