@@ -13,7 +13,7 @@ collapse counts as an indicator of loss/reordering on the path.
 from repro.analysis import percentile, render_table
 from repro.baselines import Strawman, tcptrace_const
 from repro.core.range_tracker import SeqVerdict
-from repro.core import make_leg_filter
+from repro.core import LegFilter
 from repro.engine import MonitorEngine
 from repro.traces import (
     CampusTraceConfig,
@@ -35,8 +35,7 @@ def run_heavy_impairment():
     trace = generate_campus_trace(
         CampusTraceConfig(connections=900, seed=55, workload=workload)
     )
-    leg = lambda: make_leg_filter(trace.internal.is_internal,
-                                  legs=("external",))
+    leg = lambda: LegFilter(trace.internal, legs=("external",))
     dart = tcptrace_const(leg_filter=leg())
     no_rt = Strawman(leg_filter=leg())
     engine = MonitorEngine()

@@ -8,7 +8,7 @@ immediately, confirmed within 63 packets / 2.58 seconds.
 """
 
 from repro.analysis import render_series, render_table
-from repro.core import Dart, ideal_config, make_leg_filter
+from repro.core import Dart, LegFilter, ideal_config
 from repro.detection import InterceptionDetector, packets_between
 from repro.traces import generate_attack_trace
 
@@ -20,8 +20,7 @@ def run_attack_detection():
     detector = InterceptionDetector()
     dart = Dart(
         ideal_config(),
-        leg_filter=make_leg_filter(trace.internal.is_internal,
-                                   legs=("external",)),
+        leg_filter=LegFilter(trace.internal, legs=("external",)),
     )
     raw = []
     for record in trace.records:

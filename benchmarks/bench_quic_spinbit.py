@@ -8,7 +8,7 @@ spin bit's step-change visibility for attack-style RTT shifts.
 """
 
 from repro.analysis import percentile, render_table
-from repro.core import Dart, ideal_config, make_leg_filter
+from repro.core import Dart, LegFilter, ideal_config
 from repro.quic import QuicScenarioConfig, SpinBitMonitor, generate_quic_trace
 from repro.traces import AttackTraceConfig, generate_attack_trace
 
@@ -28,8 +28,7 @@ def run_comparison():
     )
     tcp_trace = generate_attack_trace(tcp_config)
     dart = Dart(ideal_config(),
-                leg_filter=make_leg_filter(tcp_trace.internal.is_internal,
-                                           legs=("external",)))
+                leg_filter=LegFilter(tcp_trace.internal, legs=("external",)))
     for record in tcp_trace.records:
         dart.process(record)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import make_leg_filter
+from repro.core import LegFilter
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -38,8 +38,7 @@ def external_leg(campus_trace):
     """Factory for fresh external-leg filters bound to the trace."""
 
     def make():
-        return make_leg_filter(campus_trace.internal.is_internal,
-                               legs=("external",))
+        return LegFilter(campus_trace.internal, legs=("external",))
 
     return make
 
@@ -49,8 +48,7 @@ def internal_leg(campus_trace):
     """Factory for fresh internal-leg filters bound to the trace."""
 
     def make():
-        return make_leg_filter(campus_trace.internal.is_internal,
-                               legs=("internal",))
+        return LegFilter(campus_trace.internal, legs=("internal",))
 
     return make
 

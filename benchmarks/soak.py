@@ -40,6 +40,7 @@ from typing import List, Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster import ClusterPartialResultWarning, ShardedDart  # noqa: E402
+from repro.core import LegFilter  # noqa: E402
 from repro.core.analytics import CollectAllAnalytics, DstPrefixKey  # noqa: E402
 from repro.core.hist import DistributionFactory, HistogramSpec  # noqa: E402
 from repro.engine import (  # noqa: E402
@@ -287,8 +288,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     emitter = TelemetryEmitter(
         "prom", interval_s=args.telemetry_interval, path=args.telemetry_out
     )
+    # One prefix set orients every monitor: the leg filter, applied in
+    # each Dart shard's kernel, and spinbit's client side.
     options = MonitorOptions(
-        is_client=lambda addr: trace.is_internal(addr),
+        leg_filter=LegFilter(trace.internal),
+        is_client=trace.internal.__contains__,
         analytics_factory=HIST_FACTORY if args.hist else None,
     )
     engine = build_engine(trace, emitter, options)

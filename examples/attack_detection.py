@@ -11,7 +11,7 @@ effect and its confirmation.
 Run:  python examples/attack_detection.py
 """
 
-from repro.core import Dart, ideal_config, make_leg_filter
+from repro.core import Dart, LegFilter, ideal_config
 from repro.detection import (
     DetectionState,
     InterceptionDetector,
@@ -33,8 +33,7 @@ def main() -> None:
     detector = InterceptionDetector()
     dart = Dart(
         ideal_config(),
-        leg_filter=make_leg_filter(trace.internal.is_internal,
-                                   legs=("external",)),
+        leg_filter=LegFilter(trace.internal, legs=("external",)),
     )
 
     # Stream packets through Dart exactly as the switch would see them;

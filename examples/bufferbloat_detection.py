@@ -14,8 +14,9 @@ examples/attack_detection.py).
 Run:  python examples/bufferbloat_detection.py
 """
 
-from repro.core import Dart, ideal_config, make_leg_filter
+from repro.core import Dart, LegFilter, ideal_config
 from repro.detection import BufferbloatConfig, BufferbloatDetector
+from repro.net.inet import InternalNetwork
 from repro.simnet import (
     Connection,
     ConnectionSpec,
@@ -57,8 +58,8 @@ def main() -> None:
     )
     dart = Dart(
         ideal_config(),
-        leg_filter=make_leg_filter(lambda a: a >> 24 == 0x0A,
-                                   legs=("external",)),
+        leg_filter=LegFilter(InternalNetwork([(0x0A000000, 8)]),
+                             legs=("external",)),
     )
     per_second = {}
     for record in tap.trace:

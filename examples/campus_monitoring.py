@@ -20,7 +20,7 @@ Run:  python examples/campus_monitoring.py
 from collections import defaultdict
 
 from repro.analysis import fraction_below, percentile, render_table
-from repro.core import Dart, DartConfig, PrefixMinAnalytics, make_leg_filter
+from repro.core import Dart, DartConfig, LegFilter, PrefixMinAnalytics
 from repro.engine import MonitorEngine
 from repro.net.inet import format_prefix
 from repro.traces import CampusTraceConfig, generate_campus_trace
@@ -39,8 +39,7 @@ def main() -> None:
         DartConfig(rt_slots=1 << 16, pt_slots=1 << 12,
                    max_recirculations=1, analytics_purge=True),
         analytics=analytics,
-        leg_filter=make_leg_filter(trace.internal.is_internal,
-                                   legs=("external",)),
+        leg_filter=LegFilter(trace.internal, legs=("external",)),
     )
     engine = MonitorEngine()
     engine.add_monitor(dart)
@@ -67,8 +66,7 @@ def main() -> None:
     # -- internal leg: wired vs wireless (Fig 6) ---------------------------
     internal = Dart(
         DartConfig(rt_slots=1 << 16, pt_slots=1 << 12),
-        leg_filter=make_leg_filter(trace.internal.is_internal,
-                                   legs=("internal",)),
+        leg_filter=LegFilter(trace.internal, legs=("internal",)),
     )
     internal.process_batch(trace.records)
     internal.finalize()

@@ -14,8 +14,8 @@ one of the §7 deployment ideas.
 Run:  python examples/multi_vantage.py
 """
 
-from repro.core import Dart, ideal_config, make_leg_filter
-from repro.net.inet import int_to_ipv4, ipv4_to_int
+from repro.core import Dart, LegFilter, ideal_config
+from repro.net.inet import InternalNetwork, int_to_ipv4, ipv4_to_int
 from repro.simnet import EventLoop, Link, MonitorTap, SimRandom, TcpEndpoint
 from repro.simnet.tcp_endpoint import TcpParams
 
@@ -90,12 +90,12 @@ def main() -> None:
     loop.schedule_at(150 * MS, push, 0)
     loop.run(until_ns=DURATION + 2 * SEC)
 
-    is_campus = lambda addr: addr == CLIENT
+    campus = InternalNetwork([(CLIENT, 32)])
     darts = {}
     for name, tap in (("VP1 (campus gateway)", tap1),
                       ("VP2 (peering edge)", tap2)):
         dart = Dart(ideal_config(),
-                    leg_filter=make_leg_filter(is_campus, legs=("external",)))
+                    leg_filter=LegFilter(campus, legs=("external",)))
         for record in tap.trace:
             dart.process(record)
         darts[name] = dart

@@ -18,8 +18,9 @@ from pathlib import Path
 
 from repro.analysis import percentile, render_table
 from repro.baselines import TcpTrace, tcptrace_const
-from repro.core import make_leg_filter
+from repro.core import LegFilter
 from repro.engine import MonitorEngine
+from repro.net.inet import InternalNetwork
 from repro.net.pcap import write_packets
 from repro.net.pcapng import read_any_frames
 from repro.traces import CampusTraceConfig, generate_campus_trace
@@ -42,8 +43,7 @@ def main() -> None:
     else:
         path = make_capture()
 
-    campus = make_leg_filter(lambda addr: addr >> 24 == 10,
-                             legs=("external",))
+    campus = LegFilter(InternalNetwork([(0x0A000000, 8)]), legs=("external",))
     dart = tcptrace_const(leg_filter=campus)
     baseline = TcpTrace(track_handshake=False, leg_filter=campus)
 

@@ -88,7 +88,8 @@ class DapperMonitor:
         """End-of-trace hook (no deferred state to flush)."""
 
     def _on_data(self, record: PacketRecord) -> None:
-        if self._leg_filter is not None and self._leg_filter(record) is None:
+        leg_filter = self._leg_filter
+        if leg_filter is not None and leg_filter(record.src_ip) is None:
             return
         flow = flow_of(record)
         if flow in self._pending:

@@ -174,7 +174,8 @@ class Strawman:
     # -- packet handling -----------------------------------------------------------
 
     def _on_data(self, record: PacketRecord) -> None:
-        if self._leg_filter is not None and self._leg_filter(record) is None:
+        leg_filter = self._leg_filter
+        if leg_filter is not None and leg_filter(record.src_ip) is None:
             return
         self._insert(flow_of(record), record.eack, record.timestamp_ns)
 

@@ -135,7 +135,7 @@ class TcpTrace:
     def _on_data(self, record: PacketRecord) -> None:
         leg = None
         if self._leg_filter is not None:
-            leg = self._leg_filter(record)
+            leg = self._leg_filter(record.src_ip)
             if leg is None:
                 return
         self.stats.data_segments += 1

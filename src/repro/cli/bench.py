@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..analysis import evaluate_dart, render_table
 from ..baselines import tcptrace_const
-from ..core import DartConfig, make_leg_filter
+from ..core import DartConfig, LegFilter
 from ..engine import MonitorEngine, MonitorOptions, create
 from ..obs import add_telemetry_arguments, emitter_from_args
 from ..traces import CampusTraceConfig, generate_campus_trace
@@ -88,8 +88,7 @@ def main(argv: Optional[list] = None) -> int:
     )
 
     def leg():
-        return make_leg_filter(trace.internal.is_internal,
-                               legs=("external",))
+        return LegFilter(trace.internal, legs=("external",))
 
     baseline = tcptrace_const(leg_filter=leg())
     oracle_pass = MonitorEngine()

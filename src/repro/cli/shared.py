@@ -14,11 +14,10 @@ choices and help on every script that carries it: leg
 from __future__ import annotations
 
 import argparse
-from functools import partial
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..core import DartConfig
-from ..core.pipeline import PrefixLegFilter
+from ..core.pipeline import LegFilter
 from ..engine import (
     MonitorOptions,
     available,
@@ -26,7 +25,7 @@ from ..engine import (
     get_spec,
     monitor_factory,
 )
-from ..net.inet import in_prefix, ipv4_to_int, prefix_of
+from ..net.inet import InternalNetwork, ipv4_to_int
 
 INTERNAL_HELP = (
     "internal network as a.b.c.d/len; orients the path (which leg a TCP "
@@ -39,12 +38,12 @@ def tcp_monitors() -> List[str]:
     return [n for n in available() if get_spec(n).record_kind == "tcp"]
 
 
-def internal_prefix(text: str) -> Tuple[int, int]:
-    """argparse ``type=`` for ``--internal``: ``(network, prefix_len)``."""
+def internal_prefix(text: str) -> InternalNetwork:
+    """argparse ``type=`` for ``--internal``: the one-prefix set."""
     address, _, length = text.partition("/")
     try:
-        prefix_len = int(length) if length else 32
-        return prefix_of(ipv4_to_int(address), prefix_len), prefix_len
+        return InternalNetwork([(ipv4_to_int(address),
+                                 int(length) if length else 32)])
     except ValueError:  # bad address, bad integer, length outside 0..32
         raise argparse.ArgumentTypeError(
             f"expected a.b.c.d/len with len in 0..32, got {text!r}"
@@ -93,29 +92,26 @@ def add_shard_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: process)")
 
 
-def build_leg_filter(internal: Optional[Tuple[int, int]],
-                     leg: str = "both") -> Optional[PrefixLegFilter]:
+def build_leg_filter(internal: Optional[InternalNetwork],
+                     leg: str = "both") -> Optional[LegFilter]:
     """The leg filter ``--internal``/``--leg`` ask for (None: no filter).
 
-    Always the picklable :class:`PrefixLegFilter`, so a monitor built
-    from flags crosses a shard boundary or lands in a checkpoint.
+    A frozen :class:`LegFilter`, so a monitor built from flags crosses a
+    shard boundary or lands in a checkpoint.
     """
     if internal is None:
         if leg != "both":
             raise SystemExit("--leg requires --internal to orient the path")
         return None
-    network, prefix_len = internal
     legs = ("external", "internal") if leg == "both" else (leg,)
-    return PrefixLegFilter(network=network, prefix_len=prefix_len, legs=legs)
+    return LegFilter(internal, legs=legs)
 
 
 def monitor_options(args: argparse.Namespace, **analytics) -> MonitorOptions:
     """One options bundle from the leg and table groups; ``analytics``
-    passes ``analytics=`` or ``analytics_factory=`` through."""
-    is_client = None
-    if args.internal is not None:
-        network, prefix_len = args.internal
-        is_client = partial(in_prefix, network=network, prefix_len=prefix_len)
+    passes ``analytics=`` or ``analytics_factory=`` through.  The leg
+    filter and spinbit's client side read one prefix set."""
+    internal = args.internal
     return MonitorOptions(
         config=DartConfig(
             rt_slots=args.rt_slots,
@@ -124,9 +120,9 @@ def monitor_options(args: argparse.Namespace, **analytics) -> MonitorOptions:
             max_recirculations=args.recirc,
             track_handshake=args.handshake,
         ),
-        leg_filter=build_leg_filter(args.internal, args.leg),
+        leg_filter=build_leg_filter(internal, args.leg),
         track_handshake=args.handshake,
-        is_client=is_client,
+        is_client=None if internal is None else internal.__contains__,
         **analytics,
     )
 

@@ -239,9 +239,9 @@ def consume_step(monitor: Any, fastpath: bool) -> Callable[[bytes], Any]:
     :class:`~repro.net.packet.PacketRecord`, no numpy, so a worker never
     imports it.  Every other monitor, and every monitor under
     ``fastpath=False`` (the cluster equivalence suite's reference leg),
-    gets ``process_batch(decode_batch(payload))``: same verdicts, stats
-    and samples.  Whole wire frames that decode to non-TCP are skipped
-    either way, matching the serial reader on mixed captures.
+    gets the decoded records through ``process_batch``: same verdicts,
+    stats and samples.  Whole wire frames that decode to non-TCP are
+    skipped either way, matching the serial reader on mixed captures.
     """
     framed = getattr(monitor, "process_framed", None) if fastpath else None
     if framed is not None:

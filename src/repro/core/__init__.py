@@ -39,7 +39,7 @@ from .pipeline import (
     INTERNAL_LEG,
     Dart,
     DartStats,
-    make_leg_filter,
+    LegFilter,
 )
 from .range_tracker import (
     AckVerdict,
@@ -68,6 +68,7 @@ __all__ = [
     "HistogramSpec",
     "INTERNAL_LEG",
     "InsertStatus",
+    "LegFilter",
     "MinFilterAnalytics",
     "PayloadSizeTable",
     "PrefixMinAnalytics",
@@ -88,6 +89,5 @@ __all__ = [
     "exact_quantile",
     "flow_of",
     "ideal_config",
-    "make_leg_filter",
     "paper_default_config",
 ]

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..net import tcp as tcp_mod
-from ..net.framing import REC_V6, decode_batch, header_rows
-from ..net.inet import prefix_of
+from ..net.framing import REC_V6, header_rows
+from ..net.inet import InternalNetwork
 from ..net.packet import PacketRecord
 from .analytics import CollectAllAnalytics
 from .config import DartConfig
@@ -46,8 +46,9 @@ from .range_tracker import AckVerdict, RangeTracker, SeqVerdict
 from .samples import RttSample
 from .stats import AdditiveCounters
 
-LegFilter = Callable[[PacketRecord], Optional[str]]
-TargetFilter = Callable[[PacketRecord], bool]
+#: Operator flow selection over a packet's ``(src_ip, dst_ip,
+#: src_port, dst_port)``: e.g. :meth:`TargetFlowTable.matches`.
+TargetFilter = Callable[[int, int, int, int], bool]
 
 EXTERNAL_LEG = "external"
 INTERNAL_LEG = "internal"
@@ -56,12 +57,11 @@ _SYN = tcp_mod.FLAG_SYN
 _FIN = tcp_mod.FLAG_FIN
 
 #: Role bits of a classified packet: everything the kernel needs to
-#: know of its TCP flags, its payload and the operator's target filter.
+#: know of its TCP flags and its payload.
 ROLE_DATA = 1  # consumes sequence space: payload, SYN or FIN
 ROLE_ACK = 2
 ROLE_SYN = 4
 ROLE_RST = 8
-ROLE_FILTERED = 16  # rejected by ``target_filter``; excludes the rest
 
 #: Role bits by TCP flag byte (a payload adds ``ROLE_DATA`` on top).
 #: Both classifiers — per record and per column — index this one table.
@@ -129,18 +129,19 @@ class Dart:
         config: table sizing and behaviour knobs (default: ideal mode).
         analytics: sample consumer with optional ``worth_recirculating``;
             defaults to :class:`CollectAllAnalytics`.
-        leg_filter: maps a *data* packet to the leg it measures
-            ("external"/"internal"), or None to skip tracking it.  When
-            omitted, every data packet is tracked (both legs, unlabeled).
+        leg_filter: maps a *data* packet's source address to the leg
+            it measures ("external"/"internal"), or None to skip
+            tracking it — a :class:`LegFilter`.  When omitted, every
+            data packet is tracked (both legs, unlabeled).
         target_filter: operator flow-selection rules (paper §4,
-            "specifying target flows"); packets rejected by the filter are
-            not processed at all.
+            "specifying target flows") over the packet's 4-tuple;
+            packets rejected by the filter are not processed at all.
 
     :meth:`process`, :meth:`process_batch`, :meth:`process_columns`
     and :meth:`process_framed` only *classify* their input into rows
-    for :meth:`_packet`, the
-    single per-packet kernel and the only code that touches the
-    trackers.  A subclass that must see (or fail on) every packet
+    for :meth:`_packet`, the single per-packet kernel, the only code
+    that touches the trackers and the one place both filters apply.
+    A subclass that must see (or fail on) every packet
     overrides ``_packet`` alone, whatever the entry point.
     """
 
@@ -216,13 +217,10 @@ class Dart:
         batch-wide as numpy columns and each ``KIND_VEC`` row goes to
         the kernel straight from the column values, no
         :class:`PacketRecord` in between.  ``KIND_RECORD`` rows (IPv6,
-        IP/TCP options) take the record classifier; so does the whole
-        batch under a leg or target filter, which need a
-        :class:`PacketRecord`.  Same stats, samples, analytics windows
-        and table state as ``process_batch(cols.to_records())``.
+        IP/TCP options) take the record classifier.  Same stats,
+        samples, analytics windows and table state as
+        :meth:`process_batch` over the batch's records.
         """
-        if self._target_filter is not None or self._leg_filter is not None:
-            return self.process_batch(cols.to_records())
         from ..fastpath import classify
         from ..net.columnar import KIND_RECORD, KIND_SKIP
 
@@ -249,7 +247,7 @@ class Dart:
             else:
                 sample = packet(
                     ts_col[i], role[i], src[i], dst[i], sport[i], dport[i],
-                    False, seq_col[i], eack_col[i], ack_col[i], None)
+                    False, seq_col[i], eack_col[i], ack_col[i])
             if sample is not None:
                 append(sample)
         return samples
@@ -262,15 +260,12 @@ class Dart:
         (:func:`~repro.net.framing.header_rows` — one ``struct`` read
         for a batch of ``REC_V4`` records) becomes a kernel row here, by
         the same rule as :meth:`_classify`, with no
-        :class:`PacketRecord` and no numpy in between.  A leg or target
-        filter, which takes a :class:`PacketRecord`, sends the whole
-        batch to ``process_batch(decode_batch(payload))``.  Same stats,
-        samples, analytics windows and table state as that call, and the
-        same error for a damaged batch, raised before any of its packets
-        reach the kernel.
+        :class:`PacketRecord` and no numpy in between.  Same stats,
+        samples, analytics windows and table state as
+        :meth:`process_batch` over the decoded batch, and the same error
+        for a damaged batch, raised before any of its packets reach the
+        kernel.
         """
-        if self._target_filter is not None or self._leg_filter is not None:
-            return self.process_batch(decode_batch(payload))
         packet = self._packet
         roles = FLAG_ROLES
         samples: List[RttSample] = []
@@ -282,7 +277,7 @@ class Dart:
                 ts, roles[flags & 0xFF] | (payload_len > 0), src, dst, sport,
                 dport, kind == REC_V6, seq,
                 (seq + payload_len + (flags & 1) + (flags >> 1 & 1))
-                & 0xFFFFFFFF, ack, None)
+                & 0xFFFFFFFF, ack)
             if sample is not None:
                 append(sample)
         return samples
@@ -302,46 +297,36 @@ class Dart:
 
     # -- Classification and the per-packet kernel ------------------------------
 
-    def _classify(self, record: PacketRecord) -> tuple:
-        """The record classifier: one :meth:`_packet` row.
-
-        The target filter decides ``ROLE_FILTERED``; the leg filter
-        labels a data packet or, returning None, strips its data role
-        (the packet is not tracked, its ACK still is).
-        """
+    @staticmethod
+    def _classify(record: PacketRecord) -> tuple:
+        """The record classifier: one :meth:`_packet` row."""
         flags = record.flags
         seq = record.seq
         payload_len = record.payload_len
-        leg: Optional[str] = None
-        if self._target_filter is not None and not self._target_filter(record):
-            role = ROLE_FILTERED
-        else:
-            role = FLAG_ROLES[flags & 0xFF] | (payload_len > 0)  # ROLE_DATA
-            if role & ROLE_DATA and self._leg_filter is not None:
-                leg = self._leg_filter(record)
-                if leg is None:
-                    role &= ~ROLE_DATA
         # record.eack, unrolled (SYN and FIN each consume one sequence
         # number) to spare the property-call chain per packet.
         eack = (seq + payload_len + (1 if flags & _SYN else 0)
                 + (1 if flags & _FIN else 0)) & 0xFFFFFFFF
-        return (record.timestamp_ns, role, record.src_ip, record.dst_ip,
-                record.src_port, record.dst_port, record.ipv6, seq, eack,
-                record.ack, leg)
+        return (record.timestamp_ns,
+                FLAG_ROLES[flags & 0xFF] | (payload_len > 0),  # ROLE_DATA
+                record.src_ip, record.dst_ip, record.src_port,
+                record.dst_port, record.ipv6, seq, eack, record.ack)
 
     def _packet(self, ts: int, role: int, src: int, dst: int, sport: int,
-                dport: int, ipv6: bool, seq: int, eack: int, ack: int,
-                leg: Optional[str]) -> Optional[RttSample]:
+                dport: int, ipv6: bool, seq: int, eack: int,
+                ack: int) -> Optional[RttSample]:
         """The per-packet kernel: one classified row in, at most one
         sample out.  Overridden as ``def _packet(self, *row)``.
 
         The row is the packet and nothing else: arrival time ``ts``;
         ``role``, an OR of ``ROLE_*`` bits; the packet's own 4-tuple
         and ``ipv6``; ``seq`` and the expected ACK ``eack`` (data
-        role); ``ack`` (ACK role); ``leg``, the leg filter's label.
-        No hash crosses this boundary: each table's key hashes where
-        the table is (``FlowKey``/``PtRecord`` cache theirs on first
-        use), whatever the entry point.
+        role); ``ack`` (ACK role).  Both filters read these header
+        fields here, as a switch's match-action tables would, so every
+        entry point keeps its own row rule under any filter.  No hash
+        crosses this boundary: each table's key hashes where the table
+        is (``FlowKey``/``PtRecord`` cache theirs on first use),
+        whatever the entry point.
         """
         stats = self.stats
         stats.packets_processed += 1
@@ -352,7 +337,8 @@ class Dart:
         if shadow is not None:
             self._drain_shadow_updates()
 
-        if role & ROLE_FILTERED:
+        target = self._target_filter
+        if target is not None and not target(src, dst, sport, dport):
             stats.filtered_out += 1
             return None
         if role & ROLE_SYN and not self.config.track_handshake:
@@ -364,8 +350,13 @@ class Dart:
             stats.ignored_rst += 1
             return None
 
-        if role & ROLE_DATA:
-            # SEQ side: RT verdict, then PT insertion.
+        # SEQ side: the leg filter labels the data packet or, returning
+        # None, leaves it untracked (its ACK still is); then RT verdict
+        # and PT insertion.
+        leg: Optional[str] = None
+        leg_filter = self._leg_filter
+        if role & ROLE_DATA and (
+                leg_filter is None or (leg := leg_filter(src)) is not None):
             flow = intern_flow(src, dst, sport, dport, ipv6)
             stats.seq_packets += 1
             if shadow is not None:
@@ -555,41 +546,21 @@ class Dart:
 
 
 @dataclass(frozen=True)
-class PrefixLegFilter:
-    """Picklable leg filter: internal network given as a prefix.
-
-    Same semantics as :func:`make_leg_filter` over an "is the source
-    address inside this prefix?" predicate, but a frozen dataclass
-    instead of a closure so monitors configured with it can cross the
-    cluster's process boundary and be snapshotted into a streaming
-    checkpoint (closures don't pickle).
-    """
-
-    network: int
-    prefix_len: int
-    legs: Tuple[str, ...] = (EXTERNAL_LEG, INTERNAL_LEG)
-
-    def __call__(self, record: PacketRecord) -> Optional[str]:
-        internal = prefix_of(record.src_ip, self.prefix_len) == self.network
-        leg = EXTERNAL_LEG if internal else INTERNAL_LEG
-        return leg if leg in self.legs else None
-
-
-def make_leg_filter(
-    is_internal: Callable[[int], bool],
-    *,
-    legs: Tuple[str, ...] = (EXTERNAL_LEG, INTERNAL_LEG),
-) -> LegFilter:
-    """Build a leg filter from an "is this address inside?" predicate.
+class LegFilter:
+    """The leg rule: which leg a data packet measures, by its source.
 
     A data packet leaving the network (internal source) is matched by an
     ACK returning from the Internet — the *external* leg; a data packet
     entering (external source) is matched by the client's ACK — the
-    *internal* leg (paper §2.1, Fig 1).
+    *internal* leg (paper §2.1, Fig 1).  A leg outside ``legs`` is not
+    tracked.  Frozen and built from an :class:`InternalNetwork`, so a
+    monitor configured with it crosses the cluster's process boundary
+    and lands in a streaming checkpoint.
     """
 
-    def leg_filter(record: PacketRecord) -> Optional[str]:
-        leg = EXTERNAL_LEG if is_internal(record.src_ip) else INTERNAL_LEG
-        return leg if leg in legs else None
+    internal: InternalNetwork
+    legs: Tuple[str, ...] = (EXTERNAL_LEG, INTERNAL_LEG)
 
-    return leg_filter
+    def __call__(self, src_ip: int) -> Optional[str]:
+        leg = EXTERNAL_LEG if src_ip in self.internal else INTERNAL_LEG
+        return leg if leg in self.legs else None

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..net.inet import prefix_of
-from ..net.packet import PacketRecord
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,12 @@ class TargetRule:
                 return False
         return True
 
-    def matches(self, record: PacketRecord) -> bool:
+    def matches(self, src_ip: int, dst_ip: int, src_port: int,
+                dst_port: int) -> bool:
         """True when the packet (in either direction) matches the rule."""
         return self._matches_oriented(
-            record.src_ip, record.dst_ip, record.src_port, record.dst_port
-        ) or self._matches_oriented(
-            record.dst_ip, record.src_ip, record.dst_port, record.src_port
-        )
+            src_ip, dst_ip, src_port, dst_port
+        ) or self._matches_oriented(dst_ip, src_ip, dst_port, src_port)
 
 
 class TargetFlowTable:
@@ -99,7 +97,10 @@ class TargetFlowTable:
     def __len__(self) -> int:
         return len(self._rules)
 
-    def matches(self, record: PacketRecord) -> bool:
+    def matches(self, src_ip: int, dst_ip: int, src_port: int,
+                dst_port: int) -> bool:
+        """The pipeline's ``target_filter``: the packet's 4-tuple in."""
         if not self._rules:
             return True
-        return any(rule.matches(record) for rule in self._rules)
+        return any(rule.matches(src_ip, dst_ip, src_port, dst_port)
+                   for rule in self._rules)

@@ -8,6 +8,8 @@ integers, dotted-quad / colon-hex strings, and packed bytes.
 from __future__ import annotations
 
 import ipaddress
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple
 
 IPV4_MAX = (1 << 32) - 1
 IPV6_MAX = (1 << 128) - 1
@@ -73,13 +75,50 @@ def prefix_of(addr: int, prefix_len: int, *, bits: int = 32) -> int:
     return (addr >> shift) << shift
 
 
-def in_prefix(addr: int, network: int, prefix_len: int, *, bits: int = 32) -> bool:
-    """True when ``addr`` falls inside ``network``/``prefix_len``."""
-    return prefix_of(addr, prefix_len, bits=bits) == prefix_of(
-        network, prefix_len, bits=bits
-    )
-
-
 def format_prefix(network: int, prefix_len: int) -> str:
     """Human-readable ``a.b.c.d/len`` form of an IPv4 prefix."""
     return f"{int_to_ipv4(prefix_of(network, prefix_len))}/{prefix_len}"
+
+
+@dataclass(frozen=True)
+class InternalNetwork:
+    """Membership test for the campus ("internal") side of the monitor.
+
+    Used both to label legs (internal vs external) and by trace tooling
+    to group clients into subnets (e.g. wired vs wireless, Fig 6).
+    Prefixes are ``(network, length)`` for IPv4 or
+    ``(network, length, 128)`` for IPv6; addresses above 2**32 are
+    matched against the IPv6 set.  Host bits are cleared and a length
+    outside the family's range is refused here, at construction, so a
+    set that exists answers every address.  Immutable, hashable and
+    picklable: a monitor holding one crosses a process boundary or
+    lands in a checkpoint.
+    """
+
+    #: Normalised ``(network, length, bits)`` triples, in given order.
+    prefixes: Sequence[tuple]
+    _v4: Tuple[Tuple[int, int], ...] = field(init=False, repr=False,
+                                            compare=False)
+    _v6: Tuple[Tuple[int, int], ...] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self) -> None:
+        normalised = []
+        for prefix in self.prefixes:
+            bits = 128 if len(prefix) == 3 and prefix[2] == 128 else 32
+            network, length = prefix[0], prefix[1]
+            normalised.append((prefix_of(network, length, bits=bits),
+                               length, bits))
+        object.__setattr__(self, "prefixes", tuple(normalised))
+        # (network, mask) pairs: one AND and one compare per prefix.
+        for bits, name in ((32, "_v4"), (128, "_v6")):
+            object.__setattr__(self, name, tuple(
+                (network, ((1 << length) - 1) << (bits - length))
+                for network, length, family in normalised
+                if family == bits))
+
+    def __contains__(self, addr: int) -> bool:
+        for network, mask in self._v6 if addr >= (1 << 32) else self._v4:
+            if addr & mask == network:
+                return True
+        return False

@@ -18,7 +18,7 @@ from .cc import (
 from .connection import Connection, ConnectionSpec, LegProfile
 from .engine import EventLoop, SimulationError
 from .link import Link, LinkStats
-from .monitor import InternalNetwork, MonitorTap
+from .monitor import MonitorTap
 from .rng import SimRandom
 from .rto import RtoEstimator
 from .segment import SimSegment
@@ -33,7 +33,6 @@ __all__ = [
     "CubicCC",
     "EndpointStats",
     "EventLoop",
-    "InternalNetwork",
     "LegProfile",
     "Link",
     "LinkStats",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from ..net.inet import prefix_of
 from ..net.packet import PacketRecord
 from .engine import EventLoop
 from .segment import SimSegment
@@ -62,41 +61,3 @@ class MonitorTap:
             forward(segment)
 
         return handler
-
-
-class InternalNetwork:
-    """Membership test for the campus ("internal") side of the monitor.
-
-    Used both to label legs (internal vs external) and by trace tooling
-    to group clients into subnets (e.g. wired vs wireless, Fig 6).
-    Prefixes are ``(network, length)`` for IPv4 or
-    ``(network, length, 128)`` for IPv6; addresses above 2**32 are
-    matched against the IPv6 set.
-    """
-
-    def __init__(self, prefixes: Sequence[tuple]) -> None:
-        self._v4 = []
-        self._v6 = []
-        for prefix in prefixes:
-            if len(prefix) == 3 and prefix[2] == 128:
-                network, length, bits = prefix
-                self._v6.append(
-                    (prefix_of(network, length, bits=128), length)
-                )
-            else:
-                network, length = prefix[0], prefix[1]
-                self._v4.append((prefix_of(network, length), length))
-
-    def __contains__(self, addr: int) -> bool:
-        if addr >= (1 << 32):
-            return any(
-                prefix_of(addr, length, bits=128) == network
-                for network, length in self._v6
-            )
-        return any(
-            prefix_of(addr, length) == network
-            for network, length in self._v4
-        )
-
-    def is_internal(self, addr: int) -> bool:
-        return addr in self

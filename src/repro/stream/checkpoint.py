@@ -21,7 +21,9 @@ files *before* touching the pickle.
 Versioning: :data:`SCHEMA` is bumped whenever the payload structure or
 monitor pickle layout changes incompatibly (``/2``: tables as rows;
 ``/3``: the distribution stage as per-key registers; ``/4``: table
-rows and ``DartStats`` without the duplicate tracker counters).
+rows and ``DartStats`` without the duplicate tracker counters;
+``/5``: the monitor's leg filter as a ``LegFilter`` over an
+``InternalNetwork``).
 A mismatch raises :class:`CheckpointSchemaMismatch` — resuming across
 versions is refused rather than migrated, because a half-restored
 tracker table corrupts silently.
@@ -42,7 +44,7 @@ from typing import Any, BinaryIO, Dict, Union
 PathLike = Union[str, Path]
 
 MAGIC = b"DARTCKPT"
-SCHEMA = "dart-stream-checkpoint/4"
+SCHEMA = "dart-stream-checkpoint/5"
 
 _HEADER_LEN = struct.Struct(">I")
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..net.inet import ipv4_to_int
+from ..net.inet import InternalNetwork, ipv4_to_int
 from ..net.packet import PacketRecord
 from ..simnet.connection import Connection, ConnectionSpec, LegProfile
 from ..simnet.engine import EventLoop
-from ..simnet.monitor import InternalNetwork, MonitorTap
+from ..simnet.monitor import MonitorTap
 from ..simnet.rng import SimRandom
 from ..simnet.tcp_endpoint import TcpParams
 from .campus import INTERNAL_PREFIXES

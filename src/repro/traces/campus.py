@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..net.inet import ipv4_to_int, ipv6_to_int
+from ..net.inet import InternalNetwork, ipv4_to_int, ipv6_to_int
 from ..net.packet import PacketRecord
 from ..simnet.connection import Connection, ConnectionSpec, LegProfile
 from ..simnet.engine import EventLoop
-from ..simnet.monitor import InternalNetwork, MonitorTap
+from ..simnet.monitor import MonitorTap
 from ..simnet.rng import SimRandom
 from ..simnet.tcp_endpoint import TcpParams
 from .workloads import MS, SEC, CampusWorkload
@@ -91,9 +91,6 @@ class CampusTrace:
     @property
     def packets(self) -> int:
         return len(self.records)
-
-    def is_internal(self, addr: int) -> bool:
-        return addr in self.internal
 
 
 def _client_address(rng: SimRandom, wireless: bool, index: int,

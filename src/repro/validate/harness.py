@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..analysis.accuracy import PairedAccuracy, compare_samples
-from ..core import ideal_config, make_leg_filter
+from ..core import LegFilter, ideal_config
 from ..engine import MonitorEngine, MonitorOptions, create
 from ..traces.datacenter import (
     FileTransferTraceConfig,
@@ -97,7 +97,7 @@ def run_cell(spec: ScenarioSpec) -> CellResult:
     """Generate, monitor, and score one matrix cell."""
     started = time.perf_counter()
     trace = build_trace(spec)
-    leg_filter = make_leg_filter(trace.internal.is_internal)
+    leg_filter = LegFilter(trace.internal)
     engine = MonitorEngine()
     engine.add_monitor(
         create("dart", MonitorOptions(config=ideal_config(),

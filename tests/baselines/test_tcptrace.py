@@ -160,9 +160,11 @@ class TestHandshakeModes:
 
 class TestLegFilter:
     def test_leg_filter_limits_data_tracking(self):
-        from repro.core import make_leg_filter
+        from repro.core import LegFilter
+        from repro.net.inet import InternalNetwork
 
-        leg = make_leg_filter(lambda a: a >> 24 == 0x0A, legs=("external",))
+        leg = LegFilter(InternalNetwork([(0x0A000000, 8)]),
+                        legs=("external",))
         tt = TcpTrace(leg_filter=leg)
         tt.process(data(0, 1000))  # outbound, tracked
         inbound = pkt(1, SERVER, CLIENT, 443, 40000, 7000, 900,

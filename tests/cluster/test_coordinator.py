@@ -8,9 +8,11 @@ import pytest
 from repro.cluster import ShardedDart
 from repro.core import (
     Dart,
+    LegFilter,
     MinFilterAnalytics,
+    TargetFlowTable,
+    TargetRule,
     ideal_config,
-    make_leg_filter,
 )
 from repro.core.analytics import DstPrefixKey
 from repro.core.hist import DistributionFactory, HistogramSpec
@@ -123,17 +125,35 @@ class TestSerialEquivalence:
         assert stamps == sorted(stamps)
 
     def test_leg_filter_reaches_workers(self, trace):
-        leg = make_leg_filter(trace.internal.is_internal,
-                              legs=("external",))
+        leg = LegFilter(trace.internal, legs=("external",))
         serial = Dart(ideal_config(), leg_filter=leg)
         serial.process_batch(trace.records)
         serial.finalize()
         cluster = ShardedDart(
             ideal_config(), shards=4, parallel="process",
-            leg_filter=make_leg_filter(trace.internal.is_internal,
-                                       legs=("external",)),
+            leg_filter=LegFilter(trace.internal, legs=("external",)),
         )
         cluster.process_batch(trace.records)
+        assert Counter(cluster.samples) == Counter(serial.samples)
+
+    def test_filters_reach_process_workers(self, trace):
+        # Both filters ride into each worker's kernel on the framed
+        # route: port-80 and -8443 flows are dropped, inbound data is
+        # left untracked.
+        filters = dict(
+            leg_filter=LegFilter(trace.internal, legs=("external",)),
+            target_filter=TargetFlowTable(
+                [TargetRule(dst_ports=(443, 443))]).matches,
+        )
+        serial = Dart(ideal_config(), **filters)
+        serial.process_batch(trace.records)
+        serial.finalize()
+        cluster = ShardedDart(ideal_config(), shards=3, parallel="process",
+                              **filters)
+        cluster.process_batch(trace.records)
+        cluster.finalize()
+        assert serial.stats.filtered_out > 0 and serial.stats.samples > 0
+        assert cluster.stats == serial.stats
         assert Counter(cluster.samples) == Counter(serial.samples)
 
     def test_analytics_windows_merge(self, trace):

@@ -15,8 +15,8 @@ IPv6, UDP, raw-IP linktype, NS/CWR/ECE flags):
   :func:`repro.net.columnar._scan_v4_tcp` marks the row ``KIND_VEC``,
   with the same fields;
 * what a worker does with the batch — ``Dart.process_framed`` over
-  :func:`~repro.net.framing.header_rows` — equals
-  ``process_batch(decode_batch(payload))`` in stats, samples and error
+  :func:`~repro.net.framing.header_rows` — equals ``process_batch``
+  over :func:`~repro.net.framing.decode_batch` in stats, samples and error
   text, on random mixed batches; the all-``REC_V4`` batch's one-call
   read equals the frame walk, and anything that is not a pure
   ``REC_V4`` batch falls through to the walk and its errors.
@@ -414,11 +414,11 @@ class TestFramedRoute:
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_batches())
-    def test_random_mixed_batch_equals_decode_batch(self, payload):
+    def test_random_mixed_batch_equals_decode_batch(self, batch):
         framed, reference = Dart(SMALL), Dart(SMALL)
-        got = outcome(framed.process_framed, payload)
+        got = outcome(framed.process_framed, batch)
         expected = outcome(
-            lambda: reference.process_batch(decode_batch(payload)))
+            lambda: reference.process_batch(decode_batch(batch)))
         assert got == expected
         assert framed.stats == reference.stats
         assert framed.samples == reference.samples

@@ -25,13 +25,14 @@ from repro.core import (
     Dart,
     DartConfig,
     DartStats,
+    LegFilter,
     MinFilterAnalytics,
-    make_leg_filter,
 )
 from repro.core.flow import intern_flow
 from repro.core.range_tracker import AckVerdict, SeqVerdict
 from repro.net.columnar import HAVE_NUMPY, KIND_RECORD, records_to_columns
 from repro.net.framing import BatchEncoder, encode_records
+from repro.net.inet import InternalNetwork
 from repro.net.packet import to_wire_bytes
 from repro.quic.packet import QuicPacketRecord
 from repro.quic.wire import quic_to_wire_bytes
@@ -57,11 +58,11 @@ CHUNK = 777
 FILTERS = {
     "nofilter": {},
     # One leg only, so the filter both labels data packets and (for the
-    # other direction) strips their data role.
-    "leg": {"leg_filter": make_leg_filter(lambda addr: (addr >> 24) == 10,
-                                          legs=("external",))},
-    "target": {"target_filter": lambda record: 80 not in (record.src_port,
-                                                           record.dst_port)},
+    # other direction) leaves them untracked.
+    "leg": {"leg_filter": LegFilter(InternalNetwork([(0x0A000000, 8)]),
+                                    legs=("external",))},
+    "target": {"target_filter": lambda src, dst, sport, dport:
+               80 not in (sport, dport)},
 }
 
 

@@ -13,9 +13,7 @@ from repro.core.samples import (
 )
 from repro.core.flow import FlowKey
 from repro.core.targets import TargetFlowTable, TargetRule
-from repro.net import tcp as tcpf
 from repro.net.inet import ipv4_to_int
-from repro.net.packet import PacketRecord
 
 
 class TestDartConfig:
@@ -51,47 +49,39 @@ class TestDartConfig:
             DartConfig(**kwargs)
 
 
-def record(src="10.0.0.1", dst="16.1.2.3", sport=40000, dport=443):
-    return PacketRecord(
-        timestamp_ns=0,
-        src_ip=ipv4_to_int(src),
-        dst_ip=ipv4_to_int(dst),
-        src_port=sport,
-        dst_port=dport,
-        seq=0,
-        ack=0,
-        flags=tcpf.FLAG_ACK,
-        payload_len=0,
-    )
+def packet(src="10.0.0.1", dst="16.1.2.3", sport=40000, dport=443):
+    """A packet's ``(src_ip, dst_ip, src_port, dst_port)``: what a
+    target rule reads."""
+    return ipv4_to_int(src), ipv4_to_int(dst), sport, dport
 
 
 class TestTargetRules:
     def test_empty_table_matches_all(self):
-        assert TargetFlowTable().matches(record())
+        assert TargetFlowTable().matches(*packet())
 
     def test_prefix_rule(self):
         rule = TargetRule(dst_prefix=(ipv4_to_int("16.1.2.0"), 24))
-        assert rule.matches(record())
-        assert not rule.matches(record(dst="16.9.9.9"))
+        assert rule.matches(*packet())
+        assert not rule.matches(*packet(dst="16.9.9.9"))
 
     def test_rule_matches_reverse_direction(self):
         rule = TargetRule(dst_prefix=(ipv4_to_int("16.1.2.0"), 24))
-        reverse = record(src="16.1.2.3", dst="10.0.0.1", sport=443,
+        reverse = packet(src="16.1.2.3", dst="10.0.0.1", sport=443,
                          dport=40000)
-        assert rule.matches(reverse)
+        assert rule.matches(*reverse)
 
     def test_port_range_rule(self):
         rule = TargetRule(dst_ports=(440, 450))
-        assert rule.matches(record(dport=443))
-        assert not rule.matches(record(dport=80))
+        assert rule.matches(*packet(dport=443))
+        assert not rule.matches(*packet(dport=80))
 
     def test_combined_fields_all_must_match(self):
         rule = TargetRule(
             src_prefix=(ipv4_to_int("10.0.0.0"), 8),
             dst_ports=(443, 443),
         )
-        assert rule.matches(record())
-        assert not rule.matches(record(dport=80))
+        assert rule.matches(*packet())
+        assert not rule.matches(*packet(dport=80))
 
     def test_rejects_bad_port_range(self):
         with pytest.raises(ValueError):
@@ -108,10 +98,10 @@ class TestTargetRules:
         rule = TargetRule(dst_ports=(80, 80))
         table.add(rule)
         assert len(table) == 1
-        assert not table.matches(record(dport=443))
+        assert not table.matches(*packet(dport=443))
         assert table.remove(rule)
         assert not table.remove(rule)
-        assert table.matches(record(dport=443))  # empty again -> match all
+        assert table.matches(*packet(dport=443))  # empty again -> match all
 
 
 class TestPayloadTable:

@@ -6,14 +6,15 @@ from repro.core import (
     CollectAllAnalytics,
     Dart,
     DartConfig,
+    LegFilter,
     MinFilterAnalytics,
     ideal_config,
-    make_leg_filter,
 )
 from repro.core.flow import intern_flow
 from repro.core.hist import DistributionFactory
 from repro.core.range_tracker import AckVerdict, SeqVerdict
 from repro.net import tcp as tcpf
+from repro.net.inet import InternalNetwork, ipv4_to_int
 from repro.net.packet import PacketRecord
 
 MS = 1_000_000
@@ -159,7 +160,7 @@ class TestHandshakeModes:
 
 class TestLegFilter:
     def leg_filter(self, legs):
-        return make_leg_filter(lambda addr: addr >> 24 == 0x0A, legs=legs)
+        return LegFilter(InternalNetwork([(0x0A000000, 8)]), legs=legs)
 
     def test_external_only_tracks_outbound_data(self):
         dart = Dart(ideal_config(), leg_filter=self.leg_filter(("external",)))
@@ -194,6 +195,21 @@ class TestLegFilter:
                                    7400, tcpf.FLAG_ACK, 0))
         legs = sorted(s.leg for s in dart.samples)
         assert legs == ["external", "internal"]
+
+    def test_host_bits_in_the_prefix_do_not_flip_the_leg(self):
+        # 10.1.2.3/8 is 10.0.0.0/8: a data packet from 10.5.5.5 leaves
+        # the network, whichever address inside it names the prefix.
+        for network in ("10.1.2.3", "10.0.0.0"):
+            leg_filter = LegFilter(
+                InternalNetwork([(ipv4_to_int(network), 8)]))
+            assert leg_filter(ipv4_to_int("10.5.5.5")) == "external"
+            assert leg_filter(ipv4_to_int("11.5.5.5")) == "internal"
+
+    @pytest.mark.parametrize("length", [-1, 33, 40])
+    def test_bad_prefix_length_is_refused_at_construction(self, length):
+        # Never on the first packet, inside the kernel or a shard worker.
+        with pytest.raises(ValueError):
+            LegFilter(InternalNetwork([(ipv4_to_int("10.0.0.0"), length)]))
 
 
 class TestTargetFilter:

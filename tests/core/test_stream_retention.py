@@ -12,9 +12,9 @@ from repro.core.analytics import (
     flow_key,
 )
 from repro.core.flow import FlowKey
-from repro.core.pipeline import Dart, PrefixLegFilter
+from repro.core.pipeline import Dart, LegFilter
 from repro.core.samples import RttSample
-from repro.net.inet import ipv4_to_int, prefix_of
+from repro.net.inet import InternalNetwork, ipv4_to_int
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
 
@@ -108,9 +108,8 @@ class TestCheckpointPickling:
         assert key == DstPrefixKey(20)
 
     def test_leg_filter_pickles(self):
-        network = prefix_of(ipv4_to_int("10.0.0.0"), 8)
-        fil = PrefixLegFilter(network=network, prefix_len=8,
-                              legs=("external", "internal"))
+        internal = InternalNetwork([(ipv4_to_int("10.0.0.0"), 8)])
+        fil = LegFilter(internal, legs=("external", "internal"))
         assert pickle.loads(pickle.dumps(fil)) == fil
 
     def test_mid_run_dart_pickles_and_continues_identically(self):

@@ -118,7 +118,8 @@ class TestEndToEndBloat:
         windows contain both floor-riding and queue-inflated samples —
         the spread fingerprint — and the detector confirms bufferbloat
         from Dart's sample stream with no scripted delay anywhere."""
-        from repro.core import Dart, ideal_config, make_leg_filter
+        from repro.core import Dart, LegFilter, ideal_config
+        from repro.net.inet import InternalNetwork
         from repro.simnet import (
             Connection,
             ConnectionSpec,
@@ -149,8 +150,8 @@ class TestEndToEndBloat:
                               min_samples_per_window=50)
         )
         dart = Dart(ideal_config(),
-                    leg_filter=make_leg_filter(lambda a: a >> 24 == 0x0A,
-                                               legs=("external",)))
+                    leg_filter=LegFilter(InternalNetwork([(0x0A000000, 8)]),
+                                         legs=("external",)))
         for record in tap.trace:
             for s in dart.process(record):
                 detector.add(s)

@@ -114,15 +114,14 @@ class TestDetection:
 
 class TestEndToEnd:
     def test_attack_trace_confirmed_within_paper_envelope(self):
-        from repro.core import Dart, ideal_config, make_leg_filter
+        from repro.core import Dart, LegFilter, ideal_config
         from repro.traces import generate_attack_trace
 
         trace = generate_attack_trace()
         detector = InterceptionDetector()
         dart = Dart(
             ideal_config(),
-            leg_filter=make_leg_filter(trace.internal.is_internal,
-                                       legs=("external",)),
+            leg_filter=LegFilter(trace.internal, legs=("external",)),
         )
         for record in trace.records:
             for s in dart.process(record):

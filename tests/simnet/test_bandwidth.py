@@ -97,7 +97,8 @@ class TestEmergentBufferbloat:
         """A bulk upload through a 10 Mbps bottleneck builds queueing
         delay that Dart observes as RTT inflation — bufferbloat emerging
         from load, not from a scripted delay."""
-        from repro.core import Dart, ideal_config, make_leg_filter
+        from repro.core import Dart, LegFilter, ideal_config
+        from repro.net.inet import InternalNetwork
 
         def run(bandwidth):
             loop = EventLoop()
@@ -114,8 +115,9 @@ class TestEmergentBufferbloat:
             Connection(loop, SimRandom(5), tap, spec).start()
             loop.run(until_ns=60 * SEC)
             dart = Dart(ideal_config(),
-                        leg_filter=make_leg_filter(
-                            lambda a: a >> 24 == 0x0A, legs=("external",)))
+                        leg_filter=LegFilter(
+                            InternalNetwork([(0x0A000000, 8)]),
+                            legs=("external",)))
             for record in tap.trace:
                 dart.process(record)
             rtts = sorted(s.rtt_ms for s in dart.samples)

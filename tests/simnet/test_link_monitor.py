@@ -3,9 +3,10 @@
 import pytest
 
 from repro.net import tcp as tcpf
+from repro.net.inet import InternalNetwork
 from repro.simnet.engine import EventLoop
 from repro.simnet.link import Link
-from repro.simnet.monitor import InternalNetwork, MonitorTap
+from repro.simnet.monitor import MonitorTap
 from repro.simnet.rng import SimRandom
 from repro.simnet.segment import SimSegment
 
@@ -142,7 +143,7 @@ class TestInternalNetwork:
     def test_membership(self):
         net = InternalNetwork([(0x0A010000, 16), (0x0A020000, 16)])
         assert 0x0A0100FF in net
-        assert net.is_internal(0x0A02AB01)
+        assert 0x0A02AB01 in net
         assert 0x10000001 not in net
 
     def test_host_bits_cleared(self):

@@ -2,12 +2,11 @@
 
 
 from repro.net import tcp as tcpf
-from repro.net.inet import ipv6_to_int
+from repro.net.inet import InternalNetwork, ipv6_to_int
 from repro.simnet import (
     Connection,
     ConnectionSpec,
     EventLoop,
-    InternalNetwork,
     LegProfile,
     MonitorTap,
     SimRandom,
@@ -74,7 +73,7 @@ class TestIpv6Connection:
         assert all(r.ipv6 for r in tap.trace)
 
     def test_v6_rtt_measured_by_dart(self):
-        from repro.core import Dart, ideal_config, make_leg_filter
+        from repro.core import Dart, LegFilter, ideal_config
 
         loop = EventLoop()
         tap = MonitorTap(loop)
@@ -90,8 +89,7 @@ class TestIpv6Connection:
         loop.run()
         internal = InternalNetwork([(ipv6_to_int("2001:db8:1::"), 48, 128)])
         dart = Dart(ideal_config(),
-                    leg_filter=make_leg_filter(internal.is_internal,
-                                               legs=("internal",)))
+                    leg_filter=LegFilter(internal, legs=("internal",)))
         for record in tap.trace:
             dart.process(record)
         assert dart.stats.samples > 0

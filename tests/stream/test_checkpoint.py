@@ -311,3 +311,10 @@ class TestForgedRows:
         restamp(checkpoint, "dart-stream-checkpoint/3")
         with pytest.raises(CheckpointSchemaMismatch):
             read_checkpoint(checkpoint)
+
+    def test_schema_4_is_refused(self, checkpoint):
+        # Leg filters pickled as a prefix-and-length filter over whole
+        # packet records (schema /4) are not migrated to ``LegFilter``.
+        restamp(checkpoint, "dart-stream-checkpoint/4")
+        with pytest.raises(CheckpointSchemaMismatch):
+            read_checkpoint(checkpoint)

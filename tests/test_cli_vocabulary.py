@@ -11,10 +11,8 @@ import pickle
 
 import pytest
 
-from repro.core import make_leg_filter
-from repro.core.pipeline import PrefixLegFilter
+from repro.core import LegFilter
 from repro.net.inet import ipv4_to_int, ipv6_to_int, prefix_of
-from repro.net.packet import PacketRecord
 
 SCRIPTS = {
     "dart-replay": "replay",
@@ -262,31 +260,36 @@ def built_filter(cli, argv, monkeypatch):
     at the moment the filter exists)."""
     from repro.cli import shared
 
-    def capture(**fields):
-        raise Captured(PrefixLegFilter(**fields))
+    def capture(*args, **fields):
+        raise Captured(LegFilter(*args, **fields))
 
-    monkeypatch.setattr(shared, "PrefixLegFilter", capture)
+    monkeypatch.setattr(shared, "LegFilter", capture)
     main = importlib.import_module(f"repro.cli.{cli}").main
     with pytest.raises(Captured) as info:
         main(["never-opened.pcap", *argv])
     return info.value.args[0]
 
 
-def record_from(src_ip, ipv6=False):
-    return PacketRecord(timestamp_ns=0, src_ip=src_ip, dst_ip=1,
-                        src_port=1000, dst_port=443, seq=1, ack=0, flags=0x10,
-                        payload_len=100, ipv6=ipv6)
+def expected_leg(addr, prefix, legs):
+    """The leg rule written out: a source inside the IPv4 prefix sends
+    on the external leg; an IPv6 source is never inside it."""
+    text, _, length = prefix.partition("/")
+    length = int(length) if length else 32
+    inside = (addr < (1 << 32) and prefix_of(addr, length)
+              == prefix_of(ipv4_to_int(text), length))
+    leg = "external" if inside else "internal"
+    return leg if leg in legs else None
 
 
 class TestOneLegFilter:
     SOURCES = [
-        record_from(ipv4_to_int("10.1.2.3")),
-        record_from(ipv4_to_int("10.2.0.1")),
-        record_from(ipv4_to_int("192.0.2.7")),
-        record_from(0),
-        record_from(ipv6_to_int("2001:db8::1"), ipv6=True),
+        ipv4_to_int("10.1.2.3"),
+        ipv4_to_int("10.2.0.1"),
+        ipv4_to_int("192.0.2.7"),
+        0,
+        ipv6_to_int("2001:db8::1"),
         # An IPv6 address whose low 32 bits fall inside the prefix.
-        record_from(ipv6_to_int("2001:db8::a01:203"), ipv6=True),
+        ipv6_to_int("2001:db8::a01:203"),
     ]
 
     @pytest.mark.parametrize("prefix,leg", [
@@ -309,19 +312,12 @@ class TestOneLegFilter:
         }
         assert built["replay"] == built["stream"] == built["agent"]
         leg_filter = built["replay"]
-        assert isinstance(leg_filter, PrefixLegFilter)
+        assert isinstance(leg_filter, LegFilter)
         assert pickle.loads(pickle.dumps(leg_filter)) == leg_filter
 
-        # What the three hand-written closures this filter replaced
-        # answered (dart-replay's, and dart-stream's identical test).
-        text, _, length = prefix.partition("/")
-        length = int(length) if length else 32
-        network = prefix_of(ipv4_to_int(text), length)
         legs = ("external", "internal") if leg == "both" else (leg,)
-        closure = make_leg_filter(
-            lambda addr: prefix_of(addr, length) == network, legs=legs)
-        for record in self.SOURCES:
-            assert leg_filter(record) == closure(record), record
+        for addr in self.SOURCES:
+            assert leg_filter(addr) == expected_leg(addr, prefix, legs), addr
 
     @pytest.mark.parametrize("prefix", ["10.1.0.0/16", "10.0.0.0/8",
                                         "0.0.0.0/0"])
@@ -333,13 +329,6 @@ class TestOneLegFilter:
             monkeypatch)
         assert detect == replay
         assert pickle.loads(pickle.dumps(detect)) == detect
-
-        # dart-detect's old closure guarded `addr < 1 << 32` explicitly.
-        text, _, length = prefix.partition("/")
-        network = prefix_of(ipv4_to_int(text), int(length))
-        closure = make_leg_filter(
-            lambda addr: addr < (1 << 32)
-            and prefix_of(addr, int(length)) == network,
-            legs=("external",))
-        for record in self.SOURCES:
-            assert detect(record) == closure(record), record
+        for addr in self.SOURCES:
+            assert detect(addr) == expected_leg(
+                addr, prefix, ("external",)), addr

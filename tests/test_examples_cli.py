@@ -226,17 +226,17 @@ class TestDetectCli:
         importable — and prints what the per-frame object path prints."""
         from repro.cli.detect import DetectionSink, main
         from repro.core import Dart
-        from repro.core.pipeline import PrefixLegFilter
+        from repro.core import LegFilter
         from repro.engine import MonitorEngine, MonitorOptions, create
         from repro.net import columnar
-        from repro.net.inet import ipv4_to_int
+        from repro.net.inet import InternalNetwork, ipv4_to_int
         from repro.net.pcapng import read_any_capture
 
         if numpy_visible and not columnar.HAVE_NUMPY:
             pytest.skip("needs numpy")
         # The reference: decoded records through engine.run.
-        monitor = create("dart", MonitorOptions(leg_filter=PrefixLegFilter(
-            network=ipv4_to_int("10.0.0.0"), prefix_len=8,
+        monitor = create("dart", MonitorOptions(leg_filter=LegFilter(
+            InternalNetwork([(ipv4_to_int("10.0.0.0"), 8)]),
             legs=("external",))))
         sink = DetectionSink(prefix_len=24, window=8, rise_factor=2.0)
         engine = MonitorEngine()

@@ -11,7 +11,8 @@ arithmetic breaks loudly.
 import pytest
 
 from repro.baselines import TcpTrace
-from repro.core import Dart, ideal_config, make_leg_filter
+from repro.core import Dart, LegFilter, ideal_config
+from repro.net.inet import InternalNetwork
 from repro.simnet import (
     Connection,
     ConnectionSpec,
@@ -23,6 +24,9 @@ from repro.simnet import (
 from repro.simnet.tcp_endpoint import TcpParams
 
 MS = 1_000_000
+
+#: The client side: 10.0.0.0/8.
+CAMPUS = InternalNetwork([(0x0A000000, 8)])
 
 INTERNAL_OW = 3 * MS
 EXTERNAL_OW = 11 * MS
@@ -47,8 +51,7 @@ def clean_run():
 
 def external_samples(trace):
     dart = Dart(ideal_config(),
-                leg_filter=make_leg_filter(lambda a: a >> 24 == 0x0A,
-                                           legs=("external",)))
+                leg_filter=LegFilter(CAMPUS, legs=("external",)))
     for record in trace:
         dart.process(record)
     return dart.samples
@@ -56,8 +59,7 @@ def external_samples(trace):
 
 def internal_samples(trace):
     dart = Dart(ideal_config(),
-                leg_filter=make_leg_filter(lambda a: a >> 24 == 0x0A,
-                                           legs=("internal",)))
+                leg_filter=LegFilter(CAMPUS, legs=("internal",)))
     for record in trace:
         dart.process(record)
     return dart.samples
@@ -93,8 +95,7 @@ class TestGroundTruth:
         ) + TcpParams().delayed_ack_ns
 
     def test_dart_and_tcptrace_agree_exactly_on_clean_path(self, clean_run):
-        leg = make_leg_filter(lambda a: a >> 24 == 0x0A,
-                              legs=("external",))
+        leg = LegFilter(CAMPUS, legs=("external",))
         dart = Dart(ideal_config(), leg_filter=leg)
         tt = TcpTrace(track_handshake=False, leg_filter=leg)
         for record in clean_run:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import evaluate_dart, percentile
 from repro.baselines import Strawman, TcpTrace, tcptrace_const
-from repro.core import Dart, DartConfig, ideal_config, make_leg_filter
+from repro.core import Dart, DartConfig, LegFilter, ideal_config
 from repro.engine import MonitorEngine
 from repro.net import tcp as tcpf
 from repro.net.packet import PacketRecord
@@ -33,8 +33,7 @@ def campus():
 @pytest.fixture(scope="module")
 def leg_external(campus):
     def make():
-        return make_leg_filter(campus.internal.is_internal,
-                               legs=("external",))
+        return LegFilter(campus.internal, legs=("external",))
     return make
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import Dart, ideal_config, make_leg_filter
+from repro.core import Dart, LegFilter, ideal_config
 from repro.engine import MonitorEngine
 from repro.net.pcap import write_packets
 from repro.net.pcapng import read_any_frames
@@ -29,8 +29,7 @@ class TestAttackTrace:
 
     def test_rtt_steps_at_attack_time(self, attack_trace):
         config = attack_trace.config
-        leg = make_leg_filter(attack_trace.internal.is_internal,
-                              legs=("external",))
+        leg = LegFilter(attack_trace.internal, legs=("external",))
         dart = Dart(ideal_config(), leg_filter=leg)
         for record in attack_trace.records:
             dart.process(record)
@@ -48,8 +47,7 @@ class TestAttackTrace:
 
     def test_continuous_sampling(self, attack_trace):
         # The chatty session produces samples throughout the run.
-        leg = make_leg_filter(attack_trace.internal.is_internal,
-                              legs=("external",))
+        leg = LegFilter(attack_trace.internal, legs=("external",))
         dart = Dart(ideal_config(), leg_filter=leg)
         for record in attack_trace.records:
             dart.process(record)
@@ -104,8 +102,8 @@ class TestReplay:
         legs = (("external",), ("internal",), ("external", "internal"))
         engine = MonitorEngine()
         external, internal, both = monitors = [
-            Dart(ideal_config(), leg_filter=make_leg_filter(
-                attack_trace.internal.is_internal, legs=leg))
+            Dart(ideal_config(),
+                 leg_filter=LegFilter(attack_trace.internal, legs=leg))
             for leg in legs
         ]
         for leg, monitor in zip(legs, monitors):

@@ -8,7 +8,7 @@ Fig 10 handshake ratios) at test scale.
 import pytest
 
 from repro.analysis import fraction_below, percentile
-from repro.core import Dart, ideal_config, make_leg_filter
+from repro.core import Dart, LegFilter, ideal_config
 from repro.traces import CampusTraceConfig, generate_campus_trace
 from repro.traces.campus import SERVER_NET, WIRED_NET, WIRELESS_NET
 
@@ -44,13 +44,12 @@ class TestStructure:
 
     def test_every_packet_has_internal_endpoint(self, trace):
         for record in trace.records[:2000]:
-            assert trace.is_internal(record.src_ip) != trace.is_internal(
-                record.dst_ip
-            )
+            assert (record.src_ip in trace.internal) != (
+                record.dst_ip in trace.internal)
 
     def test_servers_in_server_net(self, trace):
         for record in trace.records[:2000]:
-            external = (record.dst_ip if trace.is_internal(record.src_ip)
+            external = (record.dst_ip if record.src_ip in trace.internal
                         else record.src_ip)
             assert external >> 24 == SERVER_NET >> 24
 
@@ -62,7 +61,7 @@ class TestStructure:
 class TestCalibration:
     @pytest.fixture(scope="class")
     def external_rtts(self, trace):
-        leg = make_leg_filter(trace.internal.is_internal, legs=("external",))
+        leg = LegFilter(trace.internal, legs=("external",))
         dart = Dart(ideal_config(), leg_filter=leg)
         for record in trace.records:
             dart.process(record)
@@ -80,7 +79,7 @@ class TestCalibration:
         # At test scale a single elephant flow dominates per-sample
         # counts, so compare per-flow median RTTs (the bench runs the
         # full per-sample Fig 6 CDF at a larger scale).
-        leg = make_leg_filter(trace.internal.is_internal, legs=("internal",))
+        leg = LegFilter(trace.internal, legs=("internal",))
         dart = Dart(ideal_config(), leg_filter=leg)
         for record in trace.records:
             dart.process(record)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Dart, ideal_config, make_leg_filter
+from repro.core import Dart, LegFilter, ideal_config
 from repro.traces import CampusTraceConfig, generate_campus_trace
 from repro.traces.campus import SERVER_NET6, WIRED_NET6, WIRELESS_NET6
 
@@ -25,7 +25,7 @@ class TestDualStackTrace:
             if not record.ipv6:
                 continue
             internal = (record.src_ip
-                        if dual_stack_trace.is_internal(record.src_ip)
+                        if record.src_ip in dual_stack_trace.internal
                         else record.dst_ip)
             external = (record.dst_ip if internal == record.src_ip
                         else record.src_ip)
@@ -34,13 +34,12 @@ class TestDualStackTrace:
 
     def test_leg_classification_works_for_v6(self, dual_stack_trace):
         for record in dual_stack_trace.records[:3000]:
-            assert dual_stack_trace.is_internal(record.src_ip) != (
-                dual_stack_trace.is_internal(record.dst_ip)
+            assert (record.src_ip in dual_stack_trace.internal) != (
+                record.dst_ip in dual_stack_trace.internal
             )
 
     def test_dart_samples_both_families(self, dual_stack_trace):
-        leg = make_leg_filter(dual_stack_trace.internal.is_internal,
-                              legs=("external",))
+        leg = LegFilter(dual_stack_trace.internal, legs=("external",))
         dart = Dart(ideal_config(), leg_filter=leg)
         for record in dual_stack_trace.records:
             dart.process(record)
