@@ -17,11 +17,15 @@ processes:
 5. the collector exits once all three agents sent final deltas, and
    writes the merged summary.
 
+Every agent runs the per-/24 distribution stage (``--hist-bins 32``),
+so its registers ride each delta, through the kill and the resume.
+
 Pass criteria (exit 0): merged ``DartStats`` are **byte-identical**
-(as canonical JSON) to the single-process reference, merged
-exactly-once sample totals match, the merged window multiset matches
-(modulo flush timestamps, which depend on per-tap end time), zero
-windows lost, and zero samples double-counted despite the kill.
+(as canonical JSON) to the single-process reference, so are the merged
+distribution's sample count and quantiles, merged exactly-once sample
+totals match, the merged window multiset matches (modulo flush
+timestamps, which depend on per-tap end time), zero windows lost, and
+zero samples double-counted despite the kill.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from typing import Dict, List, Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import DartConfig  # noqa: E402
-from repro.core.analytics import MinFilterAnalytics  # noqa: E402
+from repro.core.analytics import DstPrefixKey, MinFilterAnalytics  # noqa: E402
+from repro.core.hist import DistributionAnalytics, HistogramSpec  # noqa: E402
 from repro.core.flow import flow_of  # noqa: E402
 from repro.engine import MonitorEngine, MonitorOptions, create  # noqa: E402
 from repro.fleet import FlowCountTap, stats_to_wire  # noqa: E402
@@ -55,6 +60,7 @@ DEFAULT_CONNECTIONS = int(os.environ.get("REPRO_BENCH_CONNECTIONS", "900"))
 SEED = 31
 TAPS = 3
 WINDOW_SAMPLES = 8
+HIST_BINS = 32
 DEADLINE_S = 120.0
 
 
@@ -105,7 +111,12 @@ def partition_by_flow(records) -> List[List]:
 
 def reference_run(records) -> Dict:
     """Single-process ground truth over the full, time-ordered trace."""
-    analytics = MinFilterAnalytics(window_samples=WINDOW_SAMPLES)
+    # What ``--hist-bins`` builds: the default per-/24 stage around the
+    # window filter.
+    analytics = DistributionAnalytics(
+        HistogramSpec.log_bins(HIST_BINS), key_fn=DstPrefixKey(24),
+        inner=MinFilterAnalytics(window_samples=WINDOW_SAMPLES),
+    )
     monitor = create("dart", MonitorOptions(
         config=DartConfig(), analytics=analytics,
     ))
@@ -119,6 +130,11 @@ def reference_run(records) -> Dict:
         "stats": stats_to_wire(monitor.stats),
         "samples": flow_tap.samples,
         "windows": analytics.drain_windows(),
+        "distribution": {
+            "samples": analytics.count,
+            "quantiles_ns": {f"p{q:g}": rtt_ns for q, rtt_ns
+                             in analytics.percentiles().items()},
+        },
     }
 
 
@@ -204,6 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 agent_cli(pcaps[index], "--collector", wire,
                           "--agent-id", f"tap{index}",
                           "--window-samples", WINDOW_SAMPLES,
+                          "--hist-bins", HIST_BINS,
                           "--push-interval", "0.2"),
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                 env=cli_env(),
@@ -220,6 +237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             agent_cli(live, "--collector", wire, "--agent-id", "tap2",
                       "--follow", "--poll-interval", "0.05",
                       "--window-samples", WINDOW_SAMPLES,
+                      "--hist-bins", HIST_BINS,
                       "--push-interval", "0.2",
                       "--checkpoint", ckpt, "--checkpoint-interval", "0.3"),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -295,6 +313,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "merged DartStats differ from the single-process "
                 f"reference:\n  ref: {ref_dump}\n  got: {got_dump}"
             )
+        ref_dist = json.dumps(reference["distribution"], sort_keys=True)
+        got_dist = json.dumps(summary["distribution"].get("dart"),
+                              sort_keys=True)
+        if got_dist != ref_dist:
+            failures.append(
+                "merged distribution differs from the single-process "
+                f"reference:\n  ref: {ref_dist}\n  got: {got_dist}"
+            )
         flows = summary["flows"]
         if flows["exactly_once_samples"] != reference["samples"]:
             failures.append(
@@ -329,8 +355,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for failure in failures:
             print(f"fleet-smoke: FAIL: {failure}", file=sys.stderr)
         return 1
-    print("fleet-smoke: ok (merged view identical to the single-process "
-          "reference; zero double-counting)", file=sys.stderr)
+    print("fleet-smoke: ok (merged stats and distribution identical to "
+          "the single-process reference; zero double-counting)",
+          file=sys.stderr)
     return 0
 
 

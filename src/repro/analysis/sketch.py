@@ -115,55 +115,6 @@ class QuantileSketch:
     def bucket_count(self) -> int:
         return len(self._buckets) + (1 if self._zero_count else 0)
 
-    def bucket_weights(self) -> Dict[int, int]:
-        """A copy of the non-zero buckets: index → weight."""
-        return dict(self._buckets)
-
-    # -- state (JSON-safe; fleet wire + checkpoint transport) ----------------
-
-    def state_dict(self) -> Dict:
-        """Freeze the sketch into plain JSON-safe data."""
-        return {
-            "alpha": self.alpha,
-            "max_buckets": self._max_buckets,
-            "buckets": [[index, self._buckets[index]]
-                        for index in sorted(self._buckets)],
-            "zero_count": self._zero_count,
-            "count": self.count,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "QuantileSketch":
-        """Rebuild a sketch from :meth:`state_dict` output.
-
-        Refuses, with ``ValueError``, state no run of :meth:`add` could
-        leave: a repeated index, a weight below one, a negative zero
-        count, a count other than the zero count plus the bucket
-        weights, or ``min > max``.
-        """
-        buckets: Dict[int, int] = {}
-        for index, weight in state["buckets"]:
-            index, weight = int(index), int(weight)
-            if index in buckets:
-                raise ValueError(f"sketch bucket {index} repeated")
-            if weight < 1:
-                raise ValueError(f"sketch bucket {index} weighs {weight}")
-            buckets[index] = weight
-        zero_count = int(state["zero_count"])
-        if zero_count < 0:
-            raise ValueError("negative sketch zero count")
-        if int(state["count"]) != zero_count + sum(buckets.values()):
-            raise ValueError("sketch count is not its zero count plus "
-                             "its bucket weights")
-        low, high = state["min"], state["max"]
-        if low is not None and high is not None and low > high:
-            raise ValueError("sketch min exceeds its max")
-        return cls.from_counts(buckets, zero_count, low, high,
-                               alpha=state["alpha"],
-                               max_buckets=state["max_buckets"])
-
     @classmethod
     def from_counts(cls, buckets: Dict[int, int], zero_count: int,
                     min_value: Optional[float], max_value: Optional[float],

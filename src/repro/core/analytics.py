@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from ..net.inet import prefix_of
-from .flow import FlowKey
+from .flow import FlowKey, intern_flow
 from .samples import RttSample, SampleCollector
 
 
@@ -300,6 +300,56 @@ class DstPrefixKey:
 
     def __call__(self, sample: RttSample) -> Hashable:
         return prefix_of(sample.flow.dst_ip, self.prefix_len)
+
+
+# -- key codec: a flow key, int (prefix) or str key, and a key function, as
+# small tagged JSON objects that decode to the same type (a flow key to
+# the locally interned object).
+
+def key_to_wire(key: Any) -> Dict[str, Any]:
+    """Encode one analytics/flow key as a JSON-safe tagged object."""
+    if isinstance(key, FlowKey):
+        return {"t": "flow", "src": key.src_ip, "dst": key.dst_ip,
+                "sport": key.src_port, "dport": key.dst_port,
+                "v6": key.ipv6}
+    if isinstance(key, bool) or not isinstance(key, (int, str)):
+        raise ValueError(f"cannot encode analytics key of type "
+                         f"{type(key).__name__!r}")
+    return {"t": "int" if isinstance(key, int) else "str", "v": key}
+
+
+def key_from_wire(wire: Dict[str, Any]) -> Any:
+    """Decode :func:`key_to_wire` output back into the original key."""
+    tag = wire.get("t")
+    if tag == "flow":
+        return intern_flow(int(wire["src"]), int(wire["dst"]),
+                           int(wire["sport"]), int(wire["dport"]),
+                           bool(wire.get("v6", False)))
+    if tag == "int":
+        return int(wire["v"])
+    if tag == "str":
+        return str(wire["v"])
+    raise ValueError(f"unknown key tag {tag!r}")
+
+
+def key_fn_to_wire(key_fn: Any) -> Dict[str, Any]:
+    """Encode a key function (:func:`flow_key` or a :class:`DstPrefixKey`)."""
+    if key_fn is flow_key:
+        return {"t": "flow_fn"}
+    if isinstance(key_fn, DstPrefixKey):
+        return {"t": "prefix_fn", "len": key_fn.prefix_len}
+    raise ValueError(f"cannot encode key function {key_fn!r} (flow_key "
+                     "and DstPrefixKey cross the wire)")
+
+
+def key_fn_from_wire(wire: Dict[str, Any]) -> Any:
+    """Decode :func:`key_fn_to_wire` output."""
+    tag = wire.get("t")
+    if tag == "flow_fn":
+        return flow_key
+    if tag == "prefix_fn":
+        return DstPrefixKey(int(wire["len"]))
+    raise ValueError(f"unknown key-function tag {tag!r}")
 
 
 class PrefixMinAnalytics(MinFilterAnalytics):

@@ -26,15 +26,24 @@ plus at most ~ln(max RTT)/(2 alpha) raw sketch buckets.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..analysis.sketch import QuantileSketch
 from ..net.inet import int_to_ipv4, int_to_ipv6
-from .analytics import DstPrefixKey, flow_key
+from .analytics import (
+    DstPrefixKey,
+    flow_key,
+    key_fn_from_wire,
+    key_fn_to_wire,
+    key_from_wire,
+    key_to_wire,
+)
 from .samples import RttSample
+from .stats import natural
 
 #: Default edge range: 100 microseconds to 10 seconds covers LAN RTTs
 #: through badly congested WAN paths; log spacing matches how RTTs
@@ -198,45 +207,6 @@ class RttHistogram:
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-    # -- wire/state (JSON-safe; the fleet codec wraps these) ---------------
-
-    def state_dict(self) -> Dict:
-        return {
-            "edges_ns": list(self.spec.edges_ns),
-            "counts": list(self.counts),
-            "sum_ns": self.sum_ns,
-            "count": self.count,
-            "min_ns": self.min_ns,
-            "max_ns": self.max_ns,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "RttHistogram":
-        """Rebuild a histogram from :meth:`state_dict` output.
-
-        Refuses, with ``ValueError``, state no run of :meth:`add` could
-        leave: the wrong bin count, a negative count or sum, a count
-        other than the sum of the bins, or ``min > max``.
-        """
-        hist = cls(HistogramSpec(edges_ns=tuple(state["edges_ns"])))
-        counts = [int(c) for c in state["counts"]]
-        if len(counts) != hist.spec.bins:
-            raise ValueError("histogram state has the wrong bin count")
-        count, sum_ns = int(state["count"]), int(state["sum_ns"])
-        if min(counts) < 0 or sum_ns < 0:
-            raise ValueError("negative histogram count or sum")
-        if count != sum(counts):
-            raise ValueError("histogram count is not the sum of its bins")
-        low, high = state["min_ns"], state["max_ns"]
-        if low is not None and high is not None and low > high:
-            raise ValueError("histogram min exceeds its max")
-        hist.counts = counts
-        hist.sum_ns = sum_ns
-        hist.count = count
-        hist.min_ns = low
-        hist.max_ns = high
-        return hist
 
 
 class _Register:
@@ -402,7 +372,9 @@ class DistributionAnalytics:
     def inner(self) -> Optional[object]:
         return self._inner
 
-    def _config(self) -> Tuple:
+    def config(self) -> Tuple:
+        """``(spec, alpha, max_buckets, quantiles, key_fn)``: two stages
+        merge only when these are equal."""
         return (self.spec, self.alpha, self.max_buckets, self.quantiles,
                 self.key_fn)
 
@@ -422,39 +394,69 @@ class DistributionAnalytics:
         snapshot.merge(self)
         return snapshot
 
-    def load_key(self, key: Hashable, histogram: RttHistogram,
-                 sketch: QuantileSketch) -> None:
-        """Rebuild one key's register from its two views (fleet decode).
+    def state(self) -> Dict[str, Any]:
+        """The configuration and registers as JSON-safe data, one row
+        ``[key, counts, sum_ns, count, min_ns, max_ns, zero_count,
+        [[index, weight], ...]]`` per key, sorted by encoded key.  The
+        inner module is not part of it; changes nothing."""
+        rows = [
+            [key_to_wire(key), list(r.counts), r.sum_ns, r.count, r.min_ns,
+             r.max_ns, r.zero_count,
+             [[i, w] for i, w in sorted(r.buckets.items())]]
+            for key, r in self._registers.items()
+        ]
+        rows.sort(key=lambda row: json.dumps(row[0], sort_keys=True))
+        return {
+            "edges_ns": list(self.spec.edges_ns),
+            "alpha": self.alpha,
+            "max_buckets": self.max_buckets,
+            "quantiles": list(self.quantiles),
+            "key_fn": key_fn_to_wire(self.key_fn),
+            "keys": rows,
+        }
 
-        Refuses, with ``ValueError``, a key already present, views built
-        under another configuration, an empty key, and views that
-        disagree on the samples they hold.  A sketch view that ``max_buckets`` already
-        collapsed yields the same views again (collapsing is
-        idempotent).
-        """
-        if key in self._registers:
-            raise ValueError(f"key {key!r} loaded twice")
-        if histogram.spec != self.spec:
-            raise ValueError("histogram edges differ from the stage's")
-        if (sketch.alpha, sketch.max_buckets) != (self.alpha,
-                                                  self.max_buckets):
-            raise ValueError("sketch alpha or max_buckets differ from "
-                             "the stage's")
-        if histogram.count == 0:
-            raise ValueError(f"key {key!r} holds no samples")
-        if ((histogram.count, histogram.min_ns, histogram.max_ns)
-                != (sketch.count, sketch.min, sketch.max)):
-            raise ValueError("histogram and sketch disagree on count, "
-                             "min or max")
-        register = _Register(self.spec.bins)
-        register.counts = list(histogram.counts)
-        register.sum_ns = histogram.sum_ns
-        register.count = histogram.count
-        register.min_ns = histogram.min_ns
-        register.max_ns = histogram.max_ns
-        register.zero_count = sketch.zero_count
-        register.buckets = sketch.bucket_weights()
-        self._registers[key] = register
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "DistributionAnalytics":
+        """Rebuild from :meth:`state` output; ``ValueError`` for any row
+        :meth:`add` could not leave (each check below)."""
+        max_buckets = state["max_buckets"]
+        if max_buckets is not None and natural(max_buckets) == 0:
+            raise ValueError("max_buckets must be positive")
+        stage = cls(
+            HistogramSpec(edges_ns=tuple(map(natural, state["edges_ns"]))),
+            alpha=float(state["alpha"]), max_buckets=max_buckets,
+            quantiles=tuple(float(q) for q in state["quantiles"]),
+            key_fn=key_fn_from_wire(state["key_fn"]),
+        )
+        for key_wire, counts, *scalars, buckets in state["keys"]:
+            key = key_from_wire(key_wire)
+            if key in stage._registers:
+                raise ValueError(f"distribution key {key!r} repeated")
+            register = _Register(stage.spec.bins)
+            register.counts = [natural(c) for c in counts]
+            (register.sum_ns, register.count, register.min_ns,
+             register.max_ns, register.zero_count) = map(natural, scalars)
+            for index, weight in buckets:
+                index, weight = natural(index), natural(weight)
+                if index in register.buckets:
+                    raise ValueError(f"sketch bucket {index} repeated")
+                if weight < 1:
+                    raise ValueError(f"sketch bucket {index} weighs {weight}")
+                register.buckets[index] = weight
+            if len(register.counts) != stage.spec.bins:
+                raise ValueError("histogram state has the wrong bin count")
+            if register.count == 0:
+                raise ValueError(f"key {key!r} holds no samples")
+            if register.count != sum(register.counts):
+                raise ValueError("histogram count is not the sum of its bins")
+            if register.count != (register.zero_count
+                                  + sum(register.buckets.values())):
+                raise ValueError("sketch count is not its zero count plus "
+                                 "its bucket weights")
+            if register.min_ns > register.max_ns:
+                raise ValueError("register min exceeds its max")
+            stage._registers[key] = register
+        return stage
 
     # -- merge algebra -------------------------------------------------------
 
@@ -465,10 +467,10 @@ class DistributionAnalytics:
         modules are deliberately not merged: their state merges through
         the existing sample/window channels.
         """
-        if other._config() != self._config():
+        if other.config() != self.config():
             names = ("spec", "alpha", "max_buckets", "quantiles", "key_fn")
             differ = [name for name, mine, theirs in
-                      zip(names, self._config(), other._config())
+                      zip(names, self.config(), other.config())
                       if mine != theirs]
             raise ValueError("cannot merge distribution stages configured "
                              f"differently ({', '.join(differ)})")
@@ -486,7 +488,7 @@ class DistributionAnalytics:
         if not isinstance(other, DistributionAnalytics):
             return NotImplemented
         return (
-            self._config() == other._config()
+            self.config() == other.config()
             and self.histograms() == other.histograms()
             and self.sketches() == other.sketches()
         )

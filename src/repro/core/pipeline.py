@@ -84,8 +84,9 @@ class DartStats(AdditiveCounters):
     counter set, each kernel decision counted once.
 
     Every field is either a plain additive counter or a verdict→count
-    mapping, so two stats objects merge by summation — the property the
-    sharded coordinator (:mod:`repro.cluster`) relies on.
+    mapping (its field ``metadata["keys"]`` names the verdict enum), so
+    two stats objects merge by summation — the property the sharded
+    coordinator (:mod:`repro.cluster`) relies on.
     """
 
     packets_processed: int = 0
@@ -112,8 +113,10 @@ class DartStats(AdditiveCounters):
     #: Data packets whose PT key was already resident (a retransmission
     #: that slipped past range tracking): dropped, the older record kept.
     duplicate_inserts: int = 0
-    seq_verdicts: Dict[SeqVerdict, int] = field(default_factory=dict)
-    ack_verdicts: Dict[AckVerdict, int] = field(default_factory=dict)
+    seq_verdicts: Dict[SeqVerdict, int] = field(
+        default_factory=dict, metadata={"keys": SeqVerdict})
+    ack_verdicts: Dict[AckVerdict, int] = field(
+        default_factory=dict, metadata={"keys": AckVerdict})
 
     def recirculations_per_packet(self) -> float:
         """The paper's recirculation-overhead metric (Figs 11c/12c/13c)."""

@@ -16,7 +16,9 @@ software reproduction:
 Layers here:
 
 * :mod:`.wire` — the versioned length-prefixed framing protocol
-  (``DARTFLT1``) and JSON codecs for keys, windows, and stats.
+  (``DARTFLT1``), the window codec, the stats type tag, and
+  :func:`~repro.fleet.wire.decode_delta` (a delta decodes whole or is
+  refused).
 * :mod:`.agent` — :class:`CollectorClient` (reconnect + backoff),
   :class:`FleetExporter` (the :class:`~repro.stream.StreamHook`), and
   :class:`FlowCountTap` (per-canonical-flow sample counts).
@@ -49,6 +51,7 @@ from .wire import (
     FrameCorrupt,
     WireError,
     WireSchemaMismatch,
+    decode_delta,
     encode_frame,
     key_from_wire,
     key_to_wire,
@@ -77,6 +80,7 @@ __all__ = [
     "WindowTee",
     "WireError",
     "WireSchemaMismatch",
+    "decode_delta",
     "encode_frame",
     "key_from_wire",
     "key_to_wire",

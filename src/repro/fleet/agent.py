@@ -37,9 +37,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.analytics import WindowMinimum
 from ..core.flow import FlowKey
+from ..core.hist import DistributionAnalytics
 from ..stream.runner import StreamHook
 from .wire import (
-    distribution_to_wire,
     encode_frame,
     key_to_wire,
     stats_to_wire,
@@ -368,9 +368,8 @@ class FleetExporter(StreamHook):
             # distribution stage, or a distribution wrapping a min
             # filter — read both surfaces through guards.
             windows_closed = getattr(self.analytics, "windows_closed", 0)
-            snapshot = getattr(self.analytics, "distribution_snapshot", None)
-            if callable(snapshot):
-                distribution_wire = distribution_to_wire(snapshot())
+            if isinstance(self.analytics, DistributionAnalytics):
+                distribution_wire = self.analytics.state()
         return {
             "monitor": self.monitor_name,
             "records": records,

@@ -26,6 +26,10 @@ Churn semantics (the part that makes the merge *exact*):
   does not advance are dropped and counted in
   ``fleet_stale_deltas_dropped_total`` (reordered duplicates on
   reconnect, or a misconfigured second agent with a stolen id).
+* A delta applies whole or not at all: it is decoded before the stamp
+  guard runs, and one that is malformed, or whose stats type or
+  distribution configuration differs from the first the collector held
+  for that monitor, is counted and dropped without touching any state.
 * Closed analytics windows are **incremental** with content-keyed
   dedup, so the resume path may re-send windows freely and each is
   merged exactly once.  ``fleet_windows_lost_total`` is the difference
@@ -48,17 +52,7 @@ from ..core.analytics import WindowMinimum
 from ..detection.change import DetectorConfig, run_over_windows
 from ..obs.exporters import to_prometheus
 from ..obs.metrics import MetricsRegistry
-from .wire import (
-    Frame,
-    FrameCorrupt,
-    WireError,
-    distribution_from_wire,
-    key_from_wire,
-    key_to_wire,
-    read_frame,
-    stats_from_wire,
-    window_from_wire,
-)
+from .wire import Frame, FrameCorrupt, WireError, decode_delta, read_frame
 from .registry import FlowRegistry
 
 __all__ = ["AgentState", "FleetCollector", "FleetServer", "FleetHttpServer"]
@@ -86,10 +80,11 @@ class AgentState:
     records: Dict[str, int] = field(default_factory=dict)
     #: Latest cumulative telemetry registry (None until one arrives).
     telemetry: Optional[MetricsRegistry] = None
-    #: Latest cumulative distribution snapshot per monitor name
-    #: (histogram + sketch stages, wire-decoded).  Replacement under
-    #: the (epoch, seq) guard, like ``stats`` — cumulative deltas make
-    #: a resumed agent replace rather than double-count itself.
+    #: Latest cumulative distribution stage per monitor name (its
+    #: registers, from ``DistributionAnalytics.from_state``).
+    #: Replacement under the (epoch, seq) guard, like ``stats`` —
+    #: cumulative deltas make a resumed agent replace rather than
+    #: double-count itself.
     distribution: Dict[str, Any] = field(default_factory=dict)
     #: Agent-reported cumulative closed-window count.
     windows_closed: int = 0
@@ -102,22 +97,18 @@ class AgentState:
         return max(0, self.windows_closed - self.windows_received)
 
 
-def _window_dedup_key(agent_id: str, window: WindowMinimum) -> Tuple:
-    """Content identity of one window from one agent.
-
-    Keyed on the full content (not just ``(key, window_index)``) so a
-    pathological agent restart that *recomputes* a window differently
-    surfaces as two windows — a loud inconsistency — rather than being
-    silently collapsed.
-    """
-    return (
-        agent_id,
-        json.dumps(key_to_wire(window.key), sort_keys=True),
-        window.window_index,
-        window.min_rtt_ns,
-        window.sample_count,
-        window.closed_at_ns,
-    )
+#: Exported collector counters: (metric, help, summary key).
+_COUNTERS = (
+    ("fleet_frames_total", "frames accepted", "frames_total"),
+    ("fleet_stale_deltas_dropped_total",
+     "frames dropped by the (epoch, seq) staleness guard",
+     "stale_deltas_dropped"),
+    ("fleet_corrupt_frames_total", "frames failing validation",
+     "corrupt_frames"),
+    ("fleet_mismatched_deltas_total",
+     "deltas refused: stats type or distribution configuration differs "
+     "from the first held for the monitor", "mismatched_deltas"),
+)
 
 
 class FleetCollector:
@@ -137,10 +128,14 @@ class FleetCollector:
         self._agents: Dict[str, AgentState] = {}
         self._registry = FlowRegistry()
         self._windows: List[WindowMinimum] = []
-        self._window_keys: Set[Tuple] = set()
-        self._stale_dropped = 0
-        self._corrupt_frames = 0
-        self._frames_total = 0
+        #: (agent, window): a window's content identity, not just its
+        #: (key, index), so a restart that recomputes a window
+        #: differently shows as two windows instead of collapsing.
+        self._window_keys: Set[Tuple[str, WindowMinimum]] = set()
+        self._counts = {key: 0 for _, _, key in _COUNTERS}
+        #: (monitor, "stats" | "distribution") -> the stats type or stage
+        #: configuration first held for it; fixed until restart.
+        self._shapes: Dict[Tuple[str, str], Any] = {}
 
     # -- frame dispatch ---------------------------------------------------
 
@@ -164,13 +159,13 @@ class FleetCollector:
         Returns ``None`` when the frame is stale (stamp did not advance)
         — the caller drops it.  Must be called with the lock held.
         """
-        self._frames_total += 1
+        self._counts["frames_total"] += 1
         state = self._agents.get(frame.agent)
         if state is None:
             state = AgentState(agent_id=frame.agent)
             self._agents[frame.agent] = state
         if (frame.epoch, frame.seq) <= (state.epoch, state.seq):
-            self._stale_dropped += 1
+            self._counts["stale_deltas_dropped"] += 1
             return None
         if frame.epoch > state.epoch:
             # A fresh process epoch: cumulative state will be replaced
@@ -201,44 +196,68 @@ class FleetCollector:
                 state.connected = False
 
     def handle_delta(self, frame: Frame) -> None:
-        """Merge one cumulative delta (the workhorse)."""
-        payload = frame.payload
+        """Merge one cumulative delta (the workhorse), or refuse it whole.
+
+        The payload is decoded and checked before the (epoch, seq) guard
+        runs, so a refused delta changes nothing, not even the agent's
+        stamp: a malformed one counts in ``fleet_corrupt_frames_total``,
+        one whose stage cannot merge with the monitor's in
+        ``fleet_mismatched_deltas_total``.
+        """
+        try:
+            delta = decode_delta(frame.payload)
+        except FrameCorrupt:
+            self.note_corrupt_frame()
+            return
         with self._lock:
+            shapes = self._shapes_of(delta)
+            if shapes is None:
+                self._counts["mismatched_deltas"] += 1
+                return
             state = self._touch(frame)
             if state is None:
                 return
+            self._shapes.update(shapes)
             state.deltas += 1
-            monitor = str(payload.get("monitor", "dart"))
-            if "stats" in payload and payload["stats"] is not None:
-                state.stats[monitor] = stats_from_wire(payload["stats"])
-            if "records" in payload:
-                state.records[monitor] = int(payload["records"])
-            if payload.get("telemetry") is not None:
-                state.telemetry = MetricsRegistry.from_wire(
-                    payload["telemetry"]
-                )
-            if payload.get("distribution") is not None:
-                state.distribution[monitor] = distribution_from_wire(
-                    payload["distribution"]
-                )
-            if "windows_closed" in payload:
-                state.windows_closed = int(payload["windows_closed"])
-            for wire_flow in payload.get("flows", ()):
-                key_wire, count = wire_flow
-                self._registry.observe(
-                    frame.agent, key_from_wire(key_wire), int(count)
-                )
-            for wire_window in payload.get("windows", ()):
-                window = window_from_wire(wire_window)
-                dedup = _window_dedup_key(frame.agent, window)
-                if dedup in self._window_keys:
+            monitor = delta["monitor"]
+            if "stats" in delta:
+                state.stats[monitor] = delta["stats"]
+            if "records" in delta:
+                state.records[monitor] = delta["records"]
+            if "distribution" in delta:
+                state.distribution[monitor] = delta["distribution"]
+            if "telemetry" in delta:
+                state.telemetry = delta["telemetry"]
+            if "windows_closed" in delta:
+                state.windows_closed = delta["windows_closed"]
+            for key, count in delta["flows"]:
+                self._registry.observe(frame.agent, key, count)
+            for window in delta["windows"]:
+                if (frame.agent, window) in self._window_keys:
                     continue
-                self._window_keys.add(dedup)
+                self._window_keys.add((frame.agent, window))
                 self._windows.append(window)
                 state.windows_received += 1
-            if payload.get("final"):
+            if delta["final"]:
                 state.finalized = True
                 state.connected = False
+
+    def _shapes_of(self, delta: Dict[str, Any]
+                   ) -> Optional[Dict[Tuple[str, str], Any]]:
+        """The delta's stats type and distribution configuration, or
+        ``None`` when one differs from the first this collector held for
+        the monitor — every merged read must be able to sum them.  Must
+        be called with the lock held."""
+        shapes: Dict[Tuple[str, str], Any] = {}
+        if "stats" in delta:
+            shapes[(delta["monitor"], "stats")] = type(delta["stats"])
+        if "distribution" in delta:
+            shapes[(delta["monitor"], "distribution")] = \
+                delta["distribution"].config()
+        if any(self._shapes.get(part, shape) != shape
+               for part, shape in shapes.items()):
+            return None
+        return shapes
 
     def mark_disconnected(self, agent_id: str) -> None:
         """A reader thread lost its connection (no bye seen)."""
@@ -249,7 +268,7 @@ class FleetCollector:
 
     def note_corrupt_frame(self) -> None:
         with self._lock:
-            self._corrupt_frames += 1
+            self._counts["corrupt_frames"] += 1
 
     # -- merged-view accessors -------------------------------------------
 
@@ -358,16 +377,12 @@ class FleetCollector:
                 for a in sorted(self._agents.values(),
                                 key=lambda s: s.agent_id)
             }
-            stale = self._stale_dropped
-            corrupt = self._corrupt_frames
-            frames = self._frames_total
+            counts = dict(self._counts)
         registry = self._registry
         summary: Dict[str, Any] = {
             "schema": "dart-fleet-summary/1",
             "agents": agents,
-            "frames_total": frames,
-            "stale_deltas_dropped": stale,
-            "corrupt_frames": corrupt,
+            **counts,
             "stats": {m: stats_to_wire(s) for m, s in merged.items()},
             "distribution": {
                 m: {
@@ -407,9 +422,7 @@ class FleetCollector:
         """Populate ``fleet_*`` metrics; an obs collector callback."""
         with self._lock:
             agents = list(self._agents.values())
-            stale = self._stale_dropped
-            corrupt = self._corrupt_frames
-            frames = self._frames_total
+            counts = dict(self._counts)
         up_count = sum(1 for a in agents if self.agent_up(a))
         registry.gauge(
             "fleet_agents_connected", "agents currently up"
@@ -417,16 +430,8 @@ class FleetCollector:
         registry.gauge(
             "fleet_agents_known", "agents ever seen"
         ).set(value=len(agents))
-        registry.counter(
-            "fleet_frames_total", "frames accepted"
-        ).set_cumulative((), frames)
-        registry.counter(
-            "fleet_stale_deltas_dropped_total",
-            "frames dropped by the (epoch, seq) staleness guard",
-        ).set_cumulative((), stale)
-        registry.counter(
-            "fleet_corrupt_frames_total", "frames failing validation"
-        ).set_cumulative((), corrupt)
+        for metric, text, key in _COUNTERS:
+            registry.counter(metric, text).set_cumulative((), counts[key])
         lost_gauge = registry.gauge(
             "fleet_windows_lost_total",
             "windows agents closed but the fleet never merged",

@@ -397,9 +397,10 @@ class MetricsRegistry:
         """Rebuild a registry from :meth:`to_wire` output.
 
         Raises :class:`ValueError` on a schema mismatch or a malformed
-        metric — merging a layout this build does not understand would
-        corrupt the aggregate silently.  The emission index is not
-        state and is dropped.
+        metric — a series value that is not an ``int`` or ``float`` (a
+        ``bool`` is not), bucket counts that are not ints — since merging
+        or rendering it would fail or corrupt the aggregate later.  The
+        emission index is not state and is dropped.
         """
         schema = wire.get("schema")
         if schema != SNAPSHOT_WIRE_SCHEMA:
@@ -419,9 +420,12 @@ class MetricsRegistry:
                     buckets=tuple(entry.get("buckets", ())),
                 )
                 for item in series:
+                    counts = list(item["bucket_counts"])
+                    if any(type(c) is not int for c in counts):
+                        raise ValueError(f"{name}: bucket counts {counts!r} "
+                                         "are not all ints")
                     histogram.set_state(
-                        tuple(item["labels"]),
-                        [int(c) for c in item["bucket_counts"]],
+                        tuple(item["labels"]), counts,
                         float(item.get("sum", 0.0)),
                         int(item.get("count", 0)),
                     )
@@ -429,7 +433,11 @@ class MetricsRegistry:
                 values = (registry.counter if kind == "counter"
                           else registry.gauge)(name, help, label_names).values
                 for item in series:
-                    values[tuple(item["labels"])] = item["value"]
+                    value = item["value"]
+                    if type(value) not in (int, float):
+                        raise ValueError(f"{name}: series value {value!r} "
+                                         "is not a number")
+                    values[tuple(item["labels"])] = value
             else:
                 raise ValueError(f"{name}: unknown metric kind {kind!r}")
         return registry

@@ -5,9 +5,11 @@ from them (equal to an RttHistogram and a QuantileSketch fed sample by
 sample), reads that change nothing, checkpoint determinism, and — via
 Hypothesis — the merge algebra the cluster and fleet rely on:
 element-wise addition that is associative, commutative, and makes a
-sharded run equal a serial one bin for bin.
+sharded run equal a serial one bin for bin, and the JSON-safe
+``state()``/``from_state()`` pair the fleet wire carries.
 """
 
+import json
 import pickle
 
 import pytest
@@ -26,7 +28,6 @@ from repro.core.hist import (
     exact_quantile,
 )
 from repro.core.samples import RttSample
-from repro.fleet.wire import distribution_to_wire
 from repro.obs.collect import collect_distribution
 from repro.obs.metrics import MetricsRegistry
 
@@ -124,19 +125,6 @@ class TestRttHistogram:
         b = RttHistogram(HistogramSpec(edges_ns=(20,)))
         with pytest.raises(ValueError):
             a.merge(b)
-
-    def test_state_roundtrip(self):
-        hist = RttHistogram(HistogramSpec(edges_ns=(10, 20)))
-        for v in (5, 15, 100):
-            hist.add(v)
-        assert RttHistogram.from_state(hist.state_dict()) == hist
-
-    def test_state_rejects_wrong_bin_count(self):
-        hist = RttHistogram(HistogramSpec(edges_ns=(10, 20)))
-        state = hist.state_dict()
-        state["counts"] = [0, 0]
-        with pytest.raises(ValueError):
-            RttHistogram.from_state(state)
 
     def test_quantile_within_bin_width(self):
         spec = HistogramSpec.log_bins(32)
@@ -427,11 +415,57 @@ READS = (
     lambda d: d.percentiles(),
     lambda d: d.count,
     lambda d: collect_distribution(MetricsRegistry(), d, "dart"),
-    lambda d: distribution_to_wire(d),
+    lambda d: d.state(),
     lambda d: d == d.distribution_snapshot(),
     lambda d: pickle.dumps(d),
     lambda d: d.distribution_snapshot().merge(d),
 )
+
+
+#: Five flows over three /24s, so each key function groups differently.
+FLOWS = [FlowKey(src_ip=0x0A000001 + i, dst_ip=0x10000105 + (i % 3) * 256,
+                 src_port=1000 + i, dst_port=443) for i in range(5)]
+
+RTT_ROWS = st.lists(
+    st.tuples(st.one_of(st.just(0), st.integers(1, 3_000 * MS)),
+              st.integers(0, len(FLOWS) - 1)),
+    max_size=40,
+)
+
+
+class TestState:
+    """``state()`` is JSON-safe and ``from_state`` rebuilds the same
+    registers, so decoding commutes with merging — the fleet's rule."""
+
+    @staticmethod
+    def _stage(rows, key_fn):
+        dist = DistributionAnalytics(HistogramSpec.log_bins(8),
+                                     key_fn=key_fn)
+        for n, (rtt, flow) in enumerate(rows):
+            dist.add(sample(FLOWS[flow], rtt, t_ns=n))
+        return dist
+
+    @settings(max_examples=60, deadline=None)
+    @given(RTT_ROWS, RTT_ROWS,
+           st.sampled_from((flow_key, DstPrefixKey(24), DstPrefixKey(0))))
+    def test_round_trip_and_merge_commute(self, xs, ys, key_fn):
+        a, b = self._stage(xs, key_fn), self._stage(ys, key_fn)
+        decoded = DistributionAnalytics.from_state(
+            json.loads(json.dumps(a.state())))
+        assert decoded == a
+        assert decoded.state() == a.state()
+        merged = DistributionAnalytics.from_state(a.state())
+        merged.merge(DistributionAnalytics.from_state(b.state()))
+        direct = a.distribution_snapshot()
+        direct.merge(b)
+        assert merged == direct
+        assert merged.histograms() == direct.histograms()
+        assert merged.sketches() == direct.sketches()
+
+    def test_unknown_key_function_is_not_encoded(self):
+        dist = DistributionAnalytics(key_fn=lambda s: s.flow.src_ip)
+        with pytest.raises(ValueError, match="key function"):
+            dist.state()
 
 
 class TestPureReads:

@@ -13,9 +13,12 @@ import urllib.request
 
 import pytest
 
-from repro.core.analytics import WindowMinimum
+from repro.baselines.tcptrace import TcpTraceStats
+from repro.core.analytics import DstPrefixKey, WindowMinimum
 from repro.core.flow import intern_flow
+from repro.core.hist import DistributionAnalytics, HistogramSpec
 from repro.core.pipeline import DartStats
+from repro.core.samples import RttSample
 from repro.fleet import (
     CollectorClient,
     FleetCollector,
@@ -247,6 +250,128 @@ class TestExposition:
         detector = collector.to_summary()["detector"]
         assert detector["state"] == "confirmed"
         assert detector["confirmed_at_ns"] is not None
+
+
+def _with(**parts):
+    payload = delta_payload(samples=7)
+    payload.update(parts)
+    return payload
+
+
+def _stats_fields(**fields):
+    return {"type": "DartStats", "fields": fields}
+
+
+def _telemetry_value(value):
+    registry = MetricsRegistry()
+    registry.counter("dart_stream_records_total").inc((), 1)
+    wire = registry.to_wire(1)
+    wire["metrics"][0]["series"][0]["value"] = value
+    return wire
+
+
+#: Delta payloads no real agent sends: each must be refused whole.
+MALFORMED = {
+    "string_counter": _with(stats=_stats_fields(samples="x")),
+    "bad_flow_after_good_stats": _with(flows=[[{"t": "flow", "src": "zz"},
+                                               1]]),
+    "string_records": _with(records="abc"),
+    "unknown_verdict": _with(stats=_stats_fields(
+        seq_verdicts={"no-such-verdict": 1})),
+    "telemetry_without_schema": _with(telemetry={"metrics": []}),
+    "telemetry_string_value": _with(telemetry=_telemetry_value("boom")),
+    "telemetry_bool_value": _with(telemetry=_telemetry_value(True)),
+    "flows_not_pairs": _with(flows=[3]),
+    "stats_not_an_object": _with(stats=[1, 2]),
+}
+
+
+class TestDeltaAppliesWhole:
+    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_delta_changes_nothing(self, payload):
+        collector = FleetCollector()
+        collector.handle_frame(frame("delta", seq=1,
+                                     payload=delta_payload(samples=3)))
+        collector.handle_frame(frame("delta", seq=2, payload=payload))
+        (state,) = collector.agents()
+        assert (state.epoch, state.seq, state.deltas) == (1, 1, 1)
+        assert collector.merged_stats()["dart"].samples == 3
+        summary = collector.to_summary()
+        assert summary["corrupt_frames"] == 1
+        assert summary["frames_total"] == 1
+        assert summary["flows"]["unique"] == 0
+        parsed = parse_prometheus(collector.prometheus_exposition())
+        assert parsed.value("fleet_corrupt_frames_total") == 1
+        # The refused frame did not advance the stamp: seq 2 still fits.
+        collector.handle_frame(frame("delta", seq=2,
+                                     payload=delta_payload(samples=5)))
+        assert collector.merged_stats()["dart"].samples == 5
+
+    def test_reader_survives_a_malformed_delta(self):
+        collector = FleetCollector()
+        server = FleetServer(collector, host="127.0.0.1", port=0)
+        server.start()
+        try:
+            host, port = server.address
+            client = CollectorClient(f"{host}:{port}")
+            for seq, payload in enumerate(
+                    (MALFORMED["string_records"], delta_payload(samples=4)),
+                    start=1):
+                assert client.send(encode_frame(
+                    "delta", agent="sock", epoch=1, seq=seq,
+                    payload=payload))
+            client.close()
+            for _ in range(100):
+                if collector.to_summary()["frames_total"] >= 1:
+                    break
+                time.sleep(0.02)
+            assert collector.to_summary()["corrupt_frames"] == 1
+            assert collector.merged_stats()["dart"].samples == 4
+        finally:
+            server.close()
+
+
+class TestFirstConfigurationHolds:
+    """A monitor's stats type and distribution configuration are fixed by
+    the first delta the collector holds; a delta that differs is refused
+    whole and counted, and every read keeps working."""
+
+    @staticmethod
+    def _stage(bins):
+        stage = DistributionAnalytics(HistogramSpec.log_bins(bins),
+                                      key_fn=DstPrefixKey(24))
+        stage.add(RttSample(flow=intern_flow(1, 0x10000005, 3, 4),
+                            rtt_ns=5_000_000, timestamp_ns=1, eack=0))
+        return stage
+
+    def test_misconfigured_agent_is_refused(self):
+        collector = FleetCollector()
+        collector.handle_frame(frame("delta", agent="a1", payload=_with(
+            distribution=self._stage(16).state())))
+        collector.handle_frame(frame("delta", agent="a2", payload=_with(
+            distribution=self._stage(32).state())))
+        wrong_type = _with(stats=stats_to_wire(TcpTraceStats(samples=2)))
+        collector.handle_frame(frame("delta", agent="a3", payload=wrong_type))
+        assert collector.merged_distribution()["dart"] == self._stage(16)
+        assert collector.merged_stats()["dart"].samples == 7
+        summary = collector.to_summary()
+        assert summary["mismatched_deltas"] == 2
+        assert summary["distribution"]["dart"]["samples"] == 1
+        assert sorted(summary["agents"]) == ["a1"]
+        parsed = parse_prometheus(collector.prometheus_exposition())
+        assert parsed.value("fleet_mismatched_deltas_total") == 2
+
+    def test_first_configuration_outlives_its_agent(self):
+        # The same agent restarting with other flags is refused too: the
+        # first configuration holds until the collector restarts.
+        collector = FleetCollector()
+        collector.handle_frame(frame("delta", epoch=1, payload=_with(
+            distribution=self._stage(16).state())))
+        collector.handle_frame(frame("delta", epoch=2, payload=_with(
+            distribution=self._stage(32).state())))
+        (state,) = collector.agents()
+        assert state.epoch == 1
+        assert collector.merged_distribution()["dart"] == self._stage(16)
 
 
 class TestSocketsEndToEnd:

@@ -1,10 +1,11 @@
-"""Distribution snapshots over the fleet wire.
+"""Distribution stages over the fleet wire.
 
-The codec must round-trip a histogram+sketch snapshot through JSON
-exactly (the decoded stage merges bin-for-bin like the original), and
-the collector must apply the replacement-under-epoch rule per agent
-with addition across agents — a restarted agent can never
-double-count its distribution.
+A delta carries the stage's own state (its per-key registers): it must
+round-trip through JSON exactly (the decoded stage merges bin-for-bin
+like the original), forged rows must be refused whole, and the
+collector must apply the replacement-under-epoch rule per agent with
+addition across agents — a restarted agent can never double-count its
+distribution.
 """
 
 import io
@@ -17,11 +18,7 @@ from repro.core.flow import FlowKey
 from repro.core.hist import DistributionAnalytics, HistogramSpec
 from repro.core.samples import RttSample
 from repro.fleet import FleetCollector, encode_frame, read_frame
-from repro.fleet.wire import (
-    FrameCorrupt,
-    distribution_from_wire,
-    distribution_to_wire,
-)
+from repro.fleet.wire import FrameCorrupt, decode_delta
 
 MS = 1_000_000
 
@@ -43,23 +40,28 @@ def _distribution(count=20, offset=0):
     return dist
 
 
+def _decode(state):
+    """The stage a delta carrying ``state`` decodes to."""
+    return decode_delta({"distribution": state})["distribution"]
+
+
 def test_roundtrip_is_exact_and_json_safe():
     original = _distribution()
-    wire = json.loads(json.dumps(distribution_to_wire(original)))
-    decoded = distribution_from_wire(wire)
+    decoded = _decode(json.loads(json.dumps(original.state())))
     assert decoded == original
     assert decoded.histogram() == original.histogram()
     assert decoded.sketch() == original.sketch()
     assert decoded.histograms() == original.histograms()
     assert decoded.sketches() == original.sketches()
+    assert decoded.state() == original.state()
 
 
 def test_decoded_stage_is_mergeable():
     a, b = _distribution(15), _distribution(25, offset=7)
     serial = _distribution(15)
     serial.merge(_distribution(25, offset=7))
-    decoded = distribution_from_wire(distribution_to_wire(a))
-    decoded.merge(distribution_from_wire(distribution_to_wire(b)))
+    decoded = _decode(a.state())
+    decoded.merge(_decode(b.state()))
     assert decoded == serial
 
 
@@ -68,8 +70,7 @@ def test_encode_flushes_buffered_state():
     dist = _distribution(10)
     _ = dist.count
     dist.add(_sample(99, 30 * MS))
-    wire = distribution_to_wire(dist)
-    assert wire["hist"]["total"]["count"] == 11
+    assert sum(row[3] for row in dist.state()["keys"]) == 11
 
 
 def test_flow_keyed_distribution_crosses_too():
@@ -77,29 +78,27 @@ def test_flow_keyed_distribution_crosses_too():
                                  quantiles=(50.0,))
     for i in range(10):
         dist.add(_sample(i, (i + 1) * MS))
-    decoded = distribution_from_wire(
-        json.loads(json.dumps(distribution_to_wire(dist)))
-    )
-    assert decoded == dist
+    assert _decode(json.loads(json.dumps(dist.state()))) == dist
 
 
 def test_malformed_payload_refused():
-    wire = distribution_to_wire(_distribution())
-    del wire["hist"]
+    state = _distribution().state()
+    del state["edges_ns"]
     with pytest.raises(FrameCorrupt):
-        distribution_from_wire(wire)
+        _decode(state)
     with pytest.raises(FrameCorrupt):
-        distribution_from_wire({"key_fn": {"t": "martian"}})
+        _decode({**_distribution().state(), "key_fn": {"t": "martian"}})
 
 
 def _forge(mutate):
-    wire = json.loads(json.dumps(distribution_to_wire(_distribution())))
-    mutate(wire)
-    return wire
+    state = json.loads(json.dumps(_distribution().state()))
+    mutate(state["keys"][0])
+    return state
 
 
-def _first_key(view):
-    return view["per_key"][0][1]
+# Register row fields: [key, counts, sum_ns, count, min_ns, max_ns,
+# zero_count, [[index, weight], ...]].
+COUNTS, COUNT, MIN, MAX, ZEROS, BUCKETS = 1, 3, 4, 5, 6, 7
 
 
 class TestForgedFieldsRefused:
@@ -107,52 +106,65 @@ class TestForgedFieldsRefused:
     forgery below would otherwise decode and skew the merged view."""
 
     def test_count_is_not_the_sum_of_the_bins(self):
-        def mutate(wire):
-            _first_key(wire["hist"])["count"] = 999
+        def mutate(row):
+            row[COUNT] = 999
         with pytest.raises(FrameCorrupt, match="sum of its bins"):
-            distribution_from_wire(_forge(mutate))
+            _decode(_forge(mutate))
 
     def test_count_is_not_zeros_plus_buckets(self):
-        def mutate(wire):
-            _first_key(wire["sketch"])["count"] += 1
+        def mutate(row):
+            row[ZEROS] += 1
         with pytest.raises(FrameCorrupt, match="zero count plus"):
-            distribution_from_wire(_forge(mutate))
+            _decode(_forge(mutate))
 
     def test_negative_count_or_weight(self):
-        def negative_bin(wire):
-            state = _first_key(wire["hist"])
-            state["counts"][0] = -5
-            state["counts"][-1] += 5
-        def negative_weight(wire):
-            state = _first_key(wire["sketch"])
-            state["buckets"][0][1] = -1
-        for mutate in (negative_bin, negative_weight):
+        def negative_bin(row):
+            row[COUNTS][0] = -5
+            row[COUNTS][-1] += 5
+        def negative_weight(row):
+            row[BUCKETS][0][1] = -1
+        def zero_weight(row):
+            row[BUCKETS].append([10**6, 0])
+        for mutate in (negative_bin, negative_weight, zero_weight):
             with pytest.raises(FrameCorrupt, match="negative|weighs"):
-                distribution_from_wire(_forge(mutate))
+                _decode(_forge(mutate))
 
     def test_min_above_max(self):
-        def mutate(wire):
-            for view in ("hist", "sketch"):
-                state = _first_key(wire[view])
-                low = "min_ns" if view == "hist" else "min"
-                high = "max_ns" if view == "hist" else "max"
-                state[low], state[high] = state[high] + 1, state[low]
+        def mutate(row):
+            row[MIN], row[MAX] = row[MAX] + 1, row[MIN]
         with pytest.raises(FrameCorrupt, match="min exceeds"):
-            distribution_from_wire(_forge(mutate))
+            _decode(_forge(mutate))
 
-    def test_key_in_one_stage_only(self):
-        def mutate(wire):
-            del wire["sketch"]["per_key"][0]
-        with pytest.raises(FrameCorrupt, match="keys differ"):
-            distribution_from_wire(_forge(mutate))
+    def test_wrong_bin_count(self):
+        def mutate(row):
+            row[COUNTS].append(0)
+        with pytest.raises(FrameCorrupt, match="wrong bin count"):
+            _decode(_forge(mutate))
 
-    def test_totals_differ_from_the_keys(self):
-        def mutate(wire):
-            total = wire["hist"]["total"]
-            total["counts"][0] += 1
-            total["count"] += 1
-        with pytest.raises(FrameCorrupt, match="totals"):
-            distribution_from_wire(_forge(mutate))
+    def test_empty_register(self):
+        def mutate(row):
+            row[COUNTS:] = [[0] * len(row[COUNTS]), 0, 0, 1, 1, 0, []]
+        with pytest.raises(FrameCorrupt, match="no samples"):
+            _decode(_forge(mutate))
+
+    def test_repeated_key_or_bucket(self):
+        state = _distribution().state()
+        state["keys"].append(state["keys"][0])
+        with pytest.raises(FrameCorrupt, match="repeated"):
+            _decode(state)
+        def mutate(row):
+            row[BUCKETS].append(row[BUCKETS][0])
+            row[COUNT] += row[BUCKETS][0][1]
+            row[COUNTS][0] += row[BUCKETS][0][1]
+        with pytest.raises(FrameCorrupt, match="repeated"):
+            _decode(_forge(mutate))
+
+    def test_non_integer_field(self):
+        for value in ("7", 7.0, True, None):
+            def mutate(row):
+                row[COUNTS][0] = value
+            with pytest.raises(FrameCorrupt, match="non-negative int"):
+                _decode(_forge(mutate))
 
 
 def _frame(agent, epoch, seq, distribution):
@@ -165,7 +177,7 @@ def _frame(agent, epoch, seq, distribution):
         "windows_closed": 0,
         "telemetry": None,
         "final": False,
-        "distribution": distribution_to_wire(distribution),
+        "distribution": distribution.state(),
     }
     return read_frame(io.BytesIO(encode_frame(
         "delta", agent=agent, epoch=epoch, seq=seq, payload=payload

@@ -6,6 +6,8 @@ receiving end, never a mis-merge.
 """
 
 import io
+import json
+from dataclasses import fields
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.fleet import (
     window_from_wire,
     window_to_wire,
 )
+from repro.fleet.wire import STATS_TYPES
 
 
 def roundtrip(blob: bytes):
@@ -86,6 +89,14 @@ class TestFraming:
         with pytest.raises(WireSchemaMismatch):
             roundtrip(doctored)
 
+    def test_first_schema_refused(self):
+        # /1 carried histogram and sketch views; /2 carries registers.
+        assert WIRE_SCHEMA == "dart-fleet-wire/2"
+        blob = encode_frame("delta", agent="a", epoch=1, seq=1)
+        doctored = blob.replace(WIRE_SCHEMA.encode(), b"dart-fleet-wire/1")
+        with pytest.raises(WireSchemaMismatch):
+            roundtrip(doctored)
+
     def test_unknown_kind_refused_at_both_ends(self):
         with pytest.raises(ValueError, match="kind"):
             encode_frame("gossip", agent="a", epoch=1, seq=1)
@@ -109,7 +120,7 @@ class TestKeyCodec:
             key_to_wire(1.5)
 
     def test_unknown_tag_refused(self):
-        with pytest.raises(FrameCorrupt, match="tag"):
+        with pytest.raises(ValueError, match="tag"):
             key_from_wire({"t": "blob"})
 
 
@@ -158,14 +169,38 @@ class TestStatsCodec:
             stats_to_wire(object())
 
     def test_unknown_wire_type_refused(self):
-        with pytest.raises(FrameCorrupt, match="unknown stats type"):
+        with pytest.raises(ValueError, match="unknown stats type"):
             stats_from_wire({"type": "EvilStats", "fields": {}})
 
     def test_unknown_field_refused(self):
         wire = stats_to_wire(DartStats())
         wire["fields"]["not_a_field"] = 1
-        with pytest.raises(FrameCorrupt, match="no field"):
+        with pytest.raises(ValueError, match="no field"):
             stats_from_wire(wire)
+
+    @pytest.mark.parametrize("name", sorted(STATS_TYPES))
+    def test_every_stats_type_round_trips(self, name):
+        cls = STATS_TYPES[name]
+        stats = cls(**{f.name: 3 + i for i, f in enumerate(fields(cls))
+                       if f.type == "int"})
+        if cls is DartStats:
+            stats.seq_verdicts = {SeqVerdict.TRACK: 5, SeqVerdict.OVERLAP: 1}
+            stats.ack_verdicts = {AckVerdict.NO_FLOW: 2}
+        state = json.loads(json.dumps(stats.to_state()))
+        assert cls.from_state(state) == stats
+        assert stats_from_wire(stats_to_wire(stats)) == stats
+
+    @pytest.mark.parametrize("fields_", [
+        {"samples": -1},
+        {"samples": True},
+        {"samples": 1.5},
+        {"samples": "x"},
+        {"seq_verdicts": {"no-such-verdict": 1}},
+        {"seq_verdicts": {"track": -2}},
+    ])
+    def test_bad_counter_refused(self, fields_):
+        with pytest.raises(ValueError):
+            DartStats.from_state(fields_)
 
     def test_counter_missing_from_an_older_peer_reads_zero(self):
         # An agent built before a counter existed omits it; the sum
