@@ -19,16 +19,13 @@ load and collision pressure.
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..core.flow import FlowKey, flow_of
 from ..core.hashing import crc32_hash
-from ..net.ethernet import HEADER_LEN as _ETH_LEN
 from ..net.framing import BatchEncoder
-from ..net.ipv4 import PROTO_TCP
-from ..net.packet import PacketRecord
+from ..net.packet import PacketRecord, plain_v4_tcp
 from ..net.scan import (
     SCAN_PROTOCOLS,
     TCP_ONLY,
@@ -99,42 +96,6 @@ def shard_of_wire(
     return shard_of_key_bytes(key, shards)
 
 
-#: The 40 fixed header bytes of an option-free IPv4/TCP packet:
-#: version/IHL byte, total length, protocol, src, dst, sport, dport,
-#: seq, ack, data-offset/flags.
-_V4_TCP = struct.Struct("!BxH5xB2xIIHHIIH")
-
-
-def plain_v4_tcp(
-    data: bytes, *, linktype_ethernet: bool = True
-) -> Optional[Tuple[int, ...]]:
-    """``(src, dst, sport, dport, seq, ack, flags, payload_len)`` of an
-    option-free IPv4/TCP frame, else ``None``.
-
-    Takes exactly the frames :func:`repro.net.columnar._scan_v4_tcp`
-    marks ``KIND_VEC`` — IHL 5, data offset 5, a total length that
-    covers both headers and fits the captured bytes — for which the
-    fixed offsets *are* the decode :func:`~repro.net.packet.from_wire_bytes`
-    would run.  Everything else (options, IPv6, non-TCP, short,
-    malformed) is left to ``scan_shard_key`` and the full decoder.
-    """
-    ip_at = 0
-    if linktype_ethernet:
-        if data[12:14] != b"\x08\x00":  # ETHERTYPE_IPV4
-            return None
-        ip_at = _ETH_LEN
-    ip_len = len(data) - ip_at
-    if ip_len < 40:
-        return None
-    (version_ihl, total_len, protocol, src, dst, sport, dport, seq, ack,
-     offset_flags) = _V4_TCP.unpack_from(data, ip_at)
-    if (version_ihl != 0x45 or protocol != PROTO_TCP
-            or offset_flags >> 12 != 5 or not 40 <= total_len <= ip_len):
-        return None
-    return (src, dst, sport, dport, seq, ack, offset_flags & 0x01FF,
-            total_len - 40)
-
-
 @lru_cache(maxsize=1 << 20)
 def _shard_of_v4(src: int, dst: int, sport: int, dport: int,
                  shards: int) -> int:
@@ -164,11 +125,12 @@ class ByteBatchDispatcher:
     * :meth:`dispatch` — a parsed :class:`~repro.net.packet.PacketRecord`;
       sharded via the (cached) flow hash, framed as a packed record.
     * :meth:`dispatch_wire` — a raw captured frame.  An option-free
-      IPv4/TCP frame (:func:`plain_v4_tcp`) has its header read once,
-      here, and ships as the packed record :meth:`dispatch` emits — 37
-      bytes whatever the payload; any other frame is sharded via the
-      TCP header scan and framed *unparsed*, in the same per-shard
-      encoder (arrival order holds), so the worker does the decode.
+      IPv4/TCP frame (:func:`~repro.net.packet.plain_v4_tcp`) has its
+      header read once, here, and ships as the packed record
+      :meth:`dispatch` emits — 37 bytes whatever the payload; any
+      other frame is sharded via the TCP header scan and framed
+      *unparsed*, in the same per-shard encoder (arrival order holds),
+      so the worker does the decode.
       Returns ``False`` for frames the scanner rejects, which the
       caller counts rather than ships.
     """

@@ -14,11 +14,13 @@ simulation deterministic.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from . import tcp as tcp_mod
 from .ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6, EthernetFrame
+from .ethernet import HEADER_LEN as ETH_HEADER_LEN
 from .inet import int_to_ipv4, int_to_ipv6
 from .ipv4 import PROTO_TCP, IPv4Packet
 from .ipv6 import IPv6Packet
@@ -93,27 +95,42 @@ class PacketRecord:
         )
 
 
-def from_tcp_segment(
-    segment: TcpSegment,
-    *,
-    timestamp_ns: int,
-    src_ip: int,
-    dst_ip: int,
-    ipv6: bool = False,
-) -> PacketRecord:
-    """Build a record from a decoded TCP segment plus IP-layer context."""
-    return PacketRecord(
-        timestamp_ns=timestamp_ns,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=segment.src_port,
-        dst_port=segment.dst_port,
-        seq=segment.seq,
-        ack=segment.ack,
-        flags=segment.flags,
-        payload_len=len(segment.payload),
-        ipv6=ipv6,
-    )
+#: The 40 fixed header bytes of an option-free IPv4/TCP packet:
+#: version/IHL byte, total length, protocol, src, dst, sport, dport,
+#: seq, ack, data-offset/flags.
+_V4_TCP = struct.Struct("!BxH5xB2xIIHHIIH")
+
+
+def plain_v4_tcp(
+    data: bytes, *, linktype_ethernet: bool = True
+) -> Optional[Tuple[int, ...]]:
+    """``(src, dst, sport, dport, seq, ack, flags, payload_len)`` of an
+    option-free IPv4/TCP frame, else ``None``.
+
+    Takes exactly the frames :func:`repro.net.columnar._scan_v4_tcp`
+    marks ``KIND_VEC`` — IHL 5, protocol TCP, data offset 5, a total
+    length that covers both headers and fits the captured bytes — for
+    which one read at fixed offsets *is* the layered decode.  It is the
+    one header parse: :func:`from_wire_bytes` takes it first, and
+    :meth:`repro.cluster.sharding.ByteBatchDispatcher.dispatch_wire`
+    ships its fields as a packed record.  ``None`` (options, IPv6,
+    non-TCP, short, malformed) leaves the frame to the layered codec.
+    """
+    ip_at = 0
+    if linktype_ethernet:
+        if data[12:14] != b"\x08\x00":  # ETHERTYPE_IPV4
+            return None
+        ip_at = ETH_HEADER_LEN
+    ip_len = len(data) - ip_at
+    if ip_len < 40:
+        return None
+    (version_ihl, total_len, protocol, src, dst, sport, dport, seq, ack,
+     offset_flags) = _V4_TCP.unpack_from(data, ip_at)
+    if (version_ihl != 0x45 or protocol != PROTO_TCP
+            or offset_flags >> 12 != 5 or not 40 <= total_len <= ip_len):
+        return None
+    return (src, dst, sport, dport, seq, ack, offset_flags & 0x01FF,
+            total_len - 40)
 
 
 def from_wire_bytes(
@@ -121,9 +138,24 @@ def from_wire_bytes(
 ) -> Optional[PacketRecord]:
     """Decode a raw captured frame into a record.
 
-    Returns None for non-TCP traffic (the monitor ignores it), and raises
-    ValueError for frames that claim to be TCP but are malformed.
+    An option-free IPv4/TCP frame is read by :func:`plain_v4_tcp`, one
+    ``struct`` read; every other frame (options, IPv6, non-TCP, short or
+    malformed) goes through the layered codec, which returns None for
+    non-TCP traffic (the monitor ignores it) and raises ValueError for
+    frames that claim to be TCP but are malformed.  Both routes yield
+    the same record for any frame the first one takes.
     """
+    fields = plain_v4_tcp(data, linktype_ethernet=linktype_ethernet)
+    if fields is None:
+        return _decode_layers(data, timestamp_ns,
+                              linktype_ethernet=linktype_ethernet)
+    return PacketRecord(timestamp_ns, *fields)
+
+
+def _decode_layers(
+    data: bytes, timestamp_ns: int, *, linktype_ethernet: bool = True
+) -> Optional[PacketRecord]:
+    """:func:`from_wire_bytes` through the Ethernet, IP and TCP codecs."""
     if linktype_ethernet:
         frame = EthernetFrame.decode(data)
         if frame.ethertype == ETHERTYPE_IPV4:
@@ -145,28 +177,27 @@ def from_wire_bytes(
         else:
             return None
 
+    ip: IPv4Packet | IPv6Packet
     if ipv6:
-        ip6 = IPv6Packet.decode(ip_bytes)
-        if ip6.next_header != PROTO_TCP:
+        ip = IPv6Packet.decode(ip_bytes)
+        if ip.next_header != PROTO_TCP:
             return None
-        segment = TcpSegment.decode(ip6.payload)
-        return from_tcp_segment(
-            segment,
-            timestamp_ns=timestamp_ns,
-            src_ip=ip6.src,
-            dst_ip=ip6.dst,
-            ipv6=True,
-        )
-
-    ip4 = IPv4Packet.decode(ip_bytes)
-    if ip4.proto != PROTO_TCP:
-        return None
-    segment = TcpSegment.decode(ip4.payload)
-    return from_tcp_segment(
-        segment,
+    else:
+        ip = IPv4Packet.decode(ip_bytes)
+        if ip.proto != PROTO_TCP:
+            return None
+    segment = TcpSegment.decode(ip.payload)
+    return PacketRecord(
         timestamp_ns=timestamp_ns,
-        src_ip=ip4.src,
-        dst_ip=ip4.dst,
+        src_ip=ip.src,
+        dst_ip=ip.dst,
+        src_port=segment.src_port,
+        dst_port=segment.dst_port,
+        seq=segment.seq,
+        ack=segment.ack,
+        flags=segment.flags,
+        payload_len=len(segment.payload),
+        ipv6=ipv6,
     )
 
 

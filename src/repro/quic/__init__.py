@@ -13,7 +13,6 @@ from .wire import (
     quic_from_wire_bytes,
     quic_to_wire_bytes,
     read_quic_capture,
-    write_quic_capture,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "quic_from_wire_bytes",
     "quic_to_wire_bytes",
     "read_quic_capture",
-    "write_quic_capture",
 ]

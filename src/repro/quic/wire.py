@@ -16,11 +16,11 @@ caller's job, exactly as with tcpdump.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from ..net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from ..net.ipv4 import PROTO_UDP, IPv4Packet
-from ..net.pcap import PathLike, PcapWriter
+from ..net.pcap import PathLike
 from ..net.pcapng import read_decoded
 from .packet import QuicPacketRecord
 
@@ -114,26 +114,3 @@ def read_quic_capture(path: PathLike) -> Iterator[QuicPacketRecord]:
     """
     return read_decoded(path, quic_from_wire_bytes)
 
-
-def write_quic_capture(
-    path_or_stream: Union[PathLike, object], records
-) -> int:
-    """Write records to a nanosecond pcap file; returns the frame count.
-
-    Accepts a path or an open binary stream, mirroring how the TCP
-    trace writers work; used by the spin-bit examples and the ingest
-    round-trip tests.
-    """
-    if hasattr(path_or_stream, "write"):
-        return _write_stream(path_or_stream, records)
-    with open(path_or_stream, "wb") as stream:
-        return _write_stream(stream, records)
-
-
-def _write_stream(stream, records) -> int:
-    writer = PcapWriter(stream)  # Ethernet, the writer's default
-    count = 0
-    for record in records:
-        writer.write(record.timestamp_ns, quic_to_wire_bytes(record))
-        count += 1
-    return count

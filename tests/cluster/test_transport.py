@@ -33,7 +33,7 @@ from repro.net.packet import PacketRecord, from_wire_bytes, to_wire_bytes
 from repro.quic.packet import QuicPacketRecord
 from repro.quic.wire import quic_to_wire_bytes
 from repro.traces import CampusTraceConfig, generate_campus_trace
-from tests.cluster.test_wire_fastpath import option_frame
+from tests.net.wire_frames import option_frame
 
 
 @pytest.fixture(scope="module")

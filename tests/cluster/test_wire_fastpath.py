@@ -3,12 +3,11 @@
 In either mode the coordinator reads the 40 fixed header bytes of an
 option-free IPv4/TCP frame once and ships the fields as a ``REC_V4``
 record; every other frame still travels whole as ``REC_WIRE``.  Three
-guarantees are pinned here on frames built by the repo's own codecs and
-then damaged (truncated, header bytes overwritten, options inserted,
-IPv6, UDP, raw-IP linktype, NS/CWR/ECE flags):
+guarantees are pinned here on the damaged frames of
+:mod:`tests.net.wire_frames`:
 
-* a numpy-free oracle — what the fast path ships is what
-  :func:`~repro.net.packet.from_wire_bytes` decodes, on the shard
+* a numpy-free oracle — what the fast path ships is what the layered
+  codec (:func:`~repro.net.packet._decode_layers`) decodes, on the shard
   :func:`~repro.cluster.shard_of_wire` names; what it declines travels
   byte for byte as before;
 * with numpy — it takes a frame exactly when
@@ -39,7 +38,6 @@ from repro.cluster.sharding import ByteBatchDispatcher, plain_v4_tcp
 from repro.core import Dart, DartConfig, ideal_config
 from repro.net import tcp as tcpf
 from repro.net.columnar import HAVE_NUMPY
-from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.framing import (
     REC_V4,
     REC_V6,
@@ -50,99 +48,18 @@ from repro.net.framing import (
     encode_records,
     header_rows,
 )
-from repro.net.ipv4 import PROTO_TCP, IPv4Packet
-from repro.net.packet import PacketRecord, from_wire_bytes, to_wire_bytes
+from repro.net.packet import PacketRecord, _decode_layers, to_wire_bytes
 from repro.net.scan import TCP_ONLY
-from repro.quic.packet import QuicPacketRecord
-from repro.quic.wire import quic_to_wire_bytes
 from repro.traces import CampusTraceConfig, generate_campus_trace
+from tests.net.wire_frames import (
+    damaged_frames,
+    option_frame,
+    outcome,
+    timestamps,
+    v4_records,
+)
 
 FLAG_NS = 0x100
-
-ipv4_addr = st.integers(min_value=0, max_value=(1 << 32) - 1)
-port = st.integers(min_value=0, max_value=0xFFFF)
-u32 = st.integers(min_value=0, max_value=2**32 - 1)
-timestamps = st.integers(min_value=0, max_value=2**62)
-
-
-def option_frame(record, *, ip_options=b"", tcp_options=None):
-    """``to_wire_bytes`` for IPv4 with IP and/or TCP options inserted."""
-    segment = tcpf.TcpSegment(
-        src_port=record.src_port, dst_port=record.dst_port, seq=record.seq,
-        ack=record.ack, flags=record.flags,
-        options=tcp_options or tcpf.TcpOptions(),
-        payload=b"\x00" * record.payload_len,
-    )
-    packet = IPv4Packet(
-        src=record.src_ip, dst=record.dst_ip, proto=PROTO_TCP,
-        options=ip_options,
-        payload=segment.encode(
-            src_addr=record.src_ip.to_bytes(4, "big"),
-            dst_addr=record.dst_ip.to_bytes(4, "big"),
-        ),
-    )
-    return EthernetFrame(ethertype=ETHERTYPE_IPV4,
-                         payload=packet.encode()).encode()
-
-
-@st.composite
-def v4_records(draw):
-    return PacketRecord(
-        timestamp_ns=draw(timestamps), src_ip=draw(ipv4_addr),
-        dst_ip=draw(ipv4_addr), src_port=draw(port), dst_port=draw(port),
-        seq=draw(u32), ack=draw(u32),
-        flags=draw(st.integers(min_value=0, max_value=0x1FF)),
-        payload_len=draw(st.integers(min_value=0, max_value=64)),
-    )
-
-
-#: Offsets (in an Ethernet frame) of the bytes the fast path decides on:
-#: ethertype, version/IHL, total length, protocol, data offset.
-DECIDING_BYTES = (12, 13, 14, 16, 17, 23, 46)
-
-
-@st.composite
-def damaged_frames(draw):
-    """``(frame, linktype_is_ethernet)`` around the fast path's edges."""
-    record = draw(v4_records())
-    shape = draw(st.sampled_from(
-        ["plain", "plain", "tcp_options", "ip_options", "ipv6", "udp"]))
-    if shape == "plain":
-        frame = to_wire_bytes(record)
-    elif shape == "tcp_options":
-        frame = option_frame(record, tcp_options=tcpf.TcpOptions(
-            timestamp=(draw(u32), draw(u32))))
-    elif shape == "ip_options":
-        frame = option_frame(record, ip_options=b"\x01" * 4)
-    elif shape == "ipv6":
-        frame = to_wire_bytes(replace(
-            record, src_ip=(1 << 100) | record.src_ip,
-            dst_ip=(1 << 99) | record.dst_ip, ipv6=True))
-    else:
-        frame = quic_to_wire_bytes(QuicPacketRecord(
-            timestamp_ns=record.timestamp_ns, src_ip=record.src_ip,
-            dst_ip=record.dst_ip, src_port=record.src_port,
-            dst_port=record.dst_port, spin_bit=False, long_header=False,
-            payload_len=record.payload_len))
-    frame = bytearray(frame)
-    damage = draw(st.sampled_from(
-        ["none", "none", "overwrite", "cut", "cut_tail", "pad"]))
-    if damage == "overwrite":
-        for offset in draw(st.lists(st.sampled_from(DECIDING_BYTES),
-                                    min_size=1, max_size=2)):
-            if offset < len(frame):
-                frame[offset] = draw(st.integers(min_value=0,
-                                                 max_value=255))
-    ethernet = draw(st.booleans())
-    if not ethernet:
-        del frame[:14]
-    if damage == "cut":
-        del frame[draw(st.integers(min_value=0, max_value=60)):]
-    elif damage == "cut_tail":
-        del frame[-draw(st.integers(min_value=1, max_value=3)):]
-    elif damage == "pad":
-        frame += b"\xAA" * draw(st.integers(min_value=1, max_value=6))
-    return bytes(frame), ethernet
 
 
 def route(frame, ts, ethernet, shards):
@@ -154,14 +71,6 @@ def route(frame, ts, ethernet, shards):
     dispatcher.flush()
     assert len(emitted) == (1 if shipped else 0)
     return emitted[0] if shipped else None
-
-
-def outcome(function, *args, **kwargs):
-    """A call's result, or the exception it raised, as comparable data."""
-    try:
-        return function(*args, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - parity includes the error
-        return type(exc), str(exc)
 
 
 class TestFastPathOracle:
@@ -186,7 +95,9 @@ class TestFastPathOracle:
             assert payload[2] == REC_WIRE
             assert payload == reference.take()
         else:
-            record = from_wire_bytes(frame, ts, linktype_ethernet=ethernet)
+            # The layered codec, not ``from_wire_bytes``: that one takes
+            # this very parse first, so it would compare it with itself.
+            record = _decode_layers(frame, ts, linktype_ethernet=ethernet)
             assert record == PacketRecord(ts, *fields)
             assert payload[2] == REC_V4
             assert decode_batch(payload) == [record]

@@ -33,7 +33,7 @@ from repro.core.range_tracker import AckVerdict, SeqVerdict
 from repro.net.columnar import HAVE_NUMPY
 from repro.net.framing import encode_records
 from repro.net.inet import InternalNetwork, ipv4_to_int
-from repro.net.packet import to_wire_bytes
+from repro.net.packet import from_wire_bytes, to_wire_bytes
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
 CONFIG = DartConfig(rt_slots=1 << 16, pt_slots=1 << 12, pt_stages=1,
@@ -61,6 +61,12 @@ BATCH_CEILING = 12.0
 #: records first and read 8.89 (columnar and batch 6.89).
 FILTERED_COLUMNS_CEILING = 6.0
 FILTERED_BATCH_CEILING = 7.0
+
+#: ``from_wire_bytes`` on option-free IPv4/TCP frames: 3.0 per packet —
+#: the function, ``plain_v4_tcp`` and ``PacketRecord.__init__``.  The
+#: layered codec (Ethernet → IPv4 → TCP → options → record, each with
+#: its dataclass ``__init__``/``__post_init__``) read 14.0.
+DECODE_CEILING = 3.5
 
 
 def external_leg():
@@ -128,6 +134,19 @@ class TestFrameBudget:
 
             assert per_packet <= frames_per_packet(
                 "process_columns", records_to_columns(records), len(records))
+
+    def test_from_wire_bytes(self, records):
+        # The object decoder reads a plain frame's header in one parse.
+        frames = [(r.timestamp_ns, to_wire_bytes(r)) for r in records]
+        decoded = []
+
+        def decode():
+            for ts, frame in frames:
+                decoded.append(from_wire_bytes(frame, ts))
+
+        per_packet = python_frames(decode) / len(frames)
+        assert decoded == records
+        assert per_packet <= DECODE_CEILING, per_packet
 
     def test_packet_row_is_the_packet(self):
         # Nothing computed from the packet that a table could compute

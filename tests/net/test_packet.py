@@ -1,6 +1,6 @@
 """Tests for PacketRecord and wire conversion."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import tcp as tcpf
@@ -8,10 +8,12 @@ from repro.net.packet import (
     NS_PER_MS,
     NS_PER_SEC,
     PacketRecord,
+    _decode_layers,
     from_wire_bytes,
     sorted_by_time,
     to_wire_bytes,
 )
+from tests.net.wire_frames import damaged_frames, outcome, timestamps
 
 
 def make_record(**overrides):
@@ -116,6 +118,20 @@ class TestWireRoundtrip:
         record = make_record(seq=seq, ack=ack, src_port=port,
                              payload_len=payload_len)
         assert from_wire_bytes(to_wire_bytes(record), record.timestamp_ns) == record
+
+
+class TestFixedParse:
+    """``from_wire_bytes`` takes the fixed IPv4/TCP parse first; on every
+    frame it must answer as the layered codec does."""
+
+    @settings(max_examples=300)
+    @given(damaged_frames(), timestamps)
+    def test_decode_is_the_layered_codec(self, damaged, ts):
+        frame, ethernet = damaged
+        assert (outcome(from_wire_bytes, frame, ts,
+                        linktype_ethernet=ethernet)
+                == outcome(_decode_layers, frame, ts,
+                           linktype_ethernet=ethernet))
 
 
 class TestHelpers:
