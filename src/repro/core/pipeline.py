@@ -140,8 +140,8 @@ class Dart:
             "specifying target flows") over the packet's 4-tuple;
             packets rejected by the filter are not processed at all.
 
-    :meth:`process`, :meth:`process_batch`, :meth:`process_columns`
-    and :meth:`process_framed` only *classify* their input into rows
+    :meth:`process_batch`, :meth:`process_columns` and
+    :meth:`process_framed` only *classify* their input into rows
     for :meth:`_packet`, the single per-packet kernel, the only code
     that touches the trackers and the one place both filters apply.
     A subclass that must see (or fail on) every packet
@@ -188,26 +188,34 @@ class Dart:
 
     def process(self, record: PacketRecord) -> List[RttSample]:
         """Process one observed packet; returns samples it produced."""
-        sample = self._packet(*self._classify(record))
-        return [] if sample is None else [sample]
+        return self.process_batch((record,))
 
     def process_batch(self, records: Iterable[Optional[PacketRecord]]
                       ) -> List[RttSample]:
-        """Process a batch of packets: :meth:`process` per record with
-        the method lookups hoisted out of the loop.
+        """Process a batch of packets; returns the samples produced, in
+        order.
 
-        ``None`` entries are skipped entirely: the pcap decoder yields
-        ``None`` for non-TCP frames, so a decoded capture block can be
-        fed as-is.  Returns the samples produced, in order.
+        The record classifier: each record is a tuple, unpacked straight
+        into a kernel row by :meth:`process_framed`'s rule, with no call
+        in between.  ``None`` entries are skipped entirely: the pcap
+        decoder yields ``None`` for non-TCP frames, so a decoded capture
+        block can be fed as-is.
         """
         packet = self._packet
-        classify = self._classify
+        roles = FLAG_ROLES
         samples: List[RttSample] = []
         append = samples.append
         for record in records:
             if record is None:  # non-TCP frame, already dropped by decode
                 continue
-            sample = packet(*classify(record))
+            (ts, src, dst, sport, dport, seq, ack, flags, payload_len,
+             ipv6) = record
+            # eack: SYN (0x02) and FIN (0x01) each consume one number.
+            sample = packet(
+                ts, roles[flags & 0xFF] | (payload_len > 0), src, dst, sport,
+                dport, ipv6, seq,
+                (seq + payload_len + (flags & 1) + (flags >> 1 & 1))
+                & 0xFFFFFFFF, ack)
             if sample is not None:
                 append(sample)
         return samples
@@ -220,7 +228,7 @@ class Dart:
         batch-wide as numpy columns and each ``KIND_VEC`` row goes to
         the kernel straight from the column values, no
         :class:`PacketRecord` in between.  ``KIND_RECORD`` rows (IPv6,
-        IP/TCP options) take the record classifier.  Same stats,
+        IP/TCP options) go through :meth:`process_batch`.  Same stats,
         samples, analytics windows and table state as
         :meth:`process_batch` over the batch's records.
         """
@@ -246,11 +254,11 @@ class Dart:
             if kind == KIND_SKIP:
                 continue
             if kind == KIND_RECORD:
-                sample = packet(*self._classify(cols.records[i]))
-            else:
-                sample = packet(
-                    ts_col[i], role[i], src[i], dst[i], sport[i], dport[i],
-                    False, seq_col[i], eack_col[i], ack_col[i])
+                samples += self.process_batch((cols.records[i],))
+                continue
+            sample = packet(
+                ts_col[i], role[i], src[i], dst[i], sport[i], dport[i],
+                False, seq_col[i], eack_col[i], ack_col[i])
             if sample is not None:
                 append(sample)
         return samples
@@ -262,7 +270,7 @@ class Dart:
         The framed classifier: each packet's header tuple
         (:func:`~repro.net.framing.header_rows` — one ``struct`` read
         for a batch of ``REC_V4`` records) becomes a kernel row here, by
-        the same rule as :meth:`_classify`, with no
+        the same rule as :meth:`process_batch`, with no
         :class:`PacketRecord` and no numpy in between.  Same stats,
         samples, analytics windows and table state as
         :meth:`process_batch` over the decoded batch, and the same error
@@ -298,22 +306,7 @@ class Dart:
             now = self._now_ns if at_ns is None else max(at_ns, self._now_ns)
             flush(now)
 
-    # -- Classification and the per-packet kernel ------------------------------
-
-    @staticmethod
-    def _classify(record: PacketRecord) -> tuple:
-        """The record classifier: one :meth:`_packet` row."""
-        flags = record.flags
-        seq = record.seq
-        payload_len = record.payload_len
-        # record.eack, unrolled (SYN and FIN each consume one sequence
-        # number) to spare the property-call chain per packet.
-        eack = (seq + payload_len + (1 if flags & _SYN else 0)
-                + (1 if flags & _FIN else 0)) & 0xFFFFFFFF
-        return (record.timestamp_ns,
-                FLAG_ROLES[flags & 0xFF] | (payload_len > 0),  # ROLE_DATA
-                record.src_ip, record.dst_ip, record.src_port,
-                record.dst_port, record.ipv6, seq, eack, record.ack)
+    # -- The per-packet kernel ------------------------------------------------
 
     def _packet(self, ts: int, role: int, src: int, dst: int, sport: int,
                 dport: int, ipv6: bool, seq: int, eack: int,

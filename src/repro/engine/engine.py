@@ -194,9 +194,8 @@ class MonitorEngine:
         and are not counted as records.
         """
         self._begin_ingest()
-        # Records are never falsy, so this drops exactly the ``None``
-        # gaps, and at C speed: ``chunk.count(None)`` would call the
-        # dataclass ``__eq__`` once per record.
+        # Records are never falsy (a record is a non-empty tuple), so
+        # this drops exactly the ``None`` gaps, in one C-level pass.
         chunk = list(filter(None, chunk))
         if not chunk:
             return

@@ -36,7 +36,6 @@ from .pcap import (
     PcapWriter,
     TruncatedCapture,
     append_packets,
-    read_frames,
     read_packets,
     write_packets,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ipv6_to_int",
     "prefix_of",
     "read_any_capture",
-    "read_frames",
     "read_packets",
     "scan_shard_key",
     "sniff_format",

@@ -139,9 +139,9 @@ class PacketColumns:
             flags = self.flags.tolist()
             payload = self.payload_len.tolist()
             for i in np.nonzero(self.kinds == KIND_VEC)[0].tolist():
-                out[i] = PacketRecord(ts[i], src[i], dst[i], sport[i],
-                                      dport[i], seq[i], ack[i], flags[i],
-                                      payload[i])
+                out[i] = tuple.__new__(PacketRecord, (
+                    ts[i], src[i], dst[i], sport[i], dport[i], seq[i],
+                    ack[i], flags[i], payload[i], False))
             for i, record in self.records.items():
                 out[i] = record
             cached = self._records_cache = out

@@ -215,11 +215,13 @@ def decode_batch(payload) -> List[Optional[PacketRecord]]:
     view = memoryview(payload)
     records: List[Optional[PacketRecord]] = []
     append = records.append
+    new = tuple.__new__
     for kind, offset, body_end in _walk(view):
         if kind == REC_V4:
-            append(PacketRecord(*_V4.unpack_from(view, offset)[2:]))
+            append(new(PacketRecord,
+                       (*_V4.unpack_from(view, offset)[2:], False)))
         elif kind == REC_V6:
-            append(PacketRecord(*_v6_fields(view, offset), ipv6=True))
+            append(new(PacketRecord, (*_v6_fields(view, offset), True)))
         else:
             append(_wire_record(view, offset, body_end))
     return records

@@ -15,8 +15,7 @@ simulation deterministic.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from . import tcp as tcp_mod
 from .ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6, EthernetFrame
@@ -31,13 +30,13 @@ NS_PER_MS = 1_000_000
 NS_PER_US = 1_000
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One observed TCP packet.
+class PacketRecord(NamedTuple):
+    """One observed TCP packet: an immutable tuple of header fields.
 
     ``payload_len`` counts TCP payload bytes only; SYN and FIN flags each
     consume one unit of sequence space, which :attr:`seq_consumed` and
-    :attr:`eack` account for.
+    :attr:`eack` account for.  Decoders build it in C, with
+    ``tuple.__new__(PacketRecord, (...all ten fields))``.
     """
 
     timestamp_ns: int
@@ -102,26 +101,33 @@ _V4_TCP = struct.Struct("!BxH5xB2xIIHHIIH")
 
 
 def plain_v4_tcp(
-    data: bytes, *, linktype_ethernet: bool = True
+    data: bytes, start: int = 0, end: Optional[int] = None,
+    linktype_ethernet: bool = True,
 ) -> Optional[Tuple[int, ...]]:
     """``(src, dst, sport, dport, seq, ack, flags, payload_len)`` of an
     option-free IPv4/TCP frame, else ``None``.
 
-    Takes exactly the frames :func:`repro.net.columnar._scan_v4_tcp`
-    marks ``KIND_VEC`` — IHL 5, protocol TCP, data offset 5, a total
-    length that covers both headers and fits the captured bytes — for
-    which one read at fixed offsets *is* the layered decode.  It is the
-    one header parse: :func:`from_wire_bytes` takes it first, and
+    The frame is ``data[start:end]`` (all of ``data`` by default), read
+    where it lies.  Takes exactly the frames
+    :func:`repro.net.columnar._scan_v4_tcp` marks ``KIND_VEC`` — IHL 5,
+    protocol TCP, data offset 5, a total length that covers both
+    headers and fits the captured bytes — for which one read at fixed
+    offsets *is* the layered decode.  It is the one header parse:
+    :func:`from_wire_bytes` takes it first,
+    :func:`repro.net.pcap.read_packets` runs it on the reader's buffer,
+    and
     :meth:`repro.cluster.sharding.ByteBatchDispatcher.dispatch_wire`
     ships its fields as a packed record.  ``None`` (options, IPv6,
     non-TCP, short, malformed) leaves the frame to the layered codec.
     """
-    ip_at = 0
+    if end is None:
+        end = len(data)
+    ip_at = start
     if linktype_ethernet:
-        if data[12:14] != b"\x08\x00":  # ETHERTYPE_IPV4
+        if data[start + 12:start + 14] != b"\x08\x00":  # ETHERTYPE_IPV4
             return None
-        ip_at = ETH_HEADER_LEN
-    ip_len = len(data) - ip_at
+        ip_at = start + ETH_HEADER_LEN
+    ip_len = end - ip_at
     if ip_len < 40:
         return None
     (version_ihl, total_len, protocol, src, dst, sport, dport, seq, ack,
@@ -145,11 +151,11 @@ def from_wire_bytes(
     frames that claim to be TCP but are malformed.  Both routes yield
     the same record for any frame the first one takes.
     """
-    fields = plain_v4_tcp(data, linktype_ethernet=linktype_ethernet)
+    fields = plain_v4_tcp(data, 0, len(data), linktype_ethernet)
     if fields is None:
         return _decode_layers(data, timestamp_ns,
                               linktype_ethernet=linktype_ethernet)
-    return PacketRecord(timestamp_ns, *fields)
+    return tuple.__new__(PacketRecord, (timestamp_ns, *fields, False))
 
 
 def _decode_layers(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Tuple, Union
 
-from .packet import NS_PER_US, PacketRecord, from_wire_bytes, to_wire_bytes
+from .packet import NS_PER_SEC, NS_PER_US, PacketRecord, plain_v4_tcp
+from .packet import from_wire_bytes, to_wire_bytes
 
 MAGIC_MICRO = 0xA1B2C3D4
 MAGIC_NANO = 0xA1B23C4D
@@ -26,8 +27,11 @@ LINKTYPE_RAW = 101
 #: whatever its header claims (a header snaplen of 0 means "this").
 MAX_SNAPLEN = 262144
 
+#: Bytes :class:`PcapReader` reads at a time: its records are walked in
+#: place in a buffer of about this size.
+BLOCK_BYTES = 1 << 16
+
 _GLOBAL_HEADER = struct.Struct("IHHiIII")
-_RECORD_HEADER = struct.Struct("IIII")
 
 PathLike = Union[str, Path]
 
@@ -94,12 +98,12 @@ def _parse_global_header(data: bytes) -> PcapHeader:
 class PcapReader:
     """Iterates ``(timestamp_ns, frame_bytes)`` pairs from a pcap file.
 
-    The reader is fully incremental: it reads one record at a time,
-    tracks the byte offset of the next unconsumed record in
-    :attr:`resume_offset`, and raises :class:`TruncatedCapture` (after
-    seeking back to the record start) when the file ends mid-record —
-    so a tailing caller can wait for more bytes and simply call
-    ``next()`` again on the same reader.
+    The reader is fully incremental: it walks its records in place in
+    blocks of the stream (:meth:`walk`), tracks the byte offset of the
+    next unconsumed record in :attr:`resume_offset`, and raises
+    :class:`TruncatedCapture` (after seeking back to the record start)
+    when the file ends mid-record — so a tailing caller can wait for
+    more bytes and simply call ``next()`` again on the same reader.
     """
 
     GLOBAL_HEADER_BYTES = 24
@@ -120,6 +124,8 @@ class PcapReader:
         # read and a TruncatedCapture that a tail would wait on forever.
         self._max_len = min(self.header.snaplen or MAX_SNAPLEN, MAX_SNAPLEN)
         self._offset = self.GLOBAL_HEADER_BYTES
+        # The file's bytes from _buffer_at up to the stream position.
+        self._buffer, self._buffer_at = b"", self._offset
 
     @property
     def resume_offset(self) -> int:
@@ -127,50 +133,79 @@ class PcapReader:
         return self._offset
 
     def skip_to(self, offset: int) -> None:
-        """Position the reader at a previously recorded resume offset."""
+        """Position the reader at a previously recorded resume offset,
+        walking the record headers up to it as pcapng replays its blocks."""
         if offset < self.GLOBAL_HEADER_BYTES:
             raise PcapFormatError(
                 f"pcap resume offset {offset} is inside the global header"
             )
-        self._stream.seek(offset)
-        self._offset = offset
+        self._rewind(self.GLOBAL_HEADER_BYTES)
+        walk = self.walk()
+        try:
+            while self._offset < offset:
+                next(walk)
+        except (StopIteration, TruncatedCapture):
+            raise PcapFormatError(f"pcap resume offset {offset} is beyond "
+                                  "end of file") from None
+        if self._offset != offset:
+            raise PcapFormatError(f"pcap resume offset {offset} is not on a "
+                                  "record boundary")
 
     def _rewind(self, offset: int) -> None:
         """Back the stream up so a retry re-reads from a record start."""
+        self._buffer, self._buffer_at = b"", offset
+        self._offset = offset
         try:
             self._stream.seek(offset)
         except (OSError, ValueError):
             pass  # non-seekable stream; retry is not possible anyway
 
+    def walk(self) -> Iterator[Tuple[int, bytes, int, int]]:
+        """``(timestamp_ns, buffer, start, end)`` per record, the frame
+        being ``buffer[start:end]``.  :attr:`resume_offset` passes each
+        record before it is yielded, so a fresh walk continues where an
+        abandoned one (a partial ``islice``) stopped."""
+        unpack, read = self._rec.unpack_from, self._stream.read
+        frac_ns, max_len = self._frac_ns, self._max_len
+        buffer, base = self._buffer, self._buffer_at
+        pos, size = self._offset - base, len(buffer)
+        while True:
+            if pos + 16 <= size:
+                ts_sec, ts_frac, incl_len, orig_len = unpack(buffer, pos)
+                if incl_len > orig_len and orig_len != 0:
+                    raise PcapFormatError(f"pcap record incl_len {incl_len} "
+                                          f"exceeds orig_len {orig_len}")
+                if incl_len > max_len:
+                    raise PcapFormatError(f"pcap record incl_len {incl_len} "
+                                          f"exceeds the capture's snaplen {max_len}")
+                end = pos + 16 + incl_len
+                if end <= size:
+                    self._offset = base + end
+                    yield (ts_sec * NS_PER_SEC + ts_frac * frac_ns, buffer,
+                           pos + 16, end)
+                    pos = end
+                    continue
+            # The next record is not all in the buffer: keep its bytes.
+            more = read(BLOCK_BYTES)
+            if not more:
+                if pos == size:
+                    return
+                self._rewind(base + pos)
+                raise TruncatedCapture(
+                    "partial pcap record header" if pos + 16 > size
+                    else "partial pcap record body",
+                    resume_offset=base + pos)
+            buffer, base = buffer[pos:] + more, base + pos
+            pos, size = 0, len(buffer)
+            self._buffer, self._buffer_at = buffer, base
+
     def __iter__(self) -> Iterator[Tuple[int, bytes]]:
         return self
 
     def __next__(self) -> Tuple[int, bytes]:
-        start = self._offset
-        header = self._stream.read(16)
-        if not header:
-            raise StopIteration
-        if len(header) < 16:
-            self._rewind(start)
-            raise TruncatedCapture("partial pcap record header",
-                                   resume_offset=start)
-        ts_sec, ts_frac, incl_len, orig_len = self._rec.unpack(header)
-        if incl_len > orig_len and orig_len != 0:
-            raise PcapFormatError(
-                f"pcap record incl_len {incl_len} exceeds orig_len {orig_len}"
-            )
-        if incl_len > self._max_len:
-            raise PcapFormatError(
-                f"pcap record incl_len {incl_len} exceeds the capture's "
-                f"snaplen {self._max_len}"
-            )
-        data = self._stream.read(incl_len)
-        if len(data) < incl_len:
-            self._rewind(start)
-            raise TruncatedCapture("partial pcap record body",
-                                   resume_offset=start)
-        self._offset = start + 16 + incl_len
-        return ts_sec * 1_000_000_000 + ts_frac * self._frac_ns, data
+        for timestamp_ns, buffer, start, end in self.walk():
+            return timestamp_ns, buffer[start:end]
+        raise StopIteration
 
 
 class PcapWriter:
@@ -197,23 +232,35 @@ class PcapWriter:
         self._stream.write(frame)
 
 
-def read_frames(path: PathLike) -> Iterator[Tuple[int, bytes]]:
-    """Yield ``(timestamp_ns, frame_bytes)`` from a pcap file on disk."""
-    with open(path, "rb") as stream:
-        reader = PcapReader(stream)
-        yield from reader
-
-
 def read_packets(path: PathLike) -> Iterator[PacketRecord]:
     """Yield TCP :class:`PacketRecord` objects from a capture file.
 
     Non-TCP frames are silently skipped, matching the behaviour of the
-    hardware prototype (Dart only inspects TCP traffic).
+    hardware prototype (Dart only inspects TCP traffic).  A pcap record
+    is parsed where the reader's walk left it; only a frame the parse
+    declines is sliced for ``from_wire_bytes``, as every pcapng frame is.
     """
     # The frame reader sits above both capture formats.
-    from .pcapng import read_decoded
+    from .pcapng import FrameReader
 
-    return read_decoded(path, from_wire_bytes)
+    with open(path, "rb") as stream:
+        reader = FrameReader(stream)
+        ethernet = reader.ethernet
+        if ethernet is None:
+            for timestamp_ns, ethernet, frame in reader:
+                if (record := from_wire_bytes(frame, timestamp_ns,
+                                              linktype_ethernet=ethernet)):
+                    yield record
+            return
+        parse = plain_v4_tcp
+        new = tuple.__new__
+        for timestamp_ns, buffer, start, end in reader.walk():
+            fields = parse(buffer, start, end, ethernet)
+            if fields is not None:
+                yield new(PacketRecord, (timestamp_ns, *fields, False))
+            elif (record := from_wire_bytes(buffer[start:end], timestamp_ns,
+                                            linktype_ethernet=ethernet)):
+                yield record
 
 
 def write_packets(

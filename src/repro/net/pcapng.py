@@ -307,7 +307,8 @@ class FrameReader:
     the path, which could name a different file by then) unless
     ``capture_format`` pins it.  Linktype policy: a pcap on an
     unsupported linktype raises :class:`PcapFormatError`; a pcapng
-    frame on an unsupported interface is skipped.
+    frame on an unsupported interface is skipped; :attr:`ethernet` is
+    a pcap's linktype (``None``: pcapng, per interface).
 
     Incremental like the per-format readers it drives:
     :attr:`resume_offset` is the byte offset of the first record not
@@ -320,14 +321,14 @@ class FrameReader:
     def __init__(self, stream: BinaryIO,
                  capture_format: Optional[str] = None) -> None:
         self.format = capture_format or _sniff(stream)
-        self._ethernet: Optional[bool] = None  # pcap: fixed per file
+        self.ethernet: Optional[bool] = None
         self._reader: Union[PcapReader, PcapngReader]
         if self.format == "pcapng":
             self._reader = PcapngReader(stream)
             return
         self._reader = PcapReader(stream)
-        self._ethernet = _is_ethernet(self._reader.header.linktype)
-        if self._ethernet is None:
+        self.ethernet = _is_ethernet(self._reader.header.linktype)
+        if self.ethernet is None:
             raise PcapFormatError(
                 f"unsupported linktype {self._reader.header.linktype}"
             )
@@ -341,12 +342,20 @@ class FrameReader:
         """Position the reader at a previously recorded resume offset."""
         self._reader.skip_to(offset)
 
+    def walk(self) -> Iterator[Tuple[int, bytes, int, int]]:
+        """A pcap's records in place (:meth:`PcapReader.walk`), for a
+        decoder that reads frames where they lie."""
+        reader = self._reader
+        if not isinstance(reader, PcapReader):
+            raise PcapFormatError("only a classic pcap is walked in place")
+        return reader.walk()
+
     def __iter__(self) -> Iterator[Frame]:
         """Frames from the current position to the end of the stream."""
-        ethernet = self._ethernet
+        ethernet = self.ethernet
         if ethernet is not None:
-            for timestamp_ns, frame in self._reader:
-                yield timestamp_ns, ethernet, frame
+            for timestamp_ns, buffer, start, end in self.walk():
+                yield timestamp_ns, ethernet, buffer[start:end]
             return
         for timestamp_ns, linktype, frame in self._reader:
             ethernet = _is_ethernet(linktype)
@@ -371,7 +380,7 @@ def read_any_frames(path: PathLike) -> Iterator[Frame]:
 def read_decoded(path: PathLike, decode: Callable[..., Any]) -> Iterator[Any]:
     """Yield ``decode(frame, timestamp_ns, linktype_ethernet=...)`` for
     every frame of either capture format, dropping the frames the
-    decoder answers ``None`` for."""
+    decoder answers ``None`` for (TCP records: ``read_packets``)."""
     with open(path, "rb") as stream:
         for timestamp_ns, ethernet, frame in FrameReader(stream):
             record = decode(frame, timestamp_ns, linktype_ethernet=ethernet)

@@ -14,7 +14,6 @@ import multiprocessing
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -299,8 +298,8 @@ def mixed_capture(records):
             frame = option_frame(record, tcp_options=tcpf.TcpOptions(
                 timestamp=(i, 0)))
         else:
-            frame = to_wire_bytes(replace(
-                record, src_ip=(1 << 100) | record.src_ip,
+            frame = to_wire_bytes(record._replace(
+                src_ip=(1 << 100) | record.src_ip,
                 dst_ip=(1 << 100) | record.dst_ip, ipv6=True))
         capture.append((frame, record.timestamp_ns))
         if i % 50 == 0:

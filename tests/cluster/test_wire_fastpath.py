@@ -26,7 +26,6 @@ lives here too.
 
 import zlib
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -244,8 +243,8 @@ def tcp_records(draw):
     record = draw(v4_records())
     if draw(st.booleans()):
         addr = st.integers(min_value=0, max_value=(1 << 128) - 1)
-        record = replace(record, src_ip=draw(addr), dst_ip=draw(addr),
-                         ipv6=True)
+        record = record._replace(src_ip=draw(addr), dst_ip=draw(addr),
+                                 ipv6=True)
     return record
 
 
@@ -262,8 +261,8 @@ SHAPES = ("record", "wire", "tcp_options", "v6_record", "v6_wire")
 
 def add_shaped(encoder, record, shape):
     if shape.startswith("v6"):
-        record = replace(record, src_ip=(1 << 100) | record.src_ip,
-                         dst_ip=(1 << 100) | record.dst_ip, ipv6=True)
+        record = record._replace(src_ip=(1 << 100) | record.src_ip,
+                                 dst_ip=(1 << 100) | record.dst_ip, ipv6=True)
     if shape in ("record", "v6_record"):
         encoder.add_record(record)
     elif shape == "tcp_options":
@@ -356,7 +355,7 @@ def ns_trace():
     records = generate_campus_trace(
         CampusTraceConfig(connections=30, seed=7)).records
     return [
-        replace(record, flags=record.flags | FLAG_NS)
+        record._replace(flags=record.flags | FLAG_NS)
         if not record.flags & (tcpf.FLAG_SYN | tcpf.FLAG_RST) else record
         for record in records
     ]

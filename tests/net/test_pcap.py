@@ -2,21 +2,37 @@
 
 import io
 import struct
+import tempfile
+from functools import lru_cache
+from itertools import islice
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.net import pcap
 from repro.net import tcp as tcpf
-from repro.net.packet import PacketRecord
+from repro.net.packet import PacketRecord, from_wire_bytes, to_wire_bytes
 from repro.net.pcap import (
     LINKTYPE_ETHERNET,
+    LINKTYPE_RAW,
     MAGIC_MICRO,
     MAGIC_NANO,
     PcapFormatError,
     PcapReader,
     PcapWriter,
+    TruncatedCapture,
     read_packets,
     write_packets,
 )
+from repro.net.pcapng import FrameReader, read_any_capture
+from repro.traces import CampusTraceConfig, generate_campus_trace
+from tests.net.wire_frames import damaged_frames
+
+#: What a nanosecond pcap record header can hold: 32-bit seconds.
+pcap_timestamps = st.integers(min_value=0, max_value=(1 << 32) * 10**9 - 1)
 
 
 def make_record(i=0):
@@ -141,3 +157,118 @@ class TestRecordParsing:
             PcapWriter(stream, linktype=147)  # DLT_USER0
         with pytest.raises(PcapFormatError):
             list(read_packets(path))
+
+
+@lru_cache(maxsize=None)
+def trace_frames():
+    """``(timestamp_ns, Ethernet frame)`` of a small seeded trace."""
+    records = generate_campus_trace(
+        CampusTraceConfig(connections=4, seed=5)).records
+    return [(r.timestamp_ns, to_wire_bytes(r)) for r in records]
+
+
+@st.composite
+def captures(draw):
+    """``(pcap bytes, frames, record offsets)``: a slice of the seeded
+    trace with damaged frames of the capture's linktype mixed in."""
+    ethernet = draw(st.booleans())
+    frames = trace_frames()
+    start = draw(st.integers(min_value=0, max_value=len(frames) - 1))
+    frames = [(ts, frame if ethernet else frame[14:])
+              for ts, frame in frames[start:start + draw(
+                  st.integers(min_value=0, max_value=30))]]
+    for frame, is_ethernet in draw(st.lists(damaged_frames(), max_size=4)):
+        if is_ethernet == ethernet:
+            at = draw(st.integers(min_value=0, max_value=len(frames)))
+            frames.insert(at, (draw(pcap_timestamps), frame))
+    stream = io.BytesIO()
+    writer = PcapWriter(stream, linktype=LINKTYPE_ETHERNET if ethernet
+                        else LINKTYPE_RAW)
+    offsets = [stream.tell()]
+    for ts, frame in frames:
+        writer.write(ts, frame)
+        offsets.append(stream.tell())
+    return stream.getvalue(), [(ts, ethernet, f) for ts, f in frames], offsets
+
+
+def read_into(frames, reader, offsets, source=None):
+    """Append to ``frames`` every frame ``reader`` (or ``source``, drawn
+    from it) yields, checking after each one that ``resume_offset``
+    names the next record's offset; returns how many it appended."""
+    before = len(frames)
+    for frame in reader if source is None else source:
+        frames.append(frame)
+        assert reader.resume_offset == offsets[len(frames)]
+    return len(frames) - before
+
+
+def records_or_error(records):
+    """The records an iterator yields, then the ValueError that ended
+    it (``None`` at a clean end)."""
+    out = []
+    try:
+        for record in records:
+            out.append(record)
+    except ValueError as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+class TestRecordWalk:
+    """The pcap reader walks its block buffer in place: every way of
+    reading it yields the same frames and offsets, and the in-place
+    record decode answers as ``from_wire_bytes`` does frame for frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(captures(),
+           st.sampled_from([1, 7, 16, 100, 1 << 16]),
+           st.lists(st.integers(min_value=1, max_value=9), min_size=1),
+           st.data())
+    def test_every_way_of_reading_agrees(self, capture, block, chunks, data):
+        raw, written, offsets = capture
+        # Small blocks put record headers and bodies across refills.
+        with patch.object(pcap, "BLOCK_BYTES", block):
+            single = []
+            read_into(single, FrameReader(io.BytesIO(raw)), offsets)
+            assert single == written
+
+            # Chunks of random size, a fresh iteration per chunk: the
+            # tail source's islice pattern.
+            reader = FrameReader(io.BytesIO(raw))
+            chunked = []
+            for size in chunks * (len(written) + 1):
+                if not read_into(chunked, reader, offsets,
+                                 islice(reader, size)):
+                    break
+                assert reader.resume_offset == offsets[len(chunked)]
+            assert chunked == written
+
+            # Cut anywhere, meet TruncatedCapture, grow, retry.
+            cut = data.draw(st.integers(min_value=0, max_value=len(raw)))
+            stream = io.BytesIO(raw[:cut])
+            retried = []
+            try:
+                reader = FrameReader(stream)
+                read_into(retried, reader, offsets)
+            except TruncatedCapture as exc:
+                assert exc.resume_offset == (
+                    0 if cut < offsets[0] else offsets[len(retried)])
+                assert stream.tell() == exc.resume_offset  # rewound
+            position = stream.tell()
+            stream.seek(0, io.SEEK_END)
+            stream.write(raw[cut:])
+            stream.seek(position)
+            if cut < offsets[0]:
+                reader = FrameReader(stream)
+            read_into(retried, reader, offsets)
+            assert retried == written
+
+            with tempfile.TemporaryDirectory() as directory:
+                path = Path(directory) / "capture.pcap"
+                path.write_bytes(raw)
+                decoded = records_or_error(read_any_capture(path))
+        expected = records_or_error(
+            record for ts, ethernet, frame in written
+            if (record := from_wire_bytes(
+                frame, ts, linktype_ethernet=ethernet)) is not None)
+        assert decoded == expected

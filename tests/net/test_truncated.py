@@ -13,7 +13,12 @@ import struct
 import pytest
 
 from repro.net import TruncatedCapture, append_packets
-from repro.net.pcap import PcapReader, read_packets, write_packets
+from repro.net.pcap import (
+    PcapFormatError,
+    PcapReader,
+    read_packets,
+    write_packets,
+)
 from repro.net.pcapng import BLOCK_SHB, PcapngReader
 from repro.traces import CampusTraceConfig, generate_campus_trace
 
@@ -90,6 +95,60 @@ class TestPcapTruncation:
         reader = PcapReader(io.BytesIO(pcap_bytes))
         with pytest.raises(ValueError):
             reader.skip_to(10)
+
+    @pytest.mark.parametrize("past", [1, 16, 10**12])
+    def test_skip_to_refuses_offset_past_end_of_file(self, pcap_bytes,
+                                                      past):
+        offset = len(pcap_bytes) + past
+        reader = PcapReader(io.BytesIO(pcap_bytes))
+        with pytest.raises(PcapFormatError) as info:
+            reader.skip_to(offset)
+        assert str(info.value) == (
+            f"pcap resume offset {offset} is beyond end of file")
+
+    def test_skip_to_refuses_offset_inside_a_record(self, pcap_bytes):
+        reader = PcapReader(io.BytesIO(pcap_bytes))
+        next(reader)
+        second = reader.resume_offset
+        for offset in (second - 1, second + 1, second + 16, second + 20):
+            resumed = PcapReader(io.BytesIO(pcap_bytes))
+            with pytest.raises(PcapFormatError) as info:
+                resumed.skip_to(offset)
+            assert str(info.value) == (
+                f"pcap resume offset {offset} is not on a record boundary")
+
+    def test_skip_to_inside_a_cut_record_is_past_end_of_file(
+            self, pcap_bytes):
+        # The offset is a record boundary of the whole file, but the cut
+        # copy ends before it, mid-record: nothing complete reaches it.
+        reader = PcapReader(io.BytesIO(pcap_bytes))
+        next(reader)
+        next(reader)
+        offset = reader.resume_offset
+        cut = PcapReader(io.BytesIO(pcap_bytes[:offset - 5]))
+        with pytest.raises(PcapFormatError, match="beyond end of file"):
+            cut.skip_to(offset)
+
+    def test_skip_to_end_of_file_yields_nothing(self, pcap_bytes):
+        reader = PcapReader(io.BytesIO(pcap_bytes))
+        reader.skip_to(len(pcap_bytes))
+        assert list(reader) == []
+        assert reader.resume_offset == len(pcap_bytes)
+
+    def test_tail_resume_past_a_shorter_file_starts_fresh(self, pcap_bytes,
+                                                          tmp_path):
+        from repro.stream import TailCaptureSource
+
+        path = tmp_path / "rotated.pcap"
+        path.write_bytes(pcap_bytes)
+        source = TailCaptureSource(path, resume_offset=len(pcap_bytes) + 1,
+                                   idle_timeout_s=0.0, sleep=lambda s: None)
+        try:
+            frames = [frame for chunk in source.chunks(64) for frame in chunk]
+        finally:
+            source.close()
+        assert [(ts, frame) for ts, _, frame in frames] == list(
+            PcapReader(io.BytesIO(pcap_bytes)))
 
 
 class TestAppendPackets:

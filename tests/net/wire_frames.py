@@ -8,8 +8,6 @@ flags), and :func:`outcome` to compare two decoders on them result for
 result and error for error.
 """
 
-from dataclasses import replace
-
 from hypothesis import strategies as st
 
 from repro.net import tcp as tcpf
@@ -75,8 +73,8 @@ def damaged_frames(draw):
     elif shape == "ip_options":
         frame = option_frame(record, ip_options=b"\x01" * 4)
     elif shape == "ipv6":
-        frame = to_wire_bytes(replace(
-            record, src_ip=(1 << 100) | record.src_ip,
+        frame = to_wire_bytes(record._replace(
+            src_ip=(1 << 100) | record.src_ip,
             dst_ip=(1 << 99) | record.dst_ip, ipv6=True))
     else:
         frame = quic_to_wire_bytes(QuicPacketRecord(
