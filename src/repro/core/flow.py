@@ -100,12 +100,8 @@ class FlowKey:
 
     @property
     def key_crc(self) -> int:
-        """Unsalted ``crc32(key_bytes())`` — the table-index seed.
-
-        Cached so the per-stage index mix
-        (:func:`~repro.core.hashing.stage_index_from_crc`) never re-walks
-        the key bytes on the hot path.
-        """
+        """Unsalted ``crc32(key_bytes())`` — the table-index seed, cached
+        so :attr:`mix0` never re-walks the key bytes."""
         crc = self._crc
         if crc is None:
             crc = zlib.crc32(self.key_bytes())
@@ -116,11 +112,9 @@ class FlowKey:
     def mix0(self) -> int:
         """Stage-0 avalanche mix of :attr:`key_crc`.
 
-        ``stage_index_from_crc(crc, 0, size)`` is ``_mix32(crc) % size``
-        (stage 0's salt is zero), so tables whose index function is the
-        stage-0 hash — the Range Tracker, every single-stage layout —
-        reduce their per-lookup work to one modulo by caching the mix
-        here.
+        ``stage_index(key_bytes(), 0, size)`` is ``_mix32(key_crc) % size``
+        (stage 0's salt is zero), so the Range Tracker, which indexes by
+        the stage-0 hash, reduces each lookup to one modulo.
         """
         mix = self._mix0
         if mix is None:

@@ -73,25 +73,14 @@ def stage_index(key: bytes, stage: int, table_size: int) -> int:
 
     ``table_size`` need not be a power of two, but Dart's configurations
     always use one (register arrays are indexed by hash-bit slices).
+    ``StagedPacketTable.insert``/``match_ack`` write this function out in
+    line, one CRC per pass and the salt and mix per stage.
     """
     if not 0 <= stage < MAX_STAGES:
         raise ValueError(f"stage {stage} out of range (max {MAX_STAGES})")
     if table_size <= 0:
         raise ValueError("table size must be positive")
     return _mix32(zlib.crc32(key) ^ _STAGE_SALTS[stage]) % table_size
-
-
-def stage_index_from_crc(key_crc: int, stage: int, table_size: int) -> int:
-    """:func:`stage_index` with the unsalted ``crc32(key)`` precomputed.
-
-    The hot per-packet paths look up the same flow key many times; the
-    CRC is the expensive part (it walks the key bytes), so the tables
-    compute it once — or read it off the flow's cached ``key_crc`` —
-    and only the per-stage mix runs per probe.  Always agrees with
-    ``stage_index(key, stage, table_size)`` for ``key_crc ==
-    zlib.crc32(key)``; stage/size validation is the caller's burden.
-    """
-    return _mix32(key_crc ^ _STAGE_SALTS[stage]) % table_size
 
 
 def pack_u32(*values: int) -> bytes:

@@ -39,18 +39,21 @@ The module only implements table mechanics; the recirculation *loop*
 from __future__ import annotations
 
 import enum
-import zlib
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Dict, List, NamedTuple, Optional, Tuple
+from zlib import crc32
 
 from .flow import FlowKey, intern_flow
-from .hashing import _mix32, pack2_u32, stage_index_from_crc
+from .hashing import _STAGE_SALTS, pack2_u32
 
 
-@dataclass(slots=True)
-class PtRecord:
-    """One tracked SEQ packet awaiting its ACK."""
+class PtRecord(NamedTuple):
+    """One tracked SEQ packet awaiting its ACK: a PT slot's registers.
+
+    A tuple, stored in its slot as the kernel built it (in C, with
+    :data:`new_row`); an eviction or a recirculation that changes a
+    field stores or hands on a new tuple.
+    """
 
     record_id: int
     flow: FlowKey
@@ -61,48 +64,11 @@ class PtRecord:
     leg: Optional[str] = None
     recirc_count: int = 0
     last_evicted_id: Optional[int] = None
-    #: Lazily cached ``key_bytes()`` and its CRC — a record is re-hashed
-    #: on every insertion pass (recirculation re-enters the stages), so
-    #: the packing and CRC costs are paid once.  Pure functions of
-    #: (signature, eack), left out of the pickle.
-    _key: Optional[bytes] = field(init=False, default=None, repr=False,
-                                  compare=False)
-    _crc: Optional[int] = field(init=False, default=None, repr=False,
-                                compare=False)
-    _mix0: Optional[int] = field(init=False, default=None, repr=False,
-                                 compare=False)
 
-    def key_bytes(self) -> bytes:
-        """Bytes hashed into stage indices."""
-        key = self._key
-        if key is None:
-            key = self._key = pack2_u32(self.signature, self.eack)
-        return key
 
-    def key_crc(self) -> int:
-        """Unsalted CRC32 of :meth:`key_bytes` — the stage-index seed."""
-        crc = self._crc
-        if crc is None:
-            crc = self._crc = zlib.crc32(self.key_bytes())
-        return crc
-
-    def mix0(self) -> int:
-        """Stage-0 avalanche mix of :meth:`key_crc` (stage 0's salt is
-        zero, so this *is* the stage-0 index before the modulo — see
-        ``FlowKey.mix0``).  Cached across recirculation passes."""
-        mix = self._mix0
-        if mix is None:
-            mix = self._mix0 = _mix32(self.key_crc())
-        return mix
-
-    def __reduce__(self):
-        # Constructor arguments only: the caches are derived from
-        # (signature, eack), and whether they are filled depends on how
-        # many insertion passes this process made — which checkpoints,
-        # byte-identical across a kill/resume, must not record.
-        return PtRecord, (self.record_id, self.flow, self.signature,
-                          self.eack, self.timestamp_ns, self.handshake,
-                          self.leg, self.recirc_count, self.last_evicted_id)
+#: Builds a row tuple (``PtRecord``, ``RttSample``) from its values in
+#: C: a ``NamedTuple``'s own ``__new__`` is a Python frame.
+new_row = tuple.__new__
 
 
 class InsertStatus(enum.Enum):
@@ -125,6 +91,7 @@ _PLACED = InsertOutcome(InsertStatus.PLACED)
 _DUPLICATE = InsertOutcome(InsertStatus.DUPLICATE)
 _CYCLE = InsertOutcome(InsertStatus.CYCLE)
 _UNPLACED = InsertOutcome(InsertStatus.UNPLACED)
+_EVICTING = InsertStatus.PLACED_EVICTING
 
 
 class AssociativePacketTable:
@@ -195,24 +162,29 @@ class StagedPacketTable:
         return self._stage_slots
 
     def insert(self, record: PtRecord) -> InsertOutcome:
-        """One insertion pass; never recirculates by itself."""
+        """One insertion pass; never recirculates by itself.
+
+        Stage indices are ``stage_index`` of ``(signature, eack)`` written
+        out (one CRC per pass), as in :meth:`match_ack`: no helper frame.
+        """
+        _, _, signature, eack, _, _, _, recirc_count, last_evicted_id = record
         # The stage at which this pass holds eviction rights (None = none).
-        if record.recirc_count:
-            force_stage = (record.recirc_count - 1) % self._stage_count
+        if recirc_count:
+            force_stage = (recirc_count - 1) % self._stage_count
         else:
             # A fresh record in a single-stage table knows its only slot is
             # its last chance, so it evicts immediately (paper §3.2).  In a
             # multi-stage table it must first look for empty slots.
             force_stage = 0 if self._stage_count == 1 else None
-        signature = record.signature
-        eack = record.eack
+        crc = crc32(pack2_u32(signature, eack))
         size = self._stage_slots
         for stage, slots in enumerate(self._stages):
-            if stage:
-                index = stage_index_from_crc(record.key_crc(), stage, size)
-            else:
-                mix = record._mix0  # set by a past pass
-                index = (record.mix0() if mix is None else mix) % size
+            x = crc ^ _STAGE_SALTS[stage]
+            x ^= x >> 16
+            x = (x * 0x85EBCA6B) & 0xFFFFFFFF
+            x ^= x >> 13
+            x = (x * 0xC2B2AE35) & 0xFFFFFFFF
+            index = (x ^ (x >> 16)) % size
             occupant = slots[index]
             if occupant is None:
                 slots[index] = record
@@ -221,13 +193,13 @@ class StagedPacketTable:
             if occupant.signature == signature and occupant.eack == eack:
                 return _DUPLICATE
             if stage == force_stage:
-                if record.last_evicted_id == occupant.record_id:
+                if last_evicted_id == occupant.record_id:
                     # About to evict the record we already evicted once:
                     # an eviction loop.  Self-destruct instead (paper §3.2).
                     return _CYCLE
-                slots[index] = record
-                record.last_evicted_id = occupant.record_id
-                return InsertOutcome(InsertStatus.PLACED_EVICTING, occupant)
+                slots[index] = new_row(PtRecord,
+                                       record[:8] + (occupant.record_id,))
+                return new_row(InsertOutcome, (_EVICTING, occupant))
         return _UNPLACED
 
     def match_ack(self, flow: FlowKey, ack: int) -> Optional[PtRecord]:
@@ -237,12 +209,16 @@ class StagedPacketTable:
         collision between distinct flows can (rarely) yield a mismatched
         sample — faithfully reproducing the hardware (paper §4).
         """
-        signature = flow.signature
-        key_crc = zlib.crc32(pack2_u32(signature, ack))
+        signature = flow._sig or flow.signature  # cached after a first use
+        crc = crc32(pack2_u32(signature, ack))
         size = self._stage_slots
         for stage, slots in enumerate(self._stages):
-            index = (stage_index_from_crc(key_crc, stage, size) if stage
-                     else _mix32(key_crc) % size)
+            x = crc ^ _STAGE_SALTS[stage]  # the stage index, as in insert
+            x ^= x >> 16
+            x = (x * 0x85EBCA6B) & 0xFFFFFFFF
+            x ^= x >> 13
+            x = (x * 0xC2B2AE35) & 0xFFFFFFFF
+            index = (x ^ (x >> 16)) % size
             occupant = slots[index]
             if (occupant is not None and occupant.signature == signature
                     and occupant.eack == ack):
@@ -305,9 +281,9 @@ def _rebuild_packet_table(stages: int, stage_slots: int, flows,
                 and 0 <= index < stage_slots and 0 <= flow_no < len(keys)):
             raise ValueError(f"PT row ({stage}, {index}, flow {flow_no}) "
                              "out of order or range")
-        table._stages[stage][index] = PtRecord(
+        table._stages[stage][index] = new_row(PtRecord, (
             record_id, keys[flow_no], signature, eack, timestamp_ns,
-            handshake, leg, recirc_count, last_evicted_id)
+            handshake, leg, recirc_count, last_evicted_id))
         previous = (stage, index)
     table._occupied = len(rows)
     return table

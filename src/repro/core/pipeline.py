@@ -38,9 +38,11 @@ from .analytics import CollectAllAnalytics
 from .config import DartConfig
 from .flow import FlowKey, intern_flow
 from .packet_tracker import (
+    InsertOutcome,
     InsertStatus,
     PtRecord,
     make_packet_table,
+    new_row,
 )
 from .range_tracker import AckVerdict, RangeTracker, SeqVerdict
 from .samples import RttSample
@@ -72,6 +74,8 @@ FLAG_ROLES = tuple(
     | (ROLE_RST if flags & tcp_mod.FLAG_RST else 0)
     for flags in range(256)
 )
+
+_PLACED = InsertStatus.PLACED
 
 #: Records per chunk when :class:`~repro.engine.MonitorEngine` drains a
 #: trace through each monitor's ``process_batch``.
@@ -321,7 +325,8 @@ class Dart:
         fields here, as a switch's match-action tables would, so every
         entry point keeps its own row rule under any filter.  No hash
         crosses this boundary: each table's key hashes where the table
-        is (``FlowKey``/``PtRecord`` cache theirs on first use),
+        is (the RT's once per ``FlowKey``, which caches it; the PT's
+        ``(signature, eack)`` once per insertion or match pass),
         whatever the entry point.
         """
         stats = self.stats
@@ -361,12 +366,15 @@ class Dart:
             verdicts = stats.seq_verdicts
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
             if verdict.trackable:
-                pt_record = PtRecord(
-                    self._next_record_id, flow, flow.signature, eack, ts,
-                    bool(role & ROLE_SYN), leg)
+                pt_record = new_row(PtRecord, (
+                    self._next_record_id, flow,
+                    flow._sig or flow.signature,  # cached by the RT's fetch
+                    eack, ts, bool(role & ROLE_SYN), leg, 0, None))
                 self._next_record_id += 1
                 stats.tracked_inserts += 1
-                self._insertion_loop(pt_record)
+                outcome = self.packet_tracker.insert(pt_record)
+                if outcome.status is not _PLACED:
+                    self._insertion_loop(pt_record, outcome)
 
         if not role & ROLE_ACK:
             return None
@@ -388,27 +396,29 @@ class Dart:
         if rtt < 0:
             stats.negative_rtt_drops += 1
             return None
-        sample = RttSample(pt_record.flow, rtt, ts, ack, pt_record.handshake,
-                           pt_record.leg)
+        handshake = pt_record.handshake
+        sample = new_row(RttSample, (pt_record.flow, rtt, ts, ack, handshake,
+                                     pt_record.leg))
         stats.samples += 1
-        if sample.handshake:
+        if handshake:
             stats.handshake_samples += 1
         self.analytics.add(sample)
         return sample
 
     # -- PT insertion and the recirculation loop -----------------------------
 
-    def _insertion_loop(self, candidate: Optional[PtRecord]) -> None:
-        """Run insertion passes until the record in flight settles.
+    def _insertion_loop(self, candidate: PtRecord,
+                        outcome: InsertOutcome) -> None:
+        """Settle the record in flight, from the outcome of its last
+        insertion pass, running further passes as it recirculates.
 
         A pass displaces at most one record (the occupant it evicts, or
         the candidate itself when unplaced), so there is never a second
         one waiting: the loop follows a chain, not a work list.
         """
-        while candidate is not None:
-            outcome = self.packet_tracker.insert(candidate)
+        while True:
             status = outcome.status
-            if status is InsertStatus.PLACED:
+            if status is _PLACED:
                 return
             if status is InsertStatus.DUPLICATE:
                 self.stats.duplicate_inserts += 1
@@ -425,6 +435,9 @@ class Dart:
                 candidate = self._consider_recirculation(
                     candidate, evictor_id=None
                 )
+            if candidate is None:
+                return
+            outcome = self.packet_tracker.insert(candidate)
 
     def _consider_recirculation(
         self, candidate: PtRecord, *, evictor_id: Optional[int]
@@ -466,7 +479,8 @@ class Dart:
             ):
                 self.stats.analytics_purges += 1
                 return None
-        candidate.recirc_count += 1
+        candidate = new_row(PtRecord, candidate[:7] + (
+            candidate.recirc_count + 1, candidate.last_evicted_id))
         self.stats.recirculations += 1
         if self.config.recirculation_delay_packets > 0:
             due = (
@@ -507,7 +521,10 @@ class Dart:
             and self._recirc_queue[0][0] <= self.stats.packets_processed
         ):
             _, candidate = self._recirc_queue.popleft()
-            self._insertion_loop(self._revalidate(candidate))
+            candidate = self._revalidate(candidate)
+            if candidate is not None:
+                self._insertion_loop(
+                    candidate, self.packet_tracker.insert(candidate))
 
     # -- Introspection ---------------------------------------------------------
 

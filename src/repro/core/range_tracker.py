@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from .flow import FlowKey
 from .seqspace import SEQ_MASK, SEQ_SPACE, seq_gt, seq_le, seq_lt, seq_sub
@@ -172,29 +172,17 @@ class HashedRangeTable:
     def __len__(self) -> int:
         return self._size
 
-    def _index(self, flow: FlowKey) -> int:
-        # stage 0 with the flow's cached stage-0 mix: identical to
-        # stage_index(flow.key_bytes(), 0, size) without re-walking the
-        # key bytes — or re-running the avalanche mix — on any lookup.
-        return flow.mix0 % self._size
-
     def lookup(self, flow: FlowKey) -> Optional[RangeEntry]:
-        # The flow's cached stage-0 mix and signature, read off their
-        # slots: each property is a Python frame, on every RT access.
-        # They are empty only until the flow's first lookup.
-        mix = flow._mix0
-        signature = flow._sig
-        if mix is None or signature is None:
-            mix = flow.mix0
-            signature = flow.signature
-        entry = self._slots[mix % self._size]
-        if entry is not None and entry.signature == signature:
+        # A flow's slot is stage 0 of its cached mix: stage_index(
+        # flow.key_bytes(), 0, size) without re-walking the key bytes.
+        entry = self._slots[flow.mix0 % self._size]
+        if entry is not None and entry.signature == flow.signature:
             return entry
         return None
 
     def insert(self, flow: FlowKey, entry: RangeEntry) -> Tuple[bool, bool]:
         """Try to store ``entry``; returns ``(inserted, overwrote)``."""
-        index = self._index(flow)
+        index = flow.mix0 % self._size
         occupant = self._slots[index]
         if occupant is None or occupant.signature == entry.signature:
             if occupant is None:
@@ -207,7 +195,7 @@ class HashedRangeTable:
         return False, False
 
     def delete(self, flow: FlowKey) -> None:
-        index = self._index(flow)
+        index = flow.mix0 % self._size
         occupant = self._slots[index]
         if occupant is not None and occupant.signature == flow.signature:
             self._slots[index] = None
@@ -221,7 +209,7 @@ class HashedRangeTable:
         entry of *any* flow frees the slot for the newcomer (the whole
         point of the §7 timeout mitigation).
         """
-        index = self._index(flow)
+        index = flow.mix0 % self._size
         occupant = self._slots[index]
         if occupant is not None and now_ns - occupant.touched_ns > timeout_ns:
             self._slots[index] = None
@@ -274,6 +262,7 @@ class RangeTracker:
         handle_wraparound: bool = True,
         timeout_ns: Optional[int] = None,
     ) -> None:
+        self._table: Union[AssociativeRangeTable, HashedRangeTable]
         if slots is None:
             self._table = AssociativeRangeTable()
         else:
@@ -285,18 +274,22 @@ class RangeTracker:
         # by attacks that leave data unacknowledged forever.  None (the
         # paper's deployed configuration) disables it.
         self._timeout_ns = timeout_ns
+        # The deployed layout — a hashed table, no timeout — has the
+        # three per-packet methods read the flow's slot themselves; any
+        # other layout fetches through :meth:`_entry`.
+        self._inline_fetch = slots is not None and timeout_ns is None
         self.stats = RangeTrackerStats()
 
-    def _live_entry(self, flow: FlowKey, now_ns: int) -> Optional[RangeEntry]:
-        """Lookup with timeout semantics: expired entries vanish.
+    def _entry(self, flow: FlowKey, now_ns: int) -> Optional[RangeEntry]:
+        """Lookup with timeout semantics, when one is configured: expired
+        entries vanish.
 
-        Only for a tracker with a timeout configured; without one the
-        methods below go straight to the table.  The purge also fires
-        when the expired occupant belongs to a *different* flow sharing
-        the slot, so a dead entry cannot pin a slot against newcomers
-        forever (paper §7).
+        The purge also fires when the expired occupant belongs to a
+        *different* flow sharing the slot, so a dead entry cannot pin a
+        slot against newcomers forever (paper §7).
         """
-        if self._table.purge_expired(flow, now_ns, self._timeout_ns):
+        if (self._timeout_ns is not None and self._table.purge_expired(
+                flow, now_ns, self._timeout_ns)):
             self.stats.timeout_expiries += 1
         return self._table.lookup(flow)
 
@@ -310,8 +303,17 @@ class RangeTracker:
         space); callers guarantee ``eack != seq``.  ``now_ns`` only
         matters when an RT timeout is configured.
         """
-        entry = (self._table.lookup(flow) if self._timeout_ns is None
-                 else self._live_entry(flow, now_ns))
+        if self._inline_fetch:  # HashedRangeTable.lookup, written out
+            table: HashedRangeTable = self._table  # type: ignore[assignment]
+            # The flow's cached mix and signature, read off their slots;
+            # the properties (a frame each) run on its first fetch only,
+            # or for a cached 0, which they return as well.
+            entry = table._slots[(flow._mix0 or flow.mix0) % table._size]
+            if entry is not None and entry.signature != (flow._sig
+                                                         or flow.signature):
+                entry = None
+        else:
+            entry = self._entry(flow, now_ns)
 
         if entry is None:
             entry = RangeEntry(signature=flow.signature, left=seq,
@@ -378,8 +380,14 @@ class RangeTracker:
         advance does not affect the PT lookup for this same ack number,
         so a single call is safe.)
         """
-        entry = (self._table.lookup(flow) if self._timeout_ns is None
-                 else self._live_entry(flow, now_ns))
+        if self._inline_fetch:  # as in on_data
+            table: HashedRangeTable = self._table  # type: ignore[assignment]
+            entry = table._slots[(flow._mix0 or flow.mix0) % table._size]
+            if entry is not None and entry.signature != (flow._sig
+                                                         or flow.signature):
+                entry = None
+        else:
+            entry = self._entry(flow, now_ns)
         if entry is None:
             return AckVerdict.NO_FLOW
         entry.touched_ns = now_ns
@@ -414,8 +422,14 @@ class RangeTracker:
         A record is still worth keeping only if its flow is still tracked
         and its expected ACK lies inside the current measurement range.
         """
-        entry = (self._table.lookup(flow) if self._timeout_ns is None
-                 else self._live_entry(flow, now_ns))
+        if self._inline_fetch:  # as in on_data
+            table: HashedRangeTable = self._table  # type: ignore[assignment]
+            entry = table._slots[(flow._mix0 or flow.mix0) % table._size]
+            if entry is not None and entry.signature != (flow._sig
+                                                         or flow.signature):
+                entry = None
+        else:
+            entry = self._entry(flow, now_ns)
         if entry is None:
             return False
         left = entry.left  # seq_between(left, eack, right), inline

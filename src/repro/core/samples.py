@@ -9,21 +9,23 @@ retains samples for offline analysis, and the analytics module
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from ..net.packet import NS_PER_MS
 from .flow import FlowKey
 
 
-@dataclass(frozen=True, slots=True)
-class RttSample:
+class RttSample(NamedTuple):
     """One matched SEQ/ACK round-trip time measurement.
 
     ``rtt_ns`` is the ACK arrival time minus the SEQ arrival time at the
     vantage point; ``timestamp_ns`` is the ACK arrival (i.e. when the
     sample became known); ``eack`` identifies which byte the sample is
     anchored to within the flow.
+
+    A tuple, so a kernel builds one in C (``tuple.__new__(RttSample,
+    row)``, no ``__init__`` frame) and it pickles as its six values.
+    Like every tuple it equals the plain tuple of its fields.
     """
 
     flow: FlowKey

@@ -5,8 +5,9 @@ calls :func:`roles` and :func:`eack_values` once per decoded
 :class:`~repro.net.columnar.PacketColumns` batch and feeds the kernel
 one row per packet from them.  That is all of the classifier: no hash
 is computed here for the kernel.  Each table's key is hashed where the
-table is, once per ``FlowKey``/``PtRecord``, on every entry point —
-hash columns built per batch cost what they saved (DESIGN §15).
+table is, on every entry point — the RT's once per ``FlowKey``, which
+caches it, the PT's ``(signature, eack)`` once per insertion or match
+pass; hash columns built per batch cost what they saved (DESIGN §15).
 
 :func:`flow_crcs`, :func:`signatures`, :func:`mix32` and
 :func:`pt_match_crcs` — vector twins of :mod:`repro.core.hashing`,

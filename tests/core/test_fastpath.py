@@ -3,9 +3,9 @@
 The hot-path optimizations lean on three properties that are easy to
 break silently:
 
-* ``__slots__`` dataclasses must still pickle — the cluster's process
-  workers ship ``ShardResult`` payloads (stats, PT records, flow keys)
-  across the process boundary.
+* ``__slots__`` dataclasses and row tuples must still pickle — the
+  cluster's process workers ship ``ShardResult`` payloads (stats, PT
+  records, flow keys) across the process boundary.
 * ``FlowKey``'s cached hash/CRC/signature must be invisible to equality
   and survive interning — an interned key and a hand-built one are the
   same key.
@@ -13,12 +13,28 @@ break silently:
   ``test_batch_equivalence``; the pickle/interning angles live here).
 """
 
+import hashlib
 import pickle
 
-from repro.core import Dart, DartStats
+import pytest
+
+from repro.analysis.accuracy import compare_samples
+from repro.baselines.dapper import DapperMonitor
+from repro.baselines.strawman import Strawman
+from repro.baselines.tcptrace import TcpTrace
+from repro.cluster.merge import merge_sample_lists
+from repro.core import Dart, DartStats, LegFilter, RttSample
+from repro.export.records import decode_sample, encode_sample
+from repro.net.inet import InternalNetwork, ipv4_to_int
+from repro.quic import QuicScenarioConfig, SpinBitMonitor, generate_quic_trace
+from repro.traces import CampusTraceConfig, generate_campus_trace
 from repro.core.flow import FlowKey, ack_target_flow, flow_of, intern_flow
-from repro.core.hashing import signature32, stage_index, stage_index_from_crc
-from repro.core.packet_tracker import PtRecord
+from repro.core.hashing import pack_u32, signature32, stage_index
+from repro.core.packet_tracker import (
+    InsertStatus,
+    PtRecord,
+    StagedPacketTable,
+)
 from repro.core.range_tracker import RangeEntry, SeqVerdict
 from repro.net.packet import PacketRecord
 from repro.net.tcp import FLAG_ACK, FLAG_PSH
@@ -30,6 +46,20 @@ PACKET = PacketRecord(timestamp_ns=1_000, src_ip=0x0A000001,
                       dst_ip=0xC0A80001, src_port=443, dst_port=51234,
                       seq=100, ack=0, flags=FLAG_ACK | FLAG_PSH,
                       payload_len=1448)
+
+
+def travelled_pt_record() -> PtRecord:
+    """Record 7 after an insertion, an eviction and a recirculation in
+    a one-slot PT, as the pipeline hands it back to the table."""
+    table = StagedPacketTable(1)
+    first = PtRecord(3, FLOW, FLOW.signature, 1000, 500)
+    record = PtRecord(7, FLOW, FLOW.signature, 1548, 1_000, leg="external")
+    table.insert(first)
+    assert table.insert(record).evicted is first  # record holds the slot
+    outcome = table.insert(first._replace(recirc_count=1))
+    assert outcome.status is InsertStatus.PLACED_EVICTING
+    evicted = outcome.evicted  # record, carrying the id it evicted
+    return evicted._replace(recirc_count=evicted.recirc_count + 1)
 
 
 class TestSlotsPickling:
@@ -65,14 +95,13 @@ class TestSlotsPickling:
                                         key.dst_port, key.ipv6)
 
     def test_warm_pt_record_pickles_to_the_bytes_of_a_fresh_one(self):
-        def record():
-            return PtRecord(record_id=7, flow=FLOW, signature=FLOW.signature,
-                            eack=1548, timestamp_ns=1_000, leg="external",
-                            recirc_count=1, last_evicted_id=3)
-        warm = record()
-        warm.mix0()  # fills the key, CRC and mix caches
-        assert pickle.dumps(warm) == pickle.dumps(record())
-        assert pickle.loads(pickle.dumps(warm)) == warm
+        fresh = PtRecord(record_id=7, flow=FLOW, signature=FLOW.signature,
+                         eack=1548, timestamp_ns=1_000, leg="external",
+                         recirc_count=1, last_evicted_id=3)
+        travelled = travelled_pt_record()
+        assert travelled == fresh
+        assert pickle.dumps(travelled) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(travelled)) == travelled
 
     def test_packet_record_round_trips(self):
         clone = pickle.loads(pickle.dumps(PACKET))
@@ -80,13 +109,16 @@ class TestSlotsPickling:
         assert clone.flags == PACKET.flags
 
     def test_pt_record_round_trips_with_warm_key_cache(self):
-        record = PtRecord(record_id=7, flow=FLOW, signature=FLOW.signature,
-                          eack=1548, timestamp_ns=1_000)
-        record.key_bytes()  # warm the lazy key cache before pickling
+        record = travelled_pt_record()
         clone = pickle.loads(pickle.dumps(record))
-        assert clone.record_id == record.record_id
-        assert clone.flow == record.flow
-        assert clone.key_bytes() == record.key_bytes()
+        assert clone == record
+        assert type(clone) is PtRecord
+        assert clone.flow is intern_flow(FLOW.src_ip, FLOW.dst_ip,
+                                         FLOW.src_port, FLOW.dst_port, False)
+        # The clone hashes into the slot its original was matched from.
+        table = StagedPacketTable(64)
+        table.insert(clone)
+        assert table.match_ack(FLOW, record.eack) == record
 
     def test_range_entry_round_trips(self):
         entry = RangeEntry(signature=0xDEADBEEF, left=100, right=2000,
@@ -140,11 +172,94 @@ class TestCachedHashing:
         assert FLOW.signature == signature32(FLOW.key_bytes())
 
     def test_stage_index_from_crc_matches_stage_index(self):
+        # The PT computes one CRC of (signature, eack) per pass and
+        # writes each stage's salted mix out in line: a record lands,
+        # and is matched, at stage_index of its key at whichever stage
+        # is the first free one.
+        key = pack_u32(FLOW.signature, 1548)
+        record = PtRecord(1, FLOW, FLOW.signature, 1548, 0)
+        blocker = PtRecord(0, FLOW, FLOW.signature, 7, 0)
         for stage in range(4):
-            assert stage_index_from_crc(FLOW.key_crc, stage, 1024) == \
-                stage_index(FLOW.key_bytes(), stage, 1024)
+            table = StagedPacketTable(4 * 1024, 4)
+            for earlier in range(stage):
+                table._stages[earlier][stage_index(key, earlier, 1024)] = \
+                    blocker
+            assert table.insert(record).status is InsertStatus.PLACED
+            assert table._stages[stage][stage_index(key, stage, 1024)] \
+                is record
+            assert table.match_ack(FLOW, 1548) is record
 
     def test_ipv6_key_bytes_are_36_bytes(self):
         v6 = intern_flow(1 << 120, 2 << 100, 80, 8080, True)
         assert len(v6.key_bytes()) == 36
         assert v6.key_crc == __import__("zlib").crc32(v6.key_bytes())
+
+
+# -- RttSample is a row tuple -------------------------------------------------
+
+CAMPUS = generate_campus_trace(CampusTraceConfig(connections=6, seed=5)).records
+BOTH_LEGS = LegFilter(InternalNetwork([(ipv4_to_int("10.0.0.0"), 8)]))
+
+
+def dart_samples():
+    return Dart(leg_filter=BOTH_LEGS).process_batch(CAMPUS)
+
+
+def spin_bit_samples():
+    trace = generate_quic_trace(QuicScenarioConfig(duration_ns=2 * 10**9,
+                                                   seed=3))
+    monitor = SpinBitMonitor(
+        is_client=lambda addr: addr == trace.config.client_ip)
+    return monitor.process_batch(trace.records)
+
+
+#: Every emitter of samples, with the count and a digest of the field
+#: values it produced while ``RttSample`` was a frozen dataclass.
+EMITTERS = {
+    "dart": (dart_samples, 1688, "7ed829682223c8df"),
+    "tcptrace": (lambda: TcpTrace().process_batch(CAMPUS),
+                 1692, "07a1802672a4f0cd"),
+    "strawman": (lambda: Strawman(track_handshake=True).process_batch(CAMPUS),
+                 1692, "a5408ed5fecc60c7"),
+    "dapper": (lambda: DapperMonitor().process_batch(CAMPUS),
+               57, "f6b0c353d5a4be5e"),
+    "spin-bit": (spin_bit_samples, 70, "0b000e59d6387ac9"),
+    "decode_sample": (lambda: [decode_sample(encode_sample(s))
+                               for s in dart_samples()],
+                      1688, "7ed829682223c8df"),
+}
+
+
+def field_digest(samples) -> str:
+    rows = [(s.flow.src_ip, s.flow.dst_ip, s.flow.src_port, s.flow.dst_port,
+             s.flow.ipv6, s.rtt_ns, s.timestamp_ns, s.eack, s.handshake,
+             s.leg) for s in samples]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+class TestRttSampleRows:
+    @pytest.mark.parametrize("emitter", EMITTERS)
+    def test_emitter_yields_samples_with_unchanged_fields(self, emitter):
+        produce, count, digest = EMITTERS[emitter]
+        samples = produce()
+        assert all(type(s) is RttSample for s in samples)
+        assert (len(samples), field_digest(samples)) == (count, digest)
+        sample = samples[0]
+        with pytest.raises(AttributeError):
+            sample.rtt_ns = 0
+        assert pickle.loads(pickle.dumps(sample)) == sample
+        assert sample.rtt_ms == sample.rtt_ns / 1e6
+
+    def test_comparison_and_sorting_are_unchanged(self):
+        dart = dart_samples()
+        tcptrace = TcpTrace().process_batch(CAMPUS)
+        report = compare_samples(dart, tcptrace)
+        assert (report.candidate_count, report.reference_count,
+                report.paired, report.exact_fraction) == (1688, 1692, 1688,
+                                                         1.0)
+        report = compare_samples(DapperMonitor().process_batch(CAMPUS),
+                                 tcptrace)
+        assert (report.paired, report.reference_duplicates) == (29, 0)
+        # Shards interleave by ACK time, stably: halves merge back whole.
+        assert merge_sample_lists([dart[1::2], dart[0::2]]) == dart
+        assert sorted(dart, key=lambda s: s.timestamp_ns) == dart

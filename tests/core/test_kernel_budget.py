@@ -1,7 +1,8 @@
 """The per-packet frame budget, pinned without a clock.
 
-A packet should cost the kernel one Python frame, one per table
-operation and one per object it has to build — not a frame per helper
+A packet should cost the kernel one Python frame and one per table
+operation — not a frame per helper, nor per row it builds: the PT
+record, the sample and an eviction's outcome are tuples built in C
 (DESIGN §7 "Frame budget").  Frames are counted with ``sys.setprofile``
 over one warm pass of a small seeded trace, so the figure repeats
 exactly and a call creeping back into the hot path fails here under its
@@ -41,30 +42,37 @@ from repro.traces import CampusTraceConfig, generate_campus_trace
 CONFIG = DartConfig(rt_slots=1 << 16, pt_slots=1 << 12, pt_stages=1,
                     max_recirculations=1)
 
-#: About one frame above what this trace measures: 9.92 on every entry
-#: point, the batch route included since ``process_batch`` unpacks each
-#: record tuple into the kernel row itself (10.92 while a ``_classify``
-#: call built the row; ceiling 12.0 then).  The kernel before the
-#: budget read 21.77 and 24.50.  Columnar read 7.16 while
-#: ``process_columns`` handed the kernel ten precomputed hashes per row;
-#: the 2.76 frames it costs to hash where the tables are —
-#: ``PtRecord.mix0/key_crc/key_bytes`` and ``_mix32`` per insertion,
-#: ``FlowKey.signature`` per record built, ``_mix32`` per lookup —
-#: replaced ten numpy hash columns per chunk, which took as long to
-#: build (354–760 ns per packet over two sessions) as they saved the
-#: kernel (469–1 020): frames are a proxy, the clock is the contract
+#: About one frame above what this trace measures: 4.23 on every entry
+#: point — per packet the kernel itself, ``on_data`` (0.54) and the first
+#: ``insert`` pass (0.52), ``on_ack`` (0.87), ``match_ack`` and the
+#: analytics' ``add`` with its collector's (0.19 each), the ``seq_*``
+#: helpers of the RT's rarer verdicts (0.37) and the recirculation chain
+#: (``_insertion_loop``, ``_consider_recirculation``, ``_revalidate``,
+#: ``revalidate``: 0.06 each), and a new flow's RT insert, ``RangeEntry``
+#: and first hashes (0.09).  9.92 (ceiling 11.0) while the RT fetched
+#: through ``lookup``, each record was a dataclass built by its
+#: ``__init__`` and hashed through ``PtRecord.mix0/key_crc/key_bytes`` and
+#: ``_mix32``, every tracked packet entered ``_insertion_loop`` and every
+#: sample ran its own ``__init__``; the PT record, the sample and an
+#: eviction's outcome are now tuples built in C, and the murmur mix is
+#: written out where the PT indexes.  The kernel before the budget read
+#: 21.77 and 24.50.  Columnar read 7.16 while ``process_columns`` handed
+#: the kernel ten precomputed hashes per row; those hash columns took as
+#: long to build (354–760 ns per packet over two sessions) as they saved
+#: the kernel (469–1 020): frames are a proxy, the clock is the contract
 #: (DESIGN §7, §15).
-COLUMNS_CEILING = 11.0
-BATCH_CEILING = 11.0
+COLUMNS_CEILING = 5.3
+BATCH_CEILING = 5.3
 
 #: Under an external-leg filter over 10.0.0.0/8 the kernel reads the
 #: source address itself (two frames: ``LegFilter.__call__`` and the
 #: prefix set's ``__contains__``) and half the data packets skip the
-#: tables: 5.63 columnar and framed, 6.63 batch.  While the filters took
-#: a whole record, a filtered ``process_framed`` decoded the batch into
-#: records first and read 8.89 (columnar and batch 6.89).
-FILTERED_COLUMNS_CEILING = 6.0
-FILTERED_BATCH_CEILING = 7.0
+#: tables: 3.54 on every entry point (5.63 before the rows above were
+#: built in C).  While the filters took a whole record, a filtered
+#: ``process_framed`` decoded the batch into records first and read 8.89
+#: (columnar and batch 6.89).
+FILTERED_COLUMNS_CEILING = 4.5
+FILTERED_BATCH_CEILING = 4.5
 
 #: ``from_wire_bytes`` on option-free IPv4/TCP frames: 2.0 per packet —
 #: the function and ``plain_v4_tcp``; the record tuple is built in C.

@@ -1,13 +1,11 @@
 """Tests for the Packet Tracker tables (paper §3.2 mechanics)."""
 
-import zlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.flow import FlowKey
-from repro.core.hashing import _mix32, pack_u32, stage_index
+from repro.core.hashing import pack_u32, stage_index
 from repro.core.packet_tracker import (
     AssociativePacketTable,
     InsertStatus,
@@ -24,15 +22,14 @@ def flow(i=0):
 
 def record(record_id, f=None, eack=1000, ts=0, recircs=0):
     f = f or flow()
-    r = PtRecord(
+    return PtRecord(
         record_id=record_id,
         flow=f,
         signature=f.signature,
         eack=eack,
         timestamp_ns=ts,
+        recirc_count=recircs,
     )
-    r.recirc_count = recircs
-    return r
 
 
 def colliding_records(table, n, *, base_flow_index=0, stage=0):
@@ -46,7 +43,8 @@ def colliding_records(table, n, *, base_flow_index=0, stage=0):
     while len(out) < n:
         f = flow(i)
         r = record(rid, f, eack=7777)
-        idx = stage_index(r.key_bytes(), stage, table.stage_slots)
+        idx = stage_index(pack_u32(r.signature, r.eack), stage,
+                          table.stage_slots)
         if target is None:
             target = idx
             out.append(r)
@@ -136,19 +134,20 @@ class TestSingleStageContention:
         outcome = table.insert(new)
         assert outcome.status is InsertStatus.PLACED_EVICTING
         assert outcome.evicted is old
-        assert new.last_evicted_id == old.record_id
+        # The slot holds the evictor, marked with the id it evicted.
+        assert table.records() == [new._replace(last_evicted_id=old.record_id)]
 
     def test_cycle_detected_on_re_eviction(self):
         table = StagedPacketTable(8, 1)
         old, new = colliding_records(table, 2)
         table.insert(old)
         table.insert(new)          # new evicts old
-        old.recirc_count = 1       # old is recirculated, re-enters
+        old = old._replace(recirc_count=1)  # old is recirculated, re-enters
         outcome = table.insert(old)  # old force-evicts new
         assert outcome.status is InsertStatus.PLACED_EVICTING
-        assert outcome.evicted is new
+        assert outcome.evicted == new._replace(last_evicted_id=old.record_id)
         # new comes around again: it already evicted old once -> cycle.
-        new.recirc_count = 1
+        new = outcome.evicted._replace(recirc_count=1)
         assert table.insert(new).status is InsertStatus.CYCLE
 
 
@@ -192,12 +191,11 @@ class TestMultiStageContention:
             i += 1
         fresh = record(999, flow(i + 1), eack=1111)
         assert table.insert(fresh).status is InsertStatus.UNPLACED
-        fresh.recirc_count = 1  # pass 1 -> eviction rights at stage 0
+        fresh = fresh._replace(recirc_count=1)  # pass 1: rights at stage 0
         outcome = table.insert(fresh)
         assert outcome.status is InsertStatus.PLACED_EVICTING
-        fresh2 = record(1000, flow(i + 2), eack=2222)
         # pass 2 -> eviction rights at stage 1
-        fresh2.recirc_count = 2
+        fresh2 = record(1000, flow(i + 2), eack=2222, recircs=2)
         outcome2 = table.insert(fresh2)
         assert outcome2.status in (
             InsertStatus.PLACED_EVICTING,
@@ -260,8 +258,8 @@ class ReferenceStagedTable:
             if stage == force_stage:
                 if r.last_evicted_id == occupant.record_id:
                     return InsertStatus.CYCLE, None
-                self.stages[stage][index] = r
-                r.last_evicted_id = occupant.record_id
+                self.stages[stage][index] = r._replace(
+                    last_evicted_id=occupant.record_id)
                 return InsertStatus.PLACED_EVICTING, occupant
         return InsertStatus.UNPLACED, None
 
@@ -291,16 +289,15 @@ class TestStageWalkAgainstReference:
             st.integers(0, 5),     # signature donor: another flow collides
             st.integers(1, 4),     # eack / ack
             st.integers(0, 5),     # recirc_count of a fresh insert
-            st.booleans(),         # key cache filled by an earlier pass, or not
         ), max_size=80),
     )
     def test_same_outcomes_layout_and_stats(self, stages, slots_per_stage,
                                             events):
         table = StagedPacketTable(stages * slots_per_stage, stages)
         model = ReferenceStagedTable(stages * slots_per_stage, stages)
-        displaced = None  # the last evicted or unplaced pair, to recirculate
+        displaced = None  # the last evicted or unplaced record, to recirculate
         next_id = 0
-        for kind, f, donor, eack, recircs, prefilled in events:
+        for kind, f, donor, eack, recircs in events:
             if kind == "match":
                 got = table.match_ack(flow(f), eack)
                 want = model.match_ack(flow(f).signature, eack)
@@ -309,30 +306,23 @@ class TestStageWalkAgainstReference:
                 if kind == "recirculate":
                     if displaced is None:
                         continue
-                    mine, theirs = displaced
-                    mine.recirc_count += 1
-                    theirs.recirc_count += 1
+                    mine = displaced._replace(
+                        recirc_count=displaced.recirc_count + 1)
                 else:
                     # A record of flow f carrying flow donor's signature:
                     # what a 4-byte signature collision looks like.
-                    mine, theirs = (
-                        PtRecord(next_id, flow(f), flow(donor).signature,
-                                 eack, 0) for _ in range(2))
-                    mine.recirc_count = theirs.recirc_count = recircs
-                    if prefilled:
-                        mine._crc = zlib.crc32(mine.key_bytes())
-                        mine._mix0 = _mix32(mine._crc)
+                    mine = PtRecord(next_id, flow(f), flow(donor).signature,
+                                    eack, 0, recirc_count=recircs)
                     next_id += 1
                 outcome = table.insert(mine)
-                status, evicted = model.insert(theirs)
+                status, evicted = model.insert(mine)
                 assert outcome.status is status
-                assert (outcome.evicted and outcome.evicted.record_id) == (
-                    evicted and evicted.record_id)
-                assert mine.last_evicted_id == theirs.last_evicted_id
+                assert outcome.evicted == evicted
                 if status is InsertStatus.PLACED_EVICTING:
-                    displaced = (outcome.evicted, evicted)
+                    displaced = outcome.evicted
                 elif status is InsertStatus.UNPLACED:
-                    displaced = (mine, theirs)
+                    displaced = mine
             assert layout(table._stages) == layout(model.stages)
+            assert table._stages == model.stages  # every field of every slot
             assert table.occupancy() == sum(
                 slot is not None for stage in model.stages for slot in stage)

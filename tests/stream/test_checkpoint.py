@@ -318,3 +318,18 @@ class TestForgedRows:
         restamp(checkpoint, "dart-stream-checkpoint/4")
         with pytest.raises(CheckpointSchemaMismatch):
             read_checkpoint(checkpoint)
+
+    def test_schema_5_is_refused_before_unpickling(self, checkpoint,
+                                                   monkeypatch):
+        # PT records and samples pickled as slotted dataclasses (schema
+        # /5) do not load as the tuples this build holds — a retained
+        # sample fails inside the unpickler — so the header refuses the
+        # file before any of its payload is unpickled.
+        restamp(checkpoint, "dart-stream-checkpoint/5")
+
+        def unpickled(*args, **kwargs):
+            raise AssertionError("a /5 payload reached the unpickler")
+
+        monkeypatch.setattr(checkpoint_module.pickle, "loads", unpickled)
+        with pytest.raises(CheckpointSchemaMismatch):
+            read_checkpoint(checkpoint)
