@@ -29,8 +29,9 @@ distribution stage is checkpointed, killed and resumed too.
 
 Pass criteria (exit 0): both processes exit cleanly, the checkpoint is
 non-finalized after the kill and finalized after the resume, the
-sample CSV and window JSONL from the interrupted pair are
-**byte-identical** to the reference — zero samples lost or duplicated
+sample CSV, sample JSONL and window JSONL from the interrupted pair
+are **byte-identical** to the reference (the resumed process continues
+all three from the checkpoint) — zero samples lost or duplicated
 across the process boundary — the resumed run prints the reference's
 ``distribution:`` line, and the quiet tail's decoders agree.
 """
@@ -185,9 +186,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # 1. Uninterrupted reference.
     ref_csv = workdir / "ref.csv"
+    ref_jsonl = workdir / "ref.jsonl"
     ref_win = workdir / "ref-win.jsonl"
     reference = subprocess.run(
-        stream_cli(full, "--csv", ref_csv, *HIST,
+        stream_cli(full, "--csv", ref_csv, "--jsonl", ref_jsonl, *HIST,
                    "--window-samples", "8", "--windows", ref_win),
         env=cli_env(), capture_output=True, text=True, timeout=DEADLINE_S,
     )
@@ -203,11 +205,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     write_packets(live, records[:third])
     ckpt = workdir / "state.ckpt"
     out_csv = workdir / "out.csv"
+    out_jsonl = workdir / "out.jsonl"
     out_win = workdir / "out-win.jsonl"
     daemon = subprocess.Popen(
         stream_cli(live, "--follow", "--poll-interval", "0.05",
                    "--checkpoint", ckpt, "--checkpoint-interval", "0.5",
-                   "--csv", out_csv, *HIST,
+                   "--csv", out_csv, "--jsonl", out_jsonl, *HIST,
                    "--window-samples", "8", "--windows", out_win),
         env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True,
@@ -260,6 +263,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not failures:
         if out_csv.read_bytes() != ref_csv.read_bytes():
             failures.append("sample CSV differs from the uninterrupted "
+                            "reference")
+        if out_jsonl.read_bytes() != ref_jsonl.read_bytes():
+            failures.append("sample JSONL differs from the uninterrupted "
                             "reference")
         if out_win.read_bytes() != ref_win.read_bytes():
             failures.append("window JSONL differs from the uninterrupted "

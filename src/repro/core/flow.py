@@ -9,8 +9,8 @@ arriving ACK is matched after reversing its tuple.
 Performance notes (the per-packet hot path runs through this module):
 
 * ``FlowKey`` precomputes its hash at construction and caches its key
-  bytes, raw CRC, and 4-byte signature lazily — each is computed once
-  per flow object instead of once per packet.
+  bytes, raw CRC, 4-byte signature and address text lazily — each is
+  computed once per flow object instead of once per packet (or sample).
 * :func:`flow_of` / :func:`ack_target_flow` *intern* keys, so every
   packet of a flow reuses one ``FlowKey`` object.  Table lookups then
   hit the dict fast path (identity before ``__eq__``), and the lazy
@@ -24,7 +24,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..net.inet import int_to_ipv4, int_to_ipv6
 from ..net.packet import PacketRecord
@@ -40,9 +40,9 @@ class FlowKey:
     src_port: int
     dst_port: int
     ipv6: bool = False
-    #: Cached ``hash()`` (eager) and key-byte/CRC/signature values
-    #: (lazy).  Excluded from equality/repr and from the pickle; they
-    #: are pure functions of the tuple.
+    #: Cached ``hash()`` (eager) and key-byte/CRC/signature/address-text
+    #: values (lazy).  Excluded from equality/repr and from the pickle;
+    #: they are pure functions of the tuple.
     _hash: int = field(init=False, repr=False, compare=False, default=0)
     _bytes: Optional[bytes] = field(init=False, repr=False, compare=False,
                                     default=None)
@@ -52,6 +52,8 @@ class FlowKey:
                                 default=None)
     _mix0: Optional[int] = field(init=False, repr=False, compare=False,
                                  default=None)
+    _text: Optional[Tuple[str, str]] = field(init=False, repr=False,
+                                             compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -139,13 +141,21 @@ class FlowKey:
         return intern_flow, (self.src_ip, self.dst_ip, self.src_port,
                              self.dst_port, self.ipv6)
 
+    @property
+    def address_text(self) -> Tuple[str, str]:
+        """The source and destination addresses as text, formatted once
+        per flow object (the text sinks write them on every sample)."""
+        text = self._text
+        if text is None:
+            fmt = int_to_ipv6 if self.ipv6 else int_to_ipv4
+            text = (fmt(self.src_ip), fmt(self.dst_ip))
+            object.__setattr__(self, "_text", text)
+        return text
+
     def describe(self) -> str:
         """Render as ``src:port > dst:port``."""
-        fmt = int_to_ipv6 if self.ipv6 else int_to_ipv4
-        return (
-            f"{fmt(self.src_ip)}:{self.src_port} > "
-            f"{fmt(self.dst_ip)}:{self.dst_port}"
-        )
+        src, dst = self.address_text
+        return f"{src}:{self.src_port} > {dst}:{self.dst_port}"
 
 
 @lru_cache(maxsize=1 << 20)

@@ -8,14 +8,12 @@ stream reports to disk for the collection server.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Union
 
 from ..core.hist import describe_key
 from ..core.samples import RttSample
-from ..net.inet import int_to_ipv4, int_to_ipv6
 from .records import encode_sample
 
 PathLike = Union[str, Path]
@@ -86,13 +84,21 @@ class ReportFileSink(_FileSink):
         self.count += 1
 
 
-def _flow_strings(sample: RttSample):
-    fmt = int_to_ipv6 if sample.flow.ipv6 else int_to_ipv4
-    return fmt(sample.flow.src_ip), fmt(sample.flow.dst_ip)
-
-
 CSV_FIELDS = ("timestamp_ns", "rtt_ns", "src", "sport", "dst", "dport",
               "eack", "leg", "handshake")
+
+# One ``%`` template per text row, byte-for-byte what ``csv.writer`` and
+# ``json.dumps`` write for it: every field is an int, a bool, None, an
+# address or a known leg (``external``/``internal``), so none needs
+# quoting or escaping.  The address text is cached on the flow object.
+_CSV_ROW = "%d,%d,%s,%d,%s,%d,%d,%s,%d\r\n"
+_JSONL_ROW = ('{"ts_ns": %d, "rtt_ns": %d, "src": "%s", "sport": %d, '
+              '"dst": "%s", "dport": %d, "eack": %d, "leg": %s, '
+              '"handshake": %s}\n')
+_JSON_LEG = {None: "null", "external": '"external"',
+             "internal": '"internal"'}
+_WINDOW_ROW = ('{"key": %s, "window": %d, "min_rtt_ns": %d, "samples": %d, '
+               '"closed_at_ns": %d}\n')
 
 
 class CsvSink(_FileSink):
@@ -106,23 +112,15 @@ class CsvSink(_FileSink):
         super().__init__(
             open_creating_parents(path, "a" if append else "w", newline="")
         )
-        self._writer = csv.writer(self._stream)
         if not append:
-            self._writer.writerow(CSV_FIELDS)
+            self._stream.write(",".join(CSV_FIELDS) + "\r\n")
 
     def add(self, sample: RttSample) -> None:
-        src, dst = _flow_strings(sample)
-        self._writer.writerow([
-            sample.timestamp_ns,
-            sample.rtt_ns,
-            src,
-            sample.flow.src_port,
-            dst,
-            sample.flow.dst_port,
-            sample.eack,
-            sample.leg or "",
-            int(sample.handshake),
-        ])
+        flow, rtt_ns, timestamp_ns, eack, handshake, leg = sample
+        src, dst = flow.address_text
+        self._stream.write(_CSV_ROW % (
+            timestamp_ns, rtt_ns, src, flow.src_port, dst, flow.dst_port,
+            eack, leg or "", handshake))
         self.count += 1
 
 
@@ -133,18 +131,12 @@ class JsonlSink(_FileSink):
         super().__init__(open_creating_parents(path, "a" if append else "w"))
 
     def add(self, sample: RttSample) -> None:
-        src, dst = _flow_strings(sample)
-        self._stream.write(json.dumps({
-            "ts_ns": sample.timestamp_ns,
-            "rtt_ns": sample.rtt_ns,
-            "src": src,
-            "sport": sample.flow.src_port,
-            "dst": dst,
-            "dport": sample.flow.dst_port,
-            "eack": sample.eack,
-            "leg": sample.leg,
-            "handshake": sample.handshake,
-        }) + "\n")
+        flow, rtt_ns, timestamp_ns, eack, handshake, leg = sample
+        src, dst = flow.address_text
+        self._stream.write(_JSONL_ROW % (
+            timestamp_ns, rtt_ns, src, flow.src_port, dst, flow.dst_port,
+            eack, _JSON_LEG.get(leg) or json.dumps(leg),
+            "true" if handshake else "false"))
         self.count += 1
 
 
@@ -161,11 +153,7 @@ class WindowJsonlSink(_FileSink):
         super().__init__(open_creating_parents(path, "a" if append else "w"))
 
     def add(self, window) -> None:
-        self._stream.write(json.dumps({
-            "key": describe_key(window.key),
-            "window": window.window_index,
-            "min_rtt_ns": window.min_rtt_ns,
-            "samples": window.sample_count,
-            "closed_at_ns": window.closed_at_ns,
-        }) + "\n")
+        self._stream.write(_WINDOW_ROW % (
+            json.dumps(describe_key(window.key)), window.window_index,
+            window.min_rtt_ns, window.sample_count, window.closed_at_ns))
         self.count += 1

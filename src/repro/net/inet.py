@@ -24,7 +24,8 @@ def int_to_ipv4(value: int) -> str:
     """Format an integer as a dotted-quad IPv4 address."""
     if not 0 <= value <= IPV4_MAX:
         raise ValueError(f"IPv4 address out of range: {value}")
-    return str(ipaddress.IPv4Address(value))
+    return "%d.%d.%d.%d" % (value >> 24, value >> 16 & 0xFF,
+                            value >> 8 & 0xFF, value & 0xFF)
 
 
 def ipv6_to_int(text: str) -> int:

@@ -25,7 +25,7 @@ from repro.baselines.tcptrace import TcpTrace
 from repro.cluster.merge import merge_sample_lists
 from repro.core import Dart, DartStats, LegFilter, RttSample
 from repro.export.records import decode_sample, encode_sample
-from repro.net.inet import InternalNetwork, ipv4_to_int
+from repro.net.inet import InternalNetwork, int_to_ipv4, ipv4_to_int
 from repro.quic import QuicScenarioConfig, SpinBitMonitor, generate_quic_trace
 from repro.traces import CampusTraceConfig, generate_campus_trace
 from repro.core.flow import FlowKey, ack_target_flow, flow_of, intern_flow
@@ -160,6 +160,39 @@ class TestInterning:
         _ = warm.key_crc, warm.signature, warm.key_bytes()
         assert cold == warm
         assert hash(cold) == hash(warm)
+
+
+class TestFlowText:
+    def test_warm_text_is_invisible(self):
+        cold = FlowKey(src_ip=0x0A000001, dst_ip=1 << 31, src_port=3,
+                       dst_port=4)
+        warm = FlowKey(src_ip=0x0A000001, dst_ip=1 << 31, src_port=3,
+                       dst_port=4)
+        assert warm.address_text == ("10.0.0.1", "128.0.0.0")
+        assert warm._text is not None and cold._text is None
+        assert cold == warm
+        assert hash(cold) == hash(warm)
+        assert repr(cold) == repr(warm)
+        assert pickle.dumps(cold) == pickle.dumps(warm)
+        assert pickle.loads(pickle.dumps(warm)) == cold
+
+    def test_text_matches_the_formatters(self):
+        v6 = FlowKey(src_ip=(0x20010DB8 << 96) + 1, dst_ip=1, src_port=1,
+                     dst_port=2, ipv6=True)
+        assert v6.address_text == ("2001:db8::1", "::1")
+        assert v6.describe() == "2001:db8::1:1 > ::1:2"
+        assert FLOW.describe() == (f"{int_to_ipv4(FLOW.src_ip)}:"
+                                   f"{FLOW.src_port} > "
+                                   f"{int_to_ipv4(FLOW.dst_ip)}:"
+                                   f"{FLOW.dst_port}")
+
+    def test_reinterned_key_gives_the_same_text(self):
+        args = (0xC0A80001, 0x08080808, 5000, 53, False)
+        text = intern_flow(*args).address_text
+        intern_flow.cache_clear()
+        fresh = intern_flow(*args)
+        assert fresh._text is None
+        assert fresh.address_text == text == ("192.168.0.1", "8.8.8.8")
 
 
 class TestCachedHashing:

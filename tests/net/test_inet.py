@@ -1,7 +1,9 @@
 """Tests for IP address helpers and prefix aggregation."""
 
+import ipaddress
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.net.inet import (
@@ -45,6 +47,22 @@ class TestIPv4:
     @given(v4)
     def test_bytes_roundtrip(self, addr):
         assert bytes_to_ipv4(ipv4_to_bytes(addr)) == addr
+
+
+class TestIntToIPv4:
+    """``int_to_ipv4`` formats by hand; it must say what ``ipaddress`` says."""
+
+    @given(v4)
+    @example(0)
+    @example((1 << 32) - 1)
+    @example(0x00FF00FF)
+    def test_matches_ipaddress(self, addr):
+        assert int_to_ipv4(addr) == str(ipaddress.IPv4Address(addr))
+
+    @pytest.mark.parametrize("addr", [-1, 1 << 32])
+    def test_out_of_range_raises_value_error(self, addr):
+        with pytest.raises(ValueError, match="out of range"):
+            int_to_ipv4(addr)
 
 
 class TestIPv6:

@@ -1,12 +1,14 @@
 """Tests for the report export layer and per-flow summaries."""
 
+import hashlib
 import io
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.flow import FlowKey
+from repro.core.analytics import DstPrefixKey, MinFilterAnalytics, WindowMinimum
+from repro.core.flow import FlowKey, intern_flow
 from repro.core.samples import RttSample
 from repro.export import (
     RECORD_LEN,
@@ -15,11 +17,13 @@ from repro.export import (
     JsonlSink,
     ReportFileSink,
     ReportFormatError,
+    WindowJsonlSink,
     decode_sample,
     encode_sample,
     read_reports,
     write_reports,
 )
+from tests.core.test_fastpath import EMITTERS
 
 MS = 1_000_000
 
@@ -93,6 +97,77 @@ class TestRecordCodec:
         assert decode_sample(encode_sample(s)) == s
 
 
+def edge_samples():
+    """Samples at the edges of every field a text sink formats."""
+    v6 = (intern_flow((0x20010DB8 << 96) + 1, 1, 443, 50000, True),
+          intern_flow((1 << 128) - 1, 0xFFFF << 32 | 0x0A000001, 0, 65535,
+                      True))
+    v4 = (intern_flow(0, (1 << 32) - 1, 0, 65535),
+          intern_flow(0x0A000001, 0xC0A80001, 40000, 443))
+    rows = []
+    for flow in v6 + v4:
+        for leg in (None, "external", "internal"):
+            for handshake in (False, True):
+                rows.append(RttSample(flow, 7 * MS, 100 * MS, 12345,
+                                      handshake, leg))
+    rows.append(RttSample(v4[0], 0, 0, 0))
+    rows.append(RttSample(v6[1], (1 << 63) - 1, (1 << 63) - 1,
+                          (1 << 32) - 1, True, "internal"))
+    return rows
+
+
+def edge_windows():
+    """Closed windows keyed every way an analytics stage keys them."""
+    keys = (intern_flow(0x0A000001, 0xC0A80001, 40000, 443),
+            intern_flow((0x20010DB8 << 96) + 1, 1, 443, 50000, True),
+            0xC0A80100, (0x20010DB8 << 96) + (5 << 32),
+            (0x0A000001, 443), 'a "quoted" \\ key')
+    return [WindowMinimum(key, index, 5 * MS + index, 8, 100 * MS * index)
+            for index, key in enumerate(keys)]
+
+
+def analytics_windows():
+    """Windows a min-filter closes over real Dart samples, per /24."""
+    analytics = MinFilterAnalytics(window_samples=8, key_fn=DstPrefixKey(24))
+    for item in EMITTERS["dart"][0]():
+        analytics.add(item)
+    return analytics.drain_windows()
+
+
+SAMPLE_SETS = {**{name: produce for name, (produce, _, _) in EMITTERS.items()},
+               "edges": edge_samples}
+WINDOW_SETS = {"edges": edge_windows, "analytics": analytics_windows}
+
+
+def sink_digest(cls, items, path, split=None) -> str:
+    """SHA-256 of what ``cls`` writes for ``items``; with ``split``, the
+    first ``split`` items go through one sink and the rest through a
+    second one reopened with ``append=True`` (the resume path)."""
+    split = len(items) if split is None else split
+    with cls(path) as sink:
+        for item in items[:split]:
+            sink.add(item)
+    if split < len(items):
+        with cls(path, append=True) as sink:
+            for item in items[split:]:
+                sink.add(item)
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+#: Digests of each text sink's output, captured while the sinks built a
+#: dict per row for ``json.dumps`` and a list for ``csv.writer``.
+GOLDEN_SAMPLES = {
+    "dart": ("41fe4b58eb0d0e4d", "b04a8477c805a6c3"),
+    "tcptrace": ("234f20a1b4dcd679", "7d01b82a63ec186c"),
+    "strawman": ("88c3f83e82c97d20", "daa344487b930e8f"),
+    "dapper": ("a386937289f62dc6", "09a15f7b16368be6"),
+    "spin-bit": ("0432f1a46b6af92b", "dd3b26b709c693aa"),
+    "decode_sample": ("41fe4b58eb0d0e4d", "b04a8477c805a6c3"),
+    "edges": ("118e20a7769287eb", "936e6ed309d8e4c4"),
+}
+GOLDEN_WINDOWS = {"edges": "56ba6e76bd32f797", "analytics": "2356fa53274697f5"}
+
+
 class TestFileSinks:
     def test_report_file_roundtrip(self, tmp_path):
         path = tmp_path / "samples.rtt"
@@ -156,6 +231,33 @@ class TestFileSinks:
         with open(path, "rb") as stream:
             (out,) = list(read_reports(stream))
         assert out.rtt_ns == 7 * MS
+
+    @pytest.mark.parametrize("name", SAMPLE_SETS)
+    def test_sample_sinks_write_golden_bytes(self, tmp_path, name):
+        items = SAMPLE_SETS[name]()
+        assert items
+        digests = (sink_digest(JsonlSink, items, tmp_path / "s.jsonl"),
+                   sink_digest(CsvSink, items, tmp_path / "s.csv"))
+        assert digests == GOLDEN_SAMPLES[name]
+
+    @pytest.mark.parametrize("name", ["dart", "edges"])
+    def test_appended_sample_sinks_write_golden_bytes(self, tmp_path, name):
+        items = SAMPLE_SETS[name]()
+        digests = tuple(
+            sink_digest(cls, items, tmp_path / f"s.{cls.__name__}",
+                        split=len(items) // 2)
+            for cls in (JsonlSink, CsvSink))
+        assert digests == GOLDEN_SAMPLES[name]
+
+    @pytest.mark.parametrize("name", WINDOW_SETS)
+    def test_window_sink_writes_golden_bytes(self, tmp_path, name):
+        items = WINDOW_SETS[name]()
+        assert items
+        digests = (
+            sink_digest(WindowJsonlSink, items, tmp_path / "w.jsonl"),
+            sink_digest(WindowJsonlSink, items, tmp_path / "w2.jsonl",
+                        split=len(items) // 2))
+        assert digests == (GOLDEN_WINDOWS[name],) * 2
 
 
 class TestFlowSummaries:
